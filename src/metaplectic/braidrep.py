@@ -10,9 +10,10 @@ Two independent constructions are provided:
       sigma_2[(x',y'),(x,y)] = sum_{v,w} Finv[x a a; b]_{y v}
           F[a a a; v]_{x w} R[a a]_w Finv[a a a; v]_{w x'} F[x' a a; b]_{v y'}
 
-* :func:`general_generators` works on any shape and strand count by
-  rotating the tree until strands i, i+1 share a fork, twisting the fork
-  charge with the R-symbol, and rotating back.
+* :func:`general_generators` works on any shape and strand count.  On the
+  left comb, sigma_1 is diag R[a a; c_1] and sigma_i (i >= 2) mixes only
+  the comb charge c_{i-1}, through F[c_{i-2} a a; c_i] diag(R) F^dagger;
+  other shapes conjugate all generators by one change to the comb basis.
 
 Positive (over-crossing) generators pick up the stored R-symbols;
 inverses use the conjugate transpose.  Basis signs are folded into the
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import enumerate_basis, fork_tree, pair_tree, tree_change, _internal_paths
+from .trees import comb_tree, enumerate_basis, pair_tree, tree_change
 
 __all__ = ["BraidRep", "RepReport", "pair_tree_generators", "general_generators", "rep_check"]
 
@@ -98,12 +99,14 @@ def pair_tree_generators(cat, a, b):
 
 
 def general_generators(cat, basis):
-    """Braid generators on an arbitrary fusion-tree basis via F-moves.
+    """Braid generators on an arbitrary fusion-tree basis.
 
-    Each sigma_i is (tree change to a fork shape) followed by the diagonal
-    R twist on the fork charge and the inverse change.  All strands must
-    carry the same anyon type (braiding distinct types maps to a different
-    space).
+    On the left comb, with c_k the charge of leaves 0..k (c_0 = a, and
+    c_{-1} the unit), sigma_i changes only c_{i-1}, by the F-conjugated twist
+    sigma_i[n', n] = sum_w conj(F[c_{i-2},a,a;c_i]_{n'w}) R[a,a;w] F[...]_{nw}.
+    Any other shape gets all generators by one conjugation with the comb
+    basis change.  All strands must carry the same anyon type (braiding
+    distinct types maps to a different space).
     """
     shape = basis.shape
     n = shape.n_leaves
@@ -112,32 +115,35 @@ def general_generators(cat, basis):
     if len(set(shape.leaves)) != 1:
         raise ValueError("general_generators requires identical leaf labels")
     a = shape.leaves[0]
+    comb_shape = comb_tree(cat, shape.leaves, shape.total)
+    comb = basis if shape == comb_shape else enumerate_basis(cat, comb_shape)
+    blocks = {}
+
+    def block(x, d):
+        """Row labels of F[x,a,a;d] and sigma on them, indexed [n', n]."""
+        if (x, d) not in blocks:
+            fmat = cat.f(x, a, a, d)
+            twist = np.array([cat.r(a, a, w) for w in cat.f_cols(x, a, a, d)])
+            blocks[x, d] = cat.f_rows(x, a, a, d), fmat.conj() @ (twist[:, None] * fmat.T)
+        return blocks[x, d]
+
+    # a comb labeling is c_{n-2}..c_1; extended, c_k sits at position n-1-k
+    charges = [(shape.total,) + lab + (a, cat.unit) for lab in comb.states]
+    index = {c: k for k, c in enumerate(charges)}
+    signs = np.asarray(comb.signs, dtype=float)
     generators = []
     for i in range(1, n):
-        fork_shape = fork_tree(cat, shape.leaves, shape.total, i)
-        fork_basis = enumerate_basis(cat, fork_shape)
-        move = tree_change(cat, basis, fork_basis)
-        twist = np.array([cat.r(a, a, _fork_charge(fork_basis, i, lab))
-                          for lab in fork_basis.states], dtype=complex)
-        generators.append(move.conj().T @ (twist[:, None] * move))
+        gen = np.zeros((comb.dim, comb.dim), dtype=complex)
+        p = n - i  # position of c_{i-1}
+        for col, c in enumerate(charges):
+            rows, mat = block(c[p + 1], c[p - 1])
+            for r, label in enumerate(rows):
+                gen[index[c[:p] + (label,) + c[p + 1:]], col] = mat[r, rows.index(c[p])]
+        generators.append(signs[:, None] * gen * signs[None, :])
+    if comb is not basis:
+        move = tree_change(cat, basis, comb)
+        generators = [move.conj().T @ g @ move for g in generators]
     return BraidRep(cat, basis, tuple(generators))
-
-
-def _fork_charge(fork_basis, i, labeling):
-    """Charge on the (i-1, i) fork edge of a fork-shape labeling."""
-    structure = fork_basis.shape.structure
-    paths = _internal_paths(structure)
-    target = None
-    for path in paths:
-        node = structure
-        for step in path:
-            node = node[step]
-        if node == (i - 1, i):
-            target = path
-            break
-    if target == ():
-        return fork_basis.shape.total
-    return labeling[paths.index(target) - 1]
 
 
 @dataclass

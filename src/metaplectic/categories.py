@@ -112,10 +112,6 @@ class Category:
         """Fusion outcomes of ``a x b`` as a frozenset."""
         return self.fusion[(self.resolve(a), self.resolve(b))]
 
-    def n(self, a, b, c):
-        """Fusion coefficient N^{ab}_c (0 or 1; multiplicity-free)."""
-        return 1 if self.resolve(c) in self.fuse(a, b) else 0
-
     def _sorted(self, labels):
         return tuple(sorted(labels, key=self.labels.index))
 

@@ -18,8 +18,9 @@ import sys
 
 import numpy as np
 
-from .categories import (CategoryFileError, MissingDataError, builtin_category,
-                         check_consistency, parse_category, serialize_category)
+from .categories import (CategoryFileError, MissingDataError, UnknownLabelError,
+                         builtin_category, check_consistency, parse_category,
+                         serialize_category)
 from .braidrep import general_generators, pair_tree_generators, rep_check
 from .gates import (cz_gate, hadamard, make_gate, mult_gate, parse_gate, q_gate,
                     sum_gate, x_gate, z_gate, equal_up_to_phase)
@@ -159,6 +160,8 @@ def _resolve_rep(args):
     if args.model:
         cat, rep = _model_rep(args.model, general=getattr(args, "general", False))
         return cat, rep
+    if not (args.shape or (args.leaves and args.total)):
+        args.source_parser.error("--category needs --shape, or --leaves with --total")
     cat = builtin_category(args.category)
     if args.shape:
         basis = enumerate_basis(cat, parse_shape(cat, args.shape))
@@ -216,16 +219,12 @@ def _cmd_braid(args):
 # verify
 
 
-def _gate_by_name(text, rep_dim=None):
-    return make_gate(parse_gate(text))
-
-
 def _cmd_verify(args):
     if args.action == "identity":
         cat, rep = _resolve_rep(args)
         word = (named_words(cat.name)[args.named] if args.named
                 else word_from_text(args.word, rep.n_strands))
-        target = _gate_by_name(args.target)
+        target = make_gate(parse_gate(args.target))
         result = verify_identity(rep, word, target, tol=args.tol)
         _emit(
             [f"word {word} vs {args.target}: "
@@ -329,9 +328,13 @@ def _cmd_group(args):
     result = group_closure(gens, projective=args.projective, cap=args.cap, det_lift=det_lift)
     mode = "projective" if args.projective else "linear"
     if result.cap_exceeded:
-        _emit([f"<{label}> {mode}: cap {args.cap} exceeded (likely infinite or large)"],
-              [f"cap_exceeded=1", f"cap={args.cap}"])
-        return EXIT_OK
+        human = [f"<{label}> {mode}: cap {args.cap} exceeded (likely infinite or large)"]
+        machine = ["cap_exceeded=1", f"cap={args.cap}"]
+        if args.expect is not None:  # the expected order was never reached
+            human.append(f"  expected {args.expect}: FAIL (closure did not finish)")
+            machine.append("pass=0")
+        _emit(human, machine)
+        return EXIT_OK if args.expect is None else EXIT_CHECK_FAILED
     expected_ok = args.expect is None or result.order == args.expect
     human = [f"<{label}> {mode} closure:",
              f"  order  = {result.order}",
@@ -442,15 +445,22 @@ def _cmd_protocol(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_rep_source(parser, with_general=True):
-    parser.add_argument("--model", choices=sorted(MODELS))
-    parser.add_argument("--category", choices=("su2_4", "so5_2"))
+def _add_rep_source(parser):
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", choices=sorted(MODELS))
+    source.add_argument("--category", choices=("su2_4", "so5_2"))
     parser.add_argument("--leaves", help="space-separated leaf labels (comb tree)")
     parser.add_argument("--total", help="total charge label")
     parser.add_argument("--shape", help="tree shape text, e.g. '((eps eps)(eps eps))->y'")
-    if with_general:
-        parser.add_argument("--general", action="store_true",
-                            help="use the move-based engine even for 4-strand models")
+    parser.add_argument("--general", action="store_true",
+                        help="use the general engine even for 4-strand models")
+    parser.set_defaults(source_parser=parser)  # reports an incomplete --category source
+
+
+def _add_word_source(parser):
+    word = parser.add_mutually_exclusive_group(required=True)
+    word.add_argument("--word", help="whitespace-separated signed generator indices")
+    word.add_argument("--named", help="preregistered word name (p, q, Hword, CZword, ...)")
 
 
 def build_parser():
@@ -483,8 +493,7 @@ def build_parser():
     braid_sub = braid.add_subparsers(dest="action", required=True)
     ev = braid_sub.add_parser("eval")
     _add_rep_source(ev)
-    ev.add_argument("--word", help="whitespace-separated signed generator indices")
-    ev.add_argument("--named", help="preregistered word name (p, q, Hword, CZword, ...)")
+    _add_word_source(ev)
 
     verify = sub.add_parser("verify", help="verify gate identities")
     verify_sub = verify.add_subparsers(dest="action", required=True)
@@ -493,16 +502,16 @@ def build_parser():
     suite.add_argument("--tol", type=float, default=1e-8)
     ident = verify_sub.add_parser("identity")
     _add_rep_source(ident)
-    ident.add_argument("--word")
-    ident.add_argument("--named")
+    _add_word_source(ident)
     ident.add_argument("--target", required=True, help="gate name, e.g. H3 or M5[2]")
     ident.add_argument("--tol", type=float, default=1e-8)
 
     group = sub.add_parser("group", help="finite closure of generated matrix groups")
     group_sub = group.add_subparsers(dest="action", required=True)
     order = group_sub.add_parser("order")
-    order.add_argument("--model", choices=sorted(MODELS))
-    order.add_argument("--gates", help="comma-separated gate names, e.g. H3,P3[1]")
+    gens = order.add_mutually_exclusive_group(required=True)
+    gens.add_argument("--model", choices=sorted(MODELS))
+    gens.add_argument("--gates", help="comma-separated gate names, e.g. H3,P3[1]")
     order.add_argument("--projective", action="store_true")
     order.add_argument("--no-det-lift", action="store_true",
                        help="close the literal matrices (only with --gates)")
@@ -563,7 +572,7 @@ def main(argv=None):
     except CategoryFileError as exc:
         print(f"category file error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, UnknownLabelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -237,8 +237,8 @@ def estimate_flip_success(trials, n_max, seed):
     up to a global sign.  Returns one row per n with the empirical
     cumulative success rate and its binomial standard error.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if trials < 1 or n_max < 1:
+        raise ValueError("need at least one trial and one round")
     rng = np.random.default_rng(seed)
     psi = np.array([1, -1, 1], dtype=complex) / np.sqrt(3)
     # shifted[i, j] is the ancilla amplitude at outcome j after SUM when

@@ -30,7 +30,6 @@ __all__ = [
     "FusionTreeBasis",
     "pair_tree",
     "comb_tree",
-    "fork_tree",
     "block_comb_tree",
     "enumerate_basis",
     "tree_change",
@@ -105,21 +104,6 @@ def comb_tree(cat, leaves, total):
     """Left-nested comb (((l0 l1) l2) ...) -> total."""
     leaves = tuple(cat.resolve(l) for l in leaves)
     return TreeShape(_comb_structure(len(leaves)), leaves, cat.resolve(total))
-
-
-def fork_tree(cat, leaves, total, i):
-    """Left comb over 0..i-2, a fork on leaves (i-1, i), comb continues.
-
-    This is the shape in which the braid generator sigma_i acts as a
-    diagonal R twist on the fork charge.
-    """
-    n = len(leaves)
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range for {n} strands")
-    atoms = list(range(i - 1)) + [(i - 1, i)] + list(range(i + 1, n))
-    structure = reduce(lambda acc, x: (acc, x), atoms[1:], atoms[0])
-    leaves = tuple(cat.resolve(l) for l in leaves)
-    return TreeShape(structure, leaves, cat.resolve(total))
 
 
 def block_comb_tree(cat, leaf, n_blocks, total):

@@ -23,6 +23,7 @@ density arguments rest on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,7 +181,7 @@ class SubspaceChainReport:
 
 def qupit_subspace_chain(p, k_max=10000, delta=1e-6):
     """Verify the S_i-plane structure of the commutators for prime p >= 5."""
-    if p < 5 or p % 2 == 0:
+    if p < 5 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
         raise ValueError("p must be an odd prime >= 5")
     h = hadamard(p)
     hi = h.conj().T

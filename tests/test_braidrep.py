@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from metaplectic.categories import MissingDataError, builtin_category
 from metaplectic.braidrep import (BraidRep, general_generators,
                                   pair_tree_generators, rep_check)
-from metaplectic.trees import block_comb_tree, comb_tree, enumerate_basis, pair_tree
+from metaplectic.trees import (TreeShape, block_comb_tree, comb_tree, enumerate_basis,
+                               pair_tree, tree_change)
 
 GAMMA = cmath.exp(1j * math.pi / 12)
 OMEGA = cmath.exp(2j * math.pi / 3)
@@ -84,6 +86,52 @@ def test_general_engine_matches_closed_formula(su24, so52, qutrit_rep, qupit_rep
             assert abs(a - b).max() < 1e-9
 
 
+def _internal_nodes(structure):
+    """Internal nodes of a tree structure in preorder, root first."""
+    if isinstance(structure, int):
+        return []
+    return [structure] + _internal_nodes(structure[0]) + _internal_nodes(structure[1])
+
+
+def fork_route_sigma(cat, basis, i):
+    """sigma_i built the slow way: change to the shape where leaves i-1, i
+    share a fork, twist the fork charge by R, and change back."""
+    shape = basis.shape
+    atoms = list(range(i - 1)) + [(i - 1, i)] + list(range(i + 1, shape.n_leaves))
+    structure = reduce(lambda acc, x: (acc, x), atoms[1:], atoms[0])
+    fork = enumerate_basis(cat, TreeShape(structure, shape.leaves, shape.total))
+    slot = _internal_nodes(structure).index((i - 1, i))  # 0 is the root
+    a = shape.leaves[0]
+    twist = np.array([cat.r(a, a, shape.total if slot == 0 else lab[slot - 1])
+                      for lab in fork.states])
+    move = tree_change(cat, basis, fork)
+    return move.conj().T @ (twist[:, None] * move)
+
+
+def _fork_route_cases(su24, so52):
+    for leaf in ("1", "3"):
+        for n in range(3, 9):
+            for total in su24.labels:
+                yield su24, comb_tree(su24, [leaf] * n, total)
+    for total in ("2", "0"):
+        yield su24, block_comb_tree(su24, "1", 2, total)
+    for total in ("y1", "y2"):  # the totals the partial so5_2 tables cover
+        yield so52, comb_tree(so52, ["eps"] * 4, total)
+
+
+def test_general_generators_match_fork_route(su24, so52):
+    checked = 0
+    for cat, shape in _fork_route_cases(su24, so52):
+        basis = enumerate_basis(cat, shape)
+        if basis.dim == 0:
+            continue
+        rep = general_generators(cat, basis)
+        for i in range(1, shape.n_leaves):
+            assert abs(rep.sigma(i) - fork_route_sigma(cat, basis, i)).max() < 1e-12
+        checked += 1
+    assert checked == 34
+
+
 def test_two_strand_rep(su24):
     basis = enumerate_basis(su24, comb_tree(su24, ["1", "1"], "2"))
     rep = general_generators(su24, basis)
@@ -122,10 +170,11 @@ def test_corrupted_rep_detected(qutrit_rep):
 
 
 def test_missing_data_signalled(so52):
-    basis = enumerate_basis(so52, comb_tree(so52, ["eps"] * 6, "y1"))
-    assert basis.dim > 0
-    with pytest.raises(MissingDataError):
-        general_generators(so52, basis)
+    for shape in (comb_tree(so52, ["eps"] * 6, "y1"), comb_tree(so52, ["eps"] * 4, "1")):
+        basis = enumerate_basis(so52, shape)
+        assert basis.dim > 0
+        with pytest.raises(MissingDataError):
+            general_generators(so52, basis)
 
 
 def test_mixed_leaf_types_rejected(su24):

@@ -135,3 +135,42 @@ def test_malformed_category_file(tmp_path, capsys):
     bad.write_text("label a qdim 1.0\nfuse a a -> a\nF broken\n")
     assert main(["category", "check", "--file", str(bad)]) == EXIT_IO
     capsys.readouterr()
+
+
+# argv -> exit code for missing, conflicting, or out-of-domain inputs and for
+# checks that could not be performed; main must return, never raise.
+BAD_INPUTS = [
+    (["rep", "check"], EXIT_USAGE),
+    (["rep", "check", "--category", "su2_4"], EXIT_USAGE),
+    (["rep", "show", "--category", "su2_4", "--leaves", "1 1 1"], EXIT_USAGE),
+    (["rep", "check", "--category", "su2_4", "--total", "2"], EXIT_USAGE),
+    (["rep", "check", "--model", "su2_4-qutrit", "--category", "su2_4"], EXIT_USAGE),
+    (["rep", "check", "--category", "su2_4", "--leaves", "1 1", "--total", "nope"], EXIT_USAGE),
+    (["category", "fuse", "su2_4", "eps", "nope"], EXIT_USAGE),
+    (["braid", "eval", "--model", "su2_4-qutrit"], EXIT_USAGE),
+    (["braid", "eval", "--model", "su2_4-qutrit", "--word", "1", "--named", "p"], EXIT_USAGE),
+    (["braid", "eval", "--category", "su2_4", "--word", "1"], EXIT_USAGE),
+    (["verify", "identity", "--model", "su2_4-qutrit", "--target", "H3"], EXIT_USAGE),
+    (["group", "order"], EXIT_USAGE),
+    (["group", "order", "--projective", "--expect", "216"], EXIT_USAGE),
+    (["group", "order", "--model", "su2_4-qutrit", "--gates", "H3"], EXIT_USAGE),
+    (["group", "order", "--model", "su2_4-qutrit", "--projective", "--cap", "10",
+      "--expect", "216"], EXIT_CHECK_FAILED),
+    (["group", "order", "--model", "su2_4-qutrit", "--projective", "--cap", "10"], EXIT_OK),
+    (["witness", "qupit-chain", "--p", "9"], EXIT_USAGE),
+    (["witness", "qupit-chain", "--p", "15"], EXIT_USAGE),
+    (["protocol", "flip", "--rounds", "0"], EXIT_USAGE),
+    (["protocol", "flip", "--trials", "0"], EXIT_USAGE),
+]
+
+
+@pytest.mark.parametrize("argv, code", BAD_INPUTS,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_bad_input_exit_codes(argv, code, capsys):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    if code == EXIT_USAGE:
+        assert "error" in err
+    elif "--expect" in argv:
+        assert machine_section(out).splitlines()[-1] == "pass=0"

@@ -173,3 +173,5 @@ def test_monte_carlo_reproducible():
 def test_estimate_validates_trials():
     with pytest.raises(ValueError):
         estimate_flip_success(0, 3, seed=0)
+    with pytest.raises(ValueError):
+        estimate_flip_success(100, 0, seed=0)

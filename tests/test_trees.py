@@ -5,7 +5,7 @@ import pytest
 
 from metaplectic.categories import InadmissibleError, builtin_category
 from metaplectic.trees import (block_comb_tree, block_embedding, comb_tree,
-                               enumerate_basis, fork_tree, format_shape,
+                               enumerate_basis, format_shape,
                                pair_tree, parse_shape, tree_change, TreeShape)
 
 
@@ -101,7 +101,7 @@ def test_tree_change_single_f_move(su24):
 
 def test_tree_change_path_independence(su24):
     pair = enumerate_basis(su24, pair_tree(su24, "eps", "y"))
-    fork = enumerate_basis(su24, fork_tree(su24, ["1"] * 4, "2", 2))
+    fork = enumerate_basis(su24, parse_shape(su24, "((1 (1 1)) 1)->2"))
     comb = enumerate_basis(su24, comb_tree(su24, ["1"] * 4, "2"))
     direct = tree_change(su24, pair, comb)
     via_fork = tree_change(su24, fork, comb) @ tree_change(su24, pair, fork)

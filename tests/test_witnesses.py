@@ -105,10 +105,9 @@ def test_subspace_planes_not_orthogonal():
 
 
 def test_chain_rejects_bad_p():
-    with pytest.raises(ValueError):
-        qupit_subspace_chain(4)
-    with pytest.raises(ValueError):
-        qupit_subspace_chain(3)
+    for p in (3, 4, 9, 15, 25):
+        with pytest.raises(ValueError):
+            qupit_subspace_chain(p)
 
 
 def test_so5_partial_results():
