@@ -15,6 +15,17 @@ Two independent constructions are provided:
   the comb charge c_{i-1}, through F[c_{i-2} a a; c_i] diag(R) F^dagger;
   other shapes conjugate all generators by one change to the comb basis.
 
+Locality: braiding strands i-1 and i (0-based leaves) cannot change the
+charge of an edge whose leaves hold both strands or neither, so sigma_i
+has no entry between two states that differ on such an edge.  The comb
+generators are built that way; after the basis change those entries are
+set to exact zeros, so every generator stores only its real nonzeros.
+How few that leaves depends on the shape: on combs and block combs most
+edges are fixed and each generator keeps O(1) nonzeros per row, while a
+shape that puts strands i-1 and i on opposite sides of every internal
+edge (a right comb joined to a left comb) fixes none, and sigma_i keeps
+the fill of the basis change.
+
 Positive (over-crossing) generators pick up the stored R-symbols;
 inverses use the conjugate transpose.  Basis signs are folded into the
 returned matrices, so the qutrit generators come out exactly in the
@@ -105,8 +116,12 @@ def general_generators(cat, basis):
     c_{-1} the unit), sigma_i changes only c_{i-1}, by the F-conjugated twist
     sigma_i[n', n] = sum_w conj(F[c_{i-2},a,a;c_i]_{n'w}) R[a,a;w] F[...]_{nw}.
     Any other shape gets all generators by one conjugation with the comb
-    basis change.  All strands must carry the same anyon type (braiding
-    distinct types maps to a different space).
+    basis change, after which sigma_i is made exactly local: every entry
+    between two states that differ on an edge whose leaves hold both
+    strands i-1, i or neither is set to 0 (sigma_i fixes that edge's
+    charge, so the conjugation leaves only round-off there).  All strands
+    must carry the same anyon type (braiding distinct types maps to a
+    different space).
     """
     shape = basis.shape
     n = shape.n_leaves
@@ -142,8 +157,20 @@ def general_generators(cat, basis):
         generators.append(signs[:, None] * gen * signs[None, :])
     if comb is not basis:
         move = tree_change(cat, basis, comb)
-        generators = [move.conj().T @ g @ move for g in generators]
+        generators = [_local(move.conj().T @ g @ move, basis, i)
+                      for i, g in enumerate(generators, start=1)]
     return BraidRep(cat, basis, tuple(generators))
+
+
+def _local(gen, basis, i):
+    """``gen`` with the entries sigma_i cannot have set to 0: those between
+    states that differ on an edge holding both strands i-1, i or neither."""
+    fixed = [k for k, slots in enumerate(basis.shape.edge_leaves)
+             if (i - 1 in slots) == (i in slots)]
+    groups = {}
+    group = np.array([groups.setdefault(tuple(lab[k] for k in fixed), len(groups))
+                      for lab in basis.states])
+    return np.where(group[:, None] == group[None, :], gen, 0)
 
 
 @dataclass
@@ -155,22 +182,82 @@ class RepReport:
     far_commutation_max: float
 
     def ok(self, tol=1e-9):
-        return max(self.unitarity_max, self.braid_max, self.far_commutation_max) < tol
+        """All residuals below ``tol``; a NaN residual fails."""
+        return all(res < tol for res in
+                   (self.unitarity_max, self.braid_max, self.far_commutation_max))
+
+
+def _nonzeros(mat):
+    """Row-major (rows, cols, values) of every nonzero entry of ``mat``."""
+    rows, cols = np.nonzero(mat)
+    return rows, cols, mat[rows, cols]
+
+
+def _summed(dim, rows, cols, values):
+    """Row-major triples with the values at repeated positions added up."""
+    keys, inverse = np.unique(rows * dim + cols, return_inverse=True)
+    sums = np.zeros(len(keys), dtype=complex)
+    np.add.at(sums, inverse, values)
+    return keys // dim, keys % dim, sums
+
+
+def _dense(dim, triples):
+    rows, cols, values = triples
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[rows, cols] = values
+    return mat
+
+
+def _dense_product(dim, a, b):
+    """Triples of a @ b by a dense matmul, for factors too full to expand."""
+    return _nonzeros(_dense(dim, a) @ _dense(dim, b))
+
+
+def _product(dim, a, b):
+    """Triples of a @ b: each nonzero a[r, k] meets the nonzeros of row k
+    of ``b``, which must be row-major.  When that pairing would produce
+    more than dim^2 terms, the product is formed densely instead, so time
+    and memory never exceed a dense matmul's by more than a constant."""
+    a_rows, a_cols, a_vals = a
+    b_rows, b_cols, b_vals = b
+    starts = np.searchsorted(b_rows, np.arange(dim + 1))
+    counts = np.diff(starts)[a_cols]
+    if counts.sum() > dim * dim:
+        return _dense_product(dim, a, b)
+    left = np.repeat(np.arange(len(a_rows)), counts)
+    right = np.repeat(starts[a_cols] + counts - np.cumsum(counts), counts) + np.arange(len(left))
+    return _summed(dim, a_rows[left], b_cols[right], a_vals[left] * b_vals[right])
+
+
+def _max_diff(dim, lhs, rhs):
+    """max |lhs - rhs| over the whole matrix; off both supports it is 0."""
+    rows, cols, values = (np.concatenate(pair) for pair in zip(lhs, (*rhs[:2], -rhs[2])))
+    return np.abs(_summed(dim, rows, cols, values)[2]).max(initial=0.0)
 
 
 def rep_check(rep):
-    """Exact residuals of unitarity, braid, and far-commutation relations."""
-    gens = rep.generators
+    """Exact residuals of unitarity, braid, and far-commutation relations.
+
+    Each residual is the max |entry| of sigma_i^dagger sigma_i - 1,
+    sigma_i sigma_{i+1} sigma_i - sigma_{i+1} sigma_i sigma_{i+1}, or
+    sigma_i sigma_j - sigma_j sigma_i (|i - j| >= 2) over the whole matrix.
+    Products are formed from the generators' nonzeros, one term per pair
+    (nonzero a[r, k], nonzero in row k of b): with O(1) nonzeros per row
+    (combs, block combs) each costs O(dim log dim) rather than dim^3.  A
+    product that would need more than dim^2 terms (dense generators, as on
+    shapes where no edge is fixed for some sigma_i) is formed with a dense
+    matmul.  A NaN entry yields a NaN residual; an empty space raises
+    ``ValueError``.
+    """
     dim = rep.dim
-    eye = np.eye(dim)
-    unit = max((abs(g.conj().T @ g - eye).max() for g in gens), default=0.0)
-    braid = 0.0
-    for i in range(len(gens) - 1):
-        lhs = gens[i] @ gens[i + 1] @ gens[i]
-        rhs = gens[i + 1] @ gens[i] @ gens[i + 1]
-        braid = max(braid, abs(lhs - rhs).max())
-    far = 0.0
-    for i in range(len(gens)):
-        for j in range(i + 2, len(gens)):
-            far = max(far, abs(gens[i] @ gens[j] - gens[j] @ gens[i]).max())
-    return RepReport(unit, braid, far)
+    if dim == 0:
+        raise ValueError("empty fusion space: nothing to check")
+    gens = [_nonzeros(g) for g in rep.generators]
+    eye = (np.arange(dim), np.arange(dim), np.ones(dim))
+    unit = [_max_diff(dim, _product(dim, (c, r, v.conj()), (r, c, v)), eye) for r, c, v in gens]
+    braid = [_max_diff(dim, _product(dim, _product(dim, a, b), a),
+                       _product(dim, _product(dim, b, a), b))
+             for a, b in zip(gens, gens[1:])]
+    far = [_max_diff(dim, _product(dim, a, b), _product(dim, b, a))
+           for i, a in enumerate(gens) for b in gens[i + 2:]]
+    return RepReport(*(float(np.max(res, initial=0.0)) for res in (unit, braid, far)))

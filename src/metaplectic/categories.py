@@ -642,7 +642,8 @@ def parse_category(text, name="parsed"):
     """Parse the category file format; inverse of :func:`serialize_category`.
 
     Raises :class:`CategoryFileError` (with the line number) on malformed
-    lines, unknown labels, or inadmissible fusion references.
+    lines, non-finite numbers, unknown labels, or inadmissible fusion
+    references.
     """
     labels, qdim, rules = [], {}, {}
     f_entries, r_entries = {}, {}
@@ -650,6 +651,15 @@ def parse_category(text, name="parsed"):
 
     def fail(lineno, msg):
         raise CategoryFileError(lineno, msg)
+
+    def number(lineno, text, what):
+        try:
+            value = float(text)
+        except ValueError:
+            fail(lineno, f"bad {what} value: {text!r}")
+        if not math.isfinite(value):
+            fail(lineno, f"non-finite {what} value: {text!r}")
+        return value
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -660,12 +670,8 @@ def parse_category(text, name="parsed"):
         if kind == "label":
             if len(parts) != 4 or parts[2] != "qdim":
                 fail(lineno, f"bad label line: {raw!r}")
-            try:
-                value = float(parts[3])
-            except ValueError:
-                fail(lineno, f"bad qdim value: {parts[3]!r}")
             labels.append(parts[1])
-            qdim[parts[1]] = value
+            qdim[parts[1]] = number(lineno, parts[3], "qdim")
         elif kind == "fuse":
             if len(parts) != 5 or parts[3] != "->":
                 fail(lineno, f"bad fuse line: {raw!r}")
@@ -687,11 +693,8 @@ def parse_category(text, name="parsed"):
                 fail(lineno, f"inadmissible F{key}")
             if n not in partial.f_rows(*key) or m not in partial.f_cols(*key):
                 fail(lineno, f"index ({n},{m}) not admissible for F{key}")
-            try:
-                value = complex(float(parts[9]), float(parts[10]))
-            except ValueError:
-                fail(lineno, f"bad F value on {raw!r}")
-            f_entries.setdefault(key, {})[(n, m)] = value
+            f_entries.setdefault(key, {})[(n, m)] = complex(
+                number(lineno, parts[9], "F"), number(lineno, parts[10], "F"))
         elif kind == "R":
             if len(parts) != 7 or parts[4] != "=":
                 fail(lineno, f"bad R line: {raw!r}")
@@ -703,10 +706,8 @@ def parse_category(text, name="parsed"):
                 partial = _partial_category(name, labels, qdim, rules)
             if c not in partial.fuse(a, b):
                 fail(lineno, f"inadmissible R[{a},{b};{c}]")
-            try:
-                r_entries[(a, b, c)] = complex(float(parts[5]), float(parts[6]))
-            except ValueError:
-                fail(lineno, f"bad R value on {raw!r}")
+            r_entries[(a, b, c)] = complex(number(lineno, parts[5], "R"),
+                                           number(lineno, parts[6], "R"))
         else:
             fail(lineno, f"unrecognized line: {raw!r}")
 

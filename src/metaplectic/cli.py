@@ -197,16 +197,19 @@ def _cmd_rep(args):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def _resolve_word(args, rep):
+    """The word of ``--named`` or ``--word``; an unknown name is a usage error."""
+    if not args.named:
+        return word_from_text(args.word, rep.n_strands)
+    words = named_words(rep.cat.name)
+    if args.named not in words:
+        raise ValueError(f"unknown named word {args.named!r}; have {sorted(words)}")
+    return words[args.named]
+
+
 def _cmd_braid(args):
-    cat, rep = _resolve_rep(args)
-    words = named_words(cat.name)
-    if args.named:
-        if args.named not in words:
-            print(f"unknown named word {args.named!r}; have {sorted(words)}", file=sys.stderr)
-            return EXIT_USAGE
-        word = words[args.named]
-    else:
-        word = word_from_text(args.word, rep.n_strands)
+    _, rep = _resolve_rep(args)
+    word = _resolve_word(args, rep)
     if word.n_strands != rep.n_strands:
         print(f"word needs {word.n_strands} strands, rep has {rep.n_strands}", file=sys.stderr)
         return EXIT_USAGE
@@ -221,9 +224,8 @@ def _cmd_braid(args):
 
 def _cmd_verify(args):
     if args.action == "identity":
-        cat, rep = _resolve_rep(args)
-        word = (named_words(cat.name)[args.named] if args.named
-                else word_from_text(args.word, rep.n_strands))
+        _, rep = _resolve_rep(args)
+        word = _resolve_word(args, rep)
         target = make_gate(parse_gate(args.target))
         result = verify_identity(rep, word, target, tol=args.tol)
         _emit(

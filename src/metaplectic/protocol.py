@@ -231,9 +231,13 @@ class FlipCurveRow:
 def estimate_flip_success(trials, n_max, seed):
     """Monte Carlo estimate of the Flip[2] success curve.
 
-    Runs ``trials`` independent protocol executions (each round simulated
-    at the state-vector level with a fresh copy of the exact ancilla);
-    success at round n means the accumulated sign pattern equals Flip[2]
+    Runs ``trials`` independent protocol executions as one vectorised
+    batch.  A round is not simulated on the two-qutrit state vector: SUM
+    with a fresh exact ancilla followed by measuring the ancilla gives
+    outcome j with probability sum_i |phi_i shifted[i, j]|^2 and leaves the
+    data amplitudes phi * shifted[:, j] (normalised), so each round is that
+    closed update on the (trials, 3) amplitudes.
+    Success at round n means the accumulated sign pattern equals Flip[2]
     up to a global sign.  Returns one row per n with the empirical
     cumulative success rate and its binomial standard error.
     """

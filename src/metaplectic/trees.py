@@ -59,6 +59,13 @@ class TreeShape:
     def n_leaves(self):
         return len(self.leaves)
 
+    @property
+    def edge_leaves(self):
+        """Leaf slots under each internal edge, in labeling order: the
+        charge of edge k is the total charge of leaves ``edge_leaves[k]``."""
+        return tuple(_leaf_slots(_subtree(self.structure, path))
+                     for path in _internal_paths(self.structure)[1:])
+
 
 def _leaf_slots(structure):
     if isinstance(structure, int):

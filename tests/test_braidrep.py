@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from metaplectic.categories import MissingDataError, builtin_category
-from metaplectic.braidrep import (BraidRep, general_generators,
+from metaplectic import braidrep
+from metaplectic.braidrep import (BraidRep, RepReport, general_generators,
                                   pair_tree_generators, rep_check)
 from metaplectic.trees import (TreeShape, block_comb_tree, comb_tree, enumerate_basis,
-                               pair_tree, tree_change)
+                               pair_tree, parse_shape, tree_change)
 
 GAMMA = cmath.exp(1j * math.pi / 12)
 OMEGA = cmath.exp(2j * math.pi / 3)
@@ -181,3 +182,133 @@ def test_mixed_leaf_types_rejected(su24):
     basis = enumerate_basis(su24, comb_tree(su24, ["1", "2", "1"], "1"))
     with pytest.raises(ValueError):
         general_generators(su24, basis)
+
+
+ZIGZAG12 = "((1 (1 (1 (1 (1 1))))) (((((1 1) 1) 1) 1) 1))->2"
+
+
+def dense_rep_check(rep):
+    """The dense relation check that ``rep_check`` replaced: every product
+    is a full dim^3 matmul."""
+    gens = rep.generators
+    eye = np.eye(rep.dim)
+    unit = max((abs(g.conj().T @ g - eye).max() for g in gens), default=0.0)
+    braid = 0.0
+    for i in range(len(gens) - 1):
+        lhs = gens[i] @ gens[i + 1] @ gens[i]
+        rhs = gens[i + 1] @ gens[i] @ gens[i + 1]
+        braid = max(braid, abs(lhs - rhs).max())
+    far = 0.0
+    for i in range(len(gens)):
+        for j in range(i + 2, len(gens)):
+            far = max(far, abs(gens[i] @ gens[j] - gens[j] @ gens[i]).max())
+    return unit, braid, far
+
+
+def _residuals(report):
+    return report.unitarity_max, report.braid_max, report.far_commutation_max
+
+
+@pytest.fixture(scope="module")
+def reference_reps(su24, so52):
+    """(label, rep) over the pair-tree models, su2_4 combs n = 2..10 with
+    leaves 1 and 3 and every admissible total, the block-8 and block-12
+    shapes, a right comb, a 12-leaf zigzag (a right comb joined to a left
+    comb, whose sigma_6 no edge constrains), and the so5_2 4-comb."""
+    reps = [("qutrit", pair_tree_generators(su24, "1", "2")),
+            ("qubit", pair_tree_generators(su24, "1", "0")),
+            ("qupit", pair_tree_generators(so52, "eps", "y1"))]
+    shapes = [(f"comb{n}-{leaf}-{total}", su24, comb_tree(su24, [leaf] * n, total))
+              for leaf in ("1", "3") for n in range(2, 11) for total in su24.labels]
+    shapes += [(f"block8-{total}", su24, block_comb_tree(su24, "1", 2, total))
+               for total in ("2", "0")]
+    shapes += [("block12", su24, block_comb_tree(su24, "1", 3, "2")),
+               ("right-comb6", su24, TreeShape((0, (1, (2, (3, (4, 5))))), ("1",) * 6, "2")),
+               ("zigzag12", su24, parse_shape(su24, ZIGZAG12))]
+    shapes += [(f"so5_2-comb4-{total}", so52, comb_tree(so52, ["eps"] * 4, total))
+               for total in ("y1", "y2")]
+    for label, cat, shape in shapes:
+        basis = enumerate_basis(cat, shape)
+        if basis.dim:
+            reps.append((label, general_generators(cat, basis)))
+    return reps
+
+
+def test_rep_check_matches_dense_reference(reference_reps):
+    assert len(reference_reps) == 54
+    for label, rep in reference_reps:
+        sparse = _residuals(rep_check(rep))
+        dense = dense_rep_check(rep)
+        assert max(sparse) < 1e-12, label
+        assert max(abs(s - d) for s, d in zip(sparse, dense)) < 1e-13, label
+
+
+@pytest.mark.parametrize("delta", [1e-6, 0.01])
+def test_rep_check_matches_dense_on_corrupted_reps(reference_reps, delta):
+    for label, rep in reference_reps:
+        bad = [g.copy() for g in rep.generators]
+        bad[len(bad) // 2][0, -1] += delta
+        bad_rep = BraidRep(rep.cat, rep.basis, tuple(bad))
+        sparse = _residuals(rep_check(bad_rep))
+        dense = dense_rep_check(bad_rep)
+        assert sparse[0] > delta / 10, label
+        for s, d in zip(sparse, dense):
+            if d > 1e-12:  # a residual the corruption reaches
+                assert abs(s - d) <= 1e-9 * d, label
+            else:
+                assert abs(s - d) < 1e-13, label
+
+
+def test_rep_check_product_choice(su24, monkeypatch):
+    """Local generators are multiplied term by term; a product that would
+    expand to more than dim^2 terms falls back to a dense matmul."""
+    dense_calls = []
+    dense_product = braidrep._dense_product
+    monkeypatch.setattr(braidrep, "_dense_product",
+                        lambda *args: dense_calls.append(1) or dense_product(*args))
+    for text, dense_expected in [("((((1 1)(1 1))((1 1)(1 1)))((1 1)(1 1)))->2", False),
+                                 (ZIGZAG12, True)]:
+        rep = general_generators(su24, enumerate_basis(su24, parse_shape(su24, text)))
+        dense_calls.clear()
+        assert rep_check(rep).ok(1e-12)
+        assert bool(dense_calls) == dense_expected, text
+    rep = general_generators(su24, enumerate_basis(su24, comb_tree(su24, ["1"] * 10, "2")))
+    dense_calls.clear()
+    assert rep_check(rep).ok(1e-12) and not dense_calls
+
+
+def test_rep_check_propagates_nan(qutrit_rep):
+    for k in range(3):
+        bad = [g.copy() for g in qutrit_rep.generators]
+        bad[k][1, 1] = np.nan
+        report = rep_check(BraidRep(qutrit_rep.cat, qutrit_rep.basis, tuple(bad)))
+        assert math.isnan(report.unitarity_max) and math.isnan(report.braid_max)
+        assert not report.ok()
+    assert not RepReport(0.0, math.nan, 0.0).ok()
+
+
+def test_rep_check_rejects_empty_space(su24):
+    rep = general_generators(su24, enumerate_basis(su24, comb_tree(su24, ["1", "1"], "1")))
+    assert rep.dim == 0
+    with pytest.raises(ValueError, match="empty fusion space"):
+        rep_check(rep)
+
+
+def test_locality_mask_drops_only_round_off(reference_reps):
+    zeroed = 0
+    for label, rep in reference_reps:
+        cat, basis = rep.cat, rep.basis
+        comb_shape = comb_tree(cat, basis.shape.leaves, basis.shape.total)
+        if basis.shape == comb_shape:
+            continue
+        local = general_generators(cat, basis)  # the pair-tree reps come from closed formulas
+        comb = enumerate_basis(cat, comb_shape)
+        comb_rep = general_generators(cat, comb)
+        move = tree_change(cat, basis, comb)
+        for i in range(1, basis.shape.n_leaves):
+            unmasked = move.conj().T @ comb_rep.sigma(i) @ move
+            dropped = (local.sigma(i) == 0) & (unmasked != 0)
+            assert abs(unmasked[dropped]).max(initial=0.0) < 1e-14, (label, i)
+            assert abs(local.sigma(i) - np.where(dropped, 0, unmasked)).max() < 1e-15, (label, i)
+            zeroed += dropped.sum()
+    assert zeroed > 0

@@ -182,6 +182,24 @@ def test_parse_truncated_f_line():
     assert f"line {f_index + 1}" in str(err.value)
 
 
+NON_FINITE_EDITS = [
+    ("label 1 qdim ", "nan"),
+    ("F 1 2 2 3 : 3 4 = ", "nan 0"),
+    ("F 1 2 2 3 : 1 2 = ", "-0.7 inf"),
+    ("R 1 1 0 = ", "-inf 0.7"),
+]
+
+
+@pytest.mark.parametrize("prefix, value", NON_FINITE_EDITS)
+def test_parse_rejects_non_finite(prefix, value):
+    lines = serialize_category(builtin_category("su2_4")).splitlines()
+    index = next(i for i, l in enumerate(lines) if l.startswith(prefix))
+    lines[index] = prefix + value
+    with pytest.raises(CategoryFileError) as err:
+        parse_category("\n".join(lines))
+    assert f"line {index + 1}" in str(err.value) and "non-finite" in str(err.value)
+
+
 def test_parse_unknown_label_reference():
     text = "label a qdim 1.0\nfuse a b -> a\n"
     with pytest.raises(CategoryFileError) as err:

@@ -137,6 +137,28 @@ def test_malformed_category_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_finite_category_file(tmp_path, capsys):
+    out = tmp_path / "su2_4.cat"
+    assert main(["category", "dump", "su2_4", "--out", str(out)]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    index = lines.index("F 1 2 2 3 : 3 4 = 0.70710678118654746 0")
+    lines[index] = "F 1 2 2 3 : 3 4 = nan 0"
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["category", "check", "--file", str(out)]) == EXIT_IO
+    assert f"line {index + 1}: non-finite F value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source, dim", [
+    (["--leaves", " ".join(["1"] * 14), "--total", "2"], 729),
+    (["--shape", "((((1 1)(1 1))((1 1)(1 1)))((1 1)(1 1)))->2"], 243),
+], ids=["comb14", "block12"])
+def test_rep_check_large(source, dim, capsys):
+    assert main(["rep", "check", "--category", "su2_4", *source]) == EXIT_OK
+    tail = machine_section(capsys.readouterr().out).splitlines()
+    assert tail[0] == f"dim={dim}" and tail[-1] == "pass=1"
+
+
 # argv -> exit code for missing, conflicting, or out-of-domain inputs and for
 # checks that could not be performed; main must return, never raise.
 BAD_INPUTS = [
@@ -151,6 +173,9 @@ BAD_INPUTS = [
     (["braid", "eval", "--model", "su2_4-qutrit", "--word", "1", "--named", "p"], EXIT_USAGE),
     (["braid", "eval", "--category", "su2_4", "--word", "1"], EXIT_USAGE),
     (["verify", "identity", "--model", "su2_4-qutrit", "--target", "H3"], EXIT_USAGE),
+    (["verify", "identity", "--model", "su2_4-qutrit", "--named", "nope", "--target", "H3"],
+     EXIT_USAGE),
+    (["rep", "check", "--category", "su2_4", "--leaves", "1 1", "--total", "1"], EXIT_USAGE),
     (["group", "order"], EXIT_USAGE),
     (["group", "order", "--projective", "--expect", "216"], EXIT_USAGE),
     (["group", "order", "--model", "su2_4-qutrit", "--gates", "H3"], EXIT_USAGE),
