@@ -3,7 +3,21 @@
 This module holds the fusion rules, quantum dimensions, F-matrices (6j
 symbols) and R-symbols for SU(2)_4 (= SO(3)_2) and SO(5)_2, together with
 pentagon/hexagon/unitarity consistency checks and a line-oriented file
-format.
+format.  :data:`BUILTIN_CATEGORIES` is the one list of shipped names.
+
+SU(2)_k is evaluated from its closed form (Kirillov-Reshetikhin q-6j
+symbols, in the conventions of Bonderson's 2007 thesis), not typed in.
+Labels are twice the spin, ``0..k``; ``q = exp(2 pi i/(k+2))`` and
+``[n] = sin(n pi/(k+2)) / sin(pi/(k+2))``:
+
+* ``qdim(j) = [j+1]``;
+* ``a x b = {|a-b|, |a-b|+2, ..., min(a+b, 2k-a-b)}``;
+* ``F[a,b,c;d]_{e,f} = (-1)^((a+b+c+d)/2) sqrt([e+1][f+1]) {a b e; c d f}_q``;
+* ``R[a,b;c] = (-1)^((a+b-c)/2) q^((h_c-h_a-h_b)/2)`` with ``h_j = j(j+2)/4``.
+
+The q-Racah sum stops at ``z = k``: every later term holds ``[k+2] = 0``.
+At ``k = 4`` this is the gauge of the paper's printed SU(2)_4 tables,
+which it reproduces entrywise to round-off.  SO(5)_2 is transcribed.
 
 Conventions
 -----------
@@ -28,6 +42,7 @@ or 1), and every label is self-dual.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -35,6 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "BUILTIN_CATEGORIES",
     "Category",
     "CategoryError",
     "UnknownLabelError",
@@ -90,7 +106,6 @@ class Category:
     f_table: dict  # (a, b, c, d) -> complex ndarray
     r_table: dict  # (a, b, c) -> complex
     aliases: dict = field(default_factory=dict)
-    constants: dict = field(default_factory=dict)
 
     @property
     def unit(self):
@@ -104,9 +119,6 @@ class Category:
         if name in self.aliases:
             return self.aliases[name]
         raise UnknownLabelError(f"{self.name}: unknown label {label!r}")
-
-    def label_index(self, label):
-        return self.labels.index(self.resolve(label))
 
     def fuse(self, a, b):
         """Fusion outcomes of ``a x b`` as a frozenset."""
@@ -151,12 +163,6 @@ class Category:
             raise MissingDataError(f"{self.name}: no stored F-matrix for {key}")
         return self.f_table[key]
 
-    def has_r(self, a, b, c):
-        a, b, c = map(self.resolve, (a, b, c))
-        if c not in self.fuse(a, b):
-            return False
-        return self.unit in (a, b) or (a, b, c) in self.r_table
-
     def r(self, a, b, c):
         """The R-symbol R[a,b;c] (a unit-modulus complex number)."""
         a, b, c = map(self.resolve, (a, b, c))
@@ -182,100 +188,48 @@ def _symmetrized_fusion(labels, rules):
     return table
 
 
-def _build_su2_4():
-    """SU(2) level-4 / SO(3)_2 with the integer labels {0,1,2,3,4}."""
-    labels = ("0", "1", "2", "3", "4")
-    qdim = {j: math.sin((int(j) + 1) * math.pi / 6) / math.sin(math.pi / 6) for j in labels}
-    rules = {}
-    for a in range(5):
-        for b in range(5):
-            cs = range(abs(a - b), min(a + b, 8 - a - b) + 1, 2)
-            rules[(str(a), str(b))] = frozenset(str(c) for c in cs)
-    fusion = _symmetrized_fusion(labels, rules)
+def _su2_k(k, aliases=None):
+    """SU(2)_k from the q-Racah closed form; labels are twice the spin."""
+    qint = [math.sin(n * math.pi / (k + 2)) / math.sin(math.pi / (k + 2)) for n in range(k + 2)]
+    fact = [math.prod(qint[1:n + 1]) for n in range(k + 2)]  # [n]!; [k+2] = 0 ends longer ones
+    h = [j * (j + 2) / 4 for j in range(k + 1)]
 
-    s2, s3 = math.sqrt(2), math.sqrt(3)
-    m_a = [[-1 / s3, s2 / s3], [s2 / s3, 1 / s3]]
-    m_b = [[-1 / s2, 1 / s2], [1 / s2, 1 / s2]]
-    m_c = [[-s2 / s3, 1 / s3], [1 / s3, s2 / s3]]
-    m_d = [[-0.5, s3 / 2], [s3 / 2, 0.5]]
-    m_e = [[-s3 / 2, 0.5], [0.5, s3 / 2]]
-    m_f = [[1 / s2, -1 / s2], [-1 / s2, -1 / s2]]
-    m_g = [[0.5, -s3 / 2], [-s3 / 2, -0.5]]
-    m_h = [[0.5, -1 / s2, 0.5], [-1 / s2, 0.0, 1 / s2], [0.5, 1 / s2, 0.5]]
+    def fuse(a, b):
+        return range(abs(a - b), min(a + b, 2 * k - a - b) + 1, 2)
 
-    groups = [
-        (-1.0, ["114 4", "123 4", "124 3", "132 4", "133 3", "134 2", "141 4",
-                "142 3", "143 2", "144 1", "213 4", "214 3", "222 4", "224 2",
-                "231 4", "234 1", "241 3", "242 2", "243 1", "312 4", "313 3",
-                "314 2", "321 4", "324 1", "331 3", "333 1", "334 4", "341 2",
-                "342 1", "343 4", "344 3", "411 4", "412 3", "413 2", "414 1",
-                "421 3", "422 2", "423 1", "431 2", "432 1", "433 4", "434 3",
-                "441 1", "443 3"]),
-        (m_a, ["111 1", "131 3", "313 1", "333 3"]),
-        (m_b, ["112 2", "122 1", "122 3", "132 2", "211 2", "213 2", "221 1",
-               "221 3", "223 1", "231 2", "312 2", "322 1"]),
-        (m_c, ["113 3", "133 1", "311 3", "331 1"]),
-        (m_d, ["121 2", "212 1"]),
-        (m_e, ["123 2", "212 3", "232 1", "321 2"]),
-        (m_f, ["223 3", "233 2", "322 3", "332 2"]),
-        (m_g, ["232 3", "323 2"]),
-        (m_h, ["222 2"]),
-    ]
+    def delta(a, b, c):
+        return math.sqrt(fact[(a + b - c) // 2] * fact[(a - b + c) // 2]
+                         * fact[(b + c - a) // 2] / fact[(a + b + c) // 2 + 1])
+
+    def six_j(a, b, e, c, d, f):
+        """{a b e; c d f}_q in the Kirillov-Reshetikhin form."""
+        tri = [(a + b + e) // 2, (e + c + d) // 2, (b + c + f) // 2, (a + f + d) // 2]
+        quad = [(a + b + c + d) // 2, (a + c + e + f) // 2, (b + d + e + f) // 2]
+        total = 0.0
+        for z in range(max(tri), min(*quad, k) + 1):
+            den = math.prod(fact[z - t] for t in tri) * math.prod(fact[s - z] for s in quad)
+            total += (-1) ** z * fact[z + 1] / den
+        return delta(a, b, e) * delta(e, c, d) * delta(b, c, f) * delta(a, f, d) * total
 
     f_table = {}
-    for value, keys in groups:
-        # Tables are printed with columns indexed by the left-associated
-        # charge; transpose into the row convention (no-op when symmetric).
-        mat = np.asarray(value, dtype=complex).reshape(-1)
-        size = int(round(math.sqrt(mat.size)))
-        mat = mat.reshape(size, size).T.copy()
-        for key in keys:
-            abc, d = key.split()
-            f_table[(abc[0], abc[1], abc[2], d)] = mat
-
-    cat = Category("su2_4", labels, qdim, fusion, f_table, {},
-                   aliases={"eps": "1", "eps'": "3", "y": "2", "z": "4", "unit": "0"})
-
-    # Every admissible tuple the printed tables drop is a trivial scalar 1.
-    for a in labels:
-        for b in labels:
-            for c in labels:
-                for d in labels:
-                    key = (a, b, c, d)
-                    if cat.unit in key[:3] or key in f_table:
-                        continue
-                    rows, cols = cat.f_rows(*key), cat.f_cols(*key)
-                    if not rows or not cols:
-                        continue
-                    if len(rows) != 1 or len(cols) != 1:
-                        raise AssertionError(f"unlisted non-scalar F{key}")
-                    f_table[key] = np.ones((1, 1), dtype=complex)
-
-    e = cmath.exp
-    pi = math.pi
-    r_groups = [
-        (1.0, ["00 0", "01 1", "02 2", "03 3", "04 4", "10 1", "20 2", "30 3",
-               "40 4", "44 0"]),
-        (e(3j * pi / 4), ["11 0"]),
-        (e(1j * pi / 12), ["11 2"]),
-        (e(2j * pi / 3), ["12 1", "21 1", "22 2", "23 3", "32 3"]),
-        (e(1j * pi / 6), ["12 3", "21 3"]),
-        (e(7j * pi / 12), ["13 2", "31 2"]),
-        (e(1j * pi / 4), ["13 4", "31 4"]),
-        (1j, ["14 3", "41 3"]),
-        (e(-2j * pi / 3), ["22 0"]),
-        (e(1j * pi / 3), ["22 4"]),
-        (e(-5j * pi / 6), ["23 1", "32 1"]),
-        (-1.0, ["24 2", "42 2"]),
-        (e(-1j * pi / 4), ["33 0"]),
-        (e(-11j * pi / 12), ["33 2"]),
-        (-1j, ["34 1", "43 1"]),
-    ]
-    for value, keys in r_groups:
-        for key in keys:
-            ab, c = key.split()
-            cat.r_table[(ab[0], ab[1], c)] = complex(value)
-    return cat
+    for a, b, c in itertools.product(range(1, k + 1), repeat=3):
+        for d in range(k + 1):
+            rows = [e for e in fuse(a, b) if d in fuse(e, c)]
+            cols = [f for f in fuse(b, c) if d in fuse(a, f)]
+            if rows and cols:
+                sign = (-1) ** ((a + b + c + d) // 2)
+                f_table[tuple(map(str, (a, b, c, d)))] = np.array(
+                    [[sign * math.sqrt(qint[e + 1] * qint[f + 1]) * six_j(a, b, e, c, d, f)
+                      for f in cols] for e in rows], dtype=complex)
+    r_table = {
+        (str(a), str(b), str(c)): (-1) ** ((a + b - c) // 2)
+        * cmath.exp(1j * math.pi * (h[c] - h[a] - h[b]) / (k + 2))
+        for a in range(k + 1) for b in range(k + 1) for c in fuse(a, b)}
+    labels = tuple(str(j) for j in range(k + 1))
+    qdim = {str(j): qint[j + 1] for j in range(k + 1)}
+    fusion = {(str(a), str(b)): frozenset(map(str, fuse(a, b)))
+              for a in range(k + 1) for b in range(k + 1)}
+    return Category(f"su2_{k}", labels, qdim, fusion, f_table, r_table, aliases=aliases or {})
 
 
 def _build_so5_2():
@@ -421,8 +375,7 @@ def _build_so5_2():
     }
 
     cat = Category("so5_2", labels, qdim, fusion, f_table, r_table,
-                   aliases={"y_1": "y1", "y_2": "y2", "epsp": "eps'", "unit": "1"},
-                   constants={"h": h, "k": k})
+                   aliases={"y_1": "y1", "y_2": "y2", "epsp": "eps'", "unit": "1"})
 
     for key, mat in f_table.items():
         rows, cols = cat.f_rows(*key), cat.f_cols(*key)
@@ -431,14 +384,20 @@ def _build_so5_2():
     return cat
 
 
+BUILTIN_CATEGORIES = {
+    "su2_4": lambda: _su2_k(4, aliases={"eps": "1", "eps'": "3", "y": "2", "z": "4", "unit": "0"}),
+    "so5_2": _build_so5_2,
+}
+"""Builders of the shipped categories, by name; the one list of their names."""
+
+
 @lru_cache(maxsize=None)
 def builtin_category(name):
-    """Return one of the shipped categories: ``su2_4`` or ``so5_2``."""
-    if name == "su2_4":
-        return _build_su2_4()
-    if name == "so5_2":
-        return _build_so5_2()
-    raise ValueError(f"unknown category {name!r} (expected 'su2_4' or 'so5_2')")
+    """Return one of the shipped categories named in :data:`BUILTIN_CATEGORIES`."""
+    if name not in BUILTIN_CATEGORIES:
+        raise ValueError(f"unknown category {name!r} "
+                         f"(expected one of {', '.join(BUILTIN_CATEGORIES)})")
+    return BUILTIN_CATEGORIES[name]()
 
 
 # ---------------------------------------------------------------------------

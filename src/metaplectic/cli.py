@@ -18,9 +18,9 @@ import sys
 
 import numpy as np
 
-from .categories import (CategoryFileError, MissingDataError, UnknownLabelError,
-                         builtin_category, check_consistency, parse_category,
-                         serialize_category)
+from .categories import (BUILTIN_CATEGORIES, CategoryFileError, MissingDataError,
+                         UnknownLabelError, builtin_category, check_consistency,
+                         parse_category, serialize_category)
 from .braidrep import general_generators, pair_tree_generators, rep_check
 from .gates import (cz_gate, hadamard, make_gate, mult_gate, parse_gate, q_gate,
                     sum_gate, x_gate, z_gate, equal_up_to_phase)
@@ -117,7 +117,7 @@ def _cmd_category(args):
               [f"fusion={','.join(outcomes)}"])
         return EXIT_OK
 
-    cat = _load_category(args.name if not args.file else None, args.file)
+    cat = _load_category(args.name, args.file)
     report = check_consistency(cat)
     human = [
         f"category {cat.name}: consistency",
@@ -158,8 +158,13 @@ def _cmd_category(args):
 
 def _resolve_rep(args):
     if args.model:
-        cat, rep = _model_rep(args.model, general=getattr(args, "general", False))
-        return cat, rep
+        if args.shape or args.leaves or args.total:
+            args.source_parser.error("--model takes no --shape, --leaves or --total")
+        return _model_rep(args.model, general=args.general)
+    if args.general:
+        args.source_parser.error("--general applies only to --model")
+    if args.shape and (args.leaves or args.total):
+        args.source_parser.error("--shape takes no --leaves or --total")
     if not (args.shape or (args.leaves and args.total)):
         args.source_parser.error("--category needs --shape, or --leaves with --total")
     cat = builtin_category(args.category)
@@ -239,9 +244,7 @@ def _cmd_verify(args):
              f"phase_im={result.phase.imag:.12f}"],
         )
         return EXIT_OK if result.passed else EXIT_CHECK_FAILED
-    if args.category == "su2_4":
-        return _verify_suite_su24(args.tol)
-    return _verify_suite_so52(args.tol)
+    return {"su2_4": _verify_suite_su24, "so5_2": _verify_suite_so52}[args.category](args.tol)
 
 
 def _verify_suite_su24(tol):
@@ -323,6 +326,8 @@ def _cmd_group(args):
         label = args.gates
         det_lift = not args.no_det_lift
     else:
+        if args.no_det_lift:
+            args.source_parser.error("--no-det-lift applies only to --gates")
         _, rep = _model_rep(args.model)
         gens = list(rep.generators)
         label = args.model
@@ -450,13 +455,13 @@ def _cmd_protocol(args):
 def _add_rep_source(parser):
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--model", choices=sorted(MODELS))
-    source.add_argument("--category", choices=("su2_4", "so5_2"))
+    source.add_argument("--category", choices=tuple(BUILTIN_CATEGORIES))
     parser.add_argument("--leaves", help="space-separated leaf labels (comb tree)")
     parser.add_argument("--total", help="total charge label")
     parser.add_argument("--shape", help="tree shape text, e.g. '((eps eps)(eps eps))->y'")
     parser.add_argument("--general", action="store_true",
                         help="use the general engine even for 4-strand models")
-    parser.set_defaults(source_parser=parser)  # reports an incomplete --category source
+    parser.set_defaults(source_parser=parser)  # reports an incomplete or mixed source
 
 
 def _add_word_source(parser):
@@ -473,14 +478,15 @@ def build_parser():
     cat = sub.add_parser("category", help="inspect and check category data")
     cat_sub = cat.add_subparsers(dest="action", required=True)
     chk = cat_sub.add_parser("check")
-    chk.add_argument("name", nargs="?", choices=("su2_4", "so5_2"))
-    chk.add_argument("--file", help="check a category file instead of a builtin")
+    chk_source = chk.add_mutually_exclusive_group(required=True)
+    chk_source.add_argument("name", nargs="?", choices=tuple(BUILTIN_CATEGORIES))
+    chk_source.add_argument("--file", help="check a category file instead of a builtin")
     chk.add_argument("--tol", type=float, default=1e-9)
     dump = cat_sub.add_parser("dump")
-    dump.add_argument("name", choices=("su2_4", "so5_2"))
+    dump.add_argument("name", choices=tuple(BUILTIN_CATEGORIES))
     dump.add_argument("--out")
     fuse = cat_sub.add_parser("fuse")
-    fuse.add_argument("name", choices=("su2_4", "so5_2"))
+    fuse.add_argument("name", choices=tuple(BUILTIN_CATEGORIES))
     fuse.add_argument("a")
     fuse.add_argument("b")
 
@@ -500,7 +506,7 @@ def build_parser():
     verify = sub.add_parser("verify", help="verify gate identities")
     verify_sub = verify.add_subparsers(dest="action", required=True)
     suite = verify_sub.add_parser("suite")
-    suite.add_argument("--category", choices=("su2_4", "so5_2"), required=True)
+    suite.add_argument("--category", choices=tuple(BUILTIN_CATEGORIES), required=True)
     suite.add_argument("--tol", type=float, default=1e-8)
     ident = verify_sub.add_parser("identity")
     _add_rep_source(ident)
@@ -517,6 +523,7 @@ def build_parser():
     order.add_argument("--projective", action="store_true")
     order.add_argument("--no-det-lift", action="store_true",
                        help="close the literal matrices (only with --gates)")
+    order.set_defaults(source_parser=order)  # reports --no-det-lift with --model
     order.add_argument("--cap", type=int, default=100000)
     order.add_argument("--expect", type=int)
 

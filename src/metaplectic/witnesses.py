@@ -121,10 +121,14 @@ class InfiniteOrderReport:
 def infinite_order_witness(u, k_max=10000, delta=1e-6):
     """Root-of-unity screen: every eigenvalue farther than ``delta`` from 1
     must stay farther than ``delta`` from 1 under all powers up to
-    ``k_max``.  A pass is a finite witness for infinite order, not a proof.
+    ``k_max``, and at least one eigenvalue must be that far.  A pass is a
+    finite witness for infinite order, not a proof.  ``delta`` lies in
+    (0, 2): every unit eigenvalue is within 2 of 1.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if not 0 < delta < 2:
+        raise ValueError("delta must lie in (0, 2)")
     vals = np.linalg.eigvals(np.asarray(u, dtype=complex))
     ks = np.arange(1, k_max + 1)
     min_gap = np.inf
@@ -133,7 +137,7 @@ def infinite_order_witness(u, k_max=10000, delta=1e-6):
             continue
         gaps = 2.0 * np.abs(np.sin(ks * np.angle(lam) / 2.0))
         min_gap = min(min_gap, float(gaps.min()))
-    passed = bool(min_gap > delta)
+    passed = bool(np.isfinite(min_gap) and min_gap > delta)  # inf: nothing was screened
     return InfiniteOrderReport(passed, float(min_gap), vals, k_max, delta)
 
 

@@ -1,14 +1,16 @@
 """Category data: fusion rules, F/R tables, consistency, file format."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from metaplectic.categories import (CategoryFileError, InadmissibleError,
-                                    MissingDataError, builtin_category,
-                                    categories_equal, check_consistency,
-                                    parse_category, serialize_category)
+from metaplectic.categories import (BUILTIN_CATEGORIES, CategoryFileError,
+                                    InadmissibleError, MissingDataError, _su2_k,
+                                    builtin_category, categories_equal,
+                                    check_consistency, parse_category,
+                                    serialize_category)
 
 
 @pytest.fixture(scope="module")
@@ -22,8 +24,107 @@ def so52():
 
 
 def test_unknown_category_name():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         builtin_category("su3_2")
+    assert all(name in str(err.value) for name in BUILTIN_CATEGORIES)
+
+
+def test_registry_names():
+    assert tuple(BUILTIN_CATEGORIES) == ("su2_4", "so5_2")
+    for name in BUILTIN_CATEGORIES:
+        assert builtin_category(name).name == name
+
+
+def _paper_su2_4_tables():
+    """The paper's printed SU(2)_4 F-matrices and R-symbols, typed in.
+
+    Keys are ``"abc d"`` (F) and ``"ab c"`` (R) in twice-spin labels; the
+    printed F tables index columns by the left-associated charge, so each
+    matrix is transposed into the row convention.  Every admissible
+    non-unit F tuple the tables leave out is the scalar 1.
+    """
+    s2, s3 = math.sqrt(2), math.sqrt(3)
+    m_a = [[-1 / s3, s2 / s3], [s2 / s3, 1 / s3]]
+    m_b = [[-1 / s2, 1 / s2], [1 / s2, 1 / s2]]
+    m_c = [[-s2 / s3, 1 / s3], [1 / s3, s2 / s3]]
+    m_d = [[-0.5, s3 / 2], [s3 / 2, 0.5]]
+    m_e = [[-s3 / 2, 0.5], [0.5, s3 / 2]]
+    m_f = [[1 / s2, -1 / s2], [-1 / s2, -1 / s2]]
+    m_g = [[0.5, -s3 / 2], [-s3 / 2, -0.5]]
+    m_h = [[0.5, -1 / s2, 0.5], [-1 / s2, 0.0, 1 / s2], [0.5, 1 / s2, 0.5]]
+    groups = [
+        (-1.0, ["114 4", "123 4", "124 3", "132 4", "133 3", "134 2", "141 4",
+                "142 3", "143 2", "144 1", "213 4", "214 3", "222 4", "224 2",
+                "231 4", "234 1", "241 3", "242 2", "243 1", "312 4", "313 3",
+                "314 2", "321 4", "324 1", "331 3", "333 1", "334 4", "341 2",
+                "342 1", "343 4", "344 3", "411 4", "412 3", "413 2", "414 1",
+                "421 3", "422 2", "423 1", "431 2", "432 1", "433 4", "434 3",
+                "441 1", "443 3"]),
+        (m_a, ["111 1", "131 3", "313 1", "333 3"]),
+        (m_b, ["112 2", "122 1", "122 3", "132 2", "211 2", "213 2", "221 1",
+               "221 3", "223 1", "231 2", "312 2", "322 1"]),
+        (m_c, ["113 3", "133 1", "311 3", "331 1"]),
+        (m_d, ["121 2", "212 1"]),
+        (m_e, ["123 2", "212 3", "232 1", "321 2"]),
+        (m_f, ["223 3", "233 2", "322 3", "332 2"]),
+        (m_g, ["232 3", "323 2"]),
+        (m_h, ["222 2"]),
+    ]
+    f_ref = {}
+    for value, keys in groups:
+        mat = np.atleast_2d(np.asarray(value, dtype=complex)).T
+        for key in keys:
+            abc, d = key.split()
+            f_ref[(abc[0], abc[1], abc[2], d)] = mat
+
+    e, pi = cmath.exp, math.pi
+    r_groups = [
+        (1.0, ["00 0", "01 1", "02 2", "03 3", "04 4", "10 1", "20 2", "30 3",
+               "40 4", "44 0"]),
+        (e(3j * pi / 4), ["11 0"]),
+        (e(1j * pi / 12), ["11 2"]),
+        (e(2j * pi / 3), ["12 1", "21 1", "22 2", "23 3", "32 3"]),
+        (e(1j * pi / 6), ["12 3", "21 3"]),
+        (e(7j * pi / 12), ["13 2", "31 2"]),
+        (e(1j * pi / 4), ["13 4", "31 4"]),
+        (1j, ["14 3", "41 3"]),
+        (e(-2j * pi / 3), ["22 0"]),
+        (e(1j * pi / 3), ["22 4"]),
+        (e(-5j * pi / 6), ["23 1", "32 1"]),
+        (-1.0, ["24 2", "42 2"]),
+        (e(-1j * pi / 4), ["33 0"]),
+        (e(-11j * pi / 12), ["33 2"]),
+        (-1j, ["34 1", "43 1"]),
+    ]
+    r_ref = {(k[0], k[1], k[3]): complex(value) for value, keys in r_groups for k in keys}
+    return f_ref, r_ref
+
+
+def test_su24_matches_paper_tables(su24):
+    f_ref, r_ref = _paper_su2_4_tables()
+    for key in su24.f_table:  # the tables omit only scalar-1 blocks
+        if key not in f_ref:
+            assert len(su24.f_rows(*key)) == len(su24.f_cols(*key)) == 1
+            f_ref[key] = np.ones((1, 1), dtype=complex)
+    assert set(su24.f_table) == set(f_ref) and len(f_ref) == 134
+    assert set(su24.r_table) == set(r_ref) and len(r_ref) == 35
+    for key, mat in f_ref.items():
+        assert su24.f_table[key].shape == mat.shape
+        assert abs(su24.f_table[key] - mat).max() < 1e-14, key
+    for key, value in r_ref.items():
+        assert abs(su24.r_table[key] - value) < 1e-14, key
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_su2_k_consistent(k):
+    cat = _su2_k(k)
+    assert cat.labels == tuple(str(j) for j in range(k + 1))
+    report = check_consistency(cat)
+    assert report.skips == 0 and report.pentagon_checked > 0 and report.hexagon_checked > 0
+    assert report.hexagon_orientation == "R"
+    for value in (report.dim_residual, report.unitarity_max, report.r_modulus_max,
+                  report.pentagon_max, report.hexagon_max):
+        assert value < 1e-12
 
 
 def test_su24_fusion_examples(su24):

@@ -1,8 +1,12 @@
 """CLI surface: exit codes, machine-readable sections, determinism."""
 
+import argparse
+
 import pytest
 
-from metaplectic.cli import EXIT_CHECK_FAILED, EXIT_IO, EXIT_MISSING_DATA, EXIT_OK, EXIT_USAGE, SENTINEL, main
+from metaplectic.categories import BUILTIN_CATEGORIES
+from metaplectic.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_MISSING_DATA, EXIT_OK, EXIT_USAGE,
+                             SENTINEL, build_parser, main)
 
 
 def machine_section(output):
@@ -186,6 +190,21 @@ BAD_INPUTS = [
     (["witness", "qupit-chain", "--p", "15"], EXIT_USAGE),
     (["protocol", "flip", "--rounds", "0"], EXIT_USAGE),
     (["protocol", "flip", "--trials", "0"], EXIT_USAGE),
+    (["witness", "infinite-order", "--gate", "R3[0,1,3]"], EXIT_CHECK_FAILED),
+    (["witness", "infinite-order", "--gate", "H3", "--delta", "5"], EXIT_USAGE),
+    (["witness", "so5-partial", "--delta", "5"], EXIT_USAGE),
+    (["witness", "qupit-chain", "--p", "5", "--delta", "5"], EXIT_USAGE),
+    (["witness", "qupit-chain", "--p", "5", "--delta", "0"], EXIT_USAGE),
+    (["group", "order", "--model", "su2_4-qubit", "--no-det-lift"], EXIT_USAGE),
+    (["rep", "check", "--model", "su2_4-qutrit", "--leaves", "1", "--total", "2"], EXIT_USAGE),
+    (["rep", "check", "--model", "su2_4-qutrit", "--shape", "((1 1)(1 1))->2"], EXIT_USAGE),
+    (["rep", "check", "--category", "su2_4", "--leaves", "1 1 1 1", "--total", "2",
+      "--general"], EXIT_USAGE),
+    (["rep", "check", "--category", "su2_4", "--shape", "((1 1)(1 1))->2",
+      "--leaves", "1 1 1 1"], EXIT_USAGE),
+    (["braid", "eval", "--model", "su2_4-qutrit", "--total", "2", "--named", "p"], EXIT_USAGE),
+    (["category", "check", "su2_4", "--file", "su2_4.cat"], EXIT_USAGE),
+    (["category", "check"], EXIT_USAGE),
 ]
 
 
@@ -199,3 +218,21 @@ def test_bad_input_exit_codes(argv, code, capsys):
         assert "error" in err
     elif "--expect" in argv:
         assert machine_section(out).splitlines()[-1] == "pass=0"
+
+
+def _category_choices(parser, path=()):
+    """(subcommand path, dest, choices) of every category-name argument."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _category_choices(sub, path + (name,))
+        elif action.dest in ("name", "category"):
+            yield path, action.dest, action.choices
+
+
+def test_cli_category_choices_come_from_registry():
+    found = list(_category_choices(build_parser()))
+    # category check/dump/fuse; rep show/check, braid eval, verify identity/suite
+    assert len(found) == 8
+    for path, dest, choices in found:
+        assert tuple(choices) == tuple(BUILTIN_CATEGORIES), (path, dest)

@@ -65,6 +65,24 @@ def test_infinite_order_rejects_roots_of_unity():
     assert not infinite_order_witness(w3 * np.eye(3), 10, 1e-6).passed
 
 
+def test_infinite_order_fails_when_nothing_is_screened():
+    # every eigenvalue within delta of 1: the screen examined nothing
+    assert not infinite_order_witness(np.eye(3), 10000, 1e-6).passed
+    assert not infinite_order_witness(relative_phase_gate(3, 0, 1, 3), 10000, 1e-6).passed
+    assert not infinite_order_witness(np.diag([1.0, np.exp(1e-9j)]), 10000, 1e-6).passed
+    assert infinite_order_witness(np.diag([1.0, np.exp(1j)]), 100, 1e-6).passed
+
+
+@pytest.mark.parametrize("delta", [0.0, -1e-6, 2.0, 5.0, float("nan")])
+def test_infinite_order_rejects_bad_delta(delta):
+    with pytest.raises(ValueError):
+        infinite_order_witness(np.diag([1.0, np.exp(1j)]), 100, delta)
+    with pytest.raises(ValueError):
+        qupit_subspace_chain(5, 100, delta)
+    with pytest.raises(ValueError):
+        so5_partial_results(100, delta)
+
+
 def test_schmidt_rank_of_sum():
     report = imprimitivity_witness(sum_gate(3), 3)
     assert report.schmidt_rank == 3
