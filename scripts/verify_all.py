@@ -4,12 +4,20 @@
 Runs the category consistency reports, both gate-identity suites, the
 group orders, the witness battery, and a short protocol Monte Carlo,
 through the CLI so the output matches what CI sees.  Exits nonzero if
-anything fails.
+anything fails.  Works from a checkout without installing: when the
+package is not importable it is taken from the checkout's ``src/``.
 """
 
 import sys
+from pathlib import Path
 
-from metaplectic.cli import main as cli
+try:
+    from metaplectic.cli import main as cli
+except ModuleNotFoundError as exc:
+    if exc.name != "metaplectic":
+        raise
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    from metaplectic.cli import main as cli
 
 COMMANDS = [
     ["category", "check", "su2_4"],

@@ -95,8 +95,11 @@ class Category:
     """Immutable bundle of labels, fusion rules, F-matrices and R-symbols.
 
     ``labels`` fixes the canonical order used for all row/column index
-    sets; the unit label comes first.  ``f_table``/``r_table`` hold only
-    non-trivial stored entries (unit-involving blocks are synthesized).
+    sets; the unit label comes first.  ``f_table``/``r_table`` hold the
+    stored entries, which may involve the unit: su2_4 stores its 22
+    F-blocks of unit total charge and its 9 R-symbols with a unit anyon.
+    An F-block with the unit among ``a, b, c`` or an R-symbol with a unit
+    anyon need not be stored; lookups synthesize it as (1) or 1.
     """
 
     name: str
@@ -573,8 +576,9 @@ def serialize_category(cat):
 
     Grammar: ``label <name> qdim <decimal>``, ``fuse <a> <b> -> <c>[,...]``,
     ``F <a> <b> <c> <d> : <n> <m> = <re> <im>``, ``R <a> <b> <c> = <re> <im>``
-    and ``#`` comments.  Stored entries only; unit-trivial blocks are
-    implied by convention.
+    and ``#`` comments.  Writes the stored entries only, which may
+    involve the unit (see :class:`Category`); unit entries that are not
+    stored are synthesized by the convention when the file is read back.
     """
     out = [f"# category: {cat.name}"]
     for lab in cat.labels:

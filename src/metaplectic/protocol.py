@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,11 +54,16 @@ class ProtocolState:
     @classmethod
     def from_vector(cls, vec, d, rng=None, seed=None):
         vec = np.asarray(vec, dtype=complex)
+        if not vec.size:
+            raise ValueError("empty state vector")
         m = int(round(np.log(vec.size) / np.log(d)))
         if d ** m != vec.size:
             raise ValueError(f"vector of size {vec.size} is not a {d}-qudit register")
+        norm = np.linalg.norm(vec)
+        if not 0 < norm < np.inf:
+            raise ValueError(f"state vector needs a finite, nonzero norm (got {norm})")
         state = cls(m, d, rng=rng, seed=seed)
-        state.amps = (vec / np.linalg.norm(vec)).reshape((d,) * m)
+        state.amps = (vec / norm).reshape((d,) * m)
         return state
 
     def vector(self):
@@ -75,6 +81,9 @@ class ProtocolState:
         gate = np.asarray(gate, dtype=complex)
         if gate.shape != (self.d ** k, self.d ** k):
             raise ValueError(f"gate shape {gate.shape} does not act on {k} qudits")
+        if at == tuple(range(self.m)):
+            self.amps = (gate @ self.amps.reshape(-1)).reshape(self.amps.shape)
+            return self
         tensor = gate.reshape((self.d,) * (2 * k))
         rest = [ax for ax in range(self.m) if ax not in at]
         moved = np.transpose(self.amps, at + tuple(rest))
@@ -83,61 +92,109 @@ class ProtocolState:
         self.amps = np.transpose(out, inverse)
         return self
 
+    def _check_qudit(self, qudit):
+        if not 0 <= qudit < self.m:
+            raise IndexError(f"bad qudit index {qudit} for register of {self.m}")
+
     def probabilities(self, qudit):
+        self._check_qudit(qudit)
         axes = tuple(ax for ax in range(self.m) if ax != qudit)
         return np.abs(self.amps) ** 2 if not axes else (np.abs(self.amps) ** 2).sum(axis=axes)
 
     def measure_standard(self, qudit):
-        """Born-rule measurement of one qudit; collapses and renormalizes."""
+        """Born-rule measurement of one qudit; collapses and renormalizes.
+
+        The outcome is drawn as ``Generator.choice(d, p=probs)`` draws it:
+        one ``rng.random()`` against the normalised cumulative sum.
+        """
         probs = self.probabilities(qudit)
-        outcome = int(self.rng.choice(self.d, p=probs / probs.sum()))
-        keep = np.zeros(self.d)
-        keep[outcome] = 1.0
-        self._collapse(qudit, np.diag(keep))
+        total = probs.sum()
+        if not (np.isfinite(probs).all() and (probs >= 0).all() and total > 0):
+            raise ValueError(f"invalid outcome probabilities {probs}")
+        cdf = (probs / total).cumsum()
+        cdf /= cdf[-1]
+        outcome = int(cdf.searchsorted(self.rng.random(), side="right"))
+        keep = np.zeros((self.d, self.d))
+        keep[outcome, outcome] = 1.0
+        self._collapse(qudit, keep)
         return outcome, float(probs[outcome])
 
     def project(self, qudit, vectors):
         """Coherent projection of one qudit onto span(vectors).
 
-        Returns ("in"/"out", probability of the sampled branch).  The
-        complement branch stays coherent: only the projector is applied.
+        ``vectors`` is a list of orthonormal d-vectors, or a projector made
+        once by :func:`_projector` for repeated use.  Returns ("in"/"out",
+        probability of the sampled branch).  The complement branch stays
+        coherent: only the projector is applied.
 
         This is also the register-level reading of an anyonic total-charge
         measurement: measuring whether the first anyon pair of a
         fusion-tree qutrit is trivial projects onto span{|1>} (the |1 Y>
         basis vector) versus its complement, coherently.
         """
-        basis = np.array([np.asarray(v, complex) / np.linalg.norm(v) for v in vectors]).T
-        overlap = basis.conj().T @ basis
-        if abs(overlap - np.eye(basis.shape[1])).max() > 1e-9:
-            raise ValueError("projection subspace vectors must be orthonormal")
-        proj = basis @ basis.conj().T
-        moved = np.moveaxis(self.amps, qudit, 0).reshape(self.d, -1)
-        p_in = float((np.abs(proj @ moved) ** 2).sum())
+        self._check_qudit(qudit)
+        if not isinstance(vectors, _Projector):
+            vectors = _projector(vectors, self.d)
+        projected = self._on_qudit(qudit, vectors.inside)
+        p_in = float((np.abs(projected) ** 2).sum())
         p_in = min(max(p_in, 0.0), 1.0)
-        inside = self.rng.random() < p_in
-        self._collapse(qudit, proj if inside else np.eye(self.d) - proj)
-        return ("in" if inside else "out"), (p_in if inside else 1.0 - p_in)
+        if self.rng.random() < p_in:
+            self._renormalize(projected)
+            return "in", p_in
+        self._collapse(qudit, vectors.outside)
+        return "out", 1.0 - p_in
+
+    def _on_qudit(self, qudit, operator):
+        """The amplitudes with a d x d ``operator`` applied to one qudit."""
+        view = self.amps.reshape(self.d ** qudit, self.d, -1)
+        return (operator @ view).reshape(self.amps.shape)
 
     def _collapse(self, qudit, operator):
-        moved = np.moveaxis(self.amps, qudit, 0)
-        moved = np.tensordot(operator, moved, axes=(1, 0))
-        self.amps = np.moveaxis(moved, 0, qudit)
-        norm = np.linalg.norm(self.amps)
+        self._renormalize(self._on_qudit(qudit, operator))
+
+    def _renormalize(self, amps):
+        norm = np.linalg.norm(amps)
         if norm < 1e-12:
             raise RuntimeError("collapsed onto a zero-probability branch")
-        self.amps /= norm
+        self.amps = amps / norm
+
+
+class _Projector(NamedTuple):
+    inside: np.ndarray  # onto the subspace
+    outside: np.ndarray  # onto its orthogonal complement
+
+
+def _projector(vectors, d):
+    """Projector pair for span(vectors); the vectors must be orthonormal d-vectors."""
+    columns = []
+    for v in vectors:
+        v = np.asarray(v, complex)
+        norm = np.linalg.norm(v)
+        if v.shape != (d,) or not 0 < norm < np.inf:
+            raise ValueError(f"projection vectors must be finite, nonzero {d}-vectors")
+        columns.append(v / norm)
+    if not columns:
+        raise ValueError("projection needs at least one vector")
+    basis = np.array(columns).T
+    overlap = basis.conj().T @ basis
+    if not abs(overlap - np.eye(basis.shape[1])).max() <= 1e-9:
+        raise ValueError("projection subspace vectors must be orthonormal")
+    inside = basis @ basis.conj().T
+    return _Projector(inside, np.eye(d) - inside)
 
 
 # ---------------------------------------------------------------------------
 # Flip construction
 
-_OMEGA = np.exp(2j * np.pi / 3)
-
 # ancilla-measurement outcome -> sign pattern applied to the data qutrit
 FLIP_PATTERNS = {0: (1, 1, -1), 1: (-1, 1, 1), 2: (1, -1, 1)}
 
-_TARGET_PATTERNS = ((1, 1, -1), (-1, -1, 1))  # Flip[2] up to a global sign
+# the fixed qutrit operators of the protocol, built once
+_H3 = hadamard(3)
+_H3_H3 = np.kron(_H3, _H3)
+_SUM3 = sum_gate(3)
+_ONTO_01 = _projector(np.eye(3)[:2], 3)  # span{|0>, |1>}
+_ONTO_H0 = _projector([_H3[:, 0]], 3)  # span{H|0>}
 
 
 def prepare_flip_ancilla(rng):
@@ -148,21 +205,19 @@ def prepare_flip_ancilla(rng):
     projection restarts the preparation.  Returns (ancilla vector,
     attempts used); attempts are geometric with success chance 4/9 * 1/4.
     """
-    h3 = hadamard(3)
-    e0, e1 = np.eye(3)[0], np.eye(3)[1]
     attempts = 0
     while True:
         attempts += 1
         state = ProtocolState(2, 3, rng=rng, initial=(1, 2))
-        state.apply(np.kron(h3, h3), (0, 1))
-        if state.project(0, [e0, e1])[0] != "in":
+        state.apply(_H3_H3, (0, 1))
+        if state.project(0, _ONTO_01)[0] != "in":
             continue
-        if state.project(1, [e0, e1])[0] != "in":
+        if state.project(1, _ONTO_01)[0] != "in":
             continue
-        state.apply(sum_gate(3), (0, 1))
-        if state.project(0, [h3[:, 0]])[0] != "in":
+        state.apply(_SUM3, (0, 1))
+        if state.project(0, _ONTO_H0)[0] != "in":
             continue
-        marginal = np.tensordot(h3[:, 0].conj(), state.amps, axes=(0, 0))
+        marginal = _H3[:, 0].conj() @ state.amps
         return marginal / np.linalg.norm(marginal), attempts
 
 
@@ -173,8 +228,8 @@ def run_flip_round(phi, psi, rng):
     has probability exactly 1/3.  Returns (sign pattern applied,
     collapsed data state).
     """
-    state = ProtocolState.from_vector(np.kron(np.asarray(phi, complex), psi), 3, rng=rng)
-    state.apply(sum_gate(3), (0, 1))
+    state = ProtocolState.from_vector(np.outer(np.asarray(phi, complex), psi), 3, rng=rng)
+    state.apply(_SUM3, (0, 1))
     outcome, _ = state.measure_standard(1)
     marginal = state.amps[:, outcome]
     return FLIP_PATTERNS[outcome], marginal / np.linalg.norm(marginal)
@@ -236,7 +291,9 @@ def estimate_flip_success(trials, n_max, seed):
     with a fresh exact ancilla followed by measuring the ancilla gives
     outcome j with probability sum_i |phi_i shifted[i, j]|^2 and leaves the
     data amplitudes phi * shifted[:, j] (normalised), so each round is that
-    closed update on the (trials, 3) amplitudes.
+    closed update on the (live trials, 3) amplitudes.  The ancilla and the
+    start state are real, so the batch runs in float64, and trials that
+    have succeeded are dropped from it.
     Success at round n means the accumulated sign pattern equals Flip[2]
     up to a global sign.  Returns one row per n with the empirical
     cumulative success rate and its binomial standard error.
@@ -244,34 +301,36 @@ def estimate_flip_success(trials, n_max, seed):
     if trials < 1 or n_max < 1:
         raise ValueError("need at least one trial and one round")
     rng = np.random.default_rng(seed)
-    psi = np.array([1, -1, 1], dtype=complex) / np.sqrt(3)
+    psi = np.array([1.0, -1.0, 1.0]) / np.sqrt(3)
     # shifted[i, j] is the ancilla amplitude at outcome j after SUM when
     # the data qutrit is |i>; one round maps phi -> phi * shifted[:, j].
     shifted = np.array([[psi[(j - i) % 3] for j in range(3)] for i in range(3)])
-    round_patterns = np.sign(shifted.real.T).astype(np.int8)  # row j: outcome-j pattern
-    phi = np.tile(np.array([1, 1, 1], dtype=complex) / np.sqrt(3), (trials, 1))
+    round_patterns = np.sign(shifted.T).astype(np.int8)  # row j: outcome-j pattern
+    phi = np.full((trials, 3), 1 / np.sqrt(3))  # live trials only
     accumulated = np.ones((trials, 3), dtype=np.int8)
-    alive = np.ones(trials, dtype=bool)
     successes = np.zeros(n_max, dtype=np.int64)
     done = 0
     for round_index in range(n_max):
-        idx = np.nonzero(alive)[0]
-        if idx.size == 0:
+        if not len(phi):
             successes[round_index:] = done
             break
-        amps = phi[idx, :, None] * shifted[None, :, :]
-        probs = (np.abs(amps) ** 2).sum(axis=1)
-        draws = rng.random(idx.size)
+        # probs[:, j] = sum_i (phi_i shifted[i, j])^2, summed i = 0, 1, 2 in
+        # order, one outcome at a time (no (trials, 3, 3) temporary)
+        probs = np.empty_like(phi)
+        for j in range(3):
+            sq = np.square(phi * shifted[:, j])
+            probs[:, j] = (sq[:, 0] + sq[:, 1]) + sq[:, 2]
+        draws = rng.random(len(phi))
         outcomes = np.minimum((draws[:, None] >= np.cumsum(probs, axis=1)).sum(axis=1), 2)
-        rows_sel = np.arange(idx.size)
-        phi[idx] = amps[rows_sel, :, outcomes] / np.sqrt(probs[rows_sel, outcomes])[:, None]
-        accumulated[idx] *= round_patterns[outcomes]
-        acc = accumulated[idx]
+        kept = np.take_along_axis(probs, outcomes[:, None], axis=1)
+        phi = phi * shifted.T[outcomes] / np.sqrt(kept)
+        accumulated *= round_patterns[outcomes]
         # success: accumulated pattern is Flip[2] up to a global sign
-        success = (acc[:, 0] == acc[:, 1]) & (acc[:, 2] == -acc[:, 0])
+        success = ((accumulated[:, 0] == accumulated[:, 1])
+                   & (accumulated[:, 2] == -accumulated[:, 0]))
         done += int(success.sum())
-        alive[idx[success]] = False
         successes[round_index] = done
+        phi, accumulated = phi[~success], accumulated[~success]
     rows = []
     for n in range(1, n_max + 1):
         p_hat = successes[n - 1] / trials

@@ -1,6 +1,10 @@
 """CLI surface: exit codes, machine-readable sections, determinism."""
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,3 +240,13 @@ def test_cli_category_choices_come_from_registry():
     assert len(found) == 8
     for path, dest, choices in found:
         assert tuple(choices) == tuple(BUILTIN_CATEGORIES), (path, dest)
+
+
+def test_verify_all_runs_from_checkout(tmp_path):
+    # without PYTHONPATH and outside the checkout, the script finds src/ itself
+    script = Path(__file__).resolve().parent.parent / "scripts" / "verify_all.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count(SENTINEL + "\n") == 16

@@ -8,12 +8,123 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaplectic.gates import hadamard, sum_gate, x_gate
-from metaplectic.protocol import (FLIP_PATTERNS, ProtocolState,
+from metaplectic.protocol import (FLIP_PATTERNS, FlipCurveRow, ProtocolState, _projector,
                                   estimate_flip_success, exact_flip_curve,
                                   exact_flip_probability, prepare_flip_ancilla,
                                   run_flip_round)
 
 OMEGA = np.exp(2j * np.pi / 3)
+
+
+# ---------------------------------------------------------------------------
+# Slow reference path: the register operations as moveaxis/tensordot per
+# call, measurement through Generator.choice, operators rebuilt on every
+# attempt, and the Monte Carlo batch in complex with an alive mask.  The
+# fast path must reproduce it bit for bit on the Flip protocol.
+
+
+class SlowState:
+    def __init__(self, amps, rng):
+        self.amps, self.rng, self.d = amps, rng, amps.shape[0]
+
+    def apply(self, gate):  # on the whole register, in order
+        k = self.amps.ndim
+        tensor = gate.reshape((self.d,) * (2 * k))
+        self.amps = np.tensordot(tensor, self.amps,
+                                 axes=(tuple(range(k, 2 * k)), tuple(range(k))))
+
+    def measure_standard(self, qudit):
+        axes = tuple(ax for ax in range(self.amps.ndim) if ax != qudit)
+        probs = (np.abs(self.amps) ** 2).sum(axis=axes)
+        outcome = int(self.rng.choice(self.d, p=probs / probs.sum()))
+        keep = np.zeros(self.d)
+        keep[outcome] = 1.0
+        self.collapse(qudit, np.diag(keep))
+        return outcome, float(probs[outcome])
+
+    def project(self, qudit, vectors):
+        basis = np.array([np.asarray(v, complex) / np.linalg.norm(v) for v in vectors]).T
+        proj = basis @ basis.conj().T
+        moved = np.moveaxis(self.amps, qudit, 0).reshape(self.d, -1)
+        p_in = min(max(float((np.abs(proj @ moved) ** 2).sum()), 0.0), 1.0)
+        inside = self.rng.random() < p_in
+        self.collapse(qudit, proj if inside else np.eye(self.d) - proj)
+        return ("in" if inside else "out"), (p_in if inside else 1.0 - p_in)
+
+    def collapse(self, qudit, operator):
+        moved = np.tensordot(operator, np.moveaxis(self.amps, qudit, 0), axes=(1, 0))
+        self.amps = np.moveaxis(moved, 0, qudit)
+        self.amps /= np.linalg.norm(self.amps)
+
+
+def slow_prepare_flip_ancilla(rng):
+    h3 = hadamard(3)
+    e0, e1 = np.eye(3)[0], np.eye(3)[1]
+    attempts = 0
+    while True:
+        attempts += 1
+        amps = np.zeros((3, 3), dtype=complex)
+        amps[1, 2] = 1.0
+        state = SlowState(amps, rng)
+        state.apply(np.kron(h3, h3))
+        if state.project(0, [e0, e1])[0] != "in":
+            continue
+        if state.project(1, [e0, e1])[0] != "in":
+            continue
+        state.apply(sum_gate(3))
+        if state.project(0, [h3[:, 0]])[0] != "in":
+            continue
+        marginal = np.tensordot(h3[:, 0].conj(), state.amps, axes=(0, 0))
+        return marginal / np.linalg.norm(marginal), attempts
+
+
+def slow_run_flip_round(phi, psi, rng):
+    vec = np.kron(np.asarray(phi, complex), psi)
+    state = SlowState((vec / np.linalg.norm(vec)).reshape(3, 3), rng)
+    state.apply(sum_gate(3))
+    outcome, _ = state.measure_standard(1)
+    marginal = state.amps[:, outcome]
+    return FLIP_PATTERNS[outcome], marginal / np.linalg.norm(marginal)
+
+
+def slow_estimate_flip_success(trials, n_max, seed):
+    rng = np.random.default_rng(seed)
+    psi = np.array([1, -1, 1], dtype=complex) / np.sqrt(3)
+    shifted = np.array([[psi[(j - i) % 3] for j in range(3)] for i in range(3)])
+    round_patterns = np.sign(shifted.real.T).astype(np.int8)
+    phi = np.tile(np.array([1, 1, 1], dtype=complex) / np.sqrt(3), (trials, 1))
+    accumulated = np.ones((trials, 3), dtype=np.int8)
+    alive = np.ones(trials, dtype=bool)
+    successes = np.zeros(n_max, dtype=np.int64)
+    done = 0
+    for round_index in range(n_max):
+        idx = np.nonzero(alive)[0]
+        if idx.size == 0:
+            successes[round_index:] = done
+            break
+        amps = phi[idx, :, None] * shifted[None, :, :]
+        probs = (np.abs(amps) ** 2).sum(axis=1)
+        draws = rng.random(idx.size)
+        outcomes = np.minimum((draws[:, None] >= np.cumsum(probs, axis=1)).sum(axis=1), 2)
+        rows_sel = np.arange(idx.size)
+        phi[idx] = amps[rows_sel, :, outcomes] / np.sqrt(probs[rows_sel, outcomes])[:, None]
+        accumulated[idx] *= round_patterns[outcomes]
+        acc = accumulated[idx]
+        success = (acc[:, 0] == acc[:, 1]) & (acc[:, 2] == -acc[:, 0])
+        done += int(success.sum())
+        alive[idx[success]] = False
+        successes[round_index] = done
+    rows = []
+    for n in range(1, n_max + 1):
+        p_hat = successes[n - 1] / trials
+        stderr = np.sqrt(max(p_hat * (1 - p_hat), 1e-300) / trials)
+        rows.append(FlipCurveRow(n, float(p_hat), float(exact_flip_probability(n)), float(stderr)))
+    return rows
+
+
+def random_state(rng, shape):
+    amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return amps / np.linalg.norm(amps)
 
 
 def test_apply_hadamard():
@@ -175,3 +286,110 @@ def test_estimate_validates_trials():
         estimate_flip_success(0, 3, seed=0)
     with pytest.raises(ValueError):
         estimate_flip_success(100, 0, seed=0)
+
+
+def test_project_rejects_zero_and_nan_vectors():
+    for bad in (np.zeros(3), np.array([1.0, np.nan, 0.0]), np.array([np.inf, 0.0, 0.0])):
+        state = ProtocolState(1, 3, seed=0)
+        with pytest.raises(ValueError):
+            state.project(0, [bad])
+        assert abs(state.vector() - np.eye(3)[0]).max() == 0
+
+
+def test_project_rejects_wrong_length_and_empty():
+    state = ProtocolState(1, 3, seed=0)
+    with pytest.raises(ValueError):
+        state.project(0, [np.array([1.0, 0.0])])
+    with pytest.raises(ValueError):
+        state.project(0, [])
+
+
+def test_qudit_index_checked():
+    state = ProtocolState(2, 3, seed=0)
+    with pytest.raises(IndexError):
+        state.probabilities(7)
+    with pytest.raises(IndexError):
+        state.measure_standard(5)
+    with pytest.raises(IndexError):
+        state.project(2, [np.eye(3)[0]])
+    with pytest.raises(IndexError):
+        state.probabilities(-1)
+
+
+def test_from_vector_rejects_zero_and_non_finite():
+    for bad in (np.zeros(9), np.zeros(0), np.array([1.0, np.nan, 0, 0, 0, 0, 0, 0, 0]),
+                np.array([np.inf, 0, 0, 0, 0, 0, 0, 0, 0])):
+        with pytest.raises(ValueError):
+            ProtocolState.from_vector(bad, 3, seed=0)
+    psi = np.array([1, -1, 1], dtype=complex) / np.sqrt(3)
+    with pytest.raises(ValueError):
+        run_flip_round(np.zeros(3), psi, np.random.default_rng(0))
+
+
+def test_measure_standard_rejects_invalid_probabilities():
+    state = ProtocolState(1, 3, seed=0)
+    state.amps = np.array([np.nan, 1.0, 0.0], dtype=complex)
+    with pytest.raises(ValueError):
+        state.measure_standard(0)
+    state.amps = np.zeros(3, dtype=complex)
+    with pytest.raises(ValueError):
+        state.measure_standard(0)
+
+
+def test_project_accepts_precomputed_projector():
+    vectors = [np.eye(3)[0], np.eye(3)[2]]
+    for seed in range(20):
+        amps = random_state(np.random.default_rng(seed), (3, 3))
+        one, two = (ProtocolState(2, 3, seed=seed) for _ in range(2))
+        one.amps, two.amps = amps.copy(), amps.copy()
+        assert one.project(1, vectors) == two.project(1, _projector(vectors, 3))
+        assert np.array_equal(one.vector(), two.vector())
+
+
+def test_register_ops_match_slow_path():
+    # projections and measurements on every qudit of random 1-3 qutrit
+    # registers: same outcomes and draws; off qudit 0 the one-qudit product
+    # sums in another order, so amplitudes agree to a few float64 ulp
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        m = 1 + seed % 3
+        amps = random_state(rng, (3,) * m)
+        vectors = [v for v in np.linalg.qr(random_state(rng, (3, 3)))[0].T[:1 + seed % 2]]
+        fast = ProtocolState(m, 3, rng=np.random.default_rng(seed))
+        fast.amps = amps.copy()
+        slow = SlowState(amps.copy(), np.random.default_rng(seed))
+        for q in range(m):
+            out_fast, p_fast = fast.project(q, vectors)
+            out_slow, p_slow = slow.project(q, vectors)
+            assert out_fast == out_slow and p_fast == pytest.approx(p_slow, abs=1e-14)
+            assert abs(fast.vector() - slow.amps.reshape(-1)).max() < 1e-14
+            meas_fast, meas_slow = fast.measure_standard(q), slow.measure_standard(q)
+            assert meas_fast[0] == meas_slow[0]
+            assert meas_fast[1] == pytest.approx(meas_slow[1], abs=1e-14)
+            assert abs(fast.vector() - slow.amps.reshape(-1)).max() < 1e-14
+
+
+@pytest.mark.parametrize("seed", [4, 5, 11])
+def test_ancilla_and_rounds_match_slow_path(seed):
+    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    data = np.random.default_rng([seed, 2])
+    for _ in range(40):
+        psi, attempts = prepare_flip_ancilla(fast_rng)
+        psi_slow, attempts_slow = slow_prepare_flip_ancilla(slow_rng)
+        assert attempts == attempts_slow and np.array_equal(psi, psi_slow)
+        phi = phi_slow = random_state(data, 3)
+        for _ in range(5):
+            pattern, phi = run_flip_round(phi, psi, fast_rng)
+            pattern_slow, phi_slow = slow_run_flip_round(phi_slow, psi_slow, slow_rng)
+            assert pattern == pattern_slow and np.array_equal(phi, phi_slow)
+
+
+@pytest.mark.parametrize("trials, n_max, seed", [(20000, 10, 0), (20000, 10, 5), (3000, 8, 123),
+                                                 (1, 60, 1), (7, 60, 7), (200, 80, 3)])
+def test_monte_carlo_matches_slow_path(trials, n_max, seed):
+    # the last three run until every trial is absorbed before n_max
+    fast = estimate_flip_success(trials, n_max, seed)
+    slow = slow_estimate_flip_success(trials, n_max, seed)
+    assert fast == slow
+    if trials < 1000:
+        assert fast[-1].p_hat == 1.0
