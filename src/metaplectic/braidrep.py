@@ -30,11 +30,18 @@ Positive (over-crossing) generators pick up the stored R-symbols;
 inverses use the conjugate transpose.  Basis signs are folded into the
 returned matrices, so the qutrit generators come out exactly in the
 printed form, gamma factors included.
+
+A :class:`BraidRep` holds its generators as dense matrices and, built on
+first use and cached, one sparse form of them: the row-major
+(rows, cols, values) of every exact nonzero (``BraidRep.nonzeros``).
+:func:`rep_check` and :func:`metaplectic.synthesis.eval_word` both work
+from that form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +69,15 @@ class BraidRep:
     def sigma(self, i):
         """Matrix of sigma_i (positive crossing), i = 1..n-1."""
         return self.generators[i - 1]
+
+    @cached_property
+    def nonzeros(self):
+        """Row-major (rows, cols, values) of each generator's exact nonzeros.
+
+        Built on first use and cached, so the generator arrays must not be
+        changed after that.
+        """
+        return tuple(_nonzeros(g) for g in self.generators)
 
 
 def _f_entry(cat, a, b, c, d, n, m):
@@ -252,7 +268,7 @@ def rep_check(rep):
     dim = rep.dim
     if dim == 0:
         raise ValueError("empty fusion space: nothing to check")
-    gens = [_nonzeros(g) for g in rep.generators]
+    gens = rep.nonzeros
     eye = (np.arange(dim), np.arange(dim), np.ones(dim))
     unit = [_max_diff(dim, _product(dim, (c, r, v.conj()), (r, c, v)), eye) for r, c, v in gens]
     braid = [_max_diff(dim, _product(dim, _product(dim, a, b), a),

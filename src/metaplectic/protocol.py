@@ -73,7 +73,14 @@ class ProtocolState:
         return float(np.linalg.norm(self.amps))
 
     def apply(self, gate, at):
-        """Apply a unitary on the qudits listed in ``at`` (control first)."""
+        """Apply a unitary on the qudits listed in ``at`` (control first).
+
+        A gate that is not a unitary matrix to 1e-9 raises ``ValueError``.
+        """
+        return self._apply(_unitary(gate), at)
+
+    def _apply(self, gate, at):
+        """:meth:`apply` for a gate already known to be unitary."""
         at = tuple(at)
         if any(not 0 <= q < self.m for q in at) or len(set(at)) != len(at):
             raise IndexError(f"bad qudit indices {at} for register of {self.m}")
@@ -159,6 +166,17 @@ class ProtocolState:
         self.amps = amps / norm
 
 
+def _unitary(gate):
+    """``gate`` as a complex array, checked to be a unitary matrix to 1e-9."""
+    gate = np.asarray(gate, dtype=complex)
+    if gate.ndim != 2 or gate.shape[0] != gate.shape[1]:
+        raise ValueError(f"gate of shape {gate.shape} is not a square matrix")
+    residual = abs(gate @ gate.conj().T - np.eye(len(gate))).max(initial=0.0)
+    if not residual <= 1e-9:
+        raise ValueError(f"gate is not unitary (|U U^dagger - 1| = {residual:.3e})")
+    return gate
+
+
 class _Projector(NamedTuple):
     inside: np.ndarray  # onto the subspace
     outside: np.ndarray  # onto its orthogonal complement
@@ -189,10 +207,10 @@ def _projector(vectors, d):
 # ancilla-measurement outcome -> sign pattern applied to the data qutrit
 FLIP_PATTERNS = {0: (1, 1, -1), 1: (-1, 1, 1), 2: (1, -1, 1)}
 
-# the fixed qutrit operators of the protocol, built once
+# the fixed qutrit operators of the protocol, built and checked once
 _H3 = hadamard(3)
-_H3_H3 = np.kron(_H3, _H3)
-_SUM3 = sum_gate(3)
+_H3_H3 = _unitary(np.kron(_H3, _H3))
+_SUM3 = _unitary(sum_gate(3))
 _ONTO_01 = _projector(np.eye(3)[:2], 3)  # span{|0>, |1>}
 _ONTO_H0 = _projector([_H3[:, 0]], 3)  # span{H|0>}
 
@@ -209,12 +227,12 @@ def prepare_flip_ancilla(rng):
     while True:
         attempts += 1
         state = ProtocolState(2, 3, rng=rng, initial=(1, 2))
-        state.apply(_H3_H3, (0, 1))
+        state._apply(_H3_H3, (0, 1))
         if state.project(0, _ONTO_01)[0] != "in":
             continue
         if state.project(1, _ONTO_01)[0] != "in":
             continue
-        state.apply(_SUM3, (0, 1))
+        state._apply(_SUM3, (0, 1))
         if state.project(0, _ONTO_H0)[0] != "in":
             continue
         marginal = _H3[:, 0].conj() @ state.amps
@@ -226,10 +244,14 @@ def run_flip_round(phi, psi, rng):
 
     Applies SUM to (data, ancilla) and measures the ancilla; each outcome
     has probability exactly 1/3.  Returns (sign pattern applied,
-    collapsed data state).
+    collapsed data state).  ``psi`` must be the Flip ancilla
+    (|0> - |1> + |2>)/sqrt(3) up to a global phase, as
+    :func:`prepare_flip_ancilla` returns it; the caller is trusted, since a
+    check here would run on every round of every episode.  The global phase
+    of ``psi`` carries over to the returned data state.
     """
     state = ProtocolState.from_vector(np.outer(np.asarray(phi, complex), psi), 3, rng=rng)
-    state.apply(_SUM3, (0, 1))
+    state._apply(_SUM3, (0, 1))
     outcome, _ = state.measure_standard(1)
     marginal = state.amps[:, outcome]
     return FLIP_PATTERNS[outcome], marginal / np.linalg.norm(marginal)

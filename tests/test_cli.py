@@ -190,6 +190,8 @@ BAD_INPUTS = [
     (["group", "order", "--model", "su2_4-qutrit", "--projective", "--cap", "10",
       "--expect", "216"], EXIT_CHECK_FAILED),
     (["group", "order", "--model", "su2_4-qutrit", "--projective", "--cap", "10"], EXIT_OK),
+    (["group", "order", "--gates", "H3", "--cap", "-5"], EXIT_USAGE),
+    (["group", "order", "--gates", "X5", "--cap", "0"], EXIT_USAGE),
     (["witness", "qupit-chain", "--p", "9"], EXIT_USAGE),
     (["witness", "qupit-chain", "--p", "15"], EXIT_USAGE),
     (["protocol", "flip", "--rounds", "0"], EXIT_USAGE),

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaplectic.gates import hadamard, sum_gate, x_gate
+from metaplectic import protocol
 from metaplectic.protocol import (FLIP_PATTERNS, FlipCurveRow, ProtocolState, _projector,
                                   estimate_flip_success, exact_flip_curve,
                                   exact_flip_probability, prepare_flip_ancilla,
@@ -206,6 +207,32 @@ def test_norm_preserved_by_apply_and_measure(seed):
     assert state.norm() == pytest.approx(1.0, abs=1e-10)
 
 
+def test_apply_rejects_non_unitary():
+    state = ProtocolState(2, 3, seed=0)
+    for bad in (np.ones((3, 3)), 2 * np.eye(3), np.array([[1, 0, 0], [0, 1, 0], [0, 0, np.nan]]),
+                np.ones(3), np.ones((3, 9))):
+        with pytest.raises(ValueError):
+            state.apply(bad, (0,))
+    assert state.norm() == 1.0
+    with pytest.raises(ValueError, match="not unitary"):
+        state.apply(np.kron(hadamard(3), np.eye(3)) + 1e-8, (0, 1))
+    state.apply(hadamard(3) * np.exp(0.3j), (1,))  # unitary up to round-off passes
+    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_flip_hot_path_skips_unitarity_checks(monkeypatch):
+    """The protocol's own gates are checked once, at import."""
+    calls = []
+    unitary = protocol._unitary
+    monkeypatch.setattr(protocol, "_unitary", lambda g: calls.append(1) or unitary(g))
+    rng = np.random.default_rng(3)
+    psi, _ = prepare_flip_ancilla(rng)
+    run_flip_round(np.ones(3) / np.sqrt(3), psi, rng)
+    assert not calls
+    ProtocolState(1, 3, seed=0).apply(hadamard(3), (0,))
+    assert calls == [1]
+
+
 def test_ancilla_preparation_exact():
     rng = np.random.default_rng(11)
     expected = np.array([1, -1, 1], dtype=complex) / np.sqrt(3)
@@ -252,6 +279,21 @@ def test_flip_round_signs_and_probabilities():
         assert abs(collapsed - expected).max() < 1e-9
         seen[pattern] = seen.get(pattern, 0) + 1
     assert set(seen) == set(FLIP_PATTERNS.values())
+
+
+def test_flip_round_with_phase_rotated_ancilla():
+    """The ancilla's global phase carries over; the data still flips exactly."""
+    psi = np.array([1, -1, 1], dtype=complex) / np.sqrt(3)
+    phi = np.array([0.6, 0.48j, 0.64], dtype=complex)
+    for theta in (0.7, np.pi, -2.1):
+        phase = np.exp(1j * theta)
+        rng = np.random.default_rng(5)
+        seen = set()
+        for _ in range(30):
+            pattern, collapsed = run_flip_round(phi, phase * psi, rng)
+            assert abs(collapsed - phase * phi * np.array(pattern)).max() < 1e-12
+            seen.add(pattern)
+        assert seen == set(FLIP_PATTERNS.values())
 
 
 def test_two_round_composition_reaches_flip2_up_to_sign():

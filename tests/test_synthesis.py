@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metaplectic import synthesis
 from metaplectic.categories import builtin_category
-from metaplectic.braidrep import general_generators, pair_tree_generators
+from metaplectic.braidrep import BraidRep, general_generators, pair_tree_generators
 from metaplectic.gates import (cz_gate, hadamard, mult_gate, p_gate, q_gate,
                                sum_gate, x_gate, z_gate, equal_up_to_phase)
 from metaplectic.synthesis import (BraidWord, eval_word, group_closure,
                                    named_words, verify_identity, word_from_text)
-from metaplectic.trees import block_comb_tree, block_embedding, enumerate_basis
+from metaplectic.trees import (block_comb_tree, block_embedding, comb_tree, enumerate_basis,
+                               parse_shape)
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +71,80 @@ def test_word_times_inverse_is_identity(letters):
     word = BraidWord(4, tuple(letters))
     out = eval_word(_REP, word * word.inverse())
     assert abs(out - np.eye(3)).max() < 1e-10
+
+
+ZIGZAG12 = "((1 (1 (1 (1 (1 1))))) (((((1 1) 1) 1) 1) 1))->2"
+
+
+def dense_eval_word(rep, word):
+    """The dense loop that ``eval_word`` replaced: one dim^3 matmul per letter."""
+    out = np.eye(rep.dim, dtype=complex)
+    for letter in word.letters:
+        gen = rep.generators[abs(letter) - 1]
+        out = out @ (gen if letter > 0 else gen.conj().T)
+    return out
+
+
+@pytest.fixture(scope="module")
+def word_reps():
+    """(label, rep) over su2_4 combs n = 2..12 with leaves 1 and 3 and every
+    total (empty spaces included), the block-8 and block-12 shapes, the
+    12-leaf zigzag, the pair-tree models, the so5_2 4-comb, and
+    non-symmetric copies of three of them."""
+    su24, so52 = builtin_category("su2_4"), builtin_category("so5_2")
+    reps = [("qutrit", pair_tree_generators(su24, "1", "2")),
+            ("qubit", pair_tree_generators(su24, "1", "0")),
+            ("qupit", pair_tree_generators(so52, "eps", "y1"))]
+    shapes = [(f"comb{n}-{leaf}-{total}", su24, comb_tree(su24, [leaf] * n, total))
+              for leaf in ("1", "3") for n in range(2, 13) for total in su24.labels]
+    shapes += [("block8", su24, block_comb_tree(su24, "1", 2, "2")),
+               ("block12", su24, block_comb_tree(su24, "1", 3, "2")),
+               ("zigzag12", su24, parse_shape(su24, ZIGZAG12))]
+    shapes += [(f"so5_2-comb4-{total}", so52, comb_tree(so52, ["eps"] * 4, total))
+               for total in ("y1", "y2")]
+    reps += [(label, general_generators(cat, enumerate_basis(cat, shape)))
+             for label, cat, shape in shapes]
+    # every generator above is a symmetric matrix (the F-matrices are real);
+    # conjugating by diagonal phases breaks that and keeps the nonzeros
+    rng = np.random.default_rng(7)
+    for label, rep in [r for r in reps if r[0] in ("qupit", "comb7-1-1", "zigzag12")]:
+        phases = np.exp(2j * np.pi * rng.random(rep.dim))
+        twisted = tuple(phases[:, None] * g * phases.conj() for g in rep.generators)
+        reps.append((f"{label}-twisted", BraidRep(rep.cat, rep.basis, twisted)))
+    return reps
+
+
+def test_eval_word_matches_dense_reference(word_reps):
+    """Every generator and its inverse once, then random letters."""
+    rng = np.random.default_rng(6)
+    empty = 0
+    for label, rep in word_reps:
+        n = rep.n_strands
+        every = list(range(1, n)) + list(range(-1, -n, -1))
+        tail = rng.integers(1, n, size=24) * rng.choice([-1, 1], size=24)
+        word = BraidWord(n, tuple(every) + tuple(int(x) for x in tail))
+        fast, slow = eval_word(rep, word), dense_eval_word(rep, word)
+        assert fast.shape == slow.shape == (rep.dim, rep.dim), label
+        assert abs(fast - slow).max(initial=0.0) < 1e-13, label
+        assert np.array_equal(eval_word(rep, BraidWord(n, ())), np.eye(rep.dim)), label
+        empty += rep.dim == 0
+    assert len(word_reps) == 121 and empty > 0
+
+
+def test_eval_word_factor_choice(word_reps, monkeypatch):
+    """Letters with few nonzeros per column are applied by row gathers; a
+    generator too full for that (zigzag sigma_6) takes a dense matmul."""
+    dense_calls = []
+    dense_factor = synthesis._dense_factor
+    monkeypatch.setattr(synthesis, "_dense_factor",
+                        lambda *args: dense_calls.append(args) or dense_factor(*args))
+    reps = dict(word_reps)
+    for label, dense_expected in [("comb12-1-2", False), ("zigzag12", True)]:
+        rep = reps[label]
+        dense_calls.clear()
+        word = BraidWord(12, tuple(range(1, 12)) + tuple(range(-1, -12, -1)))
+        assert abs(eval_word(rep, word) - dense_eval_word(rep, word)).max() < 1e-13
+        assert len(dense_calls) == 2 * dense_expected, label  # sigma_6 and its inverse
 
 
 def test_p_and_q_squares(qutrit_rep):
@@ -164,6 +240,13 @@ def test_dense_pair_exceeds_cap():
     result = group_closure([hadamard(3), p_gate(3, 1)], projective=True, cap=3000)
     assert result.cap_exceeded
     assert result.order is None
+
+
+def test_closure_rejects_non_positive_cap():
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="cap"):
+            group_closure([x_gate(5)], cap=cap)
+    assert group_closure([x_gate(5)], det_lift=False, cap=1).cap_exceeded
 
 
 def test_closure_deterministic(qutrit_rep):
