@@ -35,7 +35,9 @@ A :class:`BraidRep` holds its generators as dense matrices and, built on
 first use and cached, one sparse form of them: the row-major
 (rows, cols, values) of every exact nonzero (``BraidRep.nonzeros``).
 :func:`rep_check` and :func:`metaplectic.synthesis.eval_word` both work
-from that form.
+from that form; the triple format and its products live in
+:mod:`metaplectic.triples`, shared with the basis changes of
+:mod:`metaplectic.trees`.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .trees import comb_tree, enumerate_basis, pair_tree, tree_change
+from .triples import _nonzeros, _product, _summed
 
 __all__ = ["BraidRep", "RepReport", "pair_tree_generators", "general_generators", "rep_check"]
 
@@ -201,48 +204,6 @@ class RepReport:
         """All residuals below ``tol``; a NaN residual fails."""
         return all(res < tol for res in
                    (self.unitarity_max, self.braid_max, self.far_commutation_max))
-
-
-def _nonzeros(mat):
-    """Row-major (rows, cols, values) of every nonzero entry of ``mat``."""
-    rows, cols = np.nonzero(mat)
-    return rows, cols, mat[rows, cols]
-
-
-def _summed(dim, rows, cols, values):
-    """Row-major triples with the values at repeated positions added up."""
-    keys, inverse = np.unique(rows * dim + cols, return_inverse=True)
-    sums = np.zeros(len(keys), dtype=complex)
-    np.add.at(sums, inverse, values)
-    return keys // dim, keys % dim, sums
-
-
-def _dense(dim, triples):
-    rows, cols, values = triples
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[rows, cols] = values
-    return mat
-
-
-def _dense_product(dim, a, b):
-    """Triples of a @ b by a dense matmul, for factors too full to expand."""
-    return _nonzeros(_dense(dim, a) @ _dense(dim, b))
-
-
-def _product(dim, a, b):
-    """Triples of a @ b: each nonzero a[r, k] meets the nonzeros of row k
-    of ``b``, which must be row-major.  When that pairing would produce
-    more than dim^2 terms, the product is formed densely instead, so time
-    and memory never exceed a dense matmul's by more than a constant."""
-    a_rows, a_cols, a_vals = a
-    b_rows, b_cols, b_vals = b
-    starts = np.searchsorted(b_rows, np.arange(dim + 1))
-    counts = np.diff(starts)[a_cols]
-    if counts.sum() > dim * dim:
-        return _dense_product(dim, a, b)
-    left = np.repeat(np.arange(len(a_rows)), counts)
-    right = np.repeat(starts[a_cols] + counts - np.cumsum(counts), counts) + np.arange(len(left))
-    return _summed(dim, a_rows[left], b_cols[right], a_vals[left] * b_vals[right])
 
 
 def _max_diff(dim, lhs, rhs):

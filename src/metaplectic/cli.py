@@ -81,12 +81,9 @@ def _load_category(name_or_none, path_or_none):
     return builtin_category(name_or_none)
 
 
-def _model_rep(model, general=False):
+def _model_rep(model):
     cat_name, leaf, total, _ = MODELS[model]
     cat = builtin_category(cat_name)
-    if general:
-        from .trees import pair_tree
-        return cat, general_generators(cat, enumerate_basis(cat, pair_tree(cat, leaf, total)))
     return cat, pair_tree_generators(cat, leaf, total)
 
 
@@ -160,9 +157,7 @@ def _resolve_rep(args):
     if args.model:
         if args.shape or args.leaves or args.total:
             args.source_parser.error("--model takes no --shape, --leaves or --total")
-        return _model_rep(args.model, general=args.general)
-    if args.general:
-        args.source_parser.error("--general applies only to --model")
+        return _model_rep(args.model)
     if args.shape and (args.leaves or args.total):
         args.source_parser.error("--shape takes no --leaves or --total")
     if not (args.shape or (args.leaves and args.total)):
@@ -459,8 +454,6 @@ def _add_rep_source(parser):
     parser.add_argument("--leaves", help="space-separated leaf labels (comb tree)")
     parser.add_argument("--total", help="total charge label")
     parser.add_argument("--shape", help="tree shape text, e.g. '((eps eps)(eps eps))->y'")
-    parser.add_argument("--general", action="store_true",
-                        help="use the general engine even for 4-strand models")
     parser.set_defaults(source_parser=parser)  # reports an incomplete or mixed source
 
 

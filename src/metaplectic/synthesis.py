@@ -89,7 +89,16 @@ _NAMED = {"su2_4": _su2_4_words()}
 
 
 def named_words(category_name):
-    """Preregistered words (p, q, Hword, CZword, s1, s2, s3) per category."""
+    """Preregistered words (p, q, Hword, CZword, s1, s2, s3) per category.
+
+    For su2_4, p, q and Hword are 4-strand words on the qutrit model.
+    s1, s2, s3 and CZword are 8-strand words on the 27-dim block-8 rep
+    (two pair trees of four 1-anyons, total 2).  Only their restriction to
+    its 9-dim block subspace (see :func:`metaplectic.trees.block_embedding`)
+    is a gate.  ``verify suite --category su2_4`` checks CZword there.
+    ``verify identity`` compares the whole matrix with the target and exits
+    64 for these words.
+    """
     return dict(_NAMED.get(category_name, {}))
 
 

@@ -7,9 +7,13 @@ labels over the internal nodes in preorder (root excluded, since its
 charge is the total).
 
 Basis changes between shapes are composed from elementary rotations
-``((X Y) Z) <-> (X (Y Z))`` whose coefficients are F-matrix entries; any
+``(X (Y Z)) -> ((X Y) Z)`` whose coefficients are F-matrix entries; any
 two shapes are connected through the left comb, which makes move paths
-deterministic and results bit-reproducible.
+deterministic and results bit-reproducible.  A rotation acts on the
+labeling tuples directly (it inserts the new ``(X Y)`` charge and drops
+the old ``(Y Z)`` one) and is held as a sparse dim x dim matrix in the
+row-major triple format of :mod:`metaplectic.triples`; the moves to the
+comb are sparse products of rotations.
 
 Computational bases for the shipped qudit models carry a fixed state
 order and per-state signs (the qutrit basis is {-|YY>, |1Y>, |Y1>}); all
@@ -24,6 +28,7 @@ from functools import reduce
 import numpy as np
 
 from .categories import InadmissibleError
+from .triples import _dense, _product
 
 __all__ = [
     "TreeShape",
@@ -86,15 +91,6 @@ def _subtree(structure, path):
     for step in path:
         structure = structure[step]
     return structure
-
-
-def _replace(structure, path, new):
-    if not path:
-        return new
-    left, right = structure
-    if path[0] == 0:
-        return (_replace(left, path[1:], new), right)
-    return (left, _replace(right, path[1:], new))
 
 
 def _comb_structure(n):
@@ -196,108 +192,57 @@ def enumerate_basis(cat, shape, total=None):
     return FusionTreeBasis(cat, shape, tuple(states), (1,) * len(states))
 
 
-def _assignment(shape, labeling):
-    """labeling tuple -> dict of path -> charge for every node."""
-    charges = {}
-    internal = _internal_paths(shape.structure)
-    charges[()] = shape.total
-    for path, label in zip(internal[1:], labeling):
-        charges[path] = label
-    for slot, path in _leaf_paths(shape.structure):
-        charges[path] = shape.leaves[slot]
-    return charges
-
-
-def _leaf_paths(structure, path=()):
-    if isinstance(structure, int):
-        return [(structure, path)]
-    left, right = structure
-    return _leaf_paths(left, path + (0,)) + _leaf_paths(right, path + (1,))
-
-
-def _labeling_of(structure, charges):
-    internal = _internal_paths(structure)
-    return tuple(charges[p] for p in internal[1:])
-
-
-def _rotate_left_assignment(cat, charges, path):
-    """Apply (X (Y Z)) -> ((X Y) Z) at ``path``; yields (new charges, coeff)."""
-    w = charges[path]
-    x = charges[path + (0,)]
-    m = charges[path + (1,)]
-    y = charges[path + (1, 0)]
-    z = charges[path + (1, 1)]
-    fmat = cat.f(x, y, z, w)
-    rows = cat.f_rows(x, y, z, w)
-    cols = cat.f_cols(x, y, z, w)
-    mi = cols.index(m)
-    x_moves = [(p, q) for p, q in charges.items()
-               if p[:len(path) + 1] == path + (0,)]
-    y_moves = [(p, q) for p, q in charges.items()
-               if p[:len(path) + 2] == path + (1, 0)]
-    z_moves = [(p, q) for p, q in charges.items()
-               if p[:len(path) + 2] == path + (1, 1)]
-    base = {p: q for p, q in charges.items()
-            if not (p[:len(path) + 1] in (path + (0,), path + (1,)) and len(p) > len(path))}
-    k = len(path)
-    for p, q in x_moves:
-        base[path + (0, 0) + p[k + 1:]] = q
-    for p, q in y_moves:
-        base[path + (0, 1) + p[k + 2:]] = q
-    for p, q in z_moves:
-        base[path + (1,) + p[k + 2:]] = q
-    for ui, u in enumerate(rows):
-        coeff = np.conj(fmat[ui, mi])  # inverse F-move entry
-        if coeff == 0:
-            continue
-        new = dict(base)
-        new[path + (0,)] = u
-        yield new, coeff
-
-
 def _to_comb(cat, basis):
-    """Rewrite a basis into the left comb; returns (comb labelings in lex
-    order, matrix taking basis coordinates to comb coordinates)."""
-    structure = basis.shape.structure
-    states = [(_assignment(basis.shape, lab), col)
-              for col, lab in enumerate(basis.states)]
-    matrix_cols = basis.dim
-    amplitudes = {}
-    for charges, col in states:
-        key = frozenset(charges.items())
-        vec = amplitudes.setdefault(key, np.zeros(matrix_cols, dtype=complex))
-        vec[col] += 1.0
+    """Rewrite a basis into the left comb.
 
-    def first_rotation(structure, path=()):
-        if isinstance(structure, int):
-            return None
-        left, right = structure
-        if not isinstance(right, int):
-            return path
-        return first_rotation(left, path + (0,))
+    Returns the comb labelings and the move, as row-major triples, taking
+    basis coordinates to coordinates over those labelings.  Rotations
+    ``(X (Y Z)) -> ((X Y) Z)`` run at the highest node P of the left spine
+    whose right child is internal.  With P at depth k (so k is its preorder
+    index) and the old ``(Y Z)`` node M at labeling index im, a labeling
+    ``lab`` goes to ``lab[:k] + (u,) + lab[k:im] + lab[im+1:]`` with
+    coefficient conj(F[x,y,z;w])[u, m], summed over the charge m of M.
+    """
+    shape, dim = basis.shape, basis.dim
+    labelings = list(basis.states)
+    move = (np.arange(dim), np.arange(dim), np.ones(dim, dtype=complex))
+    blocks = {}
+    node, k = shape.structure, 0
+    while not isinstance(node, int):
+        x_part, right = node
+        if isinstance(right, int):
+            node, k = x_part, k + 1
+            continue
+        y_part, z_part = right
+        im = k + _n_internal(x_part)
+        iz = im + 1 + _n_internal(y_part)
+        index, rows, cols, values = {}, [], [], []
+        for col, lab in enumerate(labelings):
+            w = shape.total if k == 0 else lab[k - 1]
+            x, y, z = (shape.leaves[part] if isinstance(part, int) else lab[i]
+                       for part, i in ((x_part, k), (y_part, im + 1), (z_part, iz)))
+            if (x, y, z, w) not in blocks:
+                blocks[x, y, z, w] = (cat.f_rows(x, y, z, w), cat.f_cols(x, y, z, w),
+                                      np.conj(cat.f(x, y, z, w)))
+            u_labels, m_labels, coeffs = blocks[x, y, z, w]
+            mi = m_labels.index(lab[im])
+            for u, coeff in zip(u_labels, coeffs[:, mi]):
+                if coeff == 0:
+                    continue
+                rows.append(index.setdefault(lab[:k] + (u,) + lab[k:im] + lab[im + 1:],
+                                             len(index)))
+                cols.append(col)
+                values.append(coeff)
+        rotation = (np.array(rows, dtype=int), np.array(cols, dtype=int),
+                    np.array(values, dtype=complex))
+        move = _product(dim, rotation, move)  # only the right factor must be row-major
+        labelings = list(index)
+        node = ((x_part, y_part), z_part)
+    return labelings, move
 
-    while True:
-        path = first_rotation(structure)
-        if path is None:
-            break
-        new_amplitudes = {}
-        for key, vec in amplitudes.items():
-            charges = dict(key)
-            for new, coeff in _rotate_left_assignment(cat, charges, path):
-                nk = frozenset(new.items())
-                acc = new_amplitudes.setdefault(nk, np.zeros(matrix_cols, dtype=complex))
-                acc += coeff * vec
-        amplitudes = new_amplitudes
-        node = _subtree(structure, path)
-        x, (y, z) = node
-        structure = _replace(structure, path, ((x, y), z))
 
-    labelings = {}
-    for key, vec in amplitudes.items():
-        labelings[_labeling_of(structure, dict(key))] = vec
-    order = sorted(labelings, key=lambda t: tuple(cat.labels.index(x) for x in t))
-    mat = np.stack([labelings[lab] for lab in order]) if order else np.zeros((0, matrix_cols))
-    return order, mat
+def _n_internal(structure):
+    return len(_leaf_slots(structure)) - 1
 
 
 def tree_change(cat, basis_from, basis_to):
@@ -312,11 +257,14 @@ def tree_change(cat, basis_from, basis_to):
         raise InadmissibleError("tree_change: leaf labels differ")
     if basis_from.shape.total != basis_to.shape.total:
         raise InadmissibleError("tree_change: total charges differ")
-    order_f, mat_f = _to_comb(cat, basis_from)
-    order_t, mat_t = _to_comb(cat, basis_to)
-    if order_f != order_t:
+    labs_f, move_from = _to_comb(cat, basis_from)
+    labs_t, (rows_t, cols_t, values_t) = _to_comb(cat, basis_to)
+    if sorted(labs_f) != sorted(labs_t):
         raise AssertionError("comb bases disagree; inconsistent inputs")
-    raw = mat_t.conj().T @ mat_f
+    dim = basis_from.dim
+    index = {lab: r for r, lab in enumerate(labs_f)}
+    rows_t = np.array([index[lab] for lab in labs_t], dtype=int)[rows_t]
+    raw = _dense(dim, _product(dim, (cols_t, rows_t, values_t.conj()), move_from))
     s_from = np.asarray(basis_from.signs, dtype=float)
     s_to = np.asarray(basis_to.signs, dtype=float)
     return s_to[:, None] * raw * s_from[None, :]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from metaplectic.categories import MissingDataError, builtin_category
-from metaplectic import braidrep
+from metaplectic import triples
 from metaplectic.braidrep import (BraidRep, RepReport, general_generators,
                                   pair_tree_generators, rep_check)
 from metaplectic.trees import (TreeShape, block_comb_tree, comb_tree, enumerate_basis,
@@ -263,8 +263,8 @@ def test_rep_check_product_choice(su24, monkeypatch):
     """Local generators are multiplied term by term; a product that would
     expand to more than dim^2 terms falls back to a dense matmul."""
     dense_calls = []
-    dense_product = braidrep._dense_product
-    monkeypatch.setattr(braidrep, "_dense_product",
+    dense_product = triples._dense_product
+    monkeypatch.setattr(triples, "_dense_product",
                         lambda *args: dense_calls.append(1) or dense_product(*args))
     for text, dense_expected in [("((((1 1)(1 1))((1 1)(1 1)))((1 1)(1 1)))->2", False),
                                  (ZIGZAG12, True)]:

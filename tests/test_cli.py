@@ -87,6 +87,15 @@ def test_rep_check_and_show(capsys):
     assert "+0.965925826289+0.258819045103i" in out
 
 
+def test_rep_on_empty_non_comb_space(capsys):
+    assert main(["rep", "check", "--category", "su2_4", "--shape", "(1 (1 1))->0"]) \
+        == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert "empty fusion space" in err and "Traceback" not in out + err
+    assert main(["rep", "show", "--category", "su2_4", "--shape", "((1 1)(1 1))->1"]) == EXIT_OK
+    assert machine_section(capsys.readouterr().out).splitlines()[0] == "dim=0"
+
+
 def test_rep_missing_data_exit(capsys):
     code = main(["rep", "check", "--category", "so5_2",
                  "--leaves", "eps eps eps eps eps eps", "--total", "y1"])
@@ -206,6 +215,7 @@ BAD_INPUTS = [
     (["rep", "check", "--model", "su2_4-qutrit", "--shape", "((1 1)(1 1))->2"], EXIT_USAGE),
     (["rep", "check", "--category", "su2_4", "--leaves", "1 1 1 1", "--total", "2",
       "--general"], EXIT_USAGE),
+    (["rep", "show", "--model", "su2_4-qutrit", "--general"], EXIT_USAGE),
     (["rep", "check", "--category", "su2_4", "--shape", "((1 1)(1 1))->2",
       "--leaves", "1 1 1 1"], EXIT_USAGE),
     (["braid", "eval", "--model", "su2_4-qutrit", "--total", "2", "--named", "p"], EXIT_USAGE),

@@ -1,11 +1,13 @@
 """Fusion-tree bases, F-move basis changes, block embeddings."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from metaplectic.categories import InadmissibleError, builtin_category
-from metaplectic.trees import (block_comb_tree, block_embedding, comb_tree,
-                               enumerate_basis, format_shape,
+from metaplectic.trees import (_internal_paths, _subtree, block_comb_tree, block_embedding,
+                               comb_tree, enumerate_basis, format_shape,
                                pair_tree, parse_shape, tree_change, TreeShape)
 
 
@@ -113,6 +115,214 @@ def test_tree_change_mismatch_errors(su24):
     other = enumerate_basis(su24, pair_tree(su24, "eps", "0"))
     with pytest.raises(InadmissibleError):
         tree_change(su24, one, other)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the earlier basis-change engine, kept verbatim.  It carries every
+# state as a dict of node charges with a dense amplitude vector over the
+# source basis and rewrites the dicts one rotation at a time.
+
+
+def _replace(structure, path, new):
+    if not path:
+        return new
+    left, right = structure
+    if path[0] == 0:
+        return (_replace(left, path[1:], new), right)
+    return (left, _replace(right, path[1:], new))
+
+
+def _assignment(shape, labeling):
+    """labeling tuple -> dict of path -> charge for every node."""
+    charges = {}
+    internal = _internal_paths(shape.structure)
+    charges[()] = shape.total
+    for path, label in zip(internal[1:], labeling):
+        charges[path] = label
+    for slot, path in _leaf_paths(shape.structure):
+        charges[path] = shape.leaves[slot]
+    return charges
+
+
+def _leaf_paths(structure, path=()):
+    if isinstance(structure, int):
+        return [(structure, path)]
+    left, right = structure
+    return _leaf_paths(left, path + (0,)) + _leaf_paths(right, path + (1,))
+
+
+def _labeling_of(structure, charges):
+    internal = _internal_paths(structure)
+    return tuple(charges[p] for p in internal[1:])
+
+
+def _rotate_left_assignment(cat, charges, path):
+    """Apply (X (Y Z)) -> ((X Y) Z) at ``path``; yields (new charges, coeff)."""
+    w = charges[path]
+    x = charges[path + (0,)]
+    m = charges[path + (1,)]
+    y = charges[path + (1, 0)]
+    z = charges[path + (1, 1)]
+    fmat = cat.f(x, y, z, w)
+    rows = cat.f_rows(x, y, z, w)
+    cols = cat.f_cols(x, y, z, w)
+    mi = cols.index(m)
+    x_moves = [(p, q) for p, q in charges.items()
+               if p[:len(path) + 1] == path + (0,)]
+    y_moves = [(p, q) for p, q in charges.items()
+               if p[:len(path) + 2] == path + (1, 0)]
+    z_moves = [(p, q) for p, q in charges.items()
+               if p[:len(path) + 2] == path + (1, 1)]
+    base = {p: q for p, q in charges.items()
+            if not (p[:len(path) + 1] in (path + (0,), path + (1,)) and len(p) > len(path))}
+    k = len(path)
+    for p, q in x_moves:
+        base[path + (0, 0) + p[k + 1:]] = q
+    for p, q in y_moves:
+        base[path + (0, 1) + p[k + 2:]] = q
+    for p, q in z_moves:
+        base[path + (1,) + p[k + 2:]] = q
+    for ui, u in enumerate(rows):
+        coeff = np.conj(fmat[ui, mi])  # inverse F-move entry
+        if coeff == 0:
+            continue
+        new = dict(base)
+        new[path + (0,)] = u
+        yield new, coeff
+
+
+def dense_to_comb(cat, basis):
+    """Rewrite a basis into the left comb; returns (comb labelings in lex
+    order, matrix taking basis coordinates to comb coordinates)."""
+    structure = basis.shape.structure
+    states = [(_assignment(basis.shape, lab), col)
+              for col, lab in enumerate(basis.states)]
+    matrix_cols = basis.dim
+    amplitudes = {}
+    for charges, col in states:
+        key = frozenset(charges.items())
+        vec = amplitudes.setdefault(key, np.zeros(matrix_cols, dtype=complex))
+        vec[col] += 1.0
+
+    def first_rotation(structure, path=()):
+        if isinstance(structure, int):
+            return None
+        left, right = structure
+        if not isinstance(right, int):
+            return path
+        return first_rotation(left, path + (0,))
+
+    while True:
+        path = first_rotation(structure)
+        if path is None:
+            break
+        new_amplitudes = {}
+        for key, vec in amplitudes.items():
+            charges = dict(key)
+            for new, coeff in _rotate_left_assignment(cat, charges, path):
+                nk = frozenset(new.items())
+                acc = new_amplitudes.setdefault(nk, np.zeros(matrix_cols, dtype=complex))
+                acc += coeff * vec
+        amplitudes = new_amplitudes
+        node = _subtree(structure, path)
+        x, (y, z) = node
+        structure = _replace(structure, path, ((x, y), z))
+
+    labelings = {}
+    for key, vec in amplitudes.items():
+        labelings[_labeling_of(structure, dict(key))] = vec
+    order = sorted(labelings, key=lambda t: tuple(cat.labels.index(x) for x in t))
+    mat = np.stack([labelings[lab] for lab in order]) if order else np.zeros((0, matrix_cols))
+    return order, mat
+
+
+def dense_tree_change(cat, basis_from, basis_to):
+    """Unitary basis change between two shapes over the same leaves and
+    total charge, composed from F-moves through the left comb.
+
+    Signs of both computational bases are folded in, so coordinates map
+    to coordinates.  Raises ``MissingDataError`` if a required F-entry is
+    absent and ``InadmissibleError`` on mismatched leaves or total.
+    """
+    if basis_from.shape.leaves != basis_to.shape.leaves:
+        raise InadmissibleError("tree_change: leaf labels differ")
+    if basis_from.shape.total != basis_to.shape.total:
+        raise InadmissibleError("tree_change: total charges differ")
+    order_f, mat_f = dense_to_comb(cat, basis_from)
+    order_t, mat_t = dense_to_comb(cat, basis_to)
+    if order_f != order_t:
+        raise AssertionError("comb bases disagree; inconsistent inputs")
+    raw = mat_t.conj().T @ mat_f
+    s_from = np.asarray(basis_from.signs, dtype=float)
+    s_to = np.asarray(basis_to.signs, dtype=float)
+    return s_to[:, None] * raw * s_from[None, :]
+
+
+ZIGZAG12 = "((1 (1 (1 (1 (1 1))))) (((((1 1) 1) 1) 1) 1))->2"
+BLOCK8 = "(((1 1)(1 1))((1 1)(1 1)))"
+
+
+def complex_gauge(cat, seed):
+    """``cat`` under a random vertex gauge u(a,b;c) (1 on unit vertices):
+    F[a,b,c;d]_{ef} -> F u(a,b;e) u(e,c;d) / (u(b,c;f) u(a,f;d)).  The
+    F-matrices turn complex, so a dropped conjugate changes a basis change."""
+    rng = np.random.default_rng(seed)
+    u = {(a, b, c): np.exp(2j * np.pi * rng.random())
+         for (a, b), outs in sorted(cat.fusion.items()) for c in sorted(outs)
+         if cat.unit not in (a, b)}
+    v = lambda a, b, c: u.get((a, b, c), 1.0)
+    table = {}
+    for (a, b, c, d), mat in cat.f_table.items():
+        rows, cols = cat.f_rows(a, b, c, d), cat.f_cols(a, b, c, d)
+        table[a, b, c, d] = np.array([[mat[i, j] * v(a, b, e) * v(e, c, d)
+                                       / (v(b, c, f) * v(a, f, d)) for j, f in enumerate(cols)]
+                                      for i, e in enumerate(rows)])
+    return dataclasses.replace(cat, f_table=table)
+
+
+def reference_shapes(su24, so52):
+    """(category, shape) pairs the sparse engine is held to the reference on."""
+    shapes = [(su24, TreeShape((0, (1, 2)), ("1",) * 3, "1"))]
+    shapes += [(su24, parse_shape(su24, text)) for text in (
+        "((1 1)(1 1))->2", "((1 (1 1)) 1)->2", "(((1 1) 1) 1)->2",
+        BLOCK8 + "->2", BLOCK8 + "->0", "((((1 1)(1 1))((1 1)(1 1)))((1 1)(1 1)))->2",
+        "(1 (1 (1 (1 (1 1)))))->2", ZIGZAG12, "((3 1)(1 (3 1)))->1")]
+    for n in range(3, 9):
+        for leaves in (["1"] * n, [("1", "3")[k % 2] for k in range(n)]):
+            shapes += [(su24, comb_tree(su24, leaves, total)) for total in su24.labels
+                       if enumerate_basis(su24, comb_tree(su24, leaves, total)).dim]
+    shapes += [(so52, pair_tree(so52, "eps", total)) for total in ("y1", "y2")]
+    gauged = complex_gauge(su24, seed=3)
+    assert any(abs(mat.imag).max() > 0.1 for mat in gauged.f_table.values())
+    shapes += [(gauged, parse_shape(gauged, text)) for text in (
+        "((1 1)(1 1))->2", BLOCK8 + "->2", "(1 (1 (1 (1 (1 1)))))->2", "((3 1)(1 (3 1)))->1")]
+    return shapes
+
+
+def test_tree_change_matches_dense_reference(su24, so52):
+    for cat, shape in reference_shapes(su24, so52):
+        basis = enumerate_basis(cat, shape)
+        comb = enumerate_basis(cat, comb_tree(cat, shape.leaves, shape.total))
+        assert basis.dim > 0, format_shape(shape)
+        for src, dst in ((basis, comb), (comb, basis)):
+            fast, slow = tree_change(cat, src, dst), dense_tree_change(cat, src, dst)
+            assert fast.shape == slow.shape == (basis.dim, basis.dim)
+            assert abs(fast - slow).max() < 1e-13, format_shape(shape)
+    for cat, leaf, total in ((su24, "1", "2"), (su24, "1", "0"), (so52, "eps", "y1"),
+                             (so52, "eps", "y2")):
+        pair = enumerate_basis(cat, pair_tree(cat, leaf, total))
+        fork_text = f"(({leaf} ({leaf} {leaf})) {leaf})->{total}"
+        fork = enumerate_basis(cat, parse_shape(cat, fork_text))
+        for src, dst in ((pair, fork), (fork, pair)):
+            assert abs(tree_change(cat, src, dst) - dense_tree_change(cat, src, dst)).max() < 1e-13
+
+
+def test_tree_change_empty_space(su24):
+    basis = enumerate_basis(su24, parse_shape(su24, "(1 (1 1))->0"))
+    comb = enumerate_basis(su24, comb_tree(su24, ["1"] * 3, "0"))
+    assert basis.dim == comb.dim == 0
+    for src, dst in ((basis, comb), (comb, basis)):
+        assert tree_change(su24, src, dst).shape == (0, 0)
 
 
 def test_block_embedding_two_qutrits(su24):
