@@ -19,7 +19,7 @@ Locality: braiding strands i-1 and i (0-based leaves) cannot change the
 charge of an edge whose leaves hold both strands or neither, so sigma_i
 has no entry between two states that differ on such an edge.  The comb
 generators are built that way; after the basis change those entries are
-set to exact zeros, so every generator stores only its real nonzeros.
+dropped, so every generator stores only its real nonzeros.
 How few that leaves depends on the shape: on combs and block combs most
 edges are fixed and each generator keeps O(1) nonzeros per row, while a
 shape that puts strands i-1 and i on opposite sides of every internal
@@ -31,35 +31,36 @@ inverses use the conjugate transpose.  Basis signs are folded into the
 returned matrices, so the qutrit generators come out exactly in the
 printed form, gamma factors included.
 
-A :class:`BraidRep` holds its generators as dense matrices and, built on
-first use and cached, one sparse form of them: the row-major
-(rows, cols, values) of every exact nonzero (``BraidRep.nonzeros``).
-:func:`rep_check` and :func:`metaplectic.synthesis.eval_word` both work
-from that form; the triple format and its products live in
-:mod:`metaplectic.triples`, shared with the basis changes of
+A :class:`BraidRep` stores each generator once, as the row-major
+(rows, cols, values) triples of its exact nonzeros (``BraidRep.nonzeros``);
+no dense dim x dim generator is built.  :func:`rep_check` and
+:func:`metaplectic.synthesis.eval_word` work from that form, and
+``BraidRep.generators``/``BraidRep.sigma`` return fresh dense copies for
+the small reps that need matrices.  The triple format and its products
+live in :mod:`metaplectic.triples`, shared with the basis changes of
 :mod:`metaplectic.trees`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .trees import comb_tree, enumerate_basis, pair_tree, tree_change
-from .triples import _nonzeros, _product, _summed
+from .trees import _change, comb_tree, enumerate_basis, pair_tree
+from .triples import _dense, _nonzeros, _product, _summed
 
 __all__ = ["BraidRep", "RepReport", "pair_tree_generators", "general_generators", "rep_check"]
 
 
 @dataclass(frozen=True)
 class BraidRep:
-    """Generator matrices sigma_1..sigma_{n-1} on a fusion-tree basis."""
+    """Generators sigma_1..sigma_{n-1} on a fusion-tree basis, each stored
+    as the row-major (rows, cols, values) triples of its exact nonzeros."""
 
     cat: object
     basis: object
-    generators: tuple
+    nonzeros: tuple
 
     @property
     def n_strands(self):
@@ -69,18 +70,16 @@ class BraidRep:
     def dim(self):
         return self.basis.dim
 
+    @property
+    def generators(self):
+        """Fresh dense matrices of sigma_1..sigma_{n-1}."""
+        return tuple(_dense(self.dim, triples) for triples in self.nonzeros)
+
     def sigma(self, i):
-        """Matrix of sigma_i (positive crossing), i = 1..n-1."""
-        return self.generators[i - 1]
-
-    @cached_property
-    def nonzeros(self):
-        """Row-major (rows, cols, values) of each generator's exact nonzeros.
-
-        Built on first use and cached, so the generator arrays must not be
-        changed after that.
-        """
-        return tuple(_nonzeros(g) for g in self.generators)
+        """Fresh dense matrix of sigma_i (positive crossing), i = 1..n-1."""
+        if not 1 <= i < self.n_strands:
+            raise IndexError(f"sigma_{i} outside 1..{self.n_strands - 1}")
+        return _dense(self.dim, self.nonzeros[i - 1])
 
 
 def _f_entry(cat, a, b, c, d, n, m):
@@ -125,7 +124,7 @@ def pair_tree_generators(cat, a, b):
                 acc += left * mid * right
             sigma2[j, i] = acc
     sigma2 = signs[:, None] * sigma2 * signs[None, :]
-    return BraidRep(cat, basis, (sigma1, sigma2, sigma3))
+    return BraidRep(cat, basis, tuple(_nonzeros(g) for g in (sigma1, sigma2, sigma3)))
 
 
 def general_generators(cat, basis):
@@ -137,7 +136,7 @@ def general_generators(cat, basis):
     Any other shape gets all generators by one conjugation with the comb
     basis change, after which sigma_i is made exactly local: every entry
     between two states that differ on an edge whose leaves hold both
-    strands i-1, i or neither is set to 0 (sigma_i fixes that edge's
+    strands i-1, i or neither is dropped (sigma_i fixes that edge's
     charge, so the conjugation leaves only round-off there).  All strands
     must carry the same anyon type (braiding distinct types maps to a
     different space).
@@ -165,31 +164,44 @@ def general_generators(cat, basis):
     charges = [(shape.total,) + lab + (a, cat.unit) for lab in comb.states]
     index = {c: k for k, c in enumerate(charges)}
     signs = np.asarray(comb.signs, dtype=float)
+    dim = comb.dim
     generators = []
     for i in range(1, n):
-        gen = np.zeros((comb.dim, comb.dim), dtype=complex)
+        rows, cols, values = [], [], []
         p = n - i  # position of c_{i-1}
         for col, c in enumerate(charges):
-            rows, mat = block(c[p + 1], c[p - 1])
-            for r, label in enumerate(rows):
-                gen[index[c[:p] + (label,) + c[p + 1:]], col] = mat[r, rows.index(c[p])]
-        generators.append(signs[:, None] * gen * signs[None, :])
+            labels, mat = block(c[p + 1], c[p - 1])
+            for label, value in zip(labels, mat[:, labels.index(c[p])]):
+                if value != 0:
+                    rows.append(index[c[:p] + (label,) + c[p + 1:]])
+                    cols.append(col)
+                    values.append(value)
+        rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
+        order = np.argsort(rows * dim + cols)
+        rows, cols = rows[order], cols[order]
+        values = signs[rows] * np.array(values, dtype=complex)[order] * signs[cols]
+        generators.append((rows, cols, values))
     if comb is not basis:
-        move = tree_change(cat, basis, comb)
-        generators = [_local(move.conj().T @ g @ move, basis, i)
+        move = _change(cat, basis, comb)
+        adjoint = (move[1], move[0], move[2].conj())
+        # associated as (move^dagger sigma) move, like the dense reference in
+        # the tests; the other order puts round-off fill at other positions
+        generators = [_local(_product(dim, _product(dim, adjoint, g), move), basis, i)
                       for i, g in enumerate(generators, start=1)]
     return BraidRep(cat, basis, tuple(generators))
 
 
 def _local(gen, basis, i):
-    """``gen`` with the entries sigma_i cannot have set to 0: those between
-    states that differ on an edge holding both strands i-1, i or neither."""
+    """The triples of ``gen`` that sigma_i can have: nonzeros between states
+    that agree on every edge holding both strands i-1, i or neither."""
     fixed = [k for k, slots in enumerate(basis.shape.edge_leaves)
              if (i - 1 in slots) == (i in slots)]
     groups = {}
     group = np.array([groups.setdefault(tuple(lab[k] for k in fixed), len(groups))
                       for lab in basis.states])
-    return np.where(group[:, None] == group[None, :], gen, 0)
+    rows, cols, values = gen
+    keep = (group[rows] == group[cols]) & (values != 0)
+    return rows[keep], cols[keep], values[keep]
 
 
 @dataclass

@@ -14,6 +14,7 @@ prevented a check; 64 flag parse error; 66 file I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -52,6 +53,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _tolerance(text):
+    """A ``--tol`` value: a positive, finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text!r}")
+    return value
 
 
 def _fmt_matrix(mat):
@@ -474,7 +486,7 @@ def build_parser():
     chk_source = chk.add_mutually_exclusive_group(required=True)
     chk_source.add_argument("name", nargs="?", choices=tuple(BUILTIN_CATEGORIES))
     chk_source.add_argument("--file", help="check a category file instead of a builtin")
-    chk.add_argument("--tol", type=float, default=1e-9)
+    chk.add_argument("--tol", type=_tolerance, default=1e-9)
     dump = cat_sub.add_parser("dump")
     dump.add_argument("name", choices=tuple(BUILTIN_CATEGORIES))
     dump.add_argument("--out")
@@ -485,10 +497,10 @@ def build_parser():
 
     rep = sub.add_parser("rep", help="build and check braid representations")
     rep_sub = rep.add_subparsers(dest="action", required=True)
-    for action in ("show", "check"):
-        sp = rep_sub.add_parser(action)
-        _add_rep_source(sp)
-        sp.add_argument("--tol", type=float, default=1e-9)
+    _add_rep_source(rep_sub.add_parser("show"))
+    rep_check_parser = rep_sub.add_parser("check")
+    _add_rep_source(rep_check_parser)
+    rep_check_parser.add_argument("--tol", type=_tolerance, default=1e-9)
 
     braid = sub.add_parser("braid", help="evaluate braid words")
     braid_sub = braid.add_subparsers(dest="action", required=True)
@@ -500,12 +512,12 @@ def build_parser():
     verify_sub = verify.add_subparsers(dest="action", required=True)
     suite = verify_sub.add_parser("suite")
     suite.add_argument("--category", choices=tuple(BUILTIN_CATEGORIES), required=True)
-    suite.add_argument("--tol", type=float, default=1e-8)
+    suite.add_argument("--tol", type=_tolerance, default=1e-8)
     ident = verify_sub.add_parser("identity")
     _add_rep_source(ident)
     _add_word_source(ident)
     ident.add_argument("--target", required=True, help="gate name, e.g. H3 or M5[2]")
-    ident.add_argument("--tol", type=float, default=1e-8)
+    ident.add_argument("--tol", type=_tolerance, default=1e-8)
 
     group = sub.add_parser("group", help="finite closure of generated matrix groups")
     group_sub = group.add_subparsers(dest="action", required=True)

@@ -6,9 +6,10 @@ generator matrices in the written order, i.e. the word ``1 2 1`` maps to
 the matrix product sigma_1 sigma_2 sigma_1 (the rightmost letter acts
 first on state vectors).  This is the reading under which the braid words
 for the multiplication gates M[k] reproduce |i> -> |k i> rather than the
-transposed permutations.  Each letter is applied from the generators'
-cached nonzeros (``BraidRep.nonzeros``) by row gathers, or by a dense
-matmul when its generator is too full for gathers to pay.
+transposed permutations.  Each letter is applied from the generator's
+stored nonzeros (``BraidRep.nonzeros``, the one form a rep keeps) by row
+gathers, or by a dense matmul, built from those nonzeros, when the
+generator is too full for gathers to pay.
 
 ``group_closure`` runs a deterministic breadth-first closure under
 multiplication, either projectively (elements hashed with their global
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import equal_up_to_phase, phase_distance
+from .triples import _dense
 
 __all__ = [
     "BraidWord", "word_from_text", "eval_word", "named_words",
@@ -134,11 +136,6 @@ def eval_word(rep, word):
     return np.ascontiguousarray(held.T)
 
 
-def _dense_factor(gen, letter):
-    """The letter's factor transposed, as it multiplies the held product."""
-    return gen.T if letter > 0 else gen.conj()
-
-
 def _letter_action(rep, letter):
     """A function (t, out, scratch) writing (t^T s)^T into ``out`` for the
     letter's factor s; see :func:`eval_word`."""
@@ -149,7 +146,7 @@ def _letter_action(rep, letter):
     off = rows != cols
     passes = int(np.bincount(cols[off], minlength=dim).max(initial=0))
     if 4 * passes * passes > dim - 32:
-        factor = _dense_factor(rep.generators[abs(letter) - 1], letter)
+        factor = _dense(dim, (cols, rows, values))  # s^T, as it multiplies t
         return lambda t, out, scratch: np.matmul(factor, t, out=out)
     diag = np.zeros((dim, 1), dtype=complex)
     diag[cols[~off], 0] = values[~off]

@@ -253,6 +253,11 @@ def tree_change(cat, basis_from, basis_to):
     to coordinates.  Raises ``MissingDataError`` if a required F-entry is
     absent and ``InadmissibleError`` on mismatched leaves or total.
     """
+    return _dense(basis_from.dim, _change(cat, basis_from, basis_to))
+
+
+def _change(cat, basis_from, basis_to):
+    """:func:`tree_change` as row-major (rows, cols, values) triples."""
     if basis_from.shape.leaves != basis_to.shape.leaves:
         raise InadmissibleError("tree_change: leaf labels differ")
     if basis_from.shape.total != basis_to.shape.total:
@@ -264,10 +269,10 @@ def tree_change(cat, basis_from, basis_to):
     dim = basis_from.dim
     index = {lab: r for r, lab in enumerate(labs_f)}
     rows_t = np.array([index[lab] for lab in labs_t], dtype=int)[rows_t]
-    raw = _dense(dim, _product(dim, (cols_t, rows_t, values_t.conj()), move_from))
+    rows, cols, values = _product(dim, (cols_t, rows_t, values_t.conj()), move_from)
     s_from = np.asarray(basis_from.signs, dtype=float)
     s_to = np.asarray(basis_to.signs, dtype=float)
-    return s_to[:, None] * raw * s_from[None, :]
+    return rows, cols, s_to[rows] * values * s_from[cols]
 
 
 def block_embedding(cat, leaf, block_total, n_blocks, total):

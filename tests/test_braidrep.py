@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from metaplectic.categories import MissingDataError, builtin_category
 from metaplectic import triples
+from metaplectic.triples import _nonzeros
 from metaplectic.braidrep import (BraidRep, RepReport, general_generators,
                                   pair_tree_generators, rep_check)
 from metaplectic.trees import (TreeShape, block_comb_tree, comb_tree, enumerate_basis,
@@ -166,7 +168,8 @@ def test_inverse_is_conjugate_transpose(qutrit_rep):
 def test_corrupted_rep_detected(qutrit_rep):
     bad = [g.copy() for g in qutrit_rep.generators]
     bad[1][0, 1] += 0.01
-    report = rep_check(BraidRep(qutrit_rep.cat, qutrit_rep.basis, tuple(bad)))
+    report = rep_check(BraidRep(qutrit_rep.cat, qutrit_rep.basis,
+                                tuple(_nonzeros(g) for g in bad)))
     assert max(report.unitarity_max, report.braid_max) > 1e-3
 
 
@@ -248,7 +251,7 @@ def test_rep_check_matches_dense_on_corrupted_reps(reference_reps, delta):
     for label, rep in reference_reps:
         bad = [g.copy() for g in rep.generators]
         bad[len(bad) // 2][0, -1] += delta
-        bad_rep = BraidRep(rep.cat, rep.basis, tuple(bad))
+        bad_rep = BraidRep(rep.cat, rep.basis, tuple(_nonzeros(g) for g in bad))
         sparse = _residuals(rep_check(bad_rep))
         dense = dense_rep_check(bad_rep)
         assert sparse[0] > delta / 10, label
@@ -281,7 +284,8 @@ def test_rep_check_propagates_nan(qutrit_rep):
     for k in range(3):
         bad = [g.copy() for g in qutrit_rep.generators]
         bad[k][1, 1] = np.nan
-        report = rep_check(BraidRep(qutrit_rep.cat, qutrit_rep.basis, tuple(bad)))
+        report = rep_check(BraidRep(qutrit_rep.cat, qutrit_rep.basis,
+                                    tuple(_nonzeros(g) for g in bad)))
         assert math.isnan(report.unitarity_max) and math.isnan(report.braid_max)
         assert not report.ok()
     assert not RepReport(0.0, math.nan, 0.0).ok()
@@ -312,3 +316,122 @@ def test_locality_mask_drops_only_round_off(reference_reps):
             assert abs(local.sigma(i) - np.where(dropped, 0, unmasked)).max() < 1e-15, (label, i)
             zeroed += dropped.sum()
     assert zeroed > 0
+
+
+def dense_general_generators(cat, basis):
+    """The dense construction that ``general_generators`` replaced: each
+    comb sigma_i filled into a dim x dim array, other shapes conjugated by
+    dense ``move^dagger @ sigma @ move`` and masked by ``dense_local``.
+    Returns the tuple of dense generators."""
+    shape = basis.shape
+    n = shape.n_leaves
+    if n < 2:
+        raise ValueError("need at least 2 strands")
+    if len(set(shape.leaves)) != 1:
+        raise ValueError("general_generators requires identical leaf labels")
+    a = shape.leaves[0]
+    comb_shape = comb_tree(cat, shape.leaves, shape.total)
+    comb = basis if shape == comb_shape else enumerate_basis(cat, comb_shape)
+    blocks = {}
+
+    def block(x, d):
+        """Row labels of F[x,a,a;d] and sigma on them, indexed [n', n]."""
+        if (x, d) not in blocks:
+            fmat = cat.f(x, a, a, d)
+            twist = np.array([cat.r(a, a, w) for w in cat.f_cols(x, a, a, d)])
+            blocks[x, d] = cat.f_rows(x, a, a, d), fmat.conj() @ (twist[:, None] * fmat.T)
+        return blocks[x, d]
+
+    # a comb labeling is c_{n-2}..c_1; extended, c_k sits at position n-1-k
+    charges = [(shape.total,) + lab + (a, cat.unit) for lab in comb.states]
+    index = {c: k for k, c in enumerate(charges)}
+    signs = np.asarray(comb.signs, dtype=float)
+    generators = []
+    for i in range(1, n):
+        gen = np.zeros((comb.dim, comb.dim), dtype=complex)
+        p = n - i  # position of c_{i-1}
+        for col, c in enumerate(charges):
+            rows, mat = block(c[p + 1], c[p - 1])
+            for r, label in enumerate(rows):
+                gen[index[c[:p] + (label,) + c[p + 1:]], col] = mat[r, rows.index(c[p])]
+        generators.append(signs[:, None] * gen * signs[None, :])
+    if comb is not basis:
+        move = tree_change(cat, basis, comb)
+        generators = [dense_local(move.conj().T @ g @ move, basis, i)
+                      for i, g in enumerate(generators, start=1)]
+    return tuple(generators)
+
+
+def dense_local(gen, basis, i):
+    """``gen`` with the entries sigma_i cannot have set to 0: those between
+    states that differ on an edge holding both strands i-1, i or neither."""
+    fixed = [k for k, slots in enumerate(basis.shape.edge_leaves)
+             if (i - 1 in slots) == (i in slots)]
+    groups = {}
+    group = np.array([groups.setdefault(tuple(lab[k] for k in fixed), len(groups))
+                      for lab in basis.states])
+    return np.where(group[:, None] == group[None, :], gen, 0)
+
+
+def test_general_generators_match_dense_reference(su24, reference_reps):
+    """Combs: the stored triples are the reference's exact nonzeros, bit for
+    bit.  Other shapes (conjugated in another summation order): the same
+    nonzero positions, every entry within 1e-15."""
+    comb14 = enumerate_basis(su24, comb_tree(su24, ["1"] * 14, "2"))
+    bases = [(label, rep.cat, rep.basis) for label, rep in reference_reps]
+    bases.append(("comb14", su24, comb14))
+    combs = 0
+    for label, cat, basis in bases:
+        built = general_generators(cat, basis).nonzeros
+        reference = [_nonzeros(g) for g in dense_general_generators(cat, basis)]
+        is_comb = basis.shape == comb_tree(cat, basis.shape.leaves, basis.shape.total)
+        combs += is_comb
+        assert len(built) == len(reference), label
+        for i, ((rows, cols, values), (ref_rows, ref_cols, ref_values)) in enumerate(
+                zip(built, reference), start=1):
+            assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols), (label, i)
+            if is_comb:
+                assert values.tobytes() == ref_values.tobytes(), (label, i)
+            else:
+                assert abs(values - ref_values).max(initial=0.0) <= 1e-15, (label, i)
+    assert combs == len(bases) - 8  # 3 pair-tree models, block-8 x2, block-12, right comb, zigzag
+
+
+def test_sigma_index_checked(qutrit_rep):
+    assert qutrit_rep.n_strands == 4
+    for i in (0, -1, 4):
+        with pytest.raises(IndexError):
+            qutrit_rep.sigma(i)
+    for i in (1, 2, 3):
+        assert np.array_equal(qutrit_rep.sigma(i), qutrit_rep.generators[i - 1])
+
+
+def test_dense_views_do_not_alias_the_stored_generators(su24):
+    """Writing into a matrix from ``generators`` or ``sigma`` leaves the rep
+    as built: its nonzeros, its dense views and its relation check."""
+    builds = [lambda: pair_tree_generators(su24, "1", "2"),
+              lambda: general_generators(su24, enumerate_basis(
+                  su24, comb_tree(su24, ["1"] * 5, "1")))]
+    for build in builds:
+        rep, fresh = build(), build()
+        rep.generators[0][0, 1] = 0.5
+        rep.sigma(2)[1, 1] = np.nan
+        for stored, want in zip(rep.nonzeros, fresh.nonzeros):
+            assert all(np.array_equal(x, y) for x, y in zip(stored, want))
+        assert all(np.array_equal(g, h) for g, h in zip(rep.generators, fresh.generators))
+        assert rep_check(rep).ok()
+
+
+def test_comb16_generators_hold_no_dense_matrix(su24):
+    """Building the 16-strand comb generators (dim 2187) never holds as much
+    memory as one dense 2187 x 2187 complex matrix (76.5 MB)."""
+    basis = enumerate_basis(su24, comb_tree(su24, ["1"] * 16, "2"))
+    assert basis.dim == 2187
+    tracemalloc.start()
+    try:
+        rep = general_generators(su24, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.nonzeros) == 15
+    assert peak < 2187 ** 2 * 16

@@ -168,8 +168,9 @@ def test_non_finite_category_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("source, dim", [
     (["--leaves", " ".join(["1"] * 14), "--total", "2"], 729),
+    (["--leaves", " ".join(["1"] * 16), "--total", "2"], 2187),
     (["--shape", "((((1 1)(1 1))((1 1)(1 1)))((1 1)(1 1)))->2"], 243),
-], ids=["comb14", "block12"])
+], ids=["comb14", "comb16", "block12"])
 def test_rep_check_large(source, dim, capsys):
     assert main(["rep", "check", "--category", "su2_4", *source]) == EXIT_OK
     tail = machine_section(capsys.readouterr().out).splitlines()
@@ -221,6 +222,12 @@ BAD_INPUTS = [
     (["braid", "eval", "--model", "su2_4-qutrit", "--total", "2", "--named", "p"], EXIT_USAGE),
     (["category", "check", "su2_4", "--file", "su2_4.cat"], EXIT_USAGE),
     (["category", "check"], EXIT_USAGE),
+    (["category", "check", "su2_4", "--tol", "nan"], EXIT_USAGE),
+    (["rep", "check", "--model", "su2_4-qutrit", "--tol", "inf"], EXIT_USAGE),
+    (["verify", "identity", "--model", "su2_4-qutrit", "--named", "Hword", "--target", "H3",
+      "--tol", "0"], EXIT_USAGE),
+    (["verify", "suite", "--category", "su2_4", "--tol", "-1"], EXIT_USAGE),
+    (["rep", "show", "--model", "su2_4-qutrit", "--tol", "5"], EXIT_USAGE),
 ]
 
 

@@ -14,6 +14,7 @@ from metaplectic.synthesis import (BraidWord, eval_word, group_closure,
                                    named_words, verify_identity, word_from_text)
 from metaplectic.trees import (block_comb_tree, block_embedding, comb_tree, enumerate_basis,
                                parse_shape)
+from metaplectic.triples import _nonzeros
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +110,7 @@ def word_reps():
     rng = np.random.default_rng(7)
     for label, rep in [r for r in reps if r[0] in ("qupit", "comb7-1-1", "zigzag12")]:
         phases = np.exp(2j * np.pi * rng.random(rep.dim))
-        twisted = tuple(phases[:, None] * g * phases.conj() for g in rep.generators)
+        twisted = tuple(_nonzeros(phases[:, None] * g * phases.conj()) for g in rep.generators)
         reps.append((f"{label}-twisted", BraidRep(rep.cat, rep.basis, twisted)))
     return reps
 
@@ -135,9 +136,9 @@ def test_eval_word_factor_choice(word_reps, monkeypatch):
     """Letters with few nonzeros per column are applied by row gathers; a
     generator too full for that (zigzag sigma_6) takes a dense matmul."""
     dense_calls = []
-    dense_factor = synthesis._dense_factor
-    monkeypatch.setattr(synthesis, "_dense_factor",
-                        lambda *args: dense_calls.append(args) or dense_factor(*args))
+    dense = synthesis._dense
+    monkeypatch.setattr(synthesis, "_dense",
+                        lambda *args: dense_calls.append(args) or dense(*args))
     reps = dict(word_reps)
     for label, dense_expected in [("comb12-1-2", False), ("zigzag12", True)]:
         rep = reps[label]
