@@ -17,7 +17,13 @@ Labels are twice the spin, ``0..k``; ``q = exp(2 pi i/(k+2))`` and
 
 The q-Racah sum stops at ``z = k``: every later term holds ``[k+2] = 0``.
 At ``k = 4`` this is the gauge of the paper's printed SU(2)_4 tables,
-which it reproduces entrywise to round-off.  SO(5)_2 is transcribed.
+which it reproduces entrywise to round-off.
+
+SO(5)_2 is transcribed once per symmetry orbit: its 156 stored F-blocks
+fall into 36 orbits of ``F[c,b,a;d] = F[a,b,c;d]^T`` and
+``F[d,c,b;a] = F[b,a,d;c] = F[c,d,a;b] = F[a,b,c;d]``, so one block per
+orbit is typed and the rest are derived.  The su2_4 closed form satisfies
+the same identities to round-off wherever both blocks are stored.
 
 Conventions
 -----------
@@ -235,6 +241,29 @@ def _su2_k(k, aliases=None):
     return Category(f"su2_{k}", labels, qdim, fusion, f_table, r_table, aliases=aliases or {})
 
 
+def _symmetric_closure(reps):
+    """Expand one F-block per orbit of the index symmetries into a table.
+
+    The symmetries are:
+
+    * ``F[c,b,a;d] = F[a,b,c;d]^T``;
+    * ``F[d,c,b;a] = F[b,a,d;c] = F[c,d,a;b] = F[a,b,c;d]``.
+
+    Every image is stored as its own C-contiguous copy.  Raises
+    ``AssertionError`` when two routes reach one block with matrices that
+    differ in shape or in any bit.
+    """
+    table = {}
+    for key, mat in reps.items():
+        a, b, c, d = key
+        for (a, b, c, d), image in ((key, mat), ((c, b, a, d), mat.T)):
+            for image_key in ((a, b, c, d), (d, c, b, a), (b, a, d, c), (c, d, a, b)):
+                stored = table.setdefault(image_key, image.copy())
+                if stored.shape != image.shape or stored.tobytes() != image.tobytes():
+                    raise AssertionError(f"F{image_key}: two routes give different blocks")
+    return table
+
+
 def _build_so5_2():
     """SO(5)_2 with labels {1, z, y1, y2, eps, eps'}; tables are partial."""
     labels = ("1", "z", "y1", "y2", "eps", "eps'")
@@ -263,11 +292,9 @@ def _build_so5_2():
     hh = [[1 / s2, -1 / s2], [1 / s2, 1 / s2]]
     ph = [[1 / s2, 1 / s2], [1 / s2, -1 / s2]]
     sw = [[0.0, 1.0], [1.0, 0.0]]
-    rt = [[1 / s2, 1 / s2], [-1 / s2, 1 / s2]]
     lt = [[-1 / s2, 1 / s2], [1 / s2, 1 / s2]]
     nb = [[-1 / s2, -1 / s2], [1 / s2, -1 / s2]]
     nf = [[1 / s2, -1 / s2], [-1 / s2, -1 / s2]]
-    nn = [[-1 / s2, 1 / s2], [-1 / s2, -1 / s2]]
     j1 = [[-s5 * k * k / 40, h / 4], [h / 4, s5 * k * k / 40]]
     j2 = [[h / 4, s5 * k * k / 40], [s5 * k * k / 40, -h / 4]]
     j3 = [[s5 * h * h / 40, k / 4], [k / 4, -s5 * h * h / 40]]
@@ -289,83 +316,37 @@ def _build_so5_2():
     y3 = [[-1 / s5, s2 / s5, s2 / s5],
           [s2 / s5, gp / s5, -gm / s5],
           [s2 / s5, -gm / s5, gp / s5]]
-    z3 = [[1 / s5, s2 / s5, s2 / s5],
-          [-s2 / s5, gp / s5, -gm / s5],
-          [-s2 / s5, -gm / s5, gp / s5]]
 
+    # one key per symmetry orbit; _symmetric_closure fills in the rest
     p, q = "eps", "eps'"
     groups = [
-        (-1.0, [("z", "y1", "y1", "y2"), ("z", "y1", "y2", "y1"),
-                ("z", "y2", "y1", "y1"), ("z", "y2", "y1", "y2"),
-                ("z", p, "z", p), ("z", p, "y1", q), ("z", p, "y2", q),
-                ("z", q, "z", q), ("z", q, "y1", p), ("z", q, "y2", p),
-                ("y1", "z", "y1", "y2"), ("y1", "z", "y2", "y1"),
-                ("y1", "y1", "z", "y2"), ("y1", "y1", "y2", "z"),
-                ("y1", "y2", "z", "y1"), ("y1", "y2", "z", "y2"),
-                ("y1", "y2", "y1", "z"), ("y1", p, "z", q), ("y1", q, "z", p),
-                ("y2", "z", "y1", "y1"), ("y2", "z", "y2", "y1"),
-                ("y2", "y1", "z", "y1"), ("y2", "y1", "y1", "z"),
-                ("y2", "y1", "y2", "z"), ("y2", p, "z", q), ("y2", q, "z", p),
-                (p, "z", p, "z"), (p, "z", q, "y1"), (p, "z", q, "y2"),
-                (p, "y1", q, "z"), (p, "y2", q, "z"),
-                (q, "z", p, "y1"), (q, "z", p, "y2"), (q, "z", q, "z"),
-                (q, "y1", p, "z"), (q, "y2", p, "z")]),
-        (hh, [("y1", "y1", "y2", "y2"), ("y1", "y1", p, q), ("y1", "y1", q, p),
-              ("y1", p, p, "y2"), ("y2", "y2", "y1", "y1"), ("y2", p, p, "y1"),
-              (p, "y1", "y2", p), (p, "y2", "y1", p), (p, q, "y1", "y1"),
-              (q, p, "y1", "y1")]),
-        (ph, [("y1", "y1", p, p), ("y1", "y1", q, q), ("y1", p, p, "y1"),
-              ("y1", q, q, "y1"), ("y2", "y2", p, p), ("y2", "y2", p, q),
-              ("y2", "y2", q, p), ("y2", "y2", q, q), ("y2", p, p, "y2"),
-              ("y2", p, q, "y2"), ("y2", q, p, "y2"), ("y2", q, q, "y2"),
-              (p, "y1", "y1", p), (p, "y2", "y2", p), (p, "y2", "y2", q),
-              (p, p, "y1", "y1"), (p, p, "y2", "y2"), (p, q, "y2", "y2"),
-              (q, "y1", "y1", q), (q, "y2", "y2", p), (q, "y2", "y2", q),
-              (q, p, "y2", "y2"), (q, q, "y1", "y1"), (q, q, "y2", "y2")]),
-        (sw, [("y1", "y2", "y1", "y2"), ("y2", "y1", "y2", "y1")]),
-        (rt, [("y1", "y2", "y2", "y1"), ("y1", "y2", p, p), ("y1", p, q, "y1"),
-              ("y1", q, p, "y1"), ("y2", "y1", "y1", "y2"), ("y2", "y1", p, p),
-              (p, "y1", "y1", q), (p, p, "y1", "y2"), (p, p, "y2", "y1"),
-              (q, "y1", "y1", p)]),
-        (lt, [("y1", "y2", p, q), ("y1", q, p, "y2"), ("y2", "y1", q, p),
-              ("y2", p, q, "y1"), (p, "y2", "y1", q), (p, q, "y1", "y2"),
-              (q, "y1", "y2", p), (q, p, "y2", "y1")]),
-        (nb, [("y1", "y2", q, p), ("y2", "y1", p, q), (p, q, "y2", "y1"),
-              (q, p, "y1", "y2")]),
-        (nf, [("y1", "y2", q, q), ("y1", q, q, "y2"), ("y2", "y1", q, q),
-              ("y2", q, q, "y1"), (q, "y1", "y2", q), (q, "y2", "y1", q),
-              (q, q, "y1", "y2"), (q, q, "y2", "y1")]),
-        (j1, [("y1", p, "y1", p), (p, "y1", p, "y1")]),
-        (j2, [("y1", p, "y1", q), ("y1", q, "y1", p), (p, "y1", q, "y1"),
-              (q, "y1", p, "y1")]),
-        (j3, [("y1", p, "y2", p), ("y2", p, "y1", p), (p, "y1", p, "y2"),
-              (p, "y2", p, "y1")]),
-        (j4, [("y1", p, "y2", q), ("y1", q, "y2", p), ("y2", p, "y1", q),
-              ("y2", q, "y1", p), (p, "y1", q, "y2"), (p, "y2", q, "y1"),
-              (q, "y1", p, "y2"), (q, "y2", p, "y1")]),
-        (nn, [("y1", p, q, "y2"), ("y2", q, p, "y1"), (p, "y1", "y2", q),
-              (q, "y2", "y1", p)]),
-        (j5, [("y1", q, "y1", q), (q, "y1", q, "y1")]),
-        (j6, [("y1", q, "y2", q), ("y2", q, "y1", q), (q, "y1", q, "y2"),
-              (q, "y2", q, "y1")]),
-        (j7, [("y2", p, "y2", p), (p, "y2", p, "y2")]),
-        (j8, [("y2", p, "y2", q), ("y2", q, "y2", p), (p, "y2", q, "y2"),
-              (q, "y2", p, "y2")]),
-        (j9, [("y2", q, "y2", q), (q, "y2", q, "y2")]),
-        (t2, [(p, p, p, q), (p, p, q, p), (p, q, p, p), (q, p, p, p)]),
-        (u2, [(p, q, q, q), (q, p, q, q), (q, q, p, q), (q, q, q, p)]),
+        (-1.0, [("z", "y1", "y1", "y2"), ("z", "y1", "y2", "y1"), ("z", "y2", "y1", "y2"),
+                ("z", p, "z", p), ("z", p, "y1", q), ("z", p, "y2", q), ("z", q, "z", q)]),
+        (hh, [("y1", "y1", "y2", "y2"), ("y1", "y1", p, q), ("y1", p, p, "y2")]),
+        (ph, [("y1", "y1", p, p), ("y1", "y1", q, q), ("y2", "y2", p, p),
+              ("y2", "y2", p, q), ("y2", "y2", q, q)]),
+        (sw, [("y1", "y2", "y1", "y2")]),
+        (lt, [("y1", "y2", p, q)]),
+        (nb, [("y1", "y2", q, p)]),
+        (nf, [("y1", "y2", q, q)]),
+        (j1, [("y1", p, "y1", p)]),
+        (j2, [("y1", p, "y1", q)]),
+        (j3, [("y1", p, "y2", p)]),
+        (j4, [("y1", p, "y2", q)]),
+        (j5, [("y1", q, "y1", q)]),
+        (j6, [("y1", q, "y2", q)]),
+        (j7, [("y2", p, "y2", p)]),
+        (j8, [("y2", p, "y2", q)]),
+        (j9, [("y2", q, "y2", q)]),
+        (t2, [(p, p, p, q)]),
+        (u2, [(p, q, q, q)]),
         (v3, [("y1", "y1", "y1", "y1"), ("y2", "y2", "y2", "y2")]),
         (w3, [(p, p, p, p), (q, q, q, q)]),
-        (x3, [(p, p, q, q), (q, q, p, p)]),
-        (y3, [(p, q, p, q), (q, p, q, p)]),
-        (z3, [(p, q, q, p), (q, p, p, q)]),
+        (x3, [(p, p, q, q)]),
+        (y3, [(p, q, p, q)]),
     ]
-
-    f_table = {}
-    for value, keys in groups:
-        mat = np.atleast_2d(np.asarray(value, dtype=complex)).T.copy()
-        for key in keys:
-            f_table[key] = mat
+    f_table = _symmetric_closure({key: np.atleast_2d(np.asarray(value, dtype=complex)).T
+                                  for value, keys in groups for key in keys})
 
     pi = math.pi
     r_table = {
@@ -444,52 +425,45 @@ def _block(cat, cache, a, b, c, d):
 
 def _pentagon(cat):
     """Max residual of sum_s F[abc;v]_{us} F[asd;e]_{vt} F[bcd;t]_{sr}
-    = F[ucd;e]_{vr} F[abr;e]_{ut} over all admissible instances."""
+    = F[ucd;e]_{vr} F[abr;e]_{ut} over all admissible instances.
+
+    The loop ranges make every other index admissible; only ``e in u x r``,
+    ``e in a x t`` and, per term of the sum, ``v in a x s`` and
+    ``t in s x d`` can fail.
+    """
     cache = {}
+    fusion = cat.fusion
+
+    def entry(a, b, c, d, row, col):
+        rows, cols, mat = _block(cat, cache, a, b, c, d)
+        if mat is None:
+            raise MissingDataError(cat.name)
+        return mat[rows[row], cols[col]]
+
     worst = 0.0
     checked = skipped = 0
-    labels = cat.labels
-    for a in labels:
-        for b in labels:
-            for c in labels:
-                for d in labels:
-                    for u in cat.fuse(a, b):
-                        for v in cat.fuse(u, c):
-                            for e in cat.fuse(v, d):
-                                rs = [r for r in cat.fuse(c, d) if e in cat.fuse(u, r)]
-                                for r in rs:
-                                    for t in cat.fuse(b, r):
-                                        if e not in cat.fuse(a, t):
-                                            continue
-                                        try:
-                                            lhs = 0.0
-                                            r1, c1, m1 = _block(cat, cache, a, b, c, v)
-                                            for s in cat.fuse(b, c):
-                                                if u not in r1 or s not in c1:
-                                                    continue
-                                                r2, c2, m2 = _block(cat, cache, a, s, d, e)
-                                                if v not in r2 or t not in c2:
-                                                    continue
-                                                r3, c3, m3 = _block(cat, cache, b, c, d, t)
-                                                if s not in r3 or r not in c3:
-                                                    continue
-                                                if m1 is None or m2 is None or m3 is None:
-                                                    raise MissingDataError(cat.name)
-                                                lhs += (m1[r1[u], c1[s]]
-                                                        * m2[r2[v], c2[t]]
-                                                        * m3[r3[s], c3[r]])
-                                            r4, c4, m4 = _block(cat, cache, u, c, d, e)
-                                            r5, c5, m5 = _block(cat, cache, a, b, r, e)
-                                            rhs = 0.0
-                                            if v in r4 and r in c4 and u in r5 and t in c5:
-                                                if m4 is None or m5 is None:
-                                                    raise MissingDataError(cat.name)
-                                                rhs = m4[r4[v], c4[r]] * m5[r5[u], c5[t]]
-                                        except MissingDataError:
-                                            skipped += 1
-                                            continue
-                                        checked += 1
-                                        worst = max(worst, abs(lhs - rhs))
+    for a, b, c, d in itertools.product(cat.labels, repeat=4):
+        for u in fusion[a, b]:
+            for v in fusion[u, c]:
+                for e in fusion[v, d]:
+                    for r in fusion[c, d]:
+                        if e not in fusion[u, r]:
+                            continue
+                        for t in fusion[b, r]:
+                            if e not in fusion[a, t]:
+                                continue
+                            try:
+                                lhs = 0.0
+                                for s in fusion[b, c]:
+                                    if v in fusion[a, s] and t in fusion[s, d]:
+                                        lhs += (entry(a, b, c, v, u, s) * entry(a, s, d, e, v, t)
+                                                * entry(b, c, d, t, s, r))
+                                rhs = entry(u, c, d, e, v, r) * entry(a, b, r, e, u, t)
+                            except MissingDataError:
+                                skipped += 1
+                                continue
+                            checked += 1
+                            worst = max(worst, abs(lhs - rhs))
     return worst, checked, skipped
 
 
@@ -499,34 +473,27 @@ def _hexagon(cat):
     cache = {}
     worst = {False: 0.0, True: 0.0}
     checked = skipped = 0
-    labels = cat.labels
-    for a in labels:
-        for b in labels:
-            for c in labels:
-                ns = cat._sorted(cat.fuse(a, b))
-                for d in cat._sorted({x for n in ns for x in cat.fuse(n, c)}):
-                    n_set = [n for n in ns if d in cat.fuse(n, c)]
-                    if not n_set:
-                        continue
-                    try:
-                        r1, c1, f1 = _block(cat, cache, a, b, c, d)
-                        r2, c2, f2 = _block(cat, cache, a, c, b, d)
-                        r3, c3, f3 = _block(cat, cache, c, a, b, d)
-                        if f1 is None or f2 is None or f3 is None:
-                            raise MissingDataError(cat.name)
-                        rbc = np.array([cat.r(b, c, m) for m in c1], dtype=complex)
-                        rac = np.array([cat.r(a, c, kk) for kk in r2], dtype=complex)
-                        rnc = np.array([cat.r(n, c, d) for n in r1], dtype=complex)
-                    except MissingDataError:
-                        skipped += 1
-                        continue
-                    checked += 1
-                    f2inv = f2.conj().T
-                    for invert in (False, True):
-                        rb, ra, rn = (rbc.conj(), rac.conj(), rnc.conj()) if invert else (rbc, rac, rnc)
-                        lhs = (f1 * rb) @ (f2inv * ra) @ f3
-                        res = abs(lhs - np.diag(rn)).max()
-                        worst[invert] = max(worst[invert], res)
+    for a, b, c in itertools.product(cat.labels, repeat=3):
+        for d in cat._sorted({x for n in cat.fuse(a, b) for x in cat.fuse(n, c)}):
+            try:
+                r1, c1, f1 = _block(cat, cache, a, b, c, d)
+                r2, c2, f2 = _block(cat, cache, a, c, b, d)
+                r3, c3, f3 = _block(cat, cache, c, a, b, d)
+                if f1 is None or f2 is None or f3 is None:
+                    raise MissingDataError(cat.name)
+                rbc = np.array([cat.r(b, c, m) for m in c1], dtype=complex)
+                rac = np.array([cat.r(a, c, kk) for kk in r2], dtype=complex)
+                rnc = np.array([cat.r(n, c, d) for n in r1], dtype=complex)
+            except MissingDataError:
+                skipped += 1
+                continue
+            checked += 1
+            f2inv = f2.conj().T
+            for invert in (False, True):
+                rb, ra, rn = (rbc.conj(), rac.conj(), rnc.conj()) if invert else (rbc, rac, rnc)
+                lhs = (f1 * rb) @ (f2inv * ra) @ f3
+                res = abs(lhs - np.diag(rn)).max()
+                worst[invert] = max(worst[invert], res)
     return worst[False], worst[True], checked, skipped
 
 
@@ -605,8 +572,12 @@ def parse_category(text, name="parsed"):
     """Parse the category file format; inverse of :func:`serialize_category`.
 
     Raises :class:`CategoryFileError` (with the line number) on malformed
-    lines, non-finite numbers, unknown labels, or inadmissible fusion
-    references.
+    lines, non-finite numbers, unknown labels, inadmissible fusion
+    references, a repeated ``label``, ``fuse``, ``F`` or ``R`` entry, a
+    ``fuse b a`` line that contradicts ``fuse a b``, and a ``label`` or
+    ``fuse`` line after the first ``F`` or ``R`` line.  Errors of the
+    whole file (no label, a missing fusion rule, a first label that is not
+    the unit, an incomplete F-block) carry line 0.
     """
     labels, qdim, rules = [], {}, {}
     f_entries, r_entries = {}, {}
@@ -630,9 +601,13 @@ def parse_category(text, name="parsed"):
             continue
         parts = line.split()
         kind = parts[0]
+        if kind in ("label", "fuse") and partial is not None:
+            fail(lineno, f"{kind} line after the first F or R line")
         if kind == "label":
             if len(parts) != 4 or parts[2] != "qdim":
                 fail(lineno, f"bad label line: {raw!r}")
+            if parts[1] in qdim:
+                fail(lineno, f"repeated label {parts[1]!r}")
             labels.append(parts[1])
             qdim[parts[1]] = number(lineno, parts[3], "qdim")
         elif kind == "fuse":
@@ -642,7 +617,12 @@ def parse_category(text, name="parsed"):
             for lab in (a, b, *cs):
                 if lab not in qdim:
                     fail(lineno, f"unknown label {lab!r}")
-            rules[(a, b)] = frozenset(cs)
+            out = frozenset(cs)
+            if (a, b) in rules:
+                fail(lineno, f"repeated fuse line for ({a},{b})")
+            if rules.get((b, a), out) != out:
+                fail(lineno, f"fuse {a} {b} contradicts fuse {b} {a}")
+            rules[(a, b)] = out
         elif kind == "F":
             if len(parts) != 11 or parts[5] != ":" or parts[8] != "=":
                 fail(lineno, f"bad F line: {raw!r}")
@@ -656,7 +636,10 @@ def parse_category(text, name="parsed"):
                 fail(lineno, f"inadmissible F{key}")
             if n not in partial.f_rows(*key) or m not in partial.f_cols(*key):
                 fail(lineno, f"index ({n},{m}) not admissible for F{key}")
-            f_entries.setdefault(key, {})[(n, m)] = complex(
+            block = f_entries.setdefault(key, {})
+            if (n, m) in block:
+                fail(lineno, f"repeated entry ({n},{m}) of F{key}")
+            block[(n, m)] = complex(
                 number(lineno, parts[9], "F"), number(lineno, parts[10], "F"))
         elif kind == "R":
             if len(parts) != 7 or parts[4] != "=":
@@ -669,6 +652,8 @@ def parse_category(text, name="parsed"):
                 partial = _partial_category(name, labels, qdim, rules)
             if c not in partial.fuse(a, b):
                 fail(lineno, f"inadmissible R[{a},{b};{c}]")
+            if (a, b, c) in r_entries:
+                fail(lineno, f"repeated R[{a},{b};{c}]")
             r_entries[(a, b, c)] = complex(number(lineno, parts[5], "R"),
                                            number(lineno, parts[6], "R"))
         else:
@@ -690,10 +675,14 @@ def parse_category(text, name="parsed"):
 
 
 def _partial_category(name, labels, qdim, rules):
+    if not labels:
+        raise CategoryFileError(0, "no label line")
     try:
         fusion = _symmetrized_fusion(tuple(labels), rules)
     except ValueError as exc:
         raise CategoryFileError(0, str(exc)) from None
+    if any(fusion[labels[0], x] != {x} for x in labels):
+        raise CategoryFileError(0, f"first label {labels[0]!r} is not the unit")
     return Category(name, tuple(labels), dict(qdim), fusion, {}, {})
 
 

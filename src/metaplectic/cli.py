@@ -40,11 +40,11 @@ EXIT_MISSING_DATA = 2
 EXIT_USAGE = 64
 EXIT_IO = 66
 
-# 1-qudit models: (category, leaf, total, qudit dimension)
+# 1-qudit models: (category, leaf, total)
 MODELS = {
-    "su2_4-qutrit": ("su2_4", "1", "2", 3),
-    "su2_4-qubit": ("su2_4", "1", "0", 2),
-    "so5_2-qupit": ("so5_2", "eps", "y1", 5),
+    "su2_4-qutrit": ("su2_4", "1", "2"),
+    "su2_4-qubit": ("su2_4", "1", "0"),
+    "so5_2-qupit": ("so5_2", "eps", "y1"),
 }
 
 
@@ -94,7 +94,7 @@ def _load_category(name_or_none, path_or_none):
 
 
 def _model_rep(model):
-    cat_name, leaf, total, _ = MODELS[model]
+    cat_name, leaf, total = MODELS[model]
     cat = builtin_category(cat_name)
     return cat, pair_tree_generators(cat, leaf, total)
 

@@ -163,17 +163,21 @@ def parse_gate(text):
 # up-to-phase comparison
 
 
+def _anchor(m):
+    """Index of the entry that fixes a phase: the max-modulus entry of m,
+    smallest (row, col) among ties within 1e-9."""
+    mags = np.abs(m)
+    return next(zip(*np.nonzero(mags >= mags.max() - 1e-9)))
+
+
 def phase_distance(u, v):
     """(residual, theta): the max-entry deviation of u from theta*v, with
-    theta the unit phase read off the max-modulus entry of v (smallest
-    (row, col) among ties within 1e-9)."""
+    theta the unit phase read off the :func:`_anchor` entry of v."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    mags = np.abs(v)
-    top = mags.max()
-    idx = next(zip(*np.nonzero(mags >= top - 1e-9)))
+    idx = _anchor(v)
     theta = u[idx] / v[idx]
     if abs(theta) > 1e-30:
         theta /= abs(theta)

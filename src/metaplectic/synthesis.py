@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import equal_up_to_phase, phase_distance
+from .gates import _anchor, equal_up_to_phase, phase_distance
 from .triples import _dense
 
 __all__ = [
@@ -210,12 +210,9 @@ def verify_identity(rep, word, target, subspace=None, tol=1e-8):
 
 
 def phase_canonical(u):
-    """Rotate the global phase so the max-modulus entry with smallest
-    (row, col) becomes positive real; fixed point of phase multiplication."""
-    mags = np.abs(u)
-    top = mags.max()
-    idx = next(zip(*np.nonzero(mags >= top - 1e-9)))
-    entry = u[idx]
+    """Rotate the global phase so the :func:`gates._anchor` entry becomes
+    positive real; fixed point of phase multiplication."""
+    entry = u[_anchor(u)]
     return u * (abs(entry) / entry)
 
 

@@ -148,16 +148,13 @@ _GOLDEN = {
 }
 
 
-def enumerate_basis(cat, shape, total=None):
+def enumerate_basis(cat, shape):
     """All admissible labelings of ``shape`` (empty basis allowed).
 
     States are sorted lexicographically in the category's label order,
     except for the registered computational bases, whose printed order and
     signs are kept.
     """
-    if total is not None and cat.resolve(total) != shape.total:
-        shape = TreeShape(shape.structure, shape.leaves, cat.resolve(total))
-
     def rec(structure, charge):
         # labelings of the subtree, each including the subtree root charge first
         if isinstance(structure, int):

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from metaplectic.categories import (BUILTIN_CATEGORIES, CategoryFileError,
-                                    InadmissibleError, MissingDataError, _su2_k,
+from metaplectic import categories
+from metaplectic.categories import (BUILTIN_CATEGORIES, Category, CategoryFileError,
+                                    InadmissibleError, MissingDataError, _block,
+                                    _pentagon, _su2_k, _symmetric_closure,
                                     builtin_category, categories_equal,
                                     check_consistency, parse_category,
                                     serialize_category)
@@ -315,3 +317,307 @@ def test_aliases_resolve(su24, so52):
     assert so52.resolve("y_1") == "y1"
     with pytest.raises(Exception):
         su24.resolve("nope")
+
+
+def _typed_so5_2_table():
+    """The so5_2 F-table typed block by block, all 156 keys, as
+    ``_build_so5_2`` held it before it was typed once per symmetry orbit.
+    Blocks of one group share one array; each is the transpose of the
+    typed rows, stored C-contiguous."""
+    s5 = math.sqrt(5)
+    h = math.sqrt(10 - 2 * s5)
+    k = math.sqrt(10 + 2 * s5)
+    s2 = math.sqrt(2)
+    gp = (s5 + 1) / 2
+    gm = (s5 - 1) / 2
+
+    hh = [[1 / s2, -1 / s2], [1 / s2, 1 / s2]]
+    ph = [[1 / s2, 1 / s2], [1 / s2, -1 / s2]]
+    sw = [[0.0, 1.0], [1.0, 0.0]]
+    rt = [[1 / s2, 1 / s2], [-1 / s2, 1 / s2]]
+    lt = [[-1 / s2, 1 / s2], [1 / s2, 1 / s2]]
+    nb = [[-1 / s2, -1 / s2], [1 / s2, -1 / s2]]
+    nf = [[1 / s2, -1 / s2], [-1 / s2, -1 / s2]]
+    nn = [[-1 / s2, 1 / s2], [-1 / s2, -1 / s2]]
+    j1 = [[-s5 * k * k / 40, h / 4], [h / 4, s5 * k * k / 40]]
+    j2 = [[h / 4, s5 * k * k / 40], [s5 * k * k / 40, -h / 4]]
+    j3 = [[s5 * h * h / 40, k / 4], [k / 4, -s5 * h * h / 40]]
+    j4 = [[k / 4, -s5 * h * h / 40], [-s5 * h * h / 40, -s5 * h * k * k / 80]]
+    j5 = [[s5 * k * k / 40, -h / 4], [-h / 4, -s5 * k * k / 40]]
+    j6 = [[-s5 * h * h / 40, -s5 * h * k * k / 80], [-s5 * h * k * k / 80, s5 * h * h / 40]]
+    j7 = [[-s5 * k * k / 40, -h / 4], [-h / 4, s5 * k * k / 40]]
+    j8 = [[-h / 4, s5 * k * k / 40], [s5 * k * k / 40, h / 4]]
+    j9 = [[s5 * k * k / 40, h / 4], [h / 4, -s5 * k * k / 40]]
+    t2 = [[s5 * h / 10, s5 * k / 10], [s5 * k / 10, -s5 * h / 10]]
+    u2 = [[-s5 * h / 10, -h * k * k / 40], [-h * k * k / 40, s5 * h / 10]]
+    v3 = [[0.5, 0.5, 1 / s2], [0.5, 0.5, -1 / s2], [1 / s2, -1 / s2, 0.0]]
+    w3 = [[1 / s5, s2 / s5, s2 / s5],
+          [s2 / s5, -gp / s5, gm / s5],
+          [s2 / s5, gm / s5, -gp / s5]]
+    x3 = [[1 / s5, -s2 / s5, -s2 / s5],
+          [s2 / s5, gp / s5, -gm / s5],
+          [s2 / s5, -gm / s5, gp / s5]]
+    y3 = [[-1 / s5, s2 / s5, s2 / s5],
+          [s2 / s5, gp / s5, -gm / s5],
+          [s2 / s5, -gm / s5, gp / s5]]
+    z3 = [[1 / s5, s2 / s5, s2 / s5],
+          [-s2 / s5, gp / s5, -gm / s5],
+          [-s2 / s5, -gm / s5, gp / s5]]
+
+    p, q = "eps", "eps'"
+    groups = [
+        (-1.0, [("z", "y1", "y1", "y2"), ("z", "y1", "y2", "y1"),
+                ("z", "y2", "y1", "y1"), ("z", "y2", "y1", "y2"),
+                ("z", p, "z", p), ("z", p, "y1", q), ("z", p, "y2", q),
+                ("z", q, "z", q), ("z", q, "y1", p), ("z", q, "y2", p),
+                ("y1", "z", "y1", "y2"), ("y1", "z", "y2", "y1"),
+                ("y1", "y1", "z", "y2"), ("y1", "y1", "y2", "z"),
+                ("y1", "y2", "z", "y1"), ("y1", "y2", "z", "y2"),
+                ("y1", "y2", "y1", "z"), ("y1", p, "z", q), ("y1", q, "z", p),
+                ("y2", "z", "y1", "y1"), ("y2", "z", "y2", "y1"),
+                ("y2", "y1", "z", "y1"), ("y2", "y1", "y1", "z"),
+                ("y2", "y1", "y2", "z"), ("y2", p, "z", q), ("y2", q, "z", p),
+                (p, "z", p, "z"), (p, "z", q, "y1"), (p, "z", q, "y2"),
+                (p, "y1", q, "z"), (p, "y2", q, "z"),
+                (q, "z", p, "y1"), (q, "z", p, "y2"), (q, "z", q, "z"),
+                (q, "y1", p, "z"), (q, "y2", p, "z")]),
+        (hh, [("y1", "y1", "y2", "y2"), ("y1", "y1", p, q), ("y1", "y1", q, p),
+              ("y1", p, p, "y2"), ("y2", "y2", "y1", "y1"), ("y2", p, p, "y1"),
+              (p, "y1", "y2", p), (p, "y2", "y1", p), (p, q, "y1", "y1"),
+              (q, p, "y1", "y1")]),
+        (ph, [("y1", "y1", p, p), ("y1", "y1", q, q), ("y1", p, p, "y1"),
+              ("y1", q, q, "y1"), ("y2", "y2", p, p), ("y2", "y2", p, q),
+              ("y2", "y2", q, p), ("y2", "y2", q, q), ("y2", p, p, "y2"),
+              ("y2", p, q, "y2"), ("y2", q, p, "y2"), ("y2", q, q, "y2"),
+              (p, "y1", "y1", p), (p, "y2", "y2", p), (p, "y2", "y2", q),
+              (p, p, "y1", "y1"), (p, p, "y2", "y2"), (p, q, "y2", "y2"),
+              (q, "y1", "y1", q), (q, "y2", "y2", p), (q, "y2", "y2", q),
+              (q, p, "y2", "y2"), (q, q, "y1", "y1"), (q, q, "y2", "y2")]),
+        (sw, [("y1", "y2", "y1", "y2"), ("y2", "y1", "y2", "y1")]),
+        (rt, [("y1", "y2", "y2", "y1"), ("y1", "y2", p, p), ("y1", p, q, "y1"),
+              ("y1", q, p, "y1"), ("y2", "y1", "y1", "y2"), ("y2", "y1", p, p),
+              (p, "y1", "y1", q), (p, p, "y1", "y2"), (p, p, "y2", "y1"),
+              (q, "y1", "y1", p)]),
+        (lt, [("y1", "y2", p, q), ("y1", q, p, "y2"), ("y2", "y1", q, p),
+              ("y2", p, q, "y1"), (p, "y2", "y1", q), (p, q, "y1", "y2"),
+              (q, "y1", "y2", p), (q, p, "y2", "y1")]),
+        (nb, [("y1", "y2", q, p), ("y2", "y1", p, q), (p, q, "y2", "y1"),
+              (q, p, "y1", "y2")]),
+        (nf, [("y1", "y2", q, q), ("y1", q, q, "y2"), ("y2", "y1", q, q),
+              ("y2", q, q, "y1"), (q, "y1", "y2", q), (q, "y2", "y1", q),
+              (q, q, "y1", "y2"), (q, q, "y2", "y1")]),
+        (j1, [("y1", p, "y1", p), (p, "y1", p, "y1")]),
+        (j2, [("y1", p, "y1", q), ("y1", q, "y1", p), (p, "y1", q, "y1"),
+              (q, "y1", p, "y1")]),
+        (j3, [("y1", p, "y2", p), ("y2", p, "y1", p), (p, "y1", p, "y2"),
+              (p, "y2", p, "y1")]),
+        (j4, [("y1", p, "y2", q), ("y1", q, "y2", p), ("y2", p, "y1", q),
+              ("y2", q, "y1", p), (p, "y1", q, "y2"), (p, "y2", q, "y1"),
+              (q, "y1", p, "y2"), (q, "y2", p, "y1")]),
+        (nn, [("y1", p, q, "y2"), ("y2", q, p, "y1"), (p, "y1", "y2", q),
+              (q, "y2", "y1", p)]),
+        (j5, [("y1", q, "y1", q), (q, "y1", q, "y1")]),
+        (j6, [("y1", q, "y2", q), ("y2", q, "y1", q), (q, "y1", q, "y2"),
+              (q, "y2", q, "y1")]),
+        (j7, [("y2", p, "y2", p), (p, "y2", p, "y2")]),
+        (j8, [("y2", p, "y2", q), ("y2", q, "y2", p), (p, "y2", q, "y2"),
+              (q, "y2", p, "y2")]),
+        (j9, [("y2", q, "y2", q), (q, "y2", q, "y2")]),
+        (t2, [(p, p, p, q), (p, p, q, p), (p, q, p, p), (q, p, p, p)]),
+        (u2, [(p, q, q, q), (q, p, q, q), (q, q, p, q), (q, q, q, p)]),
+        (v3, [("y1", "y1", "y1", "y1"), ("y2", "y2", "y2", "y2")]),
+        (w3, [(p, p, p, p), (q, q, q, q)]),
+        (x3, [(p, p, q, q), (q, q, p, p)]),
+        (y3, [(p, q, p, q), (q, p, q, p)]),
+        (z3, [(p, q, q, p), (q, p, p, q)]),
+    ]
+
+    f_table = {}
+    for value, keys in groups:
+        mat = np.atleast_2d(np.asarray(value, dtype=complex)).T.copy()
+        for key in keys:
+            f_table[key] = mat
+    return f_table
+
+
+
+def test_so52_orbit_table_matches_typed_table(monkeypatch):
+    typed = _typed_so5_2_table()
+    reps = []
+    closure = categories._symmetric_closure
+    monkeypatch.setattr(categories, "_symmetric_closure",
+                        lambda given: reps.append(len(given)) or closure(given))
+    table = categories._build_so5_2().f_table
+    assert reps == [36] and len(typed) == 156 and set(table) == set(typed)
+    for key, mat in typed.items():
+        assert table[key].shape == mat.shape, key
+        assert table[key].tobytes() == mat.tobytes(), key
+        assert table[key].flags.c_contiguous, key
+
+
+def _d4_images(key, mat):
+    """The four identities of ``_symmetric_closure`` applied to one block."""
+    a, b, c, d = key
+    return [((c, b, a, d), mat.T), ((d, c, b, a), mat), ((b, a, d, c), mat), ((c, d, a, b), mat)]
+
+
+def test_su24_satisfies_the_orbit_identities(su24):
+    compared = 0
+    for key, mat in su24.f_table.items():
+        for image, expected in _d4_images(key, mat):
+            if image in su24.f_table:
+                compared += 1
+                assert abs(su24.f_table[image] - expected).max() < 1e-14, (key, image)
+    assert compared == 470
+
+
+def test_symmetric_closure_rejects_disagreeing_representatives():
+    block = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
+    table = _symmetric_closure({("a", "b", "c", "d"): block, ("b", "c", "d", "a"): block.T})
+    assert len(table) == 8
+    assert np.array_equal(table[("c", "b", "a", "d")], block.T)
+    with pytest.raises(AssertionError):  # F[b,a,d;c] must equal F[a,b,c;d]
+        _symmetric_closure({("a", "b", "c", "d"): block, ("b", "a", "d", "c"): block + 1})
+    with pytest.raises(AssertionError):  # F[a,b,a;d] is its own transpose
+        _symmetric_closure({("a", "b", "a", "d"): block})
+
+
+def test_consistency_counts_are_pinned(su24, so52):
+    reports = [check_consistency(cat) for cat in (su24, so52)]
+    assert [(r.pentagon_checked, r.pentagon_skipped, r.hexagon_checked, r.hexagon_skipped)
+            for r in reports] == [(3307, 0, 225, 0), (7918, 6740, 75, 397)]
+
+
+def reference_pentagon(cat):
+    """The pentagon loop that tests all twelve admissibility conditions,
+    kept as the reference that ``categories._pentagon`` must match bit for bit."""
+    cache = {}
+    worst = 0.0
+    checked = skipped = 0
+    labels = cat.labels
+    for a in labels:
+        for b in labels:
+            for c in labels:
+                for d in labels:
+                    for u in cat.fuse(a, b):
+                        for v in cat.fuse(u, c):
+                            for e in cat.fuse(v, d):
+                                rs = [r for r in cat.fuse(c, d) if e in cat.fuse(u, r)]
+                                for r in rs:
+                                    for t in cat.fuse(b, r):
+                                        if e not in cat.fuse(a, t):
+                                            continue
+                                        try:
+                                            lhs = 0.0
+                                            r1, c1, m1 = _block(cat, cache, a, b, c, v)
+                                            for s in cat.fuse(b, c):
+                                                if u not in r1 or s not in c1:
+                                                    continue
+                                                r2, c2, m2 = _block(cat, cache, a, s, d, e)
+                                                if v not in r2 or t not in c2:
+                                                    continue
+                                                r3, c3, m3 = _block(cat, cache, b, c, d, t)
+                                                if s not in r3 or r not in c3:
+                                                    continue
+                                                if m1 is None or m2 is None or m3 is None:
+                                                    raise MissingDataError(cat.name)
+                                                lhs += (m1[r1[u], c1[s]]
+                                                        * m2[r2[v], c2[t]]
+                                                        * m3[r3[s], c3[r]])
+                                            r4, c4, m4 = _block(cat, cache, u, c, d, e)
+                                            r5, c5, m5 = _block(cat, cache, a, b, r, e)
+                                            rhs = 0.0
+                                            if v in r4 and r in c4 and u in r5 and t in c5:
+                                                if m4 is None or m5 is None:
+                                                    raise MissingDataError(cat.name)
+                                                rhs = m4[r4[v], c4[r]] * m5[r5[u], c5[t]]
+                                        except MissingDataError:
+                                            skipped += 1
+                                            continue
+                                        checked += 1
+                                        worst = max(worst, abs(lhs - rhs))
+    return worst, checked, skipped
+
+
+def _pentagon_cases():
+    su24, so52 = builtin_category("su2_4"), builtin_category("so5_2")
+    cases = [_su2_k(k) for k in range(1, 7)] + [su24, so52]
+    fewer = dict(so52.f_table)
+    del fewer[("y1", "y1", "y2", "y2")]
+    cases.append(Category("so5_2-less", so52.labels, so52.qdim, so52.fusion, fewer,
+                          so52.r_table))
+    shifted = dict(su24.f_table)
+    shifted[("1", "2", "1", "2")] = shifted[("1", "2", "1", "2")].copy()
+    shifted[("1", "2", "1", "2")][0, 1] += 0.1
+    cases.append(Category("su2_4-shifted", su24.labels, su24.qdim, su24.fusion, shifted,
+                          su24.r_table))
+    return cases
+
+
+def test_pentagon_matches_reference():
+    results = {}
+    for cat in _pentagon_cases():
+        worst, checked, skipped = results[cat.name] = _pentagon(cat)
+        ref_worst, ref_checked, ref_skipped = reference_pentagon(cat)
+        assert (checked, skipped) == (ref_checked, ref_skipped), cat.name
+        assert float(worst).hex() == float(ref_worst).hex(), cat.name
+        assert checked > 0
+    assert results["so5_2-less"][2] > results["so5_2"][2]
+    assert results["su2_4-shifted"][0] > 1e-3
+
+
+def _su24_lines():
+    return serialize_category(builtin_category("su2_4")).splitlines()
+
+
+def _first(lines, prefix):
+    return next(i for i, line in enumerate(lines) if line.startswith(prefix))
+
+
+@pytest.mark.parametrize("prefix, message", [
+    ("label 1 ", "repeated label '1'"),
+    ("fuse 1 2 ", "repeated fuse line for (1,2)"),
+    ("F 1 2 2 3 : 3 4 ", "repeated entry (3,4) of F('1', '2', '2', '3')"),
+    ("R 1 1 0 ", "repeated R[1,1;0]"),
+])
+def test_parse_rejects_repeated_lines(prefix, message):
+    lines = _su24_lines()
+    index = _first(lines, prefix)
+    lines.insert(index + 1, lines[index])
+    with pytest.raises(CategoryFileError) as err:
+        parse_category("\n".join(lines))
+    assert str(err.value) == f"line {index + 2}: {message}"
+
+
+def test_parse_rejects_contradicting_fuse_lines():
+    lines = _su24_lines()
+    index = _first(lines, "fuse 2 1 ")
+    lines[index] = "fuse 2 1 -> 1"
+    with pytest.raises(CategoryFileError) as err:
+        parse_category("\n".join(lines))
+    assert str(err.value) == f"line {index + 1}: fuse 2 1 contradicts fuse 1 2"
+
+
+def test_parse_rejects_label_and_fuse_lines_after_the_data():
+    lines = _su24_lines()
+    for extra in ("label 5 qdim 1", "fuse 5 5 -> 0"):
+        with pytest.raises(CategoryFileError) as err:
+            parse_category("\n".join(lines + [extra]))
+        kind = extra.split()[0]
+        assert str(err.value) == f"line {len(lines) + 1}: {kind} line after the first F or R line"
+
+
+def test_parse_rejects_a_first_label_that_is_not_the_unit():
+    lines = _su24_lines()
+    first = _first(lines, "label ")
+    lines[first], lines[first + 1] = lines[first + 1], lines[first]
+    with pytest.raises(CategoryFileError) as err:
+        parse_category("\n".join(lines))
+    assert str(err.value) == "line 0: first label '1' is not the unit"
+
+
+def test_parse_rejects_a_file_without_labels():
+    for text in ("", "# category: nothing\n\n"):
+        with pytest.raises(CategoryFileError) as err:
+            parse_category(text)
+        assert str(err.value) == "line 0: no label line"

@@ -154,6 +154,14 @@ def test_malformed_category_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_category_file_without_labels(tmp_path, capsys):
+    empty = tmp_path / "empty.cat"
+    empty.write_text("# category: nothing\n")
+    assert main(["category", "check", "--file", str(empty)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert "no label line" in captured.err and "pass=" not in captured.out
+
+
 def test_non_finite_category_file(tmp_path, capsys):
     out = tmp_path / "su2_4.cat"
     assert main(["category", "dump", "su2_4", "--out", str(out)]) == EXIT_OK

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaplectic.gates import (GateSpec, cz_gate, equal_up_to_phase, flip_gate,
+from metaplectic.gates import (GateSpec, _anchor, cz_gate, equal_up_to_phase, flip_gate,
                                hadamard, make_gate, mult_gate, omega, p_gate,
                                parse_gate, phase_distance, q_gate,
                                relative_phase_gate, sum_gate, x_gate, z_gate)
+from metaplectic.synthesis import phase_canonical
 
 
 def test_hadamard_on_zero():
@@ -131,6 +132,17 @@ def test_equal_up_to_phase_rejects_nonproportional():
     h = hadamard(3)
     ok, _ = equal_up_to_phase(h, h @ np.diag([1, 1, -1]), tol=1e-6)
     assert not ok
+
+
+def test_one_anchor_rule_fixes_both_phases():
+    # (0,1) is within 1e-9 of the largest modulus and precedes (1,0)
+    m = np.array([[0.5j, (1 - 5e-10) * 1j], [-1.0, 0.2]])
+    assert _anchor(m) == (0, 1)
+    canon = phase_canonical(m)
+    assert canon[0, 1].imag == 0 and canon[0, 1].real > 0
+    gamma = cmath.exp(0.3j)
+    residual, theta = phase_distance(gamma * m, m)
+    assert residual < 1e-15 and abs(theta - gamma) < 1e-15
 
 
 def test_phase_distance_dimension_mismatch():
