@@ -105,7 +105,8 @@ class Category:
     stored entries, which may involve the unit: su2_4 stores its 22
     F-blocks of unit total charge and its 9 R-symbols with a unit anyon.
     An F-block with the unit among ``a, b, c`` or an R-symbol with a unit
-    anyon need not be stored; lookups synthesize it as (1) or 1.
+    anyon need not be stored; lookups synthesize it as (1) or 1, and
+    :func:`parse_category` accepts it in a file only with that value.
     """
 
     name: str
@@ -574,8 +575,11 @@ def parse_category(text, name="parsed"):
     Raises :class:`CategoryFileError` (with the line number) on malformed
     lines, non-finite numbers, unknown labels, inadmissible fusion
     references, a repeated ``label``, ``fuse``, ``F`` or ``R`` entry, a
-    ``fuse b a`` line that contradicts ``fuse a b``, and a ``label`` or
-    ``fuse`` line after the first ``F`` or ``R`` line.  Errors of the
+    ``fuse b a`` line that contradicts ``fuse a b``, a ``label`` or
+    ``fuse`` line after the first ``F`` or ``R`` line, and an F entry with
+    the unit among ``a, b, c`` or an R line with a unit anyon whose value
+    is not exactly the convention's 1 (lookups synthesize those, so any
+    other value would be silently ignored).  Errors of the
     whole file (no label, a missing fusion rule, a first label that is not
     the unit, an incomplete F-block) carry line 0.
     """
@@ -641,6 +645,8 @@ def parse_category(text, name="parsed"):
                 fail(lineno, f"repeated entry ({n},{m}) of F{key}")
             block[(n, m)] = complex(
                 number(lineno, parts[9], "F"), number(lineno, parts[10], "F"))
+            if partial.unit in key[:3] and block[(n, m)] != 1:
+                fail(lineno, f"F{key} has the unit among a, b, c and must be (1)")
         elif kind == "R":
             if len(parts) != 7 or parts[4] != "=":
                 fail(lineno, f"bad R line: {raw!r}")
@@ -656,6 +662,8 @@ def parse_category(text, name="parsed"):
                 fail(lineno, f"repeated R[{a},{b};{c}]")
             r_entries[(a, b, c)] = complex(number(lineno, parts[5], "R"),
                                            number(lineno, parts[6], "R"))
+            if partial.unit in (a, b) and r_entries[(a, b, c)] != 1:
+                fail(lineno, f"R[{a},{b};{c}] has a unit anyon and must be 1")
         else:
             fail(lineno, f"unrecognized line: {raw!r}")
 

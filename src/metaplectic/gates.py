@@ -159,29 +159,54 @@ def parse_gate(text):
     return spec
 
 
+def _unitary(gate):
+    """``gate`` as a complex array, checked to be a finite unitary matrix
+    to 1e-9."""
+    gate = np.asarray(gate, dtype=complex)
+    if gate.ndim != 2 or gate.shape[0] != gate.shape[1]:
+        raise ValueError(f"gate of shape {gate.shape} is not a square matrix")
+    if not np.isfinite(gate).all():
+        raise ValueError("gate has non-finite entries")
+    residual = abs(gate @ gate.conj().T - np.eye(len(gate))).max(initial=0.0)
+    if not residual <= 1e-9:
+        raise ValueError(f"gate is not unitary (|U U^dagger - 1| = {residual:.3e})")
+    return gate
+
+
 # ---------------------------------------------------------------------------
 # up-to-phase comparison
 
 
 def _anchor(m):
     """Index of the entry that fixes a phase: the max-modulus entry of m,
-    smallest (row, col) among ties within 1e-9."""
-    mags = np.abs(m)
-    return next(zip(*np.nonzero(mags >= mags.max() - 1e-9)))
+    smallest (row, col) among ties within 1e-9.  On a (..., d, d) stack
+    this is a tuple of index arrays, so ``m[_anchor(m)]`` holds the anchor
+    entry of every slice."""
+    mags = np.abs(m).reshape(*m.shape[:-2], -1)
+    top = mags >= mags.max(axis=-1, keepdims=True) - 1e-9
+    return (*np.indices(m.shape[:-2], sparse=True), *np.divmod(top.argmax(axis=-1), m.shape[-1]))
+
+
+def _modulus(z):
+    # np.abs rounds differently from the scalar abs() on about a third of
+    # complex inputs; hypot agrees with it, so a (..., d, d) stack gets
+    # the very same phases its slices would get one by one
+    return np.hypot(z.real, z.imag)
 
 
 def phase_distance(u, v):
     """(residual, theta): the max-entry deviation of u from theta*v, with
-    theta the unit phase read off the :func:`_anchor` entry of v."""
+    theta the unit phase read off the :func:`_anchor` entry of v.  On
+    (..., d, d) stacks both are arrays over the leading axes."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
     idx = _anchor(v)
-    theta = u[idx] / v[idx]
-    if abs(theta) > 1e-30:
-        theta /= abs(theta)
-    return abs(u - theta * v).max(), theta
+    theta = np.asarray(u[idx] / v[idx])
+    modulus = _modulus(theta)
+    np.divide(theta, modulus, out=theta, where=modulus > 1e-30)
+    return np.abs(u - theta[..., None, None] * v).max(axis=(-2, -1)), theta[()]
 
 
 def equal_up_to_phase(u, v, tol=1e-8):

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gates import hadamard, sum_gate
+from .gates import _unitary, hadamard, sum_gate
 
 __all__ = [
     "ProtocolState",
@@ -164,17 +164,6 @@ class ProtocolState:
         if norm < 1e-12:
             raise RuntimeError("collapsed onto a zero-probability branch")
         self.amps = amps / norm
-
-
-def _unitary(gate):
-    """``gate`` as a complex array, checked to be a unitary matrix to 1e-9."""
-    gate = np.asarray(gate, dtype=complex)
-    if gate.ndim != 2 or gate.shape[0] != gate.shape[1]:
-        raise ValueError(f"gate of shape {gate.shape} is not a square matrix")
-    residual = abs(gate @ gate.conj().T - np.eye(len(gate))).max(initial=0.0)
-    if not residual <= 1e-9:
-        raise ValueError(f"gate is not unitary (|U U^dagger - 1| = {residual:.3e})")
-    return gate
 
 
 class _Projector(NamedTuple):

@@ -621,3 +621,31 @@ def test_parse_rejects_a_file_without_labels():
         with pytest.raises(CategoryFileError) as err:
             parse_category(text)
         assert str(err.value) == "line 0: no label line"
+
+
+@pytest.mark.parametrize("category, edit, message", [
+    ("su2_4", ("append", "F 0 1 1 2 : 1 2 = -1 0"),
+     "F('0', '1', '1', '2') has the unit among a, b, c and must be (1)"),
+    ("su2_4", ("replace", "R 1 0 1 = 1 0", "R 1 0 1 = -1 0"),
+     "R[1,0;1] has a unit anyon and must be 1"),
+    ("so5_2", ("append", "R 1 eps eps = -1 0"), "R[1,eps;eps] has a unit anyon and must be 1"),
+])
+def test_parse_rejects_unit_entries_off_the_convention(category, edit, message):
+    """Lookups synthesize these entries as (1) and 1, so another value in a
+    file would be stored and never checked."""
+    lines = serialize_category(builtin_category(category)).splitlines()
+    if edit[0] == "append":
+        lines.append(edit[1])
+    else:
+        lines[lines.index(edit[1])] = edit[2]
+    index = len(lines) - 1 if edit[0] == "append" else lines.index(edit[2])
+    with pytest.raises(CategoryFileError) as err:
+        parse_category("\n".join(lines))
+    assert str(err.value) == f"line {index + 1}: {message}"
+
+
+def test_parse_accepts_unit_entries_on_the_convention():
+    lines = _su24_lines() + ["F 0 1 1 2 : 1 2 = 1 0", "R 0 0 0 = 1 -0"]
+    lines.remove("R 0 0 0 = 1 0")
+    cat = parse_category("\n".join(lines))
+    assert cat.f_table[("0", "1", "1", "2")].tolist() == [[1]] and cat.r_table[("0", "0", "0")] == 1

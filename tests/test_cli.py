@@ -277,3 +277,15 @@ def test_verify_all_runs_from_checkout(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.count(SENTINEL + "\n") == 16
+
+
+@pytest.mark.parametrize("category, extra", [("su2_4", "F 0 1 1 2 : 1 2 = -1 0"),
+                                             ("so5_2", "R 1 eps eps = -1 0")])
+def test_category_file_with_unit_entry_off_the_convention(tmp_path, capsys, category, extra):
+    out = tmp_path / f"{category}.cat"
+    assert main(["category", "dump", category, "--out", str(out)]) == EXIT_OK
+    out.write_text(out.read_text() + extra + "\n")
+    capsys.readouterr()
+    assert main(["category", "check", "--file", str(out)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert "unit" in captured.err and "pass=" not in captured.out

@@ -170,3 +170,84 @@ def test_gate_products_stay_unitary(word):
     for name in word:
         out = out @ table[name]
     assert abs(out.conj().T @ out - np.eye(3)).max() < 1e-10
+
+
+# The 2-D phase helpers as they were before they learned (..., d, d) stacks,
+# verbatim: the stacked ones must reproduce them bit for bit, since
+# ``verify identity`` prints the residual in its machine section.
+
+def reference_anchor(m):
+    mags = np.abs(m)
+    return next(zip(*np.nonzero(mags >= mags.max() - 1e-9)))
+
+
+def reference_phase_distance(u, v):
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    if u.shape != v.shape:
+        raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
+    idx = reference_anchor(v)
+    theta = u[idx] / v[idx]
+    if abs(theta) > 1e-30:
+        theta /= abs(theta)
+    return abs(u - theta * v).max(), theta
+
+
+def reference_phase_canonical(u):
+    entry = u[reference_anchor(u)]
+    return u * (abs(entry) / entry)
+
+
+def _phase_cases(rng, count, dims=range(1, 7)):
+    """(u, v) pairs of random complex d x d matrices, d in ``dims``: unrelated,
+    phase-rotated copies (u = e^{i phi} v), and v rounded to 0.1 with its
+    largest entry copied, so that the anchor rule meets ties."""
+    for k in range(count):
+        d = int(rng.choice(dims))
+        v = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        kind = k % 3
+        if kind == 0:
+            u = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        elif kind == 1:
+            u = np.exp(2j * np.pi * rng.random()) * v
+        else:
+            v = np.round(v, 1)
+            v[0, 0] += not v.any()  # a zero v has no phase to read
+            # the largest entry a quarter turn on, somewhere else: an exact tie
+            top = np.unravel_index(np.abs(v).argmax(), v.shape)
+            v[tuple(rng.integers(d, size=2))] = 1j * v[top]
+            u = np.round(np.exp(2j * np.pi * rng.random()) * v, 1)
+        yield u, v
+
+
+def test_stack_aware_phase_helpers_match_the_2d_reference():
+    rng = np.random.default_rng(11)
+    for u, v in _phase_cases(rng, 3000):
+        assert _anchor(v) == reference_anchor(v)
+        residual, theta = phase_distance(u, v)
+        ref_residual, ref_theta = reference_phase_distance(u, v)
+        assert residual == ref_residual and theta == ref_theta
+        assert type(residual) is type(ref_residual) and type(theta) is type(ref_theta)
+        assert np.array_equal(phase_canonical(v), reference_phase_canonical(v))
+    # the exact cases: u = v (theta 1) and a zero anchor entry of u (theta 0)
+    eye = np.eye(3, dtype=complex)
+    assert phase_distance(eye, eye) == reference_phase_distance(eye, eye) == (0.0, 1.0)
+    zero = np.zeros((3, 3), dtype=complex)
+    assert phase_distance(zero, eye) == reference_phase_distance(zero, eye)
+
+
+@pytest.mark.parametrize("lead", [(1,), (7,), (2, 5)])
+def test_stack_aware_phase_helpers_act_slice_by_slice(lead):
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 3, 5):
+        pairs = list(_phase_cases(rng, int(np.prod(lead)), dims=[d]))
+        u = np.array([p[0] for p in pairs]).reshape(lead + (d, d))
+        v = np.array([p[1] for p in pairs]).reshape(lead + (d, d))
+        residual, theta = phase_distance(u, v)
+        canon = phase_canonical(v)
+        rows, cols = _anchor(v)[-2:]
+        assert residual.shape == theta.shape == rows.shape == lead
+        for index in np.ndindex(*lead):
+            assert (rows[index], cols[index]) == reference_anchor(v[index])
+            assert (residual[index], theta[index]) == reference_phase_distance(u[index], v[index])
+            assert np.array_equal(canon[index], reference_phase_canonical(v[index]))

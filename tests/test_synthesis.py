@@ -10,8 +10,9 @@ from metaplectic.categories import builtin_category
 from metaplectic.braidrep import BraidRep, general_generators, pair_tree_generators
 from metaplectic.gates import (cz_gate, hadamard, mult_gate, p_gate, q_gate,
                                sum_gate, x_gate, z_gate, equal_up_to_phase)
-from metaplectic.synthesis import (BraidWord, eval_word, group_closure,
-                                   named_words, verify_identity, word_from_text)
+from metaplectic.synthesis import (BraidWord, ClosureResult, det_normalize, eval_word,
+                                   group_closure, named_words, phase_canonical,
+                                   verify_identity, word_from_text)
 from metaplectic.trees import (block_comb_tree, block_embedding, comb_tree, enumerate_basis,
                                parse_shape)
 from metaplectic.triples import _nonzeros
@@ -269,3 +270,201 @@ def test_two_qubit_block_transformation():
     target = -0.5 * embed0[:, 3] + (np.sqrt(3) / 2 * 1j) * embed4[:, 0]
     assert abs(images[:, 3] - target).max() < 1e-8
     assert abs(np.vdot(embed4[:, 0], images[:, 3])) ** 2 == pytest.approx(0.75, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# group closure: the product-by-product loop it replaced, kept as the reference
+
+
+def _loop_key(u, grid=1e-6):
+    q = np.round(u / grid)
+    return (q.real.astype(np.int64).tobytes(), q.imag.astype(np.int64).tobytes())
+
+
+def loop_group_closure(generators, projective=False, cap=100000, det_lift=True):
+    """The breadth-first closure with one Python iteration per (element,
+    generator) pair that the level-synchronous ``group_closure`` replaced."""
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1 (got {cap})")
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    if not gens:
+        raise ValueError("need at least one generator")
+    dim = gens[0].shape[0]
+    if any(g.shape != (dim, dim) for g in gens):
+        raise ValueError("generators must share one dimension")
+    if not projective and det_lift:
+        gens = [det_normalize(g) for g in gens]
+    canon = phase_canonical if projective else (lambda u: u)
+
+    identity = canon(np.eye(dim, dtype=complex))
+    elements = {_loop_key(identity): identity}
+    frontier = [identity]
+    while frontier:
+        next_frontier = []
+        for cur in frontier:
+            for gen in gens:
+                new = canon(cur @ gen)
+                key = _loop_key(new)
+                known = elements.get(key)
+                if known is None:
+                    if len(elements) >= cap:
+                        return ClosureResult(None, True, None, None)
+                    elements[key] = new
+                    next_frontier.append(new)
+                elif abs(known - new).max() > 1e-4:
+                    raise RuntimeError("hash grid collision between distinct elements")
+        frontier = next_frontier
+
+    members = list(elements.values())
+    same = (lambda a, b: equal_up_to_phase(a, b, 1e-8)[0]) if projective \
+        else (lambda a, b: abs(a - b).max() < 1e-8)
+    center = sum(1 for el in members if all(same(el @ g, g @ el) for g in gens))
+    eye = np.eye(dim, dtype=complex)
+    histogram = {}
+    for el in members:
+        power = el
+        order = 1
+        while not same(power, eye):
+            power = power @ el
+            order += 1
+            if order > len(members):
+                raise RuntimeError("element order exceeds group order; inconsistent closure")
+        histogram[order] = histogram.get(order, 0) + 1
+    return ClosureResult(len(members), False, center, histogram)
+
+
+def _closure_cases():
+    cat = builtin_category("su2_4")
+    qutrit = pair_tree_generators(cat, "eps", "y").generators
+    qubit = pair_tree_generators(cat, "1", "0").generators
+    qupit = pair_tree_generators(builtin_category("so5_2"), "eps", "y1").generators
+    classical = [x_gate(5), mult_gate(5, 2), mult_gate(5, 3), mult_gate(5, 4)]
+    return [
+        ("qutrit-proj", qutrit, dict(projective=True)),
+        ("qutrit-lin", qutrit, dict()),
+        ("qubit-proj", qubit, dict(projective=True)),
+        ("qubit-lin", qubit, dict()),
+        ("qupit-proj", qupit, dict(projective=True, cap=10000)),
+        ("qupit-proj-cap3000", qupit, dict(projective=True, cap=3000)),
+        ("qupit-proj-cap2999", qupit, dict(projective=True, cap=2999)),
+        ("classical-lin", classical, dict(det_lift=False, cap=1000)),
+        ("classical-proj", classical, dict(projective=True, cap=1000)),
+        ("H3,P3[1]-cap3000", [hadamard(3), p_gate(3, 1)], dict(projective=True, cap=3000)),
+        ("X5-cap1", [x_gate(5)], dict(det_lift=False, cap=1)),
+    ]
+
+
+def test_level_closure_matches_the_loop_closure():
+    """Same order, cap verdict, center and element-order histogram on every
+    paper closure and at the cap boundaries (the 15000-element qupit
+    linear closure is left out: the loop takes seconds on it)."""
+    finished = 0
+    for label, gens, kwargs in _closure_cases():
+        fast, slow = group_closure(gens, **kwargs), loop_group_closure(gens, **kwargs)
+        assert fast == slow, label
+        finished += not fast.cap_exceeded
+    assert finished == 8
+
+
+def _haar(d, rng):
+    """A Haar-random unitary: QR of a complex Gaussian with the phases of
+    R's diagonal moved into Q."""
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("model, projective, center, histogram", [
+    ("qupit", True, 1, "1:1 2:25 3:500 4:750 5:624 6:500 10:600"),
+    ("qupit", False, 5, "1:1 2:25 3:500 4:750 5:3124 6:500 10:3100 15:2000 20:3000 30:2000"),
+    ("qutrit", True, 1, "1:1 2:9 3:80 4:54 6:72"),
+    ("qutrit", False, 3, "1:1 2:9 3:170 4:54 6:18 9:72 12:108 18:216"),
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_closure_is_invariant_under_haar_conjugation(qutrit_rep, qupit_rep, model, projective,
+                                                     center, histogram, seed):
+    """Conjugating by a generic unitary moves every entry off the lattice of
+    the braid matrices, which exercises the 1e-6 key grid and the anchor
+    tie-break; order, center and histogram must not move."""
+    gens = (qupit_rep if model == "qupit" else qutrit_rep).generators
+    v = _haar(len(gens[0]), np.random.default_rng(seed))
+    plain = group_closure(gens, projective=projective, cap=20000)
+    turned = group_closure([v @ g @ v.conj().T for g in gens], projective=projective, cap=20000)
+    for result in (plain, turned):
+        assert (result.center_size, result.histogram_text()) == (center, histogram)
+        assert result.order == sum(result.element_orders.values())
+
+
+@pytest.mark.parametrize("generators, projective, det_lift, message", [
+    ([np.ones((2, 3))], False, True, "not a square matrix"),
+    ([np.ones(3)], True, True, "not a square matrix"),
+    ([np.full((2, 2), np.nan)], True, True, "non-finite"),
+    ([np.array([[np.inf, 0], [0, 1]])], False, False, "non-finite"),
+    ([np.zeros((3, 3))], False, True, "not unitary"),  # singular
+    ([2 * np.eye(2)], False, False, "not unitary"),
+    ([np.array([[1.0, 1.0], [0.0, 1.0]])], True, True, "not unitary"),
+    ([x_gate(5), hadamard(3)], True, True, "share one nonzero dimension"),
+    ([np.zeros((0, 0))], True, True, "share one nonzero dimension"),
+])
+def test_closure_rejects_generators_that_are_not_unitary(generators, projective, det_lift,
+                                                         message):
+    """NaN or singular generators used to fail as "element order exceeds
+    group order", 2 I as a hash grid collision, and a shear returned
+    ``cap_exceeded`` as if its group were merely large."""
+    with pytest.raises(ValueError, match=message):
+        group_closure(generators, projective=projective, det_lift=det_lift, cap=100)
+
+
+def _filed_under_sigma_1(rep):
+    """A key input that files the canonical sigma_2 and sigma_3 under
+    sigma_1: three distinct elements with one key, first met side by side
+    in the first batch."""
+    sigma_1, *others = [phase_canonical(g) for g in rep.generators]
+
+    def merged(u):
+        u = u.copy()
+        for other in others:
+            u[abs(u - other).max(axis=(-2, -1)) < 1e-9] = sigma_1
+        return u
+    return merged
+
+
+@pytest.mark.parametrize("merge", ["all", "sigmas"])
+def test_closure_reports_a_hash_grid_collision(qutrit_rep, monkeypatch, merge):
+    """Keys that merge distinct elements must be noticed, whether the
+    element met is from an earlier batch (every matrix keyed like the
+    identity) or from the same one (sigma_2 and sigma_3 keyed like
+    sigma_1)."""
+    coarse = (lambda u: u / 3e6) if merge == "all" else _filed_under_sigma_1(qutrit_rep)
+    keys, loop_key = synthesis._keys, _loop_key
+    monkeypatch.setattr(synthesis, "_keys", lambda stack: keys(coarse(stack)))
+    monkeypatch.setitem(globals(), "_loop_key", lambda u: loop_key(coarse(u)))
+    for closure in (group_closure, loop_group_closure):
+        with pytest.raises(RuntimeError, match="hash grid collision"):
+            closure(qutrit_rep.generators, projective=True)
+
+
+def test_closure_rejects_an_element_order_past_the_group_order(qutrit_rep, monkeypatch):
+    """A search that lost elements must not report orders larger than the
+    group it found: here sigma_1, of order 3, in a 'group' of 2."""
+    bfs = synthesis._bfs
+    monkeypatch.setattr(synthesis, "_bfs", lambda *args: bfs(*args)[:2])
+    with pytest.raises(RuntimeError, match="element order exceeds group order"):
+        group_closure(qutrit_rep.generators, projective=True)
+
+
+def test_bfs_finds_elements_in_product_by_product_order(qupit_rep):
+    """Queue first, then generator, as a search one product at a time
+    would, although the batches (at most 170 elements here) split levels
+    of up to 772."""
+    gens = np.array(qupit_rep.generators)
+    found = synthesis._bfs(gens, phase_canonical, 10000)
+    expected = [phase_canonical(np.eye(5, dtype=complex))]
+    keys = {_loop_key(expected[0])}
+    for element in expected:  # the list grows while it is walked
+        for g in gens:
+            new = phase_canonical(element @ g)
+            if _loop_key(new) not in keys:
+                keys.add(_loop_key(new))
+                expected.append(new)
+    assert len(found) == len(expected) == 3000
+    assert abs(found - np.array(expected)).max() < 1e-12
