@@ -43,6 +43,23 @@ Conventions
 
 All categories here are multiplicity-free (every fusion coefficient is 0
 or 1), and every label is self-dual.
+
+Consistency checks
+------------------
+:func:`check_consistency` first turns the category into dense arrays
+indexed by label position: a 0/1 fusion tensor, an F tensor
+``F[a,b,c,d,row,col]`` (unit blocks written as 1 at their one admissible
+position), an R tensor, and masks of the admissible F-blocks and
+R-symbols that are not stored.  It builds them afresh on every call.
+Two kernels then evaluate every pentagon and hexagon instance as stacked
+array operations, with no Python loop per equation: the pentagon
+instances are enumerated by ``np.nonzero`` joins on the fusion tensor and
+their entries gathered by fancy indexing, in chunks over the first label;
+the hexagon instances are stacked as zero-padded blocks and multiplied
+as one batch.  Sums run in the order the scalar loops used, so the
+residuals keep their bits.  An instance is skipped, and counted, iff an
+F-block or R-symbol it reads is missing; a NaN in an entry makes every
+residual that reads it NaN.
 """
 
 from __future__ import annotations
@@ -408,123 +425,190 @@ class ConsistencyReport:
         return self.pentagon_skipped + self.hexagon_skipped
 
 
-def _block(cat, cache, a, b, c, d):
-    """(row index map, col index map, matrix or None-if-missing)."""
-    key = (a, b, c, d)
-    hit = cache.get(key)
-    if hit is None:
-        rows = cat.f_rows(*key)
-        cols = cat.f_cols(*key)
-        if rows and cols:
-            mat = cat.f(*key) if cat.has_f(*key) else None
-        else:
-            mat = np.zeros((0, 0))
-        hit = ({n: i for i, n in enumerate(rows)}, {m: j for j, m in enumerate(cols)}, mat)
-        cache[key] = hit
-    return hit
+@dataclass(frozen=True)
+class _LabelTables:
+    """A category's data as dense arrays indexed by label position.
+
+    ``n`` labels in canonical order, the unit at 0:
+
+    * ``fusion[a, b, c]``: ``c in a x b``;
+    * ``rows[a, b, c, d, m]`` / ``cols[a, b, c, d, m]``: ``m`` is a row
+      (``m in a x b``, ``d in m x c``) / a column (``m in b x c``,
+      ``d in a x m``) of F[a,b,c;d];
+    * ``f[a, b, c, d, row, col]``: the F-entries at admissible positions,
+      0 elsewhere; a unit block holds 1 at its one admissible position;
+    * ``f_missing[a, b, c, d]``: F[a,b,c;d] is admissible but not stored;
+    * ``r[a, b, c]`` / ``r_missing[a, b, c]``: the same for R-symbols;
+    * ``slots[b, c, k]``: the k-th element of ``cat.fusion[b, c]`` in the
+      frozenset's iteration order, -1 past its end.
+    """
+
+    fusion: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    f: np.ndarray
+    f_missing: np.ndarray
+    r: np.ndarray
+    r_missing: np.ndarray
+    slots: np.ndarray
 
 
-def _pentagon(cat):
+def _label_tables(cat):
+    """Build :class:`_LabelTables` from ``cat``; one pass over its dicts."""
+    index = {lab: i for i, lab in enumerate(cat.labels)}
+    n = len(index)
+    fusion = np.zeros((n, n, n), dtype=bool)
+    slots = np.full((n, n, max(map(len, cat.fusion.values()))), -1, dtype=np.intp)
+    for (a, b), out in cat.fusion.items():
+        out = [index[c] for c in out]
+        fusion[index[a], index[b], out] = True
+        slots[index[a], index[b], :len(out)] = out
+
+    # rows[a,b,c,d,m] = N[a,b,m] N[m,c,d]; cols[a,b,c,d,m] = N[b,c,m] N[a,m,d]
+    rows = fusion[:, :, None, None, :] & fusion.transpose(1, 2, 0)[None, None]
+    cols = fusion[None, :, :, None, :] & fusion.transpose(0, 2, 1)[:, None, None]
+    admissible = rows.any(-1) & cols.any(-1)
+    has_unit = np.zeros((n,) * 4, dtype=bool)
+    has_unit[0], has_unit[:, 0], has_unit[:, :, 0] = True, True, True
+
+    f = np.zeros((n,) * 6, dtype=complex)
+    stored = np.zeros((n,) * 4, dtype=bool)
+    for key, mat in cat.f_table.items():
+        at = tuple(index[x] for x in key)
+        if not has_unit[at]:
+            f[at][np.ix_(rows[at], cols[at])] = mat
+            stored[at] = True
+    f[has_unit] = rows[has_unit][:, :, None] & cols[has_unit][:, None, :]
+
+    r = np.zeros((n, n, n), dtype=complex)
+    r_stored = np.zeros((n, n, n), dtype=bool)
+    for key, value in cat.r_table.items():
+        at = tuple(index[x] for x in key)
+        r[at], r_stored[at] = value, True
+    r_stored[0], r_stored[:, 0] = True, True
+    r[0], r[:, 0] = fusion[0], fusion[:, 0]
+    return _LabelTables(fusion, rows, cols, f, admissible & ~has_unit & ~stored,
+                        r, fusion & ~r_stored, slots)
+
+
+def _pentagon(tables):
     """Max residual of sum_s F[abc;v]_{us} F[asd;e]_{vt} F[bcd;t]_{sr}
     = F[ucd;e]_{vr} F[abr;e]_{ut} over all admissible instances.
 
-    The loop ranges make every other index admissible; only ``e in u x r``,
-    ``e in a x t`` and, per term of the sum, ``v in a x s`` and
-    ``t in s x d`` can fail.
+    The instances (a,b,c,d,u,v,e,r,t) are enumerated by ``np.nonzero``
+    joins on the fusion tensor, one chunk per label ``a``: u in a x b,
+    v in u x c, e in v x d, r in c x d with e in u x r, t in b x r with
+    e in a x t.  The sum over s runs over ``slots[b, c]`` in order, each
+    term ``(F1 F2) F3`` masked by ``v in a x s`` and ``t in s x d``, so
+    every residual has the bits of the scalar loop's.  An instance is
+    skipped iff a block it reads is missing.
     """
-    cache = {}
-    fusion = cat.fusion
-
-    def entry(a, b, c, d, row, col):
-        rows, cols, mat = _block(cat, cache, a, b, c, d)
-        if mat is None:
-            raise MissingDataError(cat.name)
-        return mat[rows[row], cols[col]]
-
-    worst = 0.0
+    N, F, missing = tables.fusion, tables.f, tables.f_missing
+    worst = [0.0]
     checked = skipped = 0
-    for a, b, c, d in itertools.product(cat.labels, repeat=4):
-        for u in fusion[a, b]:
-            for v in fusion[u, c]:
-                for e in fusion[v, d]:
-                    for r in fusion[c, d]:
-                        if e not in fusion[u, r]:
-                            continue
-                        for t in fusion[b, r]:
-                            if e not in fusion[a, t]:
-                                continue
-                            try:
-                                lhs = 0.0
-                                for s in fusion[b, c]:
-                                    if v in fusion[a, s] and t in fusion[s, d]:
-                                        lhs += (entry(a, b, c, v, u, s) * entry(a, s, d, e, v, t)
-                                                * entry(b, c, d, t, s, r))
-                                rhs = entry(u, c, d, e, v, r) * entry(a, b, r, e, u, t)
-                            except MissingDataError:
-                                skipped += 1
-                                continue
-                            checked += 1
-                            worst = max(worst, abs(lhs - rhs))
-    return worst, checked, skipped
+    for a in range(len(N)):
+        b, u = np.nonzero(N[a])
+        i, c, v = np.nonzero(N[u])
+        b, u = b[i], u[i]
+        i, d, e = np.nonzero(N[v])
+        b, u, c, v = b[i], u[i], c[i], v[i]
+        i, r = np.nonzero(N[c, d] & N[u, :, e])
+        b, u, c, v, d, e = b[i], u[i], c[i], v[i], d[i], e[i]
+        i, t = np.nonzero(N[b, r] & N[a, :, e])
+        b, u, c, v, d, e, r = b[i], u[i], c[i], v[i], d[i], e[i], r[i]
+
+        skip = missing[u, c, d, e] | missing[a, b, r, e]
+        missing13 = missing[a, b, c, v] | missing[b, c, d, t]  # F1, F3 do not depend on s
+        lhs = np.zeros(len(t), dtype=complex)
+        for s in tables.slots[b, c].T:
+            term = (s >= 0) & N[a, s, v] & N[s, d, t]
+            skip |= term & (missing13 | missing[a, s, d, e])
+            lhs += np.where(term, F[a, b, c, v, u, s] * F[a, s, d, e, v, t]
+                            * F[b, c, d, t, s, r], 0)
+        diff = lhs - F[u, c, d, e, v, r] * F[a, b, r, e, u, t]
+        worst.append(np.hypot(diff.real, diff.imag)[~skip].max(initial=0.0))
+        n_skip = int(skip.sum())
+        skipped += n_skip
+        checked += len(skip) - n_skip
+    return float(np.max(worst)), checked, skipped
 
 
-def _hexagon(cat):
+def _hexagon(tables):
     """Residuals of F[abc;d] D(R^{bc}) F[acb;d]^-1 D(R^{ac}) F[cab;d]
-    = D(R^{nc}_d), for both R orientations."""
-    cache = {}
-    worst = {False: 0.0, True: 0.0}
-    checked = skipped = 0
-    for a, b, c in itertools.product(cat.labels, repeat=3):
-        for d in cat._sorted({x for n in cat.fuse(a, b) for x in cat.fuse(n, c)}):
-            try:
-                r1, c1, f1 = _block(cat, cache, a, b, c, d)
-                r2, c2, f2 = _block(cat, cache, a, c, b, d)
-                r3, c3, f3 = _block(cat, cache, c, a, b, d)
-                if f1 is None or f2 is None or f3 is None:
-                    raise MissingDataError(cat.name)
-                rbc = np.array([cat.r(b, c, m) for m in c1], dtype=complex)
-                rac = np.array([cat.r(a, c, kk) for kk in r2], dtype=complex)
-                rnc = np.array([cat.r(n, c, d) for n in r1], dtype=complex)
-            except MissingDataError:
-                skipped += 1
-                continue
-            checked += 1
-            f2inv = f2.conj().T
-            for invert in (False, True):
-                rb, ra, rn = (rbc.conj(), rac.conj(), rnc.conj()) if invert else (rbc, rac, rnc)
-                lhs = (f1 * rb) @ (f2inv * ra) @ f3
-                res = abs(lhs - np.diag(rn)).max()
-                worst[invert] = max(worst[invert], res)
-    return worst[False], worst[True], checked, skipped
+    = D(R^{nc}_d), for both R orientations.
+
+    The instances (a,b,c,d), d in (a x b) x c, are stacked as w x w
+    blocks, w the largest block dimension: each block holds its
+    admissible rows and columns in canonical order, then zero padding,
+    so every product has the bits of the unpadded one.  An instance is
+    skipped iff an F-block or an R-symbol it reads is missing.
+    """
+    N, F, R = tables.fusion, tables.f, tables.r
+    f_missing, r_missing = tables.f_missing, tables.r_missing
+    n = len(N)
+    reach = (N.reshape(n * n, n).astype(np.int64) @ N.reshape(n, n * n)).reshape((n,) * 4) > 0
+    a, b, c, d = np.nonzero(reach)
+    rows1, cols1 = tables.rows[a, b, c, d], tables.cols[a, b, c, d]
+    rows2 = tables.rows[a, c, b, d]
+    skip = (f_missing[a, b, c, d] | f_missing[a, c, b, d] | f_missing[c, a, b, d]
+            | (cols1 & r_missing[b, c]).any(1) | (rows2 & r_missing[a, c]).any(1)
+            | (rows1 & r_missing[:, c, d].T).any(1))
+    keep = ~skip
+    a, b, c, d, rows1, cols1, rows2 = (x[keep] for x in (a, b, c, d, rows1, cols1, rows2))
+
+    w = max(int(mask.sum(1).max(initial=1)) for mask in (rows1, cols1, rows2))
+    order1, order_c, order2 = (np.argsort(~mask, axis=1, kind="stable")[:, :w]
+                               for mask in (rows1, cols1, rows2))
+    A, B, C, D = (x[:, None, None] for x in (a, b, c, d))
+    f1 = F[A, B, C, D, order1[:, :, None], order_c[:, None, :]]
+    f2 = F[A, C, B, D, order2[:, :, None], order_c[:, None, :]]
+    f3 = F[C, A, B, D, order2[:, :, None], order1[:, None, :]]
+    f2inv = f2.conj().swapaxes(1, 2)
+    a, b, c, d = (x[:, None] for x in (a, b, c, d))
+    rbc = np.where(np.take_along_axis(cols1, order_c, 1), R[b, c, order_c], 0)
+    rac = np.where(np.take_along_axis(rows2, order2, 1), R[a, c, order2], 0)
+    rnc = np.where(np.take_along_axis(rows1, order1, 1), R[order1, c, d], 0)
+    diag = np.arange(w)
+    worst = {}
+    for invert in (False, True):
+        rb, ra, rn = (rbc.conj(), rac.conj(), rnc.conj()) if invert else (rbc, rac, rnc)
+        lhs = (f1 * rb[:, None, :]) @ (f2inv * ra[:, None, :]) @ f3
+        lhs[:, diag, diag] -= rn
+        worst[invert] = float(np.abs(lhs).max(initial=0.0))
+    n_skip = int(skip.sum())
+    return worst[False], worst[True], len(skip) - n_skip, n_skip
 
 
 def check_consistency(cat):
     """Evaluate every checkable pentagon/hexagon instance plus the
-    unitarity, R-modulus and quantum-dimension invariants."""
-    dim_res = 0.0
-    for a in cat.labels:
-        for b in cat.labels:
-            total = sum(cat.qdim[c] for c in cat.fuse(a, b))
-            dim_res = max(dim_res, abs(cat.qdim[a] * cat.qdim[b] - total))
+    unitarity, R-modulus and quantum-dimension invariants.
 
-    unit_res = 0.0
-    for mat in cat.f_table.values():
-        eye = np.eye(mat.shape[0])
-        unit_res = max(unit_res, abs(mat.conj().T @ mat - eye).max())
+    Each call builds the category's label-indexed arrays afresh (see
+    :class:`_LabelTables`) and evaluates all pentagon and hexagon
+    instances on them as stacked array operations (:func:`_pentagon`,
+    :func:`_hexagon`).  An instance is skipped, and counted, iff an
+    F-block or R-symbol it reads is missing.  A NaN in any entry a
+    residual reads makes that residual NaN, so every threshold test on
+    it fails.
+    """
+    dim_res = np.max([abs(cat.qdim[a] * cat.qdim[b] - sum(cat.qdim[c] for c in cat.fuse(a, b)))
+                      for a in cat.labels for b in cat.labels])
+    unit_res = np.max([abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
+                       for mat in cat.f_table.values()], initial=0.0)
+    r_res = np.max([abs(abs(v) - 1.0) for v in cat.r_table.values()], initial=0.0)
 
-    r_res = max((abs(abs(v) - 1.0) for v in cat.r_table.values()), default=0.0)
-
-    p_max, p_checked, p_skipped = _pentagon(cat)
-    h_r, h_rinv, h_checked, h_skipped = _hexagon(cat)
+    tables = _label_tables(cat)
+    p_max, p_checked, p_skipped = _pentagon(tables)
+    h_r, h_rinv, h_checked, h_skipped = _hexagon(tables)
     if h_r <= h_rinv:
         h_max, orientation = h_r, "R"
     else:
         h_max, orientation = h_rinv, "R-inverse"
     return ConsistencyReport(
         category=cat.name,
-        dim_residual=dim_res,
-        unitarity_max=unit_res,
-        r_modulus_max=r_res,
+        dim_residual=float(dim_res),
+        unitarity_max=float(unit_res),
+        r_modulus_max=float(r_res),
         pentagon_max=p_max,
         pentagon_checked=p_checked,
         pentagon_skipped=p_skipped,

@@ -1,18 +1,20 @@
 """Category data: fusion rules, F/R tables, consistency, file format."""
 
 import cmath
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from metaplectic import categories
 from metaplectic.categories import (BUILTIN_CATEGORIES, Category, CategoryFileError,
-                                    InadmissibleError, MissingDataError, _block,
-                                    _pentagon, _su2_k, _symmetric_closure,
-                                    builtin_category, categories_equal,
-                                    check_consistency, parse_category,
-                                    serialize_category)
+                                    InadmissibleError, MissingDataError, _hexagon,
+                                    _label_tables, _pentagon, _su2_k,
+                                    _symmetric_closure, builtin_category,
+                                    categories_equal, check_consistency,
+                                    parse_category, serialize_category)
 
 
 @pytest.fixture(scope="module")
@@ -117,16 +119,36 @@ def test_su24_matches_paper_tables(su24):
         assert abs(su24.r_table[key] - value) < 1e-14, key
 
 
-@pytest.mark.parametrize("k", range(1, 9))
+# counts and maxima of the scalar loops (loop_pentagon, loop_hexagon) at k = 7..10
+SU2_K_PINNED = {
+    7: (102464, "0x1.3p-49", 1408, "0x1.4863d7d40af11p-49"),
+    8: (255629, "0x1.cp-50", 2241, "0x1.752e50db3a3a1p-49"),
+    9: (587664, "0x1.8p-49", 3400, "0x1.64eec9d889df9p-48"),
+    10: (1261260, "0x1.1p-48", 4961, "0x1.a3a5f68ee0453p-48"),
+}
+
+
+@pytest.mark.parametrize("k", range(1, 11))
 def test_su2_k_consistent(k):
     cat = _su2_k(k)
     assert cat.labels == tuple(str(j) for j in range(k + 1))
-    report = check_consistency(cat)
+    tracemalloc.start()
+    try:
+        report = check_consistency(cat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
     assert report.skips == 0 and report.pentagon_checked > 0 and report.hexagon_checked > 0
     assert report.hexagon_orientation == "R"
     for value in (report.dim_residual, report.unitarity_max, report.r_modulus_max,
                   report.pentagon_max, report.hexagon_max):
         assert value < 1e-12
+    if k in SU2_K_PINNED:
+        p_checked, p_max, h_checked, h_max = SU2_K_PINNED[k]
+        assert (report.pentagon_checked, report.hexagon_checked) == (p_checked, h_checked)
+        assert float.fromhex(p_max) == report.pentagon_max
+        assert abs(report.hexagon_max - float.fromhex(h_max)) < 1e-16
 
 
 def test_su24_fusion_examples(su24):
@@ -250,6 +272,41 @@ def test_consistency_detects_corruption(su24):
     cat = Category("broken", su24.labels, su24.qdim, su24.fusion, broken, su24.r_table)
     report = check_consistency(cat)
     assert report.pentagon_max > 1e-3 or report.unitarity_max > 1e-3
+
+
+def _su24_copy():
+    su24 = builtin_category("su2_4")
+    return Category("su2_4-copy", su24.labels, dict(su24.qdim), su24.fusion,
+                    {key: mat.copy() for key, mat in su24.f_table.items()},
+                    dict(su24.r_table))
+
+
+@pytest.mark.parametrize("table, key", [
+    ("f", ("1", "2", "1", "2")), ("f", ("2", "2", "2", "2")), ("f", ("3", "3", "3", "3")),
+    ("r", ("1", "1", "2")), ("qdim", "1")])
+def test_consistency_propagates_nan(table, key):
+    cat = _su24_copy()
+    if table == "f":
+        cat.f_table[key][0, 0] = math.nan
+    elif table == "r":
+        cat.r_table[key] = complex(math.nan, 0.0)
+    else:
+        cat.qdim[key] = math.nan
+    report = check_consistency(cat)
+    reads = {"f": ("unitarity_max", "pentagon_max", "hexagon_max"),
+             "r": ("r_modulus_max", "hexagon_max"),
+             "qdim": ("dim_residual",)}[table]
+    for name in ("dim_residual", "unitarity_max", "r_modulus_max", "pentagon_max",
+                 "hexagon_max"):
+        assert math.isnan(getattr(report, name)) == (name in reads), name
+    assert report.skips == 0
+
+
+def test_consistency_reads_the_table_it_is_given():
+    cat = _su24_copy()
+    assert check_consistency(cat).pentagon_max < 1e-12
+    cat.f_table[("1", "2", "1", "2")][0, 1] += 0.1
+    assert check_consistency(cat).pentagon_max > 1e-3
 
 
 def test_serialize_parse_round_trip(su24, so52):
@@ -488,6 +545,100 @@ def test_consistency_counts_are_pinned(su24, so52):
             for r in reports] == [(3307, 0, 225, 0), (7918, 6740, 75, 397)]
 
 
+# The scalar loops that check_consistency ran before its stacked kernels,
+# kept as references for _pentagon and _hexagon.
+
+
+def _block(cat, cache, a, b, c, d):
+    """(row index map, col index map, matrix or None-if-missing)."""
+    key = (a, b, c, d)
+    hit = cache.get(key)
+    if hit is None:
+        rows = cat.f_rows(*key)
+        cols = cat.f_cols(*key)
+        if rows and cols:
+            mat = cat.f(*key) if cat.has_f(*key) else None
+        else:
+            mat = np.zeros((0, 0))
+        hit = ({n: i for i, n in enumerate(rows)}, {m: j for j, m in enumerate(cols)}, mat)
+        cache[key] = hit
+    return hit
+
+
+def loop_pentagon(cat):
+    """Max residual of sum_s F[abc;v]_{us} F[asd;e]_{vt} F[bcd;t]_{sr}
+    = F[ucd;e]_{vr} F[abr;e]_{ut} over all admissible instances.
+
+    The loop ranges make every other index admissible; only ``e in u x r``,
+    ``e in a x t`` and, per term of the sum, ``v in a x s`` and
+    ``t in s x d`` can fail.
+    """
+    cache = {}
+    fusion = cat.fusion
+
+    def entry(a, b, c, d, row, col):
+        rows, cols, mat = _block(cat, cache, a, b, c, d)
+        if mat is None:
+            raise MissingDataError(cat.name)
+        return mat[rows[row], cols[col]]
+
+    worst = 0.0
+    checked = skipped = 0
+    for a, b, c, d in itertools.product(cat.labels, repeat=4):
+        for u in fusion[a, b]:
+            for v in fusion[u, c]:
+                for e in fusion[v, d]:
+                    for r in fusion[c, d]:
+                        if e not in fusion[u, r]:
+                            continue
+                        for t in fusion[b, r]:
+                            if e not in fusion[a, t]:
+                                continue
+                            try:
+                                lhs = 0.0
+                                for s in fusion[b, c]:
+                                    if v in fusion[a, s] and t in fusion[s, d]:
+                                        lhs += (entry(a, b, c, v, u, s) * entry(a, s, d, e, v, t)
+                                                * entry(b, c, d, t, s, r))
+                                rhs = entry(u, c, d, e, v, r) * entry(a, b, r, e, u, t)
+                            except MissingDataError:
+                                skipped += 1
+                                continue
+                            checked += 1
+                            worst = max(worst, abs(lhs - rhs))
+    return worst, checked, skipped
+
+
+def loop_hexagon(cat):
+    """Residuals of F[abc;d] D(R^{bc}) F[acb;d]^-1 D(R^{ac}) F[cab;d]
+    = D(R^{nc}_d), for both R orientations."""
+    cache = {}
+    worst = {False: 0.0, True: 0.0}
+    checked = skipped = 0
+    for a, b, c in itertools.product(cat.labels, repeat=3):
+        for d in cat._sorted({x for n in cat.fuse(a, b) for x in cat.fuse(n, c)}):
+            try:
+                r1, c1, f1 = _block(cat, cache, a, b, c, d)
+                r2, c2, f2 = _block(cat, cache, a, c, b, d)
+                r3, c3, f3 = _block(cat, cache, c, a, b, d)
+                if f1 is None or f2 is None or f3 is None:
+                    raise MissingDataError(cat.name)
+                rbc = np.array([cat.r(b, c, m) for m in c1], dtype=complex)
+                rac = np.array([cat.r(a, c, kk) for kk in r2], dtype=complex)
+                rnc = np.array([cat.r(n, c, d) for n in r1], dtype=complex)
+            except MissingDataError:
+                skipped += 1
+                continue
+            checked += 1
+            f2inv = f2.conj().T
+            for invert in (False, True):
+                rb, ra, rn = (rbc.conj(), rac.conj(), rnc.conj()) if invert else (rbc, rac, rnc)
+                lhs = (f1 * rb) @ (f2inv * ra) @ f3
+                res = abs(lhs - np.diag(rn)).max()
+                worst[invert] = max(worst[invert], res)
+    return worst[False], worst[True], checked, skipped
+
+
 def reference_pentagon(cat):
     """The pentagon loop that tests all twelve admissibility conditions,
     kept as the reference that ``categories._pentagon`` must match bit for bit."""
@@ -557,13 +708,48 @@ def _pentagon_cases():
 def test_pentagon_matches_reference():
     results = {}
     for cat in _pentagon_cases():
-        worst, checked, skipped = results[cat.name] = _pentagon(cat)
+        worst, checked, skipped = results[cat.name] = _pentagon(_label_tables(cat))
         ref_worst, ref_checked, ref_skipped = reference_pentagon(cat)
         assert (checked, skipped) == (ref_checked, ref_skipped), cat.name
         assert float(worst).hex() == float(ref_worst).hex(), cat.name
         assert checked > 0
+        loop_worst, loop_checked, loop_skipped = loop_pentagon(cat)
+        assert (checked, skipped) == (loop_checked, loop_skipped), cat.name
+        assert float(worst).hex() == float(loop_worst).hex(), cat.name
     assert results["so5_2-less"][2] > results["so5_2"][2]
     assert results["su2_4-shifted"][0] > 1e-3
+
+
+def _hexagon_cases():
+    su24, so52 = builtin_category("su2_4"), builtin_category("so5_2")
+    turned = dict(su24.r_table)
+    turned[("2", "3", "1")] *= cmath.exp(0.1j)
+    fewer = dict(so52.r_table)
+    del fewer[("eps", "eps", "y1")]
+    return _pentagon_cases() + [
+        Category("su2_4-turned", su24.labels, su24.qdim, su24.fusion, su24.f_table, turned),
+        Category("so5_2-fewer-r", so52.labels, so52.qdim, so52.fusion, so52.f_table, fewer)]
+
+
+def test_hexagon_matches_reference():
+    """Both orientation maxima match the loop bit for bit on su2_4, so5_2
+    and their variants.  The other su2_k are held to 1e-16 only: the
+    stacked products are zero-padded to the largest block, and a BLAS
+    kernel may round a padded product differently from the loop's."""
+    near = {f"su2_{k}" for k in (1, 2, 3, 5, 6)}
+    results = {}
+    for cat in _hexagon_cases():
+        *worst, checked, skipped = results[cat.name] = _hexagon(_label_tables(cat))
+        *loop_worst, loop_checked, loop_skipped = loop_hexagon(cat)
+        assert (checked, skipped) == (loop_checked, loop_skipped), cat.name
+        assert checked > 0
+        for value, loop_value in zip(worst, loop_worst):
+            if cat.name in near:
+                assert abs(value - loop_value) < 1e-16, cat.name
+            else:
+                assert float(value).hex() == float(loop_value).hex(), cat.name
+    assert results["so5_2-fewer-r"][3] > results["so5_2"][3]
+    assert min(results["su2_4-turned"][:2]) > 1e-3
 
 
 def _su24_lines():
