@@ -25,7 +25,7 @@ from .categories import (BUILTIN_CATEGORIES, CategoryFileError, MissingDataError
 from .braidrep import general_generators, pair_tree_generators, rep_check
 from .gates import (cz_gate, hadamard, make_gate, mult_gate, parse_gate, q_gate,
                     sum_gate, x_gate, z_gate, equal_up_to_phase)
-from .protocol import estimate_flip_success, exact_flip_probability
+from .protocol import estimate_flip_success
 from .synthesis import eval_word, group_closure, named_words, verify_identity, word_from_text
 from .trees import block_comb_tree, block_embedding, comb_tree, enumerate_basis, parse_shape
 from .witnesses import (imprimitivity_witness, infinite_order_witness,

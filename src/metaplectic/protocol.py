@@ -19,6 +19,7 @@ that closed form from the quotient chain in exact rational arithmetic and
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -40,25 +41,40 @@ __all__ = [
 
 
 class ProtocolState:
-    """Amplitude vector over (C^d)^{x m} with a deterministic RNG."""
+    """Amplitude vector over (C^d)^{x m} with a deterministic RNG.
+
+    ``num_qudits`` m >= 1 and ``d`` >= 2 are integers.  The register starts
+    in the standard basis state ``initial``, m digits in range(d), which
+    defaults to |0...0>.
+    """
 
     def __init__(self, num_qudits, d, rng=None, seed=None, initial=None):
-        self.d = int(d)
-        self.m = int(num_qudits)
+        self.d = _dimension(d)
+        self.m = operator.index(num_qudits)
+        if self.m < 1:
+            raise ValueError(f"a register needs at least one qudit, got {self.m}")
+        if initial is None:
+            initial = (0,) * self.m
+        else:
+            initial = tuple(map(operator.index, initial))
+            if len(initial) != self.m or not all(0 <= k < self.d for k in initial):
+                raise ValueError(f"initial state {initial} is not {self.m} digits in "
+                                 f"range({self.d})")
         self.amps = np.zeros((self.d,) * self.m, dtype=complex)
-        self.amps[tuple(initial) if initial is not None else (0,) * self.m] = 1.0
+        self.amps[initial] = 1.0
         if rng is None:
             rng = np.random.default_rng(seed)
         self.rng = rng
 
     @classmethod
     def from_vector(cls, vec, d, rng=None, seed=None):
+        d = _dimension(d)
         vec = np.asarray(vec, dtype=complex)
-        if not vec.size:
-            raise ValueError("empty state vector")
-        m = int(round(np.log(vec.size) / np.log(d)))
-        if d ** m != vec.size:
-            raise ValueError(f"vector of size {vec.size} is not a {d}-qudit register")
+        m, size = 0, 1
+        while size < vec.size:
+            m, size = m + 1, size * d
+        if not m or size != vec.size:
+            raise ValueError(f"vector of size {vec.size} is not a register of d={d} qudits")
         norm = np.linalg.norm(vec)
         if not 0 < norm < np.inf:
             raise ValueError(f"state vector needs a finite, nonzero norm (got {norm})")
@@ -164,6 +180,13 @@ class ProtocolState:
         if norm < 1e-12:
             raise RuntimeError("collapsed onto a zero-probability branch")
         self.amps = amps / norm
+
+
+def _dimension(d):
+    d = operator.index(d)
+    if d < 2:
+        raise ValueError(f"a qudit needs dimension d >= 2, got {d}")
+    return d
 
 
 class _Projector(NamedTuple):
@@ -294,6 +317,11 @@ class FlipCurveRow:
     stderr: float
 
 
+# Live trials per block of the Monte Carlo round loop.  A block's
+# temporaries, a few (3, _BLOCK) float64 arrays, stay in cache.
+_BLOCK = 1 << 13
+
+
 def estimate_flip_success(trials, n_max, seed):
     """Monte Carlo estimate of the Flip[2] success curve.
 
@@ -302,12 +330,25 @@ def estimate_flip_success(trials, n_max, seed):
     with a fresh exact ancilla followed by measuring the ancilla gives
     outcome j with probability sum_i |phi_i shifted[i, j]|^2 and leaves the
     data amplitudes phi * shifted[:, j] (normalised), so each round is that
-    closed update on the (live trials, 3) amplitudes.  The ancilla and the
+    closed update on the live trials' amplitudes.  The ancilla and the
     start state are real, so the batch runs in float64, and trials that
     have succeeded are dropped from it.
     Success at round n means the accumulated sign pattern equals Flip[2]
     up to a global sign.  Returns one row per n with the empirical
     cumulative success rate and its binomial standard error.
+
+    The live amplitudes are one (3, trials) float64 array and the
+    accumulated sign patterns one (3, trials) int8 array, so each
+    component is a contiguous row.  A round walks the live trials in
+    blocks of ``_BLOCK``: each block's probabilities, outcomes and updates
+    are formed in block-sized temporaries, and its survivors are written
+    to the front of the same two arrays, at an offset no greater than the
+    block's start, which no later block of the round reads.  Memory is
+    the two arrays plus a few blocks, whatever ``trials`` is.  Each block
+    draws its own ``rng.random(width)``; the Generator's doubles come
+    one per 64-bit output, so the blocks together draw exactly the stream
+    one ``rng.random(live)`` per round would, and the rows do not depend
+    on the block size.
     """
     if trials < 1 or n_max < 1:
         raise ValueError("need at least one trial and one round")
@@ -316,35 +357,55 @@ def estimate_flip_success(trials, n_max, seed):
     # shifted[i, j] is the ancilla amplitude at outcome j after SUM when
     # the data qutrit is |i>; one round maps phi -> phi * shifted[:, j].
     shifted = np.array([[psi[(j - i) % 3] for j in range(3)] for i in range(3)])
-    round_patterns = np.sign(shifted.T).astype(np.int8)  # row j: outcome-j pattern
-    phi = np.full((trials, 3), 1 / np.sqrt(3))  # live trials only
-    accumulated = np.ones((trials, 3), dtype=np.int8)
+    patterns = np.sign(shifted).astype(np.int8)  # column j: outcome-j pattern
+    phi = np.full((3, trials), 1 / np.sqrt(3))  # columns [0, live) hold the live trials
+    accumulated = np.ones((3, trials), dtype=np.int8)
+    width = min(trials, _BLOCK)
+    probs = np.empty((3, width))
+    columns = np.arange(width)
     successes = np.zeros(n_max, dtype=np.int64)
-    done = 0
+    live, done = trials, 0
     for round_index in range(n_max):
-        if not len(phi):
+        if not live:
             successes[round_index:] = done
             break
-        # probs[:, j] = sum_i (phi_i shifted[i, j])^2, summed i = 0, 1, 2 in
-        # order, one outcome at a time (no (trials, 3, 3) temporary)
-        probs = np.empty_like(phi)
-        for j in range(3):
-            sq = np.square(phi * shifted[:, j])
-            probs[:, j] = (sq[:, 0] + sq[:, 1]) + sq[:, 2]
-        draws = rng.random(len(phi))
-        outcomes = np.minimum((draws[:, None] >= np.cumsum(probs, axis=1)).sum(axis=1), 2)
-        kept = np.take_along_axis(probs, outcomes[:, None], axis=1)
-        phi = phi * shifted.T[outcomes] / np.sqrt(kept)
-        accumulated *= round_patterns[outcomes]
-        # success: accumulated pattern is Flip[2] up to a global sign
-        success = ((accumulated[:, 0] == accumulated[:, 1])
-                   & (accumulated[:, 2] == -accumulated[:, 0]))
-        done += int(success.sum())
+        kept_live = 0
+        for start in range(0, live, _BLOCK):
+            stop = min(start + _BLOCK, live)
+            w = stop - start
+            amps, signs = phi[:, start:stop], accumulated[:, start:stop]
+            # p[j] = sum_i (phi_i shifted[i, j])^2, summed i = 0, 1, 2 in order
+            p = probs[:, :w]
+            for j in range(3):
+                sq = np.square(amps * shifted[:, j, None])
+                np.add(sq[0], sq[1], out=p[j])
+                p[j] += sq[2]
+            # outcome = min(#{c in (p0, p0 + p1, (p0 + p1) + p2) : draw >= c}, 2).
+            # The probabilities are sums of squares, so the cumulative sums
+            # never decrease: the third comparison holds only when the first
+            # two do, and the min drops it.
+            draws = rng.random(w)
+            outcomes = np.add(draws >= p[0], draws >= p[0] + p[1], dtype=np.intp)
+            kept = p[outcomes, columns[:w]]
+            amps = amps * shifted.take(outcomes, axis=1) / np.sqrt(kept)
+            signs = signs * patterns.take(outcomes, axis=1)
+            # alive: the accumulated pattern is not Flip[2] up to a global sign
+            alive = (signs[0] != signs[1]) | (signs[2] != -signs[0])
+            front = slice(kept_live, kept_live + int(np.count_nonzero(alive)))
+            np.compress(alive, amps, axis=1, out=phi[:, front])
+            np.compress(alive, signs, axis=1, out=accumulated[:, front])
+            kept_live = front.stop
+        done += live - kept_live
+        live = kept_live
         successes[round_index] = done
-        phi, accumulated = phi[~success], accumulated[~success]
+    p_hat = successes / trials
+    stderr = np.sqrt(np.maximum(p_hat * (1 - p_hat), 1e-300) / trials)
     rows = []
-    for n in range(1, n_max + 1):
-        p_hat = successes[n - 1] / trials
-        stderr = np.sqrt(max(p_hat * (1 - p_hat), 1e-300) / trials)
-        rows.append(FlipCurveRow(n, float(p_hat), float(exact_flip_probability(n)), float(stderr)))
+    p_exact = 0.0
+    for n, rate, err in zip(range(1, n_max + 1), p_hat.tolist(), stderr.tolist()):
+        # float(1 - (2/3)^n) is correctly rounded, so it never decreases in n
+        # and stays 1.0 once it gets there (n = 93); skip the Fraction from then on
+        if p_exact < 1.0:
+            p_exact = float(exact_flip_probability(n))
+        rows.append(FlipCurveRow(n, rate, p_exact, err))
     return rows

@@ -1,5 +1,8 @@
 """Protocol simulator: states, measurements, and the Flip construction."""
 
+import time
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +18,7 @@ from metaplectic.protocol import (FLIP_PATTERNS, FlipCurveRow, ProtocolState, _p
                                   run_flip_round)
 
 OMEGA = np.exp(2j * np.pi / 3)
+B = protocol._BLOCK  # live trials per block of the Monte Carlo round loop
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +431,71 @@ def test_ancilla_and_rounds_match_slow_path(seed):
 
 
 @pytest.mark.parametrize("trials, n_max, seed", [(20000, 10, 0), (20000, 10, 5), (3000, 8, 123),
-                                                 (1, 60, 1), (7, 60, 7), (200, 80, 3)])
+                                                 (1, 60, 1), (7, 60, 7), (200, 80, 3),
+                                                 (B - 1, 10, 2), (B, 10, 8), (B + 1, 10, 13),
+                                                 (3 * B + 17, 12, 21)])
 def test_monte_carlo_matches_slow_path(trials, n_max, seed):
-    # the last three run until every trial is absorbed before n_max
+    # (1, 60, 1), (7, 60, 7) and (200, 80, 3) run until every trial is
+    # absorbed before n_max; the last four put the first round's live count
+    # on either side of one block and past three
     fast = estimate_flip_success(trials, n_max, seed)
     slow = slow_estimate_flip_success(trials, n_max, seed)
     assert fast == slow
     if trials < 1000:
         assert fast[-1].p_hat == 1.0
+
+
+def test_monte_carlo_survivors_cross_block_edge():
+    # round 2 starts with one full block and a partial one and ends with
+    # fewer than B survivors, so they compact across the block edge
+    trials, n_max, seed = 2 * B + 5, 6, 4
+    rows = estimate_flip_success(trials, n_max, seed)
+    live = [trials] + [trials - round(row.p_hat * trials) for row in rows]
+    assert live[1] > B >= live[2]
+    assert rows == slow_estimate_flip_success(trials, n_max, seed)
+
+
+@pytest.mark.parametrize("widths", [(300, 1, 699), (B, B, B, 17)])
+def test_blockwise_draws_equal_one_draw(widths):
+    """The Monte Carlo rows rest on this: per-block draws are the one-call stream."""
+    whole = np.random.default_rng(17).random(sum(widths))
+    rng = np.random.default_rng(17)
+    assert np.array_equal(np.concatenate([rng.random(w) for w in widths]), whole)
+
+
+def test_monte_carlo_memory_is_bounded():
+    # the live amplitudes and patterns take 27 MB at a million trials; the
+    # rest is block-sized
+    tracemalloc.start()
+    try:
+        estimate_flip_success(1_000_000, 10, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
+def test_monte_carlo_exact_column_and_long_runs():
+    rows = estimate_flip_success(1, 300, seed=0)
+    assert [row.p_exact for row in rows] == [float(exact_flip_probability(n))
+                                             for n in range(1, 301)]
+    start = time.perf_counter()
+    rows = estimate_flip_success(5, 100_000, seed=0)
+    assert time.perf_counter() - start < 2.0
+    assert rows[-1] == FlipCurveRow(100_000, 1.0, 1.0, float(np.sqrt(1e-300 / 5)))
+
+
+@pytest.mark.parametrize("num_qudits, d, initial", [
+    (2, 3, (1,)), (2, 3, (1, 2, 0)), (2, 3, (-1, 0)), (2, 3, (0, 3)),
+    (-1, 3, None), (0, 3, None), (2, 0, None), (2, 1, None)])
+def test_register_domain_checked(num_qudits, d, initial):
+    with pytest.raises(ValueError):
+        ProtocolState(num_qudits, d, seed=0, initial=initial)
+
+
+@pytest.mark.parametrize("size, d", [(3, 1), (1, 3), (8, 3), (9, 2)])
+def test_from_vector_needs_a_power_of_d(size, d):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            ProtocolState.from_vector(np.ones(size), d, seed=0)
