@@ -106,24 +106,18 @@ def pair_tree_generators(cat, a, b):
     sigma1 = np.diag([cat.r(a, a, x) for x, _ in states]).astype(complex)
     sigma3 = np.diag([cat.r(a, a, y) for _, y in states]).astype(complex)
 
+    # per v: outer[i] = F[x_i a a; b]_{v y_i}, inner[i, w] = F[a a a; v]_{x_i w}
     sigma2 = np.zeros((dim, dim), dtype=complex)
     pair_charges = sorted(cat.fuse(a, a), key=cat.labels.index)
-    for i, (x, y) in enumerate(states):
-        for j, (xp, yp) in enumerate(states):
-            acc = 0.0
-            for v in cat.labels:
-                left = np.conj(_f_entry(cat, x, a, a, b, v, y))
-                right = _f_entry(cat, xp, a, a, b, v, yp)
-                if left == 0.0 or right == 0.0:
-                    continue
-                mid = 0.0
-                for w in pair_charges:
-                    mid += (_f_entry(cat, a, a, a, v, x, w)
-                            * cat.r(a, a, w)
-                            * np.conj(_f_entry(cat, a, a, a, v, xp, w)))
-                acc += left * mid * right
-            sigma2[j, i] = acc
-    sigma2 = signs[:, None] * sigma2 * signs[None, :]
+    for v in cat.labels:
+        outer = np.array([_f_entry(cat, x, a, a, b, v, y) for x, y in states], dtype=complex)
+        if not outer.any():
+            continue
+        twist = np.array([cat.r(a, a, w) for w in pair_charges])
+        inner = np.array([[_f_entry(cat, a, a, a, v, x, w) for w in pair_charges]
+                          for x, _ in states], dtype=complex)
+        sigma2 += outer.conj()[:, None] * ((inner * twist) @ inner.conj().T) * outer
+    sigma2 = signs[:, None] * sigma2.T * signs[None, :]
     return BraidRep(cat, basis, tuple(_nonzeros(g) for g in (sigma1, sigma2, sigma3)))
 
 
@@ -163,7 +157,6 @@ def general_generators(cat, basis):
     # a comb labeling is c_{n-2}..c_1; extended, c_k sits at position n-1-k
     charges = [(shape.total,) + lab + (a, cat.unit) for lab in comb.states]
     index = {c: k for k, c in enumerate(charges)}
-    signs = np.asarray(comb.signs, dtype=float)
     dim = comb.dim
     generators = []
     for i in range(1, n):
@@ -177,10 +170,9 @@ def general_generators(cat, basis):
                     cols.append(col)
                     values.append(value)
         rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
+        # no sign fold: trees._GOLDEN signs only pair-tree bases, never a comb
         order = np.argsort(rows * dim + cols)
-        rows, cols = rows[order], cols[order]
-        values = signs[rows] * np.array(values, dtype=complex)[order] * signs[cols]
-        generators.append((rows, cols, values))
+        generators.append((rows[order], cols[order], np.array(values, dtype=complex)[order]))
     if comb is not basis:
         move = _change(cat, basis, comb)
         adjoint = (move[1], move[0], move[2].conj())

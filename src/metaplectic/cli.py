@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -255,13 +256,11 @@ def _cmd_verify(args):
 
 
 def _verify_suite_su24(tol):
-    cat = builtin_category("su2_4")
-    rep = pair_tree_generators(cat, "1", "2")
+    cat, rep = _model_rep("su2_4-qutrit")
     words = named_words("su2_4")
     checks = []
 
     h_braided = eval_word(rep, words["Hword"])
-    w3 = np.exp(2j * np.pi / 3)
     checks.append(("H = q^2 p q^2", *equal_up_to_phase(h_braided, hadamard(3), tol)))
     p2 = eval_word(rep, words["p"] ** 2)
     q2 = eval_word(rep, words["q"] ** 2)
@@ -295,8 +294,7 @@ def _verify_suite_su24(tol):
 
 
 def _verify_suite_so52(tol):
-    cat = builtin_category("so5_2")
-    rep = pair_tree_generators(cat, "eps", "y1")
+    _, rep = _model_rep("so5_2-qupit")
     targets = [
         ("H5", "-1 -3 2 2 -1 -3", hadamard(5)),
         ("Z5", "1 -3", z_gate(5)),
@@ -329,7 +327,8 @@ def _verify_suite_so52(tol):
 
 def _cmd_group(args):
     if args.gates:
-        gens = [make_gate(parse_gate(tok)) for tok in args.gates.split(",")]
+        # split on the commas outside brackets: R3[0,1,1],H3 is two gates
+        gens = [make_gate(parse_gate(tok)) for tok in re.split(r",(?![^\[]*\])", args.gates)]
         label = args.gates
         det_lift = not args.no_det_lift
     else:
@@ -390,9 +389,8 @@ def _cmd_witness(args):
         return EXIT_OK if ok else EXIT_CHECK_FAILED
 
     if args.kind == "imprimitivity":
-        gate = make_gate(parse_gate(args.gate))
-        d = parse_gate(args.gate).d
-        rep = imprimitivity_witness(gate, d)
+        spec = parse_gate(args.gate)
+        rep = imprimitivity_witness(make_gate(spec), spec.d)
         ok = rep.schmidt_rank > 1
         _emit([f"{args.gate} on (uniform x |0>): Schmidt rank {rep.schmidt_rank}",
                f"  singular values: {' '.join(f'{s:.6f}' for s in rep.singular_values)}"],

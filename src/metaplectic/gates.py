@@ -122,17 +122,18 @@ class GateSpec:
     params: tuple = ()
 
 
+# kind -> (constructor taking (d, *params), number of params)
 _MAKERS = {
-    "H": lambda d: hadamard(d),
-    "SUM": lambda d: sum_gate(d),
-    "Q": lambda d, i: q_gate(d, i),
-    "P": lambda d, i: p_gate(d, i),
-    "X": lambda d: x_gate(d),
-    "Z": lambda d: z_gate(d),
-    "CZ": lambda d: cz_gate(d),
-    "FLIP": lambda d, i: flip_gate(d, i),
-    "M": lambda d, k: mult_gate(d, k),
-    "R": lambda d, i, j, k: relative_phase_gate(d, i, j, k),
+    "H": (hadamard, 0),
+    "SUM": (sum_gate, 0),
+    "Q": (q_gate, 1),
+    "P": (p_gate, 1),
+    "X": (x_gate, 0),
+    "Z": (z_gate, 0),
+    "CZ": (cz_gate, 0),
+    "FLIP": (flip_gate, 1),
+    "M": (mult_gate, 1),
+    "R": (relative_phase_gate, 3),
 }
 
 
@@ -141,7 +142,10 @@ def make_gate(spec):
         raise ValueError(f"unknown gate kind {spec.kind!r}")
     if spec.d < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {spec.d}")
-    return _MAKERS[spec.kind](spec.d, *spec.params)
+    maker, n_params = _MAKERS[spec.kind]
+    if len(spec.params) != n_params:
+        raise ValueError(f"gate {spec.kind} takes {n_params} parameters, got {len(spec.params)}")
+    return maker(spec.d, *spec.params)
 
 
 _GATE_RE = re.compile(r"^([A-Z]+)(\d+)(?:\[([0-9,\s]+)\])?$")

@@ -1,6 +1,7 @@
 """Braid generator matrices: closed formulas, move engine, relations."""
 
 import cmath
+import dataclasses
 import math
 import tracemalloc
 from functools import reduce
@@ -11,7 +12,8 @@ import pytest
 from metaplectic.categories import MissingDataError, builtin_category
 from metaplectic import triples
 from metaplectic.triples import _nonzeros
-from metaplectic.braidrep import (BraidRep, RepReport, general_generators,
+from metaplectic import braidrep
+from metaplectic.braidrep import (BraidRep, RepReport, _f_entry, general_generators,
                                   pair_tree_generators, rep_check)
 from metaplectic.trees import (TreeShape, block_comb_tree, comb_tree, enumerate_basis,
                                pair_tree, parse_shape, tree_change)
@@ -87,6 +89,92 @@ def test_general_engine_matches_closed_formula(su24, so52, qutrit_rep, qupit_rep
         move_based = general_generators(cat, closed.basis)
         for a, b in zip(move_based.generators, closed.generators):
             assert abs(a - b).max() < 1e-9
+
+
+def reference_pair_tree_generators(cat, a, b):
+    """The scalar loop that ``pair_tree_generators`` replaced: each sigma_2
+    entry summed over v and w, one F lookup per term."""
+    a, b = cat.resolve(a), cat.resolve(b)
+    basis = enumerate_basis(cat, pair_tree(cat, a, b))
+    states = basis.states
+    signs = np.asarray(basis.signs, dtype=float)
+    sigma1 = np.diag([cat.r(a, a, x) for x, _ in states]).astype(complex)
+    sigma3 = np.diag([cat.r(a, a, y) for _, y in states]).astype(complex)
+    sigma2 = np.zeros((basis.dim, basis.dim), dtype=complex)
+    pair_charges = sorted(cat.fuse(a, a), key=cat.labels.index)
+    for i, (x, y) in enumerate(states):
+        for j, (xp, yp) in enumerate(states):
+            acc = 0.0
+            for v in cat.labels:
+                left = np.conj(_f_entry(cat, x, a, a, b, v, y))
+                right = _f_entry(cat, xp, a, a, b, v, yp)
+                if left == 0.0 or right == 0.0:
+                    continue
+                mid = 0.0
+                for w in pair_charges:
+                    mid += (_f_entry(cat, a, a, a, v, x, w)
+                            * cat.r(a, a, w)
+                            * np.conj(_f_entry(cat, a, a, a, v, xp, w)))
+                acc += left * mid * right
+            sigma2[j, i] = acc
+    sigma2 = signs[:, None] * sigma2 * signs[None, :]
+    return BraidRep(cat, basis, tuple(_nonzeros(g) for g in (sigma1, sigma2, sigma3)))
+
+
+def _pair_tree_outcome(build, cat, a, b):
+    try:
+        rep = build(cat, a, b)
+    except MissingDataError as exc:
+        return "missing", str(exc)
+    return ("rep", rep) if rep.dim else ("empty", None)
+
+
+def _phased(cat):
+    """``cat`` with each stored F entry turned by a phase that depends on its
+    row and column.  The stored F are real; on them a dropped conjugate or
+    a transposed block would go unseen."""
+    def turn(mat):
+        rows, cols = np.indices(mat.shape)
+        return mat * np.exp(1j * (0.3 + 0.5 * rows + 0.9 * cols))
+    return dataclasses.replace(cat, f_table={k: turn(m) for k, m in cat.f_table.items()})
+
+
+def test_pair_tree_generators_match_scalar_reference(su24, so52):
+    """Every (non-unit leaf, total) pair tree, on the stored tables and on a
+    phased copy: the same outcome as the scalar loop; where a rep is built,
+    the same nonzero positions and every entry within 1e-15."""
+    outcomes = []
+    for cat in (su24, so52, _phased(su24), _phased(so52)):
+        for a in cat.labels:
+            if a == cat.unit:
+                continue
+            for b in cat.labels:
+                kind, built = _pair_tree_outcome(pair_tree_generators, cat, a, b)
+                ref_kind, ref = _pair_tree_outcome(reference_pair_tree_generators, cat, a, b)
+                assert kind == ref_kind, (cat.name, a, b)
+                outcomes.append(kind)
+                if kind == "missing":
+                    assert built == ref
+                if kind != "rep":
+                    continue
+                for (rows, cols, values), (ref_rows, ref_cols, ref_values) in zip(
+                        built.nonzeros, ref.nonzeros):
+                    assert np.array_equal(rows, ref_rows), (cat.name, a, b)
+                    assert np.array_equal(cols, ref_cols), (cat.name, a, b)
+                    assert abs(values - ref_values).max(initial=0.0) <= 1e-15, (cat.name, a, b)
+    # 50 pairs per table set: su2_4 has 4 non-unit leaves x 5 totals, so5_2 5 x 6
+    assert [outcomes.count(k) for k in ("rep", "empty", "missing")] == [24, 46, 30]
+
+
+def test_pair_tree_generators_read_few_f_entries(su24, so52, monkeypatch):
+    """At most L * dim * (1 + |a x a|) F lookups, L the number of labels."""
+    calls = []
+    monkeypatch.setattr(braidrep, "_f_entry",
+                        lambda *args: calls.append(args) or _f_entry(*args))
+    for cat, a, b in ((su24, "1", "2"), (su24, "1", "0"), (so52, "eps", "y1")):
+        calls.clear()
+        rep = pair_tree_generators(cat, a, b)
+        assert 0 < len(calls) <= len(cat.labels) * rep.dim * (1 + len(cat.fuse(a, a)))
 
 
 def _internal_nodes(structure):

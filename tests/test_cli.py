@@ -236,6 +236,13 @@ BAD_INPUTS = [
       "--tol", "0"], EXIT_USAGE),
     (["verify", "suite", "--category", "su2_4", "--tol", "-1"], EXIT_USAGE),
     (["rep", "show", "--model", "su2_4-qutrit", "--tol", "5"], EXIT_USAGE),
+    (["group", "order", "--gates", "H3[1]"], EXIT_USAGE),
+    (["verify", "identity", "--model", "su2_4-qutrit", "--word", "1", "--target", "Q3"],
+     EXIT_USAGE),
+    (["witness", "infinite-order", "--gate", "SUM3[0]"], EXIT_USAGE),
+    (["witness", "imprimitivity", "--gate", "CZ3[1]"], EXIT_USAGE),
+    (["group", "order", "--gates", "R5[1,2]"], EXIT_USAGE),
+    (["group", "order", "--gates", "R3[0,1,1],H3", "--projective"], EXIT_OK),
 ]
 
 
@@ -267,6 +274,22 @@ def test_cli_category_choices_come_from_registry():
     assert len(found) == 8
     for path, dest, choices in found:
         assert tuple(choices) == tuple(BUILTIN_CATEGORIES), (path, dest)
+
+
+@pytest.mark.parametrize("category", ["su2_4", "so5_2"])
+def test_category_check_independent_of_hash_seed(category):
+    """The pentagon sums run in the iteration order of fusion frozensets,
+    which follows the string hash; the machine section must not."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    sections = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "metaplectic", "category", "check", category],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == EXIT_OK, done.stderr
+        sections.append(machine_section(done.stdout))
+    assert sections[0] == sections[1]
 
 
 def test_verify_all_runs_from_checkout(tmp_path):
