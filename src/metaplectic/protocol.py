@@ -19,6 +19,7 @@ that closed form from the quotient chain in exact rational arithmetic and
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,10 +46,13 @@ class ProtocolState:
 
     ``num_qudits`` m >= 1 and ``d`` >= 2 are integers.  The register starts
     in the standard basis state ``initial``, m digits in range(d), which
-    defaults to |0...0>.
+    defaults to |0...0>.  The RNG is ``rng``, or a new Generator seeded
+    with ``seed``; passing both raises ``ValueError``.
     """
 
     def __init__(self, num_qudits, d, rng=None, seed=None, initial=None):
+        if rng is not None and seed is not None:
+            raise ValueError("pass rng or seed, not both")
         self.d = _dimension(d)
         self.m = operator.index(num_qudits)
         if self.m < 1:
@@ -131,12 +135,7 @@ class ProtocolState:
         one ``rng.random()`` against the normalised cumulative sum.
         """
         probs = self.probabilities(qudit)
-        total = probs.sum()
-        if not (np.isfinite(probs).all() and (probs >= 0).all() and total > 0):
-            raise ValueError(f"invalid outcome probabilities {probs}")
-        cdf = (probs / total).cumsum()
-        cdf /= cdf[-1]
-        outcome = int(cdf.searchsorted(self.rng.random(), side="right"))
+        outcome = _born_outcome(probs, self.rng)
         keep = np.zeros((self.d, self.d))
         keep[outcome, outcome] = 1.0
         self._collapse(qudit, keep)
@@ -176,10 +175,33 @@ class ProtocolState:
         self._renormalize(self._on_qudit(qudit, operator))
 
     def _renormalize(self, amps):
-        norm = np.linalg.norm(amps)
-        if norm < 1e-12:
-            raise RuntimeError("collapsed onto a zero-probability branch")
-        self.amps = amps / norm
+        self.amps = _renormalized(amps)
+
+
+def _born_outcome(probs, rng):
+    """Index drawn as ``Generator.choice(len(probs), p=probs / probs.sum())``
+    draws it: one ``rng.random()`` against the normalised cumulative sum."""
+    total = probs.sum()
+    if not (all(0 <= p < math.inf for p in probs.tolist()) and total > 0):
+        raise ValueError(f"invalid outcome probabilities {probs}")
+    cdf = (probs / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _norm(amps):
+    """``np.linalg.norm(amps)`` of a complex array, bit for bit, without its
+    dispatch: the same ``ravel(order="K")`` summation order."""
+    flat = amps.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _renormalized(amps):
+    norm = _norm(amps)
+    if norm < 1e-12:
+        raise RuntimeError("collapsed onto a zero-probability branch")
+    return amps / norm
 
 
 def _dimension(d):
@@ -227,6 +249,40 @@ _ONTO_01 = _projector(np.eye(3)[:2], 3)  # span{|0>, |1>}
 _ONTO_H0 = _projector([_H3[:, 0]], 3)  # span{H|0>}
 
 
+# after SUM on phi (x) psi, amplitude (i, j) is phi_i psi[_SHIFT[i, j]]
+_SHIFT = (np.arange(3) - np.arange(3)[:, None]) % 3
+_DATA = np.arange(3)[:, None]  # row index i of that gather
+
+
+class _AlwaysIn:
+    """An RNG stand-in whose draws land every projection on its "in" branch."""
+
+    @staticmethod
+    def random():
+        return 0.0
+
+
+def _flip_ancilla_branch():
+    """The all-"in" branch of one preparation attempt, run on a register.
+
+    Returns the chance of "in" at each of the three projections, clipped
+    as :meth:`ProtocolState.project` clips it, and the ancilla the branch
+    leaves.  Neither depends on the draws.
+    """
+    state = ProtocolState(2, 3, rng=_AlwaysIn(), initial=(1, 2))
+    state._apply(_H3_H3, (0, 1))
+    chances = [state.project(0, _ONTO_01)[1], state.project(1, _ONTO_01)[1]]
+    state._apply(_SUM3, (0, 1))
+    chances.append(state.project(0, _ONTO_H0)[1])
+    marginal = _H3[:, 0].conj() @ state.amps
+    ancilla = marginal / np.linalg.norm(marginal)
+    ancilla.setflags(write=False)
+    return tuple(chances), ancilla
+
+
+_ANCILLA_CHANCES, _ANCILLA = _flip_ancilla_branch()
+
+
 def prepare_flip_ancilla(rng):
     """Measurement-assisted preparation of (|0> - |1> + |2>)/sqrt(3).
 
@@ -234,21 +290,19 @@ def prepare_flip_ancilla(rng):
     applies SUM, and projects the first qutrit onto span{H|0>}; any failed
     projection restarts the preparation.  Returns (ancilla vector,
     attempts used); attempts are geometric with success chance 4/9 * 1/4.
+
+    The branch on which every projection answers "in" fixes the states,
+    so it runs once, at import, on a :class:`ProtocolState`
+    (``_ANCILLA_CHANCES``, ``_ANCILLA``).  An attempt here is then one
+    ``rng.random() < p_in`` per projection, stopping at the first "out":
+    the same draws the register would make.  The ancilla returned is a
+    fresh copy.
     """
-    attempts = 0
-    while True:
+    first, second, third = _ANCILLA_CHANCES
+    attempts = 1
+    while not (rng.random() < first and rng.random() < second and rng.random() < third):
         attempts += 1
-        state = ProtocolState(2, 3, rng=rng, initial=(1, 2))
-        state._apply(_H3_H3, (0, 1))
-        if state.project(0, _ONTO_01)[0] != "in":
-            continue
-        if state.project(1, _ONTO_01)[0] != "in":
-            continue
-        state._apply(_SUM3, (0, 1))
-        if state.project(0, _ONTO_H0)[0] != "in":
-            continue
-        marginal = _H3[:, 0].conj() @ state.amps
-        return marginal / np.linalg.norm(marginal), attempts
+    return _ANCILLA.copy(), attempts
 
 
 def run_flip_round(phi, psi, rng):
@@ -256,17 +310,35 @@ def run_flip_round(phi, psi, rng):
 
     Applies SUM to (data, ancilla) and measures the ancilla; each outcome
     has probability exactly 1/3.  Returns (sign pattern applied,
-    collapsed data state).  ``psi`` must be the Flip ancilla
+    collapsed data state).  ``phi`` and ``psi`` must be 3-vectors, else
+    ``ValueError``.  ``psi`` must be the Flip ancilla
     (|0> - |1> + |2>)/sqrt(3) up to a global phase, as
     :func:`prepare_flip_ancilla` returns it; the caller is trusted, since a
     check here would run on every round of every episode.  The global phase
     of ``psi`` carries over to the returned data state.
+
+    No register is built: SUM on the normalised product state is one
+    gather by ``_SHIFT``, and the measurement is the register's
+    (:meth:`ProtocolState.measure_standard`) on that 3 x 3 array, with the
+    same probabilities, the same single draw and the same two
+    normalisations, so draws and states are those of the register.
     """
-    state = ProtocolState.from_vector(np.outer(np.asarray(phi, complex), psi), 3, rng=rng)
-    state._apply(_SUM3, (0, 1))
-    outcome, _ = state.measure_standard(1)
-    marginal = state.amps[:, outcome]
-    return FLIP_PATTERNS[outcome], marginal / np.linalg.norm(marginal)
+    phi = np.asarray(phi, complex)
+    if phi.shape != (3,) or np.shape(psi) != (3,):
+        raise ValueError(f"a Flip round needs 3-vectors, got data of shape {phi.shape} "
+                         f"and ancilla of shape {np.shape(psi)}")
+    joint = phi[:, None] * psi  # np.outer(phi, psi), without its wrapper
+    norm = _norm(joint)
+    if not 0 < norm < np.inf:
+        raise ValueError(f"state vector needs a finite, nonzero norm (got {norm})")
+    amps = (joint / norm)[_DATA, _SHIFT]
+    outcome = _born_outcome((np.abs(amps) ** 2).sum(axis=0), rng)
+    # the register's collapse normalises over all nine entries; the zeros
+    # change the dot's summation order and so the last bit of the state
+    kept = np.zeros((3, 3), complex)
+    kept[:, outcome] = amps[:, outcome]
+    marginal = _renormalized(kept)[:, outcome]
+    return FLIP_PATTERNS[outcome], marginal / _norm(marginal)
 
 
 def _pattern_class(pattern):
@@ -356,7 +428,7 @@ def estimate_flip_success(trials, n_max, seed):
     psi = np.array([1.0, -1.0, 1.0]) / np.sqrt(3)
     # shifted[i, j] is the ancilla amplitude at outcome j after SUM when
     # the data qutrit is |i>; one round maps phi -> phi * shifted[:, j].
-    shifted = np.array([[psi[(j - i) % 3] for j in range(3)] for i in range(3)])
+    shifted = psi[_SHIFT]
     patterns = np.sign(shifted).astype(np.int8)  # column j: outcome-j pattern
     phi = np.full((3, trials), 1 / np.sqrt(3))  # columns [0, live) hold the live trials
     accumulated = np.ones((3, trials), dtype=np.int8)

@@ -499,3 +499,112 @@ def test_from_vector_needs_a_power_of_d(size, d):
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
             ProtocolState.from_vector(np.ones(size), d, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# The Flip fast path against the register path it replaces
+
+
+class _AlwaysIn:
+    def random(self):
+        return 0.0
+
+
+@pytest.mark.parametrize("seed", [4, 5, 11])
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+def test_flip_episodes_match_slow_path_draw_for_draw(seed, theta):
+    """Same ancillas, attempts, patterns and states, and the Generator in the
+    same state after every call, so each call makes the slow path's draws."""
+    phase = np.exp(1j * theta)
+    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    data = np.random.default_rng([seed, 2])
+    for _ in range(40):
+        psi, attempts = prepare_flip_ancilla(fast_rng)
+        psi_slow, attempts_slow = slow_prepare_flip_ancilla(slow_rng)
+        assert attempts == attempts_slow and np.array_equal(psi, psi_slow)
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+        psi, psi_slow = phase * psi, phase * psi_slow
+        phi = phi_slow = random_state(data, 3)
+        for _ in range(5):
+            pattern, phi = run_flip_round(phi, psi, fast_rng)
+            pattern_slow, phi_slow = slow_run_flip_round(phi_slow, psi_slow, slow_rng)
+            assert pattern == pattern_slow and np.array_equal(phi, phi_slow)
+            assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+def test_ancilla_chances_are_the_registers():
+    # a typed 2/3 or 1/4 differs from these in the last bits; the draw-for-draw
+    # test would almost never land a draw in that gap
+    h3 = hadamard(3)
+    e0, e1 = np.eye(3)[0], np.eye(3)[1]
+    amps = np.zeros((3, 3), dtype=complex)
+    amps[1, 2] = 1.0
+    state = SlowState(amps, _AlwaysIn())
+    state.apply(np.kron(h3, h3))
+    chances = [state.project(0, [e0, e1]), state.project(1, [e0, e1])]
+    state.apply(sum_gate(3))
+    chances.append(state.project(0, [h3[:, 0]]))
+    assert all(outcome == "in" for outcome, _ in chances)
+    assert protocol._ANCILLA_CHANCES == tuple(p for _, p in chances)
+    assert np.array_equal(protocol._ANCILLA, slow_prepare_flip_ancilla(_AlwaysIn())[0])
+
+
+def test_ancilla_is_a_fresh_copy():
+    rng = np.random.default_rng(0)
+    psi, _ = prepare_flip_ancilla(rng)
+    expected = psi.copy()
+    psi[:] = 0
+    again, _ = prepare_flip_ancilla(rng)
+    assert np.array_equal(again, expected)
+    again[0] = 5.0  # writable
+    assert np.array_equal(prepare_flip_ancilla(rng)[0], expected)
+
+
+def test_flip_hot_path_builds_no_register(monkeypatch):
+    calls = []
+    init = ProtocolState.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProtocolState, "__init__", counting_init)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        psi, _ = prepare_flip_ancilla(rng)
+        run_flip_round(np.ones(3) / np.sqrt(3), psi, rng)
+    assert not calls
+    ProtocolState(1, 3, seed=0)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("phi, psi", [
+    (np.ones(9), np.ones(3)), (np.ones(1), np.ones(3)), (np.ones((3, 1)), np.ones(3)),
+    (np.ones(3), np.ones(2)), (np.ones(3), np.ones(4))])
+def test_flip_round_checks_shapes(phi, psi):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="3-vectors"):
+        run_flip_round(phi, psi, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_rng_and_seed_not_both():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="not both"):
+        ProtocolState(1, 3, rng=rng, seed=0)
+    with pytest.raises(ValueError, match="not both"):
+        ProtocolState.from_vector(np.ones(3), 3, rng=rng, seed=0)
+    assert ProtocolState.from_vector(np.ones(3), 3, rng=rng).rng is rng
+    one, two = (ProtocolState.from_vector(np.ones(3), 3, seed=7) for _ in range(2))
+    assert one.measure_standard(0) == two.measure_standard(0)
+
+
+def test_monte_carlo_shift_table_is_the_sum_gather():
+    psi = np.array([1.0, -1.0, 1.0]) / np.sqrt(3)
+    shifted = np.array([[psi[(j - i) % 3] for j in range(3)] for i in range(3)])
+    assert np.array_equal(psi[protocol._SHIFT], shifted)
+    # and it is SUM: (SUM (phi x psi))[i, j] = phi_i psi[_SHIFT[i, j]]
+    phi = random_state(np.random.default_rng(1), 3)
+    joint = (sum_gate(3) @ np.kron(phi, psi)).reshape(3, 3)
+    assert abs(joint - phi[:, None] * psi[protocol._SHIFT]).max() < 1e-15
