@@ -10,21 +10,17 @@ Two independent constructions are provided:
       sigma_2[(x',y'),(x,y)] = sum_{v,w} Finv[x a a; b]_{y v}
           F[a a a; v]_{x w} R[a a]_w Finv[a a a; v]_{w x'} F[x' a a; b]_{v y'}
 
-* :func:`general_generators` works on any shape and strand count.  On the
-  left comb, sigma_1 is diag R[a a; c_1] and sigma_i (i >= 2) mixes only
-  the comb charge c_{i-1}, through F[c_{i-2} a a; c_i] diag(R) F^dagger;
-  other shapes conjugate all generators by one change to the comb basis.
+* :func:`general_generators` works on any shape and strand count: F-moves
+  inside the subtree where strands i-1 and i meet bring that node to
+  ``((X, i-1), i)`` or ``(i-1, i)``, where sigma_i is F[x a a; d] diag(R)
+  F^dagger on the charge of ``(X, i-1)``, or the phase R[a a; d]; the
+  F-moves undone give sigma_i on the basis.  Combs need no move.
 
-Locality: braiding strands i-1 and i (0-based leaves) cannot change the
-charge of an edge whose leaves hold both strands or neither, so sigma_i
-has no entry between two states that differ on such an edge.  The comb
-generators are built that way; after the basis change those entries are
-dropped, so every generator stores only its real nonzeros.
-How few that leaves depends on the shape: on combs and block combs most
-edges are fixed and each generator keeps O(1) nonzeros per row, while a
-shape that puts strands i-1 and i on opposite sides of every internal
-edge (a right comb joined to a left comb) fixes none, and sigma_i keeps
-the fill of the basis change.
+Locality: braiding strands i-1 and i cannot change the charge of an edge
+whose leaves hold both or neither, and the F-moves replace only edges
+holding one, so each generator stores only its real nonzeros: O(1) per
+row on combs and block combs, while sigma_i is dense where no edge is
+fixed for it (a right comb joined to a left comb).
 
 Positive (over-crossing) generators pick up the stored R-symbols;
 inverses use the conjugate transpose.  Basis signs are folded into the
@@ -47,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import _change, comb_tree, enumerate_basis, pair_tree
+from .trees import (_internal_paths, _leaf_slots, _rotate, _subtree, enumerate_basis,
+                    pair_tree)
 from .triples import _dense, _nonzeros, _product, _summed
 
 __all__ = ["BraidRep", "RepReport", "pair_tree_generators", "general_generators", "rep_check"]
@@ -124,16 +121,15 @@ def pair_tree_generators(cat, a, b):
 def general_generators(cat, basis):
     """Braid generators on an arbitrary fusion-tree basis.
 
-    On the left comb, with c_k the charge of leaves 0..k (c_0 = a, and
-    c_{-1} the unit), sigma_i changes only c_{i-1}, by the F-conjugated twist
-    sigma_i[n', n] = sum_w conj(F[c_{i-2},a,a;c_i]_{n'w}) R[a,a;w] F[...]_{nw}.
-    Any other shape gets all generators by one conjugation with the comb
-    basis change, after which sigma_i is made exactly local: every entry
-    between two states that differ on an edge whose leaves hold both
-    strands i-1, i or neither is dropped (sigma_i fixes that edge's
-    charge, so the conjugation leaves only round-off there).  All strands
-    must carry the same anyon type (braiding distinct types maps to a
-    different space).
+    Strands i-1 and i (0-based leaves) meet at the internal node whose left
+    child ends at leaf i-1.  :func:`metaplectic.trees._rotate` runs at that
+    node while its right child is internal (the meeting point moves to the
+    new left child), then at its left child while that child's right child
+    is internal.  The node, of charge d, then reads ``((X, i-1), i)`` and
+    sigma_i changes only the charge c of ``(X, i-1)``, x that of X, by
+    sigma[c', c] = sum_w conj(F[x,a,a;d]_{c'w}) R[a,a;w] F[x,a,a;d]_{cw};
+    for siblings ``(i-1, i)`` it is R[a,a;d].  Undoing the rotations gives
+    sigma_i on the basis.  All strands must carry the same anyon type.
     """
     shape = basis.shape
     n = shape.n_leaves
@@ -142,9 +138,7 @@ def general_generators(cat, basis):
     if len(set(shape.leaves)) != 1:
         raise ValueError("general_generators requires identical leaf labels")
     a = shape.leaves[0]
-    comb_shape = comb_tree(cat, shape.leaves, shape.total)
-    comb = basis if shape == comb_shape else enumerate_basis(cat, comb_shape)
-    blocks = {}
+    blocks, f_blocks = {}, {}
 
     def block(x, d):
         """Row labels of F[x,a,a;d] and sigma on them, indexed [n', n]."""
@@ -154,46 +148,52 @@ def general_generators(cat, basis):
             blocks[x, d] = cat.f_rows(x, a, a, d), fmat.conj() @ (twist[:, None] * fmat.T)
         return blocks[x, d]
 
-    # a comb labeling is c_{n-2}..c_1; extended, c_k sits at position n-1-k
-    charges = [(shape.total,) + lab + (a, cat.unit) for lab in comb.states]
-    index = {c: k for k, c in enumerate(charges)}
-    dim = comb.dim
+    # extended to (total,) + lab + (a, unit), a labeling reads d, c and x at fixed positions
+    states = [(shape.total,) + lab + (a, cat.unit) for lab in basis.states]
+    index = {c: r for r, c in enumerate(states)}
+    dim = basis.dim
+    signs = np.asarray(basis.signs, dtype=float)
+    identity = (np.arange(dim), np.arange(dim), np.ones(dim, dtype=complex))
     generators = []
+    nodes = [_subtree(shape.structure, path) for path in _internal_paths(shape.structure)]
+    meeting = {_leaf_slots(node[0])[-1] + 1: k for k, node in enumerate(nodes)}
     for i in range(1, n):
+        k = meeting[i]  # preorder index of the node
+        node, labelings, move = nodes[k], basis.states, identity
+        while not isinstance(node[1], int):
+            node, labelings, rotation = _rotate(cat, shape, node, k, labelings, f_blocks)
+            move = _product(dim, rotation, move)
+            node, k = node[0], k + 1
+        left = node[0]
+        while not isinstance(left, int) and not isinstance(left[1], int):
+            left, labelings, rotation = _rotate(cat, shape, left, k + 1, labelings, f_blocks)
+            move = _product(dim, rotation, move)
+        # extended positions of c (the charge sigma_i changes) and x; d is at k
+        pc, px = ((-2, -1) if isinstance(left, int)
+                  else (k + 1, -2 if isinstance(left[0], int) else k + 2))
+        rotated = move is not identity
+        charges = ([(shape.total,) + lab + (a, cat.unit) for lab in labelings]
+                   if rotated else states)
+        lookup = {c: r for r, c in enumerate(charges)} if rotated else index
         rows, cols, values = [], [], []
-        p = n - i  # position of c_{i-1}
         for col, c in enumerate(charges):
-            labels, mat = block(c[p + 1], c[p - 1])
-            for label, value in zip(labels, mat[:, labels.index(c[p])]):
+            labels, mat = block(c[px], c[k])
+            for label, value in zip(labels, mat[:, labels.index(c[pc])]):
                 if value != 0:
-                    rows.append(index[c[:p] + (label,) + c[p + 1:]])
+                    rows.append(lookup[c[:pc] + (label,) + c[pc + 1:]])
                     cols.append(col)
                     values.append(value)
         rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
-        # no sign fold: trees._GOLDEN signs only pair-tree bases, never a comb
         order = np.argsort(rows * dim + cols)
-        generators.append((rows[order], cols[order], np.array(values, dtype=complex)[order]))
-    if comb is not basis:
-        move = _change(cat, basis, comb)
-        adjoint = (move[1], move[0], move[2].conj())
-        # associated as (move^dagger sigma) move, like the dense reference in
-        # the tests; the other order puts round-off fill at other positions
-        generators = [_local(_product(dim, _product(dim, adjoint, g), move), basis, i)
-                      for i, g in enumerate(generators, start=1)]
+        gen = rows[order], cols[order], np.array(values, dtype=complex)[order]
+        if rotated:
+            # only trees._GOLDEN pair trees have signs; unrotated, sigma_i is diagonal there
+            rows, cols, values = _product(dim, (move[1], move[0], move[2].conj()),
+                                          _product(dim, gen, move))
+            values = signs[rows] * values * signs[cols]
+            gen = tuple(x[values != 0] for x in (rows, cols, values))
+        generators.append(gen)
     return BraidRep(cat, basis, tuple(generators))
-
-
-def _local(gen, basis, i):
-    """The triples of ``gen`` that sigma_i can have: nonzeros between states
-    that agree on every edge holding both strands i-1, i or neither."""
-    fixed = [k for k, slots in enumerate(basis.shape.edge_leaves)
-             if (i - 1 in slots) == (i in slots)]
-    groups = {}
-    group = np.array([groups.setdefault(tuple(lab[k] for k in fixed), len(groups))
-                      for lab in basis.states])
-    rows, cols, values = gen
-    keep = (group[rows] == group[cols]) & (values != 0)
-    return rows[keep], cols[keep], values[keep]
 
 
 @dataclass

@@ -326,14 +326,14 @@ def _verify_suite_so52(tol):
 
 
 def _cmd_group(args):
+    if args.no_det_lift and (args.projective or not args.gates):
+        args.source_parser.error("--no-det-lift applies only to linear closures of --gates")
     if args.gates:
         # split on the commas outside brackets: R3[0,1,1],H3 is two gates
         gens = [make_gate(parse_gate(tok)) for tok in re.split(r",(?![^\[]*\])", args.gates)]
         label = args.gates
         det_lift = not args.no_det_lift
     else:
-        if args.no_det_lift:
-            args.source_parser.error("--no-det-lift applies only to --gates")
         _, rep = _model_rep(args.model)
         gens = list(rep.generators)
         label = args.model
@@ -525,8 +525,8 @@ def build_parser():
     gens.add_argument("--gates", help="comma-separated gate names, e.g. H3,P3[1]")
     order.add_argument("--projective", action="store_true")
     order.add_argument("--no-det-lift", action="store_true",
-                       help="close the literal matrices (only with --gates)")
-    order.set_defaults(source_parser=order)  # reports --no-det-lift with --model
+                       help="close the literal matrices (only with --gates, linear)")
+    order.set_defaults(source_parser=order)  # reports a --no-det-lift that would be ignored
     order.add_argument("--cap", type=int, default=100000)
     order.add_argument("--expect", type=int)
 

@@ -190,56 +190,55 @@ def enumerate_basis(cat, shape):
 
 
 def _to_comb(cat, basis):
-    """Rewrite a basis into the left comb.
-
-    Returns the comb labelings and the move, as row-major triples, taking
-    basis coordinates to coordinates over those labelings.  Rotations
-    ``(X (Y Z)) -> ((X Y) Z)`` run at the highest node P of the left spine
-    whose right child is internal.  With P at depth k (so k is its preorder
-    index) and the old ``(Y Z)`` node M at labeling index im, a labeling
-    ``lab`` goes to ``lab[:k] + (u,) + lab[k:im] + lab[im+1:]`` with
-    coefficient conj(F[x,y,z;w])[u, m], summed over the charge m of M.
-    """
+    """Rewrite a basis into the left comb: returns the comb labelings and
+    the move, as row-major triples, taking basis coordinates to them.  It
+    is the product of :func:`_rotate` at the highest node of the left
+    spine whose right child is internal, until there is none."""
     shape, dim = basis.shape, basis.dim
     labelings = list(basis.states)
     move = (np.arange(dim), np.arange(dim), np.ones(dim, dtype=complex))
     blocks = {}
     node, k = shape.structure, 0
     while not isinstance(node, int):
-        x_part, right = node
-        if isinstance(right, int):
-            node, k = x_part, k + 1
-            continue
-        y_part, z_part = right
-        im = k + _n_internal(x_part)
-        iz = im + 1 + _n_internal(y_part)
-        index, rows, cols, values = {}, [], [], []
-        for col, lab in enumerate(labelings):
-            w = shape.total if k == 0 else lab[k - 1]
-            x, y, z = (shape.leaves[part] if isinstance(part, int) else lab[i]
-                       for part, i in ((x_part, k), (y_part, im + 1), (z_part, iz)))
-            if (x, y, z, w) not in blocks:
-                blocks[x, y, z, w] = (cat.f_rows(x, y, z, w), cat.f_cols(x, y, z, w),
-                                      np.conj(cat.f(x, y, z, w)))
-            u_labels, m_labels, coeffs = blocks[x, y, z, w]
-            mi = m_labels.index(lab[im])
-            for u, coeff in zip(u_labels, coeffs[:, mi]):
-                if coeff == 0:
-                    continue
-                rows.append(index.setdefault(lab[:k] + (u,) + lab[k:im] + lab[im + 1:],
-                                             len(index)))
-                cols.append(col)
-                values.append(coeff)
-        rotation = (np.array(rows, dtype=int), np.array(cols, dtype=int),
-                    np.array(values, dtype=complex))
-        move = _product(dim, rotation, move)  # only the right factor must be row-major
-        labelings = list(index)
-        node = ((x_part, y_part), z_part)
+        if isinstance(node[1], int):
+            node, k = node[0], k + 1
+        else:
+            node, labelings, rotation = _rotate(cat, shape, node, k, labelings, blocks)
+            move = _product(dim, rotation, move)  # only the right factor must be row-major
     return labelings, move
 
 
-def _n_internal(structure):
-    return len(_leaf_slots(structure)) - 1
+def _rotate(cat, shape, node, k, labelings, blocks):
+    """The F-move ``(X (Y Z)) -> ((X Y) Z)`` at ``node``, preorder index k
+    of the current tree (0 is the root; ``blocks`` caches F-blocks).
+    With ``(Y Z)`` at labeling index im, a labeling ``lab`` goes to
+    ``lab[:k] + (u,) + lab[k:im] + lab[im+1:]`` with coefficient
+    conj(F[x,y,z;w])[u, m], summed over the charge m of ``(Y Z)``.
+    Returns the rotated node, the new labelings and the rotation as
+    column-ordered (rows, cols, values) triples between the two.
+    """
+    x_part, (y_part, z_part) = node
+    im = k + len(_leaf_slots(x_part)) - 1  # a subtree of L leaves has L - 1 internal nodes
+    iz = im + len(_leaf_slots(y_part))
+    index, rows, cols, values = {}, [], [], []
+    for col, lab in enumerate(labelings):
+        w = shape.total if k == 0 else lab[k - 1]
+        x, y, z = (shape.leaves[part] if isinstance(part, int) else lab[i]
+                   for part, i in ((x_part, k), (y_part, im + 1), (z_part, iz)))
+        if (x, y, z, w) not in blocks:
+            blocks[x, y, z, w] = (cat.f_rows(x, y, z, w), cat.f_cols(x, y, z, w),
+                                  np.conj(cat.f(x, y, z, w)))
+        u_labels, m_labels, coeffs = blocks[x, y, z, w]
+        mi = m_labels.index(lab[im])
+        for u, coeff in zip(u_labels, coeffs[:, mi]):
+            if coeff == 0:
+                continue
+            rows.append(index.setdefault(lab[:k] + (u,) + lab[k:im] + lab[im + 1:], len(index)))
+            cols.append(col)
+            values.append(coeff)
+    rotation = (np.array(rows, dtype=int), np.array(cols, dtype=int),
+                np.array(values, dtype=complex))
+    return ((x_part, y_part), z_part), list(index), rotation
 
 
 def tree_change(cat, basis_from, basis_to):

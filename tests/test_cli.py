@@ -220,6 +220,7 @@ BAD_INPUTS = [
     (["witness", "qupit-chain", "--p", "5", "--delta", "5"], EXIT_USAGE),
     (["witness", "qupit-chain", "--p", "5", "--delta", "0"], EXIT_USAGE),
     (["group", "order", "--model", "su2_4-qubit", "--no-det-lift"], EXIT_USAGE),
+    (["group", "order", "--gates", "X5", "--projective", "--no-det-lift"], EXIT_USAGE),
     (["rep", "check", "--model", "su2_4-qutrit", "--leaves", "1", "--total", "2"], EXIT_USAGE),
     (["rep", "check", "--model", "su2_4-qutrit", "--shape", "((1 1)(1 1))->2"], EXIT_USAGE),
     (["rep", "check", "--category", "su2_4", "--leaves", "1 1 1 1", "--total", "2",
