@@ -13,8 +13,8 @@ Two independent constructions are provided:
 * :func:`general_generators` works on any shape and strand count: F-moves
   inside the subtree where strands i-1 and i meet bring that node to
   ``((X, i-1), i)`` or ``(i-1, i)``, where sigma_i is F[x a a; d] diag(R)
-  F^dagger on the charge of ``(X, i-1)``, or the phase R[a a; d]; the
-  F-moves undone give sigma_i on the basis.  Combs need no move.
+  F^dagger on the charge of ``(X, i-1)``, or the phase R[a a; d], gathered
+  from a label-indexed table; F-moves undone give sigma_i on the basis.
 
 Locality: braiding strands i-1 and i cannot change the charge of an edge
 whose leaves hold both or neither, and the F-moves replace only edges
@@ -28,13 +28,11 @@ returned matrices, so the qutrit generators come out exactly in the
 printed form, gamma factors included.
 
 A :class:`BraidRep` stores each generator once, as the row-major
-(rows, cols, values) triples of its exact nonzeros (``BraidRep.nonzeros``);
-no dense dim x dim generator is built.  :func:`rep_check` and
-:func:`metaplectic.synthesis.eval_word` work from that form, and
-``BraidRep.generators``/``BraidRep.sigma`` return fresh dense copies for
-the small reps that need matrices.  The triple format and its products
-live in :mod:`metaplectic.triples`, shared with the basis changes of
-:mod:`metaplectic.trees`.
+(rows, cols, values) triples of :mod:`metaplectic.triples` holding its
+exact nonzeros (``BraidRep.nonzeros``); no dense dim x dim generator is
+built.  :func:`rep_check` and :func:`metaplectic.synthesis.eval_word`
+work from that form, and ``BraidRep.generators``/``BraidRep.sigma``
+return fresh dense copies for the small reps that need matrices.
 """
 
 from __future__ import annotations
@@ -43,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import (_internal_paths, _leaf_slots, _rotate, _subtree, enumerate_basis,
+from .categories import _label_tables
+from .trees import (_find, _internal_paths, _leaf_slots, _rotate, _subtree, enumerate_basis,
                     pair_tree)
 from .triples import _dense, _nonzeros, _product, _summed
 
@@ -118,6 +117,13 @@ def pair_tree_generators(cat, a, b):
     return BraidRep(cat, basis, tuple(_nonzeros(g) for g in (sigma1, sigma2, sigma3)))
 
 
+def _twist(cat, x, a, d):
+    """sigma on the rows of F[x,a,a;d], indexed [c', c]."""
+    fmat = cat.f(x, a, a, d)
+    twist = np.array([cat.r(a, a, w) for w in cat.f_cols(x, a, a, d)])
+    return fmat.conj() @ (twist[:, None] * fmat.T)
+
+
 def general_generators(cat, basis):
     """Braid generators on an arbitrary fusion-tree basis.
 
@@ -128,29 +134,23 @@ def general_generators(cat, basis):
     is internal.  The node, of charge d, then reads ``((X, i-1), i)`` and
     sigma_i changes only the charge c of ``(X, i-1)``, x that of X, by
     sigma[c', c] = sum_w conj(F[x,a,a;d]_{c'w}) R[a,a;w] F[x,a,a;d]_{cw};
-    for siblings ``(i-1, i)`` it is R[a,a;d].  Undoing the rotations gives
-    sigma_i on the basis.  All strands must carry the same anyon type.
+    for siblings ``(i-1, i)`` it is R[a,a;d].  It is one gather from the
+    :func:`_twist` blocks indexed [x, d, c', c]; the first row that needs
+    absent data raises through ``cat.f``/``cat.r``.  Undoing the rotations
+    gives sigma_i on the basis.  All strands must carry one anyon type.
     """
     shape = basis.shape
-    n = shape.n_leaves
-    if n < 2:
-        raise ValueError("need at least 2 strands")
+    n = shape.n_leaves  # at least 2, as TreeShape checks
     if len(set(shape.leaves)) != 1:
         raise ValueError("general_generators requires identical leaf labels")
-    a = shape.leaves[0]
-    blocks, f_blocks = {}, {}
-
-    def block(x, d):
-        """Row labels of F[x,a,a;d] and sigma on them, indexed [n', n]."""
-        if (x, d) not in blocks:
-            fmat = cat.f(x, a, a, d)
-            twist = np.array([cat.r(a, a, w) for w in cat.f_cols(x, a, a, d)])
-            blocks[x, d] = cat.f_rows(x, a, a, d), fmat.conj() @ (twist[:, None] * fmat.T)
-        return blocks[x, d]
-
-    # extended to (total,) + lab + (a, unit), a labeling reads d, c and x at fixed positions
-    states = [(shape.total,) + lab + (a, cat.unit) for lab in basis.states]
-    index = {c: r for r, c in enumerate(states)}
+    names, tables = cat.labels, _label_tables(cat)
+    a = names.index(shape.leaves[0])
+    c_rows = tables.rows[:, a, a]  # [x, d, c]: c is a row of F[x,a,a;d]
+    missing = tables.f_missing[:, a, a] | (tables.cols[:, a, a] & tables.r_missing[a, a]).any(-1)
+    twists = np.zeros((len(names),) * 4, dtype=complex)  # [x, d, c', c]
+    for x, d in zip(*np.nonzero(c_rows.any(-1) & ~missing)):
+        block = np.ix_(c_rows[x, d], c_rows[x, d])
+        twists[x, d][block] = _twist(cat, names[x], names[a], names[d])
     dim = basis.dim
     signs = np.asarray(basis.signs, dtype=float)
     identity = (np.arange(dim), np.arange(dim), np.ones(dim, dtype=complex))
@@ -159,34 +159,30 @@ def general_generators(cat, basis):
     meeting = {_leaf_slots(node[0])[-1] + 1: k for k, node in enumerate(nodes)}
     for i in range(1, n):
         k = meeting[i]  # preorder index of the node
-        node, labelings, move = nodes[k], basis.states, identity
+        node, labels, move = nodes[k], basis.labels, identity
         while not isinstance(node[1], int):
-            node, labelings, rotation = _rotate(cat, shape, node, k, labelings, f_blocks)
+            node, labels, rotation = _rotate(cat, tables, shape, node, k, labels)
             move = _product(dim, rotation, move)
             node, k = node[0], k + 1
         left = node[0]
         while not isinstance(left, int) and not isinstance(left[1], int):
-            left, labelings, rotation = _rotate(cat, shape, left, k + 1, labelings, f_blocks)
+            left, labels, rotation = _rotate(cat, tables, shape, left, k + 1, labels)
             move = _product(dim, rotation, move)
-        # extended positions of c (the charge sigma_i changes) and x; d is at k
+        # extended by the columns (a, unit), a row holds d at k and c, x at pc, px
         pc, px = ((-2, -1) if isinstance(left, int)
                   else (k + 1, -2 if isinstance(left[0], int) else k + 2))
-        rotated = move is not identity
-        charges = ([(shape.total,) + lab + (a, cat.unit) for lab in labelings]
-                   if rotated else states)
-        lookup = {c: r for r, c in enumerate(charges)} if rotated else index
-        rows, cols, values = [], [], []
-        for col, c in enumerate(charges):
-            labels, mat = block(c[px], c[k])
-            for label, value in zip(labels, mat[:, labels.index(c[pc])]):
-                if value != 0:
-                    rows.append(lookup[c[:pc] + (label,) + c[pc + 1:]])
-                    cols.append(col)
-                    values.append(value)
-        rows, cols = np.array(rows, dtype=int), np.array(cols, dtype=int)
+        extended = np.column_stack([labels, np.broadcast_to([a, 0], (dim, 2))])
+        x, c, d = extended[:, px], extended[:, pc], extended[:, k]
+        for first in np.flatnonzero(missing[x, d])[:1]:  # raises MissingDataError
+            _twist(cat, names[x[first]], names[a], names[d[first]])
+        coeffs = twists[x, d, :, c]
+        cols, new = np.nonzero(coeffs)
+        moved = extended[cols]
+        moved[:, pc] = new
+        rows = _find(extended, moved)
         order = np.argsort(rows * dim + cols)
-        gen = rows[order], cols[order], np.array(values, dtype=complex)[order]
-        if rotated:
+        gen = rows[order], cols[order], coeffs[cols, new][order]
+        if move is not identity:
             # only trees._GOLDEN pair trees have signs; unrotated, sigma_i is diagonal there
             rows, cols, values = _product(dim, (move[1], move[0], move[2].conj()),
                                           _product(dim, gen, move))

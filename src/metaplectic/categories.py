@@ -453,16 +453,23 @@ class _LabelTables:
     slots: np.ndarray
 
 
+def _fusion_tensor(cat):
+    """``N[a, b, c]``: ``c in a x b``, over label positions."""
+    index = {lab: i for i, lab in enumerate(cat.labels)}
+    fusion = np.zeros((len(index),) * 3, dtype=bool)
+    for (a, b), out in cat.fusion.items():
+        fusion[index[a], index[b], [index[c] for c in out]] = True
+    return fusion
+
+
 def _label_tables(cat):
     """Build :class:`_LabelTables` from ``cat``; one pass over its dicts."""
     index = {lab: i for i, lab in enumerate(cat.labels)}
     n = len(index)
-    fusion = np.zeros((n, n, n), dtype=bool)
+    fusion = _fusion_tensor(cat)
     slots = np.full((n, n, max(map(len, cat.fusion.values()))), -1, dtype=np.intp)
     for (a, b), out in cat.fusion.items():
-        out = [index[c] for c in out]
-        fusion[index[a], index[b], out] = True
-        slots[index[a], index[b], :len(out)] = out
+        slots[index[a], index[b], :len(out)] = [index[c] for c in out]
 
     # rows[a,b,c,d,m] = N[a,b,m] N[m,c,d]; cols[a,b,c,d,m] = N[b,c,m] N[a,m,d]
     rows = fusion[:, :, None, None, :] & fusion.transpose(1, 2, 0)[None, None]
@@ -471,14 +478,16 @@ def _label_tables(cat):
     has_unit = np.zeros((n,) * 4, dtype=bool)
     has_unit[0], has_unit[:, 0], has_unit[:, :, 0] = True, True, True
 
+    # each block's entries, raveled, fill its admissible positions in row-major order
+    at = tuple(np.array([[index[x] for x in key] for key in cat.f_table], dtype=np.intp)
+               .reshape(-1, 4).T)
+    block, i, j = np.nonzero(rows[at][:, :, None] & cols[at][:, None, :])
     f = np.zeros((n,) * 6, dtype=complex)
-    stored = np.zeros((n,) * 4, dtype=bool)
-    for key, mat in cat.f_table.items():
-        at = tuple(index[x] for x in key)
-        if not has_unit[at]:
-            f[at][np.ix_(rows[at], cols[at])] = mat
-            stored[at] = True
+    f[(*(x[block] for x in at), i, j)] = np.concatenate(
+        [np.zeros(0, dtype=complex)] + [mat.ravel() for mat in cat.f_table.values()])
     f[has_unit] = rows[has_unit][:, :, None] & cols[has_unit][:, None, :]
+    stored = np.zeros((n,) * 4, dtype=bool)
+    stored[at] = True
 
     r = np.zeros((n, n, n), dtype=complex)
     r_stored = np.zeros((n, n, n), dtype=bool)

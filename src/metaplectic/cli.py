@@ -28,7 +28,7 @@ from .gates import (cz_gate, hadamard, make_gate, mult_gate, parse_gate, q_gate,
                     sum_gate, x_gate, z_gate, equal_up_to_phase)
 from .protocol import estimate_flip_success
 from .synthesis import eval_word, group_closure, named_words, verify_identity, word_from_text
-from .trees import block_comb_tree, block_embedding, comb_tree, enumerate_basis, parse_shape
+from .trees import block_embedding, comb_tree, enumerate_basis, parse_shape
 from .witnesses import (imprimitivity_witness, infinite_order_witness,
                         qupit_subspace_chain, qutrit_commutator_witness,
                         so5_partial_results)
@@ -176,12 +176,9 @@ def _resolve_rep(args):
     if not (args.shape or (args.leaves and args.total)):
         args.source_parser.error("--category needs --shape, or --leaves with --total")
     cat = builtin_category(args.category)
-    if args.shape:
-        basis = enumerate_basis(cat, parse_shape(cat, args.shape))
-    else:
-        leaves = args.leaves.split()
-        basis = enumerate_basis(cat, comb_tree(cat, leaves, args.total))
-    return cat, general_generators(cat, basis)
+    shape = (parse_shape(cat, args.shape) if args.shape
+             else comb_tree(cat, args.leaves.split(), args.total))
+    return cat, general_generators(cat, enumerate_basis(cat, shape))
 
 
 def _cmd_rep(args):
@@ -277,9 +274,8 @@ def _verify_suite_su24(tol):
                  @ np.kron(eye3, h_braided.conj().T))
     checks.append(("SUM = (IxH) CZ^-1 (IxH^-1)", *equal_up_to_phase(sum_built, sum_gate(3), tol)))
 
-    basis8 = enumerate_basis(cat, block_comb_tree(cat, "1", 2, "2"))
+    embed, basis8, _ = block_embedding(cat, "1", "2", 2, "2")
     rep8 = general_generators(cat, basis8)
-    embed, _, _ = block_embedding(cat, "1", "2", 2, "2")
     cz = verify_identity(rep8, words["CZword"], cz_gate(3), subspace=embed, tol=tol)
     checks.append(("CZ on 9-dim block subspace", cz.passed, cz.phase))
 

@@ -1,19 +1,20 @@
 """Fusion-tree bases and F-move basis changes.
 
 A tree shape is a full binary tree over ordered, labeled leaves with a
-fixed total charge at the root.  A basis state assigns an admissible
-charge to every internal edge; the assignment is recorded as a tuple of
-labels over the internal nodes in preorder (root excluded, since its
-charge is the total).
+fixed total charge at the root.  A basis stores its states as one
+read-only array of label positions, one row per state: the total, then
+the admissible charges of the internal edges in preorder, so column k is
+internal node k (0 is the root).
 
 Basis changes between shapes are composed from elementary rotations
 ``(X (Y Z)) -> ((X Y) Z)`` whose coefficients are F-matrix entries; any
 two shapes are connected through the left comb, which makes move paths
-deterministic and results bit-reproducible.  A rotation acts on the
-labeling tuples directly (it inserts the new ``(X Y)`` charge and drops
-the old ``(Y Z)`` one) and is held as a sparse dim x dim matrix in the
-row-major triple format of :mod:`metaplectic.triples`; the moves to the
-comb are sparse products of rotations.
+deterministic and results bit-reproducible.  A rotation gathers
+``conj(F[x,y,z,w,:,m])`` per row from the label-indexed F tensor, inserts
+the new ``(X Y)`` column and drops the old ``(Y Z)`` one, and is held as
+a sparse dim x dim matrix in the row-major triple format of
+:mod:`metaplectic.triples`; the moves to the comb are sparse products of
+rotations.
 
 Computational bases for the shipped qudit models carry a fixed state
 order and per-state signs (the qutrit basis is {-|YY>, |1Y>, |Y1>}); all
@@ -27,7 +28,7 @@ from functools import reduce
 
 import numpy as np
 
-from .categories import InadmissibleError
+from .categories import InadmissibleError, _fusion_tensor, _label_tables
 from .triples import _dense, _product
 
 __all__ = [
@@ -93,10 +94,6 @@ def _subtree(structure, path):
     return structure
 
 
-def _comb_structure(n):
-    return reduce(lambda acc, i: (acc, i), range(1, n), 0)
-
-
 def pair_tree(cat, leaf, total):
     """The 4-leaf shape ((a a)(a a)) -> total used by the 1-qudit models."""
     leaf = cat.resolve(leaf)
@@ -106,7 +103,8 @@ def pair_tree(cat, leaf, total):
 def comb_tree(cat, leaves, total):
     """Left-nested comb (((l0 l1) l2) ...) -> total."""
     leaves = tuple(cat.resolve(l) for l in leaves)
-    return TreeShape(_comb_structure(len(leaves)), leaves, cat.resolve(total))
+    structure = reduce(lambda acc, i: (acc, i), range(1, len(leaves)), 0)
+    return TreeShape(structure, leaves, cat.resolve(total))
 
 
 def block_comb_tree(cat, leaf, n_blocks, total):
@@ -117,20 +115,26 @@ def block_comb_tree(cat, leaf, n_blocks, total):
     return TreeShape(structure, (leaf,) * (4 * n_blocks), cat.resolve(total))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusionTreeBasis:
-    """Ordered admissible labelings of a tree shape, with per-state signs
-    identifying computational basis vectors (state i is signs[i] times the
-    bare labeling)."""
+    """Ordered admissible labelings of a tree shape (row i of ``labels`` is
+    state i), with per-state signs identifying computational basis vectors
+    (state i is signs[i] times the bare labeling)."""
 
     cat: object
     shape: TreeShape
-    states: tuple  # tuple of labeling tuples (preorder internal nodes, root excluded)
+    labels: np.ndarray  # read-only, dim x (number of internal nodes)
     signs: tuple
 
     @property
     def dim(self):
-        return len(self.states)
+        return len(self.labels)
+
+    @property
+    def states(self):
+        """The labelings as tuples of label names, root excluded."""
+        return tuple(tuple(map(self.cat.labels.__getitem__, row))
+                     for row in self.labels[:, 1:].tolist())
 
     def index(self, labeling):
         return self.states.index(tuple(labeling))
@@ -151,94 +155,92 @@ _GOLDEN = {
 def enumerate_basis(cat, shape):
     """All admissible labelings of ``shape`` (empty basis allowed).
 
-    States are sorted lexicographically in the category's label order,
-    except for the registered computational bases, whose printed order and
-    signs are kept.
+    Leaves and total go through ``cat.resolve``.  Each node joins the rows
+    of its two subtrees on the fusion tensor.  States are sorted
+    lexicographically in the category's label order, except for the
+    registered computational bases, whose printed order and signs are kept.
     """
-    def rec(structure, charge):
-        # labelings of the subtree, each including the subtree root charge first
+    shape = TreeShape(shape.structure, tuple(map(cat.resolve, shape.leaves)),
+                      cat.resolve(shape.total))
+    fusion = _fusion_tensor(cat)
+
+    def join(structure):
+        # rows of a subtree: its root charge, then its internal charges in preorder
         if isinstance(structure, int):
-            return [()] if shape.leaves[structure] == charge else []
-        left, right = structure
-        out = []
-        for cl in _charges(structure[0]):
-            for cr in _charges(structure[1]):
-                if charge not in cat.fuse(cl, cr):
-                    continue
-                for tl in rec(left, cl):
-                    for tr in rec(right, cr):
-                        out.append(_tag(left, cl, tl) + _tag(right, cr, tr))
-        return out
+            return np.array([[cat.labels.index(shape.leaves[structure])]])
+        left, right = map(join, structure)
+        i, j, charge = np.nonzero(fusion[left[:, :1], right[:, 0]])
+        return np.column_stack([charge] + [rows[at] for rows, at, child in
+                                           ((left, i, structure[0]), (right, j, structure[1]))
+                                           if not isinstance(child, int)])
 
-    def _charges(structure):
-        if isinstance(structure, int):
-            return (shape.leaves[structure],)
-        return cat.labels
-
-    def _tag(structure, charge, labeling):
-        return labeling if isinstance(structure, int) else (charge,) + labeling
-
-    states = rec(shape.structure, shape.total)
-    states.sort(key=lambda t: tuple(cat.labels.index(x) for x in t))
+    labels = join(shape.structure)
+    labels = labels[labels[:, 0] == cat.labels.index(shape.total)]
+    labels = labels[np.lexsort(labels.T[::-1])]
+    signs = (1,) * len(labels)
     key = (cat.name, shape.structure, shape.leaves, shape.total)
     if key in _GOLDEN:
         golden_states, signs = _GOLDEN[key]
-        if sorted(golden_states) != sorted(tuple(s) for s in states):
+        golden = np.array([[cat.labels.index(x) for x in (shape.total, *state)]
+                           for state in golden_states])
+        if not np.array_equal(np.unique(golden, axis=0), labels):
             raise AssertionError(f"golden basis mismatch for {key}")
-        return FusionTreeBasis(cat, shape, golden_states, signs)
-    return FusionTreeBasis(cat, shape, tuple(states), (1,) * len(states))
+        labels = golden
+    labels.setflags(write=False)
+    return FusionTreeBasis(cat, shape, labels, signs)
 
 
-def _to_comb(cat, basis):
-    """Rewrite a basis into the left comb: returns the comb labelings and
-    the move, as row-major triples, taking basis coordinates to them.  It
-    is the product of :func:`_rotate` at the highest node of the left
-    spine whose right child is internal, until there is none."""
-    shape, dim = basis.shape, basis.dim
-    labelings = list(basis.states)
+def _keys(labels):
+    """One byte string per row of ``labels``, to sort and search rows by."""
+    labels = np.ascontiguousarray(labels)
+    return labels.view(np.dtype((np.void, labels.itemsize * labels.shape[1]))).ravel()
+
+
+def _find(labels, rows):
+    """Position in ``labels`` of each of ``rows``, which must all occur there."""
+    order = np.argsort(keys := _keys(labels))
+    return order[np.searchsorted(keys[order], _keys(rows))]
+
+
+def _to_comb(cat, tables, basis):
+    """Rewrite a basis into the left comb: returns the comb rows and the
+    move, as row-major triples, taking basis coordinates to them.  It is
+    the product of :func:`_rotate` at the highest node of the left spine
+    whose right child is internal, until there is none."""
+    shape, dim, labels = basis.shape, basis.dim, basis.labels
     move = (np.arange(dim), np.arange(dim), np.ones(dim, dtype=complex))
-    blocks = {}
     node, k = shape.structure, 0
     while not isinstance(node, int):
         if isinstance(node[1], int):
             node, k = node[0], k + 1
         else:
-            node, labelings, rotation = _rotate(cat, shape, node, k, labelings, blocks)
+            node, labels, rotation = _rotate(cat, tables, shape, node, k, labels)
             move = _product(dim, rotation, move)  # only the right factor must be row-major
-    return labelings, move
+    return labels, move
 
 
-def _rotate(cat, shape, node, k, labelings, blocks):
-    """The F-move ``(X (Y Z)) -> ((X Y) Z)`` at ``node``, preorder index k
-    of the current tree (0 is the root; ``blocks`` caches F-blocks).
-    With ``(Y Z)`` at labeling index im, a labeling ``lab`` goes to
-    ``lab[:k] + (u,) + lab[k:im] + lab[im+1:]`` with coefficient
-    conj(F[x,y,z;w])[u, m], summed over the charge m of ``(Y Z)``.
-    Returns the rotated node, the new labelings and the rotation as
+def _rotate(cat, tables, shape, node, k, labels):
+    """The F-move ``(X (Y Z)) -> ((X Y) Z)`` at ``node``, internal node k
+    (column k of ``labels``).  With ``(Y Z)`` in column im, a row goes to
+    the rows with u inserted at column k + 1 and column im dropped, with
+    coefficient conj(F[x,y,z;w])[u, m] from ``tables.f``; the first row
+    whose F-block is missing raises through ``cat.f``.  Returns the rotated
+    node, the new rows (in order of first appearance) and the rotation as
     column-ordered (rows, cols, values) triples between the two.
     """
     x_part, (y_part, z_part) = node
-    im = k + len(_leaf_slots(x_part)) - 1  # a subtree of L leaves has L - 1 internal nodes
+    im = k + len(_leaf_slots(x_part))  # a subtree of L leaves has L - 1 internal nodes
     iz = im + len(_leaf_slots(y_part))
-    index, rows, cols, values = {}, [], [], []
-    for col, lab in enumerate(labelings):
-        w = shape.total if k == 0 else lab[k - 1]
-        x, y, z = (shape.leaves[part] if isinstance(part, int) else lab[i]
-                   for part, i in ((x_part, k), (y_part, im + 1), (z_part, iz)))
-        if (x, y, z, w) not in blocks:
-            blocks[x, y, z, w] = (cat.f_rows(x, y, z, w), cat.f_cols(x, y, z, w),
-                                  np.conj(cat.f(x, y, z, w)))
-        u_labels, m_labels, coeffs = blocks[x, y, z, w]
-        mi = m_labels.index(lab[im])
-        for u, coeff in zip(u_labels, coeffs[:, mi]):
-            if coeff == 0:
-                continue
-            rows.append(index.setdefault(lab[:k] + (u,) + lab[k:im] + lab[im + 1:], len(index)))
-            cols.append(col)
-            values.append(coeff)
-    rotation = (np.array(rows, dtype=int), np.array(cols, dtype=int),
-                np.array(values, dtype=complex))
-    return ((x_part, y_part), z_part), list(index), rotation
+    x, y, z = (cat.labels.index(shape.leaves[part]) if isinstance(part, int) else labels[:, col]
+               for part, col in ((x_part, k + 1), (y_part, im + 1), (z_part, iz)))
+    xyzw = np.broadcast_arrays(x, y, z, labels[:, k])
+    for first in np.flatnonzero(tables.f_missing[tuple(xyzw)])[:1]:
+        cat.f(*(cat.labels[v[first]] for v in xyzw))  # raises MissingDataError
+    coeffs = tables.f[(*xyzw, slice(None), labels[:, im])].conj()
+    cols, u = np.nonzero(coeffs)
+    rows = np.insert(np.delete(labels[cols], im, axis=1), k + 1, u, axis=1)
+    moved = rows[np.sort(np.unique(_keys(rows), return_index=True)[1])]  # first appearance
+    return ((x_part, y_part), z_part), moved, (_find(moved, rows), cols, coeffs[cols, u])
 
 
 def tree_change(cat, basis_from, basis_to):
@@ -258,14 +260,13 @@ def _change(cat, basis_from, basis_to):
         raise InadmissibleError("tree_change: leaf labels differ")
     if basis_from.shape.total != basis_to.shape.total:
         raise InadmissibleError("tree_change: total charges differ")
-    labs_f, move_from = _to_comb(cat, basis_from)
-    labs_t, (rows_t, cols_t, values_t) = _to_comb(cat, basis_to)
-    if sorted(labs_f) != sorted(labs_t):
+    tables = _label_tables(cat)
+    labs_f, move_from = _to_comb(cat, tables, basis_from)
+    labs_t, (rows_t, cols_t, values_t) = _to_comb(cat, tables, basis_to)
+    if not np.array_equal(np.sort(_keys(labs_f)), np.sort(_keys(labs_t))):
         raise AssertionError("comb bases disagree; inconsistent inputs")
-    dim = basis_from.dim
-    index = {lab: r for r, lab in enumerate(labs_f)}
-    rows_t = np.array([index[lab] for lab in labs_t], dtype=int)[rows_t]
-    rows, cols, values = _product(dim, (cols_t, rows_t, values_t.conj()), move_from)
+    rows_t = _find(labs_f, labs_t)[rows_t]
+    rows, cols, values = _product(basis_from.dim, (cols_t, rows_t, values_t.conj()), move_from)
     s_from = np.asarray(basis_from.signs, dtype=float)
     s_to = np.asarray(basis_to.signs, dtype=float)
     return rows, cols, s_to[rows] * values * s_from[cols]
@@ -281,8 +282,7 @@ def block_embedding(cat, leaf, block_total, n_blocks, total):
     Supports 1 or 2 blocks (beyond that the block roots no longer pin all
     internal charges).
     """
-    block_shape = pair_tree(cat, leaf, block_total)
-    block_basis = enumerate_basis(cat, block_shape)
+    block_basis = enumerate_basis(cat, pair_tree(cat, leaf, block_total))
     if block_basis.dim == 0:
         raise InadmissibleError("block basis is empty")
     if n_blocks == 1:
@@ -291,18 +291,15 @@ def block_embedding(cat, leaf, block_total, n_blocks, total):
         return np.eye(block_basis.dim, dtype=complex), block_basis, block_basis
     if n_blocks != 2:
         raise ValueError("block_embedding supports 1 or 2 blocks")
-    full_shape = block_comb_tree(cat, leaf, n_blocks, total)
-    full_basis = enumerate_basis(cat, full_shape)
-    bt = cat.resolve(block_total)
-    if cat.resolve(total) not in cat.fuse(bt, bt):
+    full_basis = enumerate_basis(cat, block_comb_tree(cat, leaf, n_blocks, total))
+    if cat.resolve(total) not in cat.fuse(block_total, block_total):
         raise InadmissibleError("block charges cannot fuse to the requested total")
-    d = block_basis.dim
+    d, blocks = block_basis.dim, block_basis.labels
+    pairs = np.column_stack([np.full(d * d, full_basis.labels[0, 0]),
+                             np.repeat(blocks, d, axis=0), np.tile(blocks, (d, 1))])
     mat = np.zeros((full_basis.dim, d * d), dtype=complex)
-    for i, (lab_i, sign_i) in enumerate(zip(block_basis.states, block_basis.signs)):
-        for j, (lab_j, sign_j) in enumerate(zip(block_basis.states, block_basis.signs)):
-            labeling = (bt,) + tuple(lab_i) + (bt,) + tuple(lab_j)
-            row = full_basis.index(labeling)
-            mat[row, i * d + j] = sign_i * sign_j
+    signs = np.outer(block_basis.signs, block_basis.signs).ravel()
+    mat[_find(full_basis.labels, pairs), np.arange(d * d)] = signs
     return mat, full_basis, block_basis
 
 

@@ -312,15 +312,8 @@ def _residuals(report):
     return report.unitarity_max, report.braid_max, report.far_commutation_max
 
 
-@pytest.fixture(scope="module")
-def reference_reps(su24, so52):
-    """(label, rep) over the pair-tree models, su2_4 combs n = 2..10 with
-    leaves 1 and 3 and every admissible total, the block-8 and block-12
-    shapes, a right comb, a 12-leaf zigzag (a right comb joined to a left
-    comb, whose sigma_6 no edge constrains), and the so5_2 4-comb."""
-    reps = [("qutrit", pair_tree_generators(su24, "1", "2")),
-            ("qubit", pair_tree_generators(su24, "1", "0")),
-            ("qupit", pair_tree_generators(so52, "eps", "y1"))]
+def reference_rep_shapes(su24, so52):
+    """(label, category, shape) of the fusion-tree reps of ``reference_reps``."""
     shapes = [(f"comb{n}-{leaf}-{total}", su24, comb_tree(su24, [leaf] * n, total))
               for leaf in ("1", "3") for n in range(2, 11) for total in su24.labels]
     shapes += [(f"block8-{total}", su24, block_comb_tree(su24, "1", 2, total))
@@ -330,7 +323,19 @@ def reference_reps(su24, so52):
                ("zigzag12", su24, parse_shape(su24, ZIGZAG12))]
     shapes += [(f"so5_2-comb4-{total}", so52, comb_tree(so52, ["eps"] * 4, total))
                for total in ("y1", "y2")]
-    for label, cat, shape in shapes:
+    return shapes
+
+
+@pytest.fixture(scope="module")
+def reference_reps(su24, so52):
+    """(label, rep) over the pair-tree models, su2_4 combs n = 2..10 with
+    leaves 1 and 3 and every admissible total, the block-8 and block-12
+    shapes, a right comb, a 12-leaf zigzag (a right comb joined to a left
+    comb, whose sigma_6 no edge constrains), and the so5_2 4-comb."""
+    reps = [("qutrit", pair_tree_generators(su24, "1", "2")),
+            ("qubit", pair_tree_generators(su24, "1", "0")),
+            ("qupit", pair_tree_generators(so52, "eps", "y1"))]
+    for label, cat, shape in reference_rep_shapes(su24, so52):
         basis = enumerate_basis(cat, shape)
         if basis.dim:
             reps.append((label, general_generators(cat, basis)))

@@ -102,6 +102,14 @@ def test_rep_missing_data_exit(capsys):
     assert code == EXIT_MISSING_DATA
 
 
+def test_rep_missing_data_message(capsys):
+    code = main(["rep", "check", "--category", "so5_2", "--leaves", "eps eps eps eps",
+                 "--total", "1"])
+    assert code == EXIT_MISSING_DATA
+    assert capsys.readouterr().err.splitlines() == [
+        "missing category data: so5_2: no stored F-matrix for ('y1', 'eps', 'eps', '1')"]
+
+
 def test_braid_eval_named(capsys):
     assert main(["braid", "eval", "--model", "su2_4-qutrit", "--named", "p"]) == EXIT_OK
     assert main(["braid", "eval", "--model", "su2_4-qutrit", "--named", "nope"]) == EXIT_USAGE

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from metaplectic.categories import InadmissibleError, builtin_category
+from metaplectic.categories import InadmissibleError, UnknownLabelError, builtin_category
 from metaplectic.trees import (_internal_paths, _subtree, block_comb_tree, block_embedding,
                                comb_tree, enumerate_basis, format_shape,
                                pair_tree, parse_shape, tree_change, TreeShape)
@@ -51,6 +51,26 @@ def test_qupit_basis_golden_order(so52):
 def test_qubit_basis(su24):
     basis = enumerate_basis(su24, pair_tree(su24, "1", "0"))
     assert basis.states == (("0", "0"), ("2", "2"))
+
+
+def test_basis_labels_are_a_read_only_array(su24):
+    """Row i holds state i as label positions: the total, then the internal
+    charges in preorder; ``states`` and ``index`` read the same rows."""
+    basis = enumerate_basis(su24, pair_tree(su24, "1", "2"))
+    assert basis.labels.tolist() == [[2, 2, 2], [2, 0, 2], [2, 2, 0]]
+    with pytest.raises(ValueError):
+        basis.labels[0, 0] = 0
+    assert [basis.index(state) for state in basis.states] == [0, 1, 2]
+
+
+def test_enumerate_basis_resolves_labels(su24):
+    """A hand-built shape may name labels by alias; an unknown one raises."""
+    for leaves, total in ((("1",) * 3, "eps"), (("eps",) * 3, "1")):
+        basis = enumerate_basis(su24, TreeShape(((0, 1), 2), leaves, total))
+        assert basis.dim == 2
+        assert basis.shape == comb_tree(su24, ["1"] * 3, "1")
+    with pytest.raises(UnknownLabelError):
+        enumerate_basis(su24, TreeShape(((0, 1), 2), ("1",) * 3, "x"))
 
 
 def test_empty_basis_allowed(su24):
