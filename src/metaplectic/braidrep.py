@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .categories import _label_tables
-from .trees import (_find, _internal_paths, _leaf_slots, _rotate, _subtree, enumerate_basis,
+from .trees import (_finder, _internal_paths, _leaf_slots, _rotate, _subtree, enumerate_basis,
                     pair_tree)
 from .triples import _dense, _nonzeros, _product, _summed
 
@@ -154,6 +154,9 @@ def general_generators(cat, basis):
     dim = basis.dim
     signs = np.asarray(basis.signs, dtype=float)
     identity = (np.arange(dim), np.arange(dim), np.ones(dim, dtype=complex))
+    tail = np.broadcast_to([a, 0], (dim, 2))
+    # the rows of every sigma_i whose node needs no rotation, sorted once
+    find_unrotated = _finder(np.column_stack([basis.labels, tail]))
     generators = []
     nodes = [_subtree(shape.structure, path) for path in _internal_paths(shape.structure)]
     meeting = {_leaf_slots(node[0])[-1] + 1: k for k, node in enumerate(nodes)}
@@ -171,7 +174,7 @@ def general_generators(cat, basis):
         # extended by the columns (a, unit), a row holds d at k and c, x at pc, px
         pc, px = ((-2, -1) if isinstance(left, int)
                   else (k + 1, -2 if isinstance(left[0], int) else k + 2))
-        extended = np.column_stack([labels, np.broadcast_to([a, 0], (dim, 2))])
+        extended = np.column_stack([labels, tail])
         x, c, d = extended[:, px], extended[:, pc], extended[:, k]
         for first in np.flatnonzero(missing[x, d])[:1]:  # raises MissingDataError
             _twist(cat, names[x[first]], names[a], names[d[first]])
@@ -179,7 +182,7 @@ def general_generators(cat, basis):
         cols, new = np.nonzero(coeffs)
         moved = extended[cols]
         moved[:, pc] = new
-        rows = _find(extended, moved)
+        rows = (find_unrotated if move is identity else _finder(extended))(moved)
         order = np.argsort(rows * dim + cols)
         gen = rows[order], cols[order], coeffs[cols, new][order]
         if move is not identity:

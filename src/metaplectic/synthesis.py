@@ -9,7 +9,10 @@ for the multiplication gates M[k] reproduce |i> -> |k i> rather than the
 transposed permutations.  Each letter is applied from the generator's
 stored nonzeros (``BraidRep.nonzeros``, the one form a rep keeps) by row
 gathers, or by a dense matmul, built from those nonzeros, when the
-generator is too full for gathers to pay.
+generator is too full for gathers to pay.  Gathers never mix the columns
+of the (transposed) running product, so past dim 181 the word runs on
+column panels sized to a private cache (``_PANEL_BYTES``), spread over
+one thread per CPU the process may use, with a bit-identical result.
 
 ``group_closure`` runs a deterministic breadth-first closure under
 multiplication, either projectively (elements hashed with their global
@@ -29,6 +32,9 @@ too, through the same stack-aware :func:`gates.phase_distance` that
 
 from __future__ import annotations
 
+import operator
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +57,11 @@ class BraidWord:
     letters: tuple
 
     def __post_init__(self):
+        for value in (self.n_strands, *self.letters):
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{value!r} is not an integer") from None
         for letter in self.letters:
             if letter == 0 or abs(letter) > self.n_strands - 1:
                 raise ValueError(f"letter {letter} invalid for {self.n_strands} strands")
@@ -132,23 +143,94 @@ def eval_word(rep, word):
     OpenBLAS: about 3.5 at dim 81, 7 at dim 243, 10 at dim 729 and 21 at
     dim 2187, while below dim 32 the matmul costs less than the fixed
     per-call cost of one pass.
+
+    A gather pass never mixes columns of t, so each column evolves on its
+    own.  When the three dim x dim buffers of t outgrow ``_PANEL_BYTES``
+    (dim > 181), the columns are split into ceil(48 dim^2 / _PANEL_BYTES)
+    panels, each about that budget, the whole word runs on each panel in
+    turn, and each panel's rows of ``out`` are written into the result.
+    The panel count is rounded up to a multiple of the worker count,
+    ``len(os.sched_getaffinity(0))`` (else ``os.cpu_count()``); the
+    calling thread and one thread per further worker each take every
+    worker-th panel in buffers allocated here, and all threads are joined
+    before the result is returned.  Every entry meets the same arithmetic
+    as in one whole array, so the result is bit-identical.  A word with a
+    dense-matmul letter runs as one panel in the calling thread (a matmul
+    on panels can round differently), as does a dim that fits the budget
+    (there threads cost more than they gain).
     """
     if word.n_strands != rep.n_strands:
         raise ValueError(f"word is on {word.n_strands} strands, rep on {rep.n_strands}")
+    dim = rep.dim
     actions = {letter: _letter_action(rep, letter) for letter in set(word.letters)}
-    held = np.eye(rep.dim, dtype=complex)
+    steps = [actions[letter][0] for letter in word.letters]
+    out = np.empty((dim, dim), dtype=complex)
+    if 48 * dim * dim <= _PANEL_BYTES or any(dense for _, dense in actions.values()):
+        workers, count = 1, 1
+    else:
+        workers = _workers()
+        count = -(-48 * dim * dim // _PANEL_BYTES)
+        count += -count % workers
+    edges = [dim * k // count for k in range(count + 1)]
+    panels = list(zip(edges, edges[1:]))
     # every letter writes into preallocated arrays: at dim 243 a fresh
     # array per step can cost more in page faults than the arithmetic
-    new, scratch = np.empty_like(held), np.empty_like(held)
-    for letter in word.letters:
-        actions[letter](held, new, scratch)
-        held, new = new, held
-    return np.ascontiguousarray(held.T)
+    buffers = np.empty((workers, 3, dim * -(-dim // count)), dtype=complex)
+    failures = []
+
+    def work(k):
+        try:
+            _run_panels(steps, out, panels[k::workers], buffers[k])
+        except BaseException as exc:  # re-raised in the calling thread
+            failures.append(exc)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
+    return out
+
+
+# the budget for the three complex buffers of one panel, 48 * dim * width
+# bytes: three quarters of the 2 MiB private L2 per core of the 2-vCPU x86
+# box it was measured on (numpy 2.4).  Three 400-letter words took, as one
+# array and then on two threads in panels under budgets of 1, 1.5 and
+# 2 MiB, 0.40-0.45, 0.25-0.28, 0.20-0.22 and 0.21 s on the dim-243 comb-12
+# rep, and 4.28, 1.77-2.04, 1.64-1.91 and 1.89 s on the dim-729 comb-14 rep
+_PANEL_BYTES = 3 << 19
+
+
+def _workers():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _run_panels(steps, out, panels, buffers):
+    """Apply ``steps`` to each (lo, hi) panel of columns of t = I, and write
+    the panel's rows lo:hi of out = t^T; ``buffers`` holds three flat
+    arrays, each at least dim * (hi - lo) long."""
+    dim = len(out)
+    for lo, hi in panels:
+        held, new, scratch = (b[:dim * (hi - lo)].reshape(dim, hi - lo) for b in buffers)
+        held.fill(0)
+        np.fill_diagonal(held[lo:hi], 1)
+        for step in steps:
+            step(held, new, scratch)
+            held, new = new, held
+        out[lo:hi] = held.T
 
 
 def _letter_action(rep, letter):
     """A function (t, out, scratch) writing (t^T s)^T into ``out`` for the
-    letter's factor s; see :func:`eval_word`."""
+    letter's factor s, and whether it is a dense matmul; see
+    :func:`eval_word`."""
     dim = rep.dim
     rows, cols, values = rep.nonzeros[abs(letter) - 1]
     if letter < 0:  # the nonzeros of s = sigma_i^dagger
@@ -157,7 +239,7 @@ def _letter_action(rep, letter):
     passes = int(np.bincount(cols[off], minlength=dim).max(initial=0))
     if 4 * passes * passes > dim - 32:
         factor = _dense(dim, (cols, rows, values))  # s^T, as it multiplies t
-        return lambda t, out, scratch: np.matmul(factor, t, out=out)
+        return (lambda t, out, scratch: np.matmul(factor, t, out=out)), True
     diag = np.zeros((dim, 1), dtype=complex)
     diag[cols[~off], 0] = values[~off]
     order = np.argsort(cols[off], kind="stable")
@@ -179,7 +261,7 @@ def _letter_action(rep, letter):
             np.take(t, rows_of_t, axis=0, out=scratch, mode="clip")
             np.multiply(scratch, weight, out=scratch)
             np.add(out, scratch, out=out)
-    return act
+    return act, False
 
 
 @dataclass

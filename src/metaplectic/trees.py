@@ -196,10 +196,17 @@ def _keys(labels):
     return labels.view(np.dtype((np.void, labels.itemsize * labels.shape[1]))).ravel()
 
 
+def _finder(labels):
+    """A function giving the position in ``labels`` of each row of its
+    argument, which must all occur there; ``labels`` is sorted once."""
+    order = np.argsort(keys := _keys(labels))
+    keys = keys[order]
+    return lambda rows: order[np.searchsorted(keys, _keys(rows))]
+
+
 def _find(labels, rows):
     """Position in ``labels`` of each of ``rows``, which must all occur there."""
-    order = np.argsort(keys := _keys(labels))
-    return order[np.searchsorted(keys[order], _keys(rows))]
+    return _finder(labels)(rows)
 
 
 def _to_comb(cat, tables, basis):

@@ -615,6 +615,20 @@ def test_noncomb_generators_take_no_dense_product(su24, monkeypatch):
         assert len(rep.nonzeros) == shape.n_leaves - 1
 
 
+def test_unrotated_rows_are_sorted_once(su24, monkeypatch):
+    """Every sigma_i whose meeting node needs no F-move searches the basis
+    rows through one sort per call: a left comb sorts once, and the right
+    comb once plus once per rotated sigma_i (all but sigma_5)."""
+    sorts = []
+    finder = braidrep._finder
+    monkeypatch.setattr(braidrep, "_finder", lambda labels: sorts.append(labels) or finder(labels))
+    for shape, count in [(comb_tree(su24, ["1"] * 8, "2"), 1),
+                         (TreeShape((0, (1, (2, (3, (4, 5))))), ("1",) * 6, "2"), 5)]:
+        sorts.clear()
+        general_generators(su24, enumerate_basis(su24, shape))
+        assert len(sorts) == count
+
+
 def test_sigma_index_checked(qutrit_rep):
     assert qutrit_rep.n_strands == 4
     for i in (0, -1, 4):

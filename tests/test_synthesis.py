@@ -1,5 +1,7 @@
 """Braid words, identity verification, and group closure."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,14 @@ def test_word_validation():
     assert word_from_text("3 2 -3", 4).letters == (3, 2, -3)
 
 
+@pytest.mark.parametrize("n_strands, letters, bad", [
+    (4, (1.5,), "1.5"), (4, (2, 1.0), "1.0"), (4, ("1",), "'1'"), (4.0, (1,), "4.0")])
+def test_word_rejects_non_integers(n_strands, letters, bad):
+    with pytest.raises(ValueError, match=f"^{bad} is not an integer$"):
+        BraidWord(n_strands, letters)
+    assert BraidWord(np.int64(4), (np.int32(3), -1)).letters == (3, -1)
+
+
 def test_empty_word_is_identity(qutrit_rep):
     assert abs(eval_word(qutrit_rep, BraidWord(4, ())) - np.eye(3)).max() == 0.0
 
@@ -87,6 +97,26 @@ def dense_eval_word(rep, word):
     return out
 
 
+def one_array_eval_word(rep, word):
+    """``eval_word`` as one array in the calling thread, the reference for
+    its column panels (``_letter_action`` also returns whether the letter
+    is dense, hence the ``[0]``)."""
+    actions = {letter: synthesis._letter_action(rep, letter)[0] for letter in set(word.letters)}
+    held = np.eye(rep.dim, dtype=complex)
+    # every letter writes into preallocated arrays: at dim 243 a fresh
+    # array per step can cost more in page faults than the arithmetic
+    new, scratch = np.empty_like(held), np.empty_like(held)
+    for letter in word.letters:
+        actions[letter](held, new, scratch)
+        held, new = new, held
+    return np.ascontiguousarray(held.T)
+
+
+def _random_word(rng, n, length):
+    letters = rng.integers(1, n, size=length) * rng.choice([-1, 1], size=length)
+    return BraidWord(n, tuple(int(x) for x in letters))
+
+
 @pytest.fixture(scope="module")
 def word_reps():
     """(label, rep) over su2_4 combs n = 2..12 with leaves 1 and 3 and every
@@ -117,7 +147,10 @@ def word_reps():
 
 
 def test_eval_word_matches_dense_reference(word_reps):
-    """Every generator and its inverse once, then random letters."""
+    """Every generator and its inverse once, then random letters: close to
+    the dense loop, and bit-identical to the one-array loop, on every rep
+    (the dim-243 ones take several panels, except block12 and zigzag12,
+    whose dense letters keep one); the empty word gives the identity."""
     rng = np.random.default_rng(6)
     empty = 0
     for label, rep in word_reps:
@@ -128,6 +161,7 @@ def test_eval_word_matches_dense_reference(word_reps):
         fast, slow = eval_word(rep, word), dense_eval_word(rep, word)
         assert fast.shape == slow.shape == (rep.dim, rep.dim), label
         assert abs(fast - slow).max(initial=0.0) < 1e-13, label
+        assert np.array_equal(fast, one_array_eval_word(rep, word)), label
         assert np.array_equal(eval_word(rep, BraidWord(n, ())), np.eye(rep.dim)), label
         empty += rep.dim == 0
     assert len(word_reps) == 121 and empty > 0
@@ -135,18 +169,82 @@ def test_eval_word_matches_dense_reference(word_reps):
 
 def test_eval_word_factor_choice(word_reps, monkeypatch):
     """Letters with few nonzeros per column are applied by row gathers; a
-    generator too full for that (zigzag sigma_6) takes a dense matmul."""
-    dense_calls = []
-    dense = synthesis._dense
+    generator too full for that (zigzag sigma_6) takes a dense matmul.
+    Only a word of gathers on a rep past dim 181 is split into panels."""
+    dense_calls, panels = [], []
+    dense, run_panels = synthesis._dense, synthesis._run_panels
     monkeypatch.setattr(synthesis, "_dense",
                         lambda *args: dense_calls.append(args) or dense(*args))
+    monkeypatch.setattr(synthesis, "_run_panels",
+                        lambda *args: panels.extend(args[2]) or run_panels(*args))
     reps = dict(word_reps)
-    for label, dense_expected in [("comb12-1-2", False), ("zigzag12", True)]:
-        rep = reps[label]
+    for label, dense_expected, one_panel in [("comb10-1-2", False, True),
+                                             ("comb12-1-2", False, False),
+                                             ("zigzag12", True, True)]:
+        rep, n = reps[label], reps[label].n_strands
         dense_calls.clear()
-        word = BraidWord(12, tuple(range(1, 12)) + tuple(range(-1, -12, -1)))
+        panels.clear()
+        word = BraidWord(n, tuple(range(1, n)) + tuple(range(-1, -n, -1)))
         assert abs(eval_word(rep, word) - dense_eval_word(rep, word)).max() < 1e-13
         assert len(dense_calls) == 2 * dense_expected, label  # sigma_6 and its inverse
+        assert (panels == [(0, rep.dim)]) == one_panel, label
+
+
+@pytest.fixture(scope="module")
+def panel_reps():
+    """The su2_4 combs of 13 and 14 `1` leaves, dims 365 and 729, with a
+    40-letter word each."""
+    cat, rng = builtin_category("su2_4"), np.random.default_rng(13)
+    out = []
+    for n, total in ((13, "1"), (14, "2")):
+        rep = general_generators(cat, enumerate_basis(cat, comb_tree(cat, ["1"] * n, total)))
+        out.append((rep, _random_word(rng, n, 40)))
+    assert [rep.dim for rep, _ in out] == [365, 729]
+    return out
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2, 3])
+def test_eval_word_panels_are_bit_identical(panel_reps, workers, monkeypatch):
+    """Several panels on several threads give the one-array loop's bits, for
+    the machine's worker count and for 1, 2 and 3 workers."""
+    if workers is not None:
+        monkeypatch.setattr(synthesis, "_workers", lambda: workers)
+    expected_workers = workers or synthesis._workers()
+    run_panels, calls = synthesis._run_panels, []
+
+    def spy(steps, out, panels, buffers):
+        calls.append((threading.get_ident(), len(panels)))
+        run_panels(steps, out, panels, buffers)
+
+    monkeypatch.setattr(synthesis, "_run_panels", spy)
+    for rep, word in panel_reps:
+        calls.clear()
+        assert np.array_equal(eval_word(rep, word), one_array_eval_word(rep, word))
+        assert len({ident for ident, _ in calls}) == len(calls) == expected_workers
+        count = sum(n for _, n in calls)
+        assert count > 1 and count % expected_workers == 0
+
+
+def test_eval_word_leaves_no_thread_running(panel_reps, monkeypatch):
+    rep, word = panel_reps[1]
+    before = threading.active_count()
+    expected = eval_word(rep, word)
+    assert threading.active_count() == before
+    # a worker's failure reaches the caller once every thread is joined
+    monkeypatch.setattr(synthesis, "_workers", lambda: 3)
+    run_panels = synthesis._run_panels
+
+    def fail_off_main(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("worker failed")
+        run_panels(*args)
+
+    monkeypatch.setattr(synthesis, "_run_panels", fail_off_main)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        eval_word(rep, word)
+    assert threading.active_count() == before
+    monkeypatch.setattr(synthesis, "_run_panels", run_panels)
+    assert np.array_equal(eval_word(rep, word), expected)
 
 
 def test_p_and_q_squares(qutrit_rep):
