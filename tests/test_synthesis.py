@@ -1,5 +1,6 @@
 """Braid words, identity verification, and group closure."""
 
+import sys
 import threading
 
 import numpy as np
@@ -206,7 +207,8 @@ def panel_reps():
 @pytest.mark.parametrize("workers", [None, 1, 2, 3])
 def test_eval_word_panels_are_bit_identical(panel_reps, workers, monkeypatch):
     """Several panels on several threads give the one-array loop's bits, for
-    the machine's worker count and for 1, 2 and 3 workers."""
+    the machine's worker count and for 1, 2 and 3 workers, with the
+    threads switched often."""
     if workers is not None:
         monkeypatch.setattr(synthesis, "_workers", lambda: workers)
     expected_workers = workers or synthesis._workers()
@@ -217,12 +219,17 @@ def test_eval_word_panels_are_bit_identical(panel_reps, workers, monkeypatch):
         run_panels(steps, out, panels, buffers)
 
     monkeypatch.setattr(synthesis, "_run_panels", spy)
-    for rep, word in panel_reps:
-        calls.clear()
-        assert np.array_equal(eval_word(rep, word), one_array_eval_word(rep, word))
-        assert len({ident for ident, _ in calls}) == len(calls) == expected_workers
-        count = sum(n for _, n in calls)
-        assert count > 1 and count % expected_workers == 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, as a race would need
+    try:
+        for rep, word in panel_reps:
+            calls.clear()
+            assert np.array_equal(eval_word(rep, word), one_array_eval_word(rep, word))
+            assert len({ident for ident, _ in calls}) == len(calls) == expected_workers
+            count = sum(n for _, n in calls)
+            assert count > 1 and count % expected_workers == 0
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_eval_word_leaves_no_thread_running(panel_reps, monkeypatch):
