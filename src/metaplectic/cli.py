@@ -220,9 +220,6 @@ def _resolve_word(args, rep):
 def _cmd_braid(args):
     _, rep = _resolve_rep(args)
     word = _resolve_word(args, rep)
-    if word.n_strands != rep.n_strands:
-        print(f"word needs {word.n_strands} strands, rep has {rep.n_strands}", file=sys.stderr)
-        return EXIT_USAGE
     mat = eval_word(rep, word)
     _emit([f"word: {word}", _fmt_matrix(mat)], [f"dim={mat.shape[0]}"])
     return EXIT_OK

@@ -3,7 +3,9 @@
 A :class:`ProtocolState` is a register of qudits with a seeded RNG.  It
 supports unitary application, standard-basis measurement of one qudit,
 and coherent projection of one qudit onto a subspace (the unmeasured
-branch keeps its relative phases).
+branch keeps its relative phases).  All three take one path, a
+``np.tensordot`` on the acted-on qudits' axes; the Flip functions below
+build no register per call but are closed forms making its draws.
 
 The Flip construction works on qutrits: an ancilla
 |psi> = (|0> - |1> + |2>)/sqrt(3) is prepared measurement-assisted, and
@@ -23,7 +25,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +48,8 @@ class ProtocolState:
     ``num_qudits`` m >= 1 and ``d`` >= 2 are integers.  The register starts
     in the standard basis state ``initial``, m digits in range(d), which
     defaults to |0...0>.  The RNG is ``rng``, or a new Generator seeded
-    with ``seed``; passing both raises ``ValueError``.
+    with ``seed``; passing both raises ``ValueError``.  Every operation
+    applies its matrix through :meth:`_acted`, the one path.
     """
 
     def __init__(self, num_qudits, d, rng=None, seed=None, initial=None):
@@ -97,27 +99,24 @@ class ProtocolState:
 
         A gate that is not a unitary matrix to 1e-9 raises ``ValueError``.
         """
-        return self._apply(_unitary(gate), at)
-
-    def _apply(self, gate, at):
-        """:meth:`apply` for a gate already known to be unitary."""
+        gate = _unitary(gate)
         at = tuple(at)
         if any(not 0 <= q < self.m for q in at) or len(set(at)) != len(at):
             raise IndexError(f"bad qudit indices {at} for register of {self.m}")
-        k = len(at)
-        gate = np.asarray(gate, dtype=complex)
-        if gate.shape != (self.d ** k, self.d ** k):
-            raise ValueError(f"gate shape {gate.shape} does not act on {k} qudits")
-        if at == tuple(range(self.m)):
-            self.amps = (gate @ self.amps.reshape(-1)).reshape(self.amps.shape)
-            return self
-        tensor = gate.reshape((self.d,) * (2 * k))
-        rest = [ax for ax in range(self.m) if ax not in at]
-        moved = np.transpose(self.amps, at + tuple(rest))
-        out = np.tensordot(tensor, moved, axes=(tuple(range(k, 2 * k)), tuple(range(k))))
-        inverse = np.argsort(at + tuple(rest))
-        self.amps = np.transpose(out, inverse)
+        if gate.shape != (self.d ** len(at),) * 2:
+            raise ValueError(f"gate shape {gate.shape} does not act on {len(at)} qudits")
+        self.amps = self._acted(gate, at)
         return self
+
+    def _acted(self, matrix, at):
+        """The amplitudes with a d^k x d^k ``matrix`` applied to the k
+        qudits ``at``, in that order; the register is not changed."""
+        k = len(at)
+        order = at + tuple(ax for ax in range(self.m) if ax not in at)
+        moved = np.transpose(self.amps, order)
+        tensor = matrix.reshape((self.d,) * (2 * k))
+        out = np.tensordot(tensor, moved, axes=(tuple(range(k, 2 * k)), tuple(range(k))))
+        return np.transpose(out, np.argsort(order))
 
     def _check_qudit(self, qudit):
         if not 0 <= qudit < self.m:
@@ -144,10 +143,10 @@ class ProtocolState:
     def project(self, qudit, vectors):
         """Coherent projection of one qudit onto span(vectors).
 
-        ``vectors`` is a list of orthonormal d-vectors, or a projector made
-        once by :func:`_projector` for repeated use.  Returns ("in"/"out",
-        probability of the sampled branch).  The complement branch stays
-        coherent: only the projector is applied.
+        ``vectors`` is a list of orthonormal d-vectors, made into the
+        projector pair on each call.  Returns ("in"/"out", probability of the
+        sampled branch).  The complement branch stays coherent: only the
+        projector is applied, through :meth:`_acted` like every operation.
 
         This is also the register-level reading of an anyonic total-charge
         measurement: measuring whether the first anyon pair of a
@@ -155,27 +154,18 @@ class ProtocolState:
         basis vector) versus its complement, coherently.
         """
         self._check_qudit(qudit)
-        if not isinstance(vectors, _Projector):
-            vectors = _projector(vectors, self.d)
-        projected = self._on_qudit(qudit, vectors.inside)
+        inside, outside = _projector(vectors, self.d)
+        projected = self._acted(inside, (qudit,))
         p_in = float((np.abs(projected) ** 2).sum())
         p_in = min(max(p_in, 0.0), 1.0)
         if self.rng.random() < p_in:
-            self._renormalize(projected)
+            self.amps = _renormalized(projected)
             return "in", p_in
-        self._collapse(qudit, vectors.outside)
+        self._collapse(qudit, outside)
         return "out", 1.0 - p_in
 
-    def _on_qudit(self, qudit, operator):
-        """The amplitudes with a d x d ``operator`` applied to one qudit."""
-        view = self.amps.reshape(self.d ** qudit, self.d, -1)
-        return (operator @ view).reshape(self.amps.shape)
-
-    def _collapse(self, qudit, operator):
-        self._renormalize(self._on_qudit(qudit, operator))
-
-    def _renormalize(self, amps):
-        self.amps = _renormalized(amps)
+    def _collapse(self, qudit, matrix):
+        self.amps = _renormalized(self._acted(matrix, (qudit,)))
 
 
 def _born_outcome(probs, rng):
@@ -211,13 +201,9 @@ def _dimension(d):
     return d
 
 
-class _Projector(NamedTuple):
-    inside: np.ndarray  # onto the subspace
-    outside: np.ndarray  # onto its orthogonal complement
-
-
 def _projector(vectors, d):
-    """Projector pair for span(vectors); the vectors must be orthonormal d-vectors."""
+    """The projectors (onto span(vectors), onto its orthogonal complement);
+    the vectors must be orthonormal d-vectors."""
     columns = []
     for v in vectors:
         v = np.asarray(v, complex)
@@ -232,7 +218,7 @@ def _projector(vectors, d):
     if not abs(overlap - np.eye(basis.shape[1])).max() <= 1e-9:
         raise ValueError("projection subspace vectors must be orthonormal")
     inside = basis @ basis.conj().T
-    return _Projector(inside, np.eye(d) - inside)
+    return inside, np.eye(d) - inside
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +226,6 @@ def _projector(vectors, d):
 
 # ancilla-measurement outcome -> sign pattern applied to the data qutrit
 FLIP_PATTERNS = {0: (1, 1, -1), 1: (-1, 1, 1), 2: (1, -1, 1)}
-
-# the fixed qutrit operators of the protocol, built and checked once
-_H3 = hadamard(3)
-_H3_H3 = _unitary(np.kron(_H3, _H3))
-_SUM3 = _unitary(sum_gate(3))
-_ONTO_01 = _projector(np.eye(3)[:2], 3)  # span{|0>, |1>}
-_ONTO_H0 = _projector([_H3[:, 0]], 3)  # span{H|0>}
-
 
 # after SUM on phi (x) psi, amplitude (i, j) is phi_i psi[_SHIFT[i, j]]
 _SHIFT = (np.arange(3) - np.arange(3)[:, None]) % 3
@@ -263,18 +241,20 @@ class _AlwaysIn:
 
 
 def _flip_ancilla_branch():
-    """The all-"in" branch of one preparation attempt, run on a register.
+    """The all-"in" branch of one preparation attempt, run on a register
+    by its public ``apply`` and ``project``, the one path.
 
     Returns the chance of "in" at each of the three projections, clipped
     as :meth:`ProtocolState.project` clips it, and the ancilla the branch
     leaves.  Neither depends on the draws.
     """
+    h3 = hadamard(3)
     state = ProtocolState(2, 3, rng=_AlwaysIn(), initial=(1, 2))
-    state._apply(_H3_H3, (0, 1))
-    chances = [state.project(0, _ONTO_01)[1], state.project(1, _ONTO_01)[1]]
-    state._apply(_SUM3, (0, 1))
-    chances.append(state.project(0, _ONTO_H0)[1])
-    marginal = _H3[:, 0].conj() @ state.amps
+    state.apply(np.kron(h3, h3), (0, 1))
+    chances = [state.project(q, np.eye(3)[:2])[1] for q in (0, 1)]  # onto span{|0>, |1>}
+    state.apply(sum_gate(3), (0, 1))
+    chances.append(state.project(0, [h3[:, 0]])[1])
+    marginal = h3[:, 0].conj() @ state.amps
     ancilla = marginal / np.linalg.norm(marginal)
     ancilla.setflags(write=False)
     return tuple(chances), ancilla

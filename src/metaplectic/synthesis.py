@@ -51,20 +51,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BraidWord:
-    """A word in the braid group B_{n_strands}."""
+    """A word in the braid group B_{n_strands}.
+
+    The word stores what it validated: ``n_strands`` and the ``letters``
+    as Python ints, the letters as a tuple, so equal words hash alike
+    whatever integer types or sequence they were given as.
+    """
 
     n_strands: int
     letters: tuple
 
     def __post_init__(self):
-        for value in (self.n_strands, *self.letters):
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{value!r} is not an integer") from None
-        for letter in self.letters:
-            if letter == 0 or abs(letter) > self.n_strands - 1:
-                raise ValueError(f"letter {letter} invalid for {self.n_strands} strands")
+        n_strands, letters = _integer(self.n_strands), tuple(map(_integer, self.letters))
+        for letter in letters:
+            if letter == 0 or abs(letter) > n_strands - 1:
+                raise ValueError(f"letter {letter} invalid for {n_strands} strands")
+        object.__setattr__(self, "n_strands", n_strands)
+        object.__setattr__(self, "letters", letters)
 
     def inverse(self):
         return BraidWord(self.n_strands, tuple(-l for l in reversed(self.letters)))
@@ -81,6 +84,16 @@ class BraidWord:
 
     def __str__(self):
         return " ".join(str(l) for l in self.letters)
+
+
+def _integer(value):
+    """``operator.index(value)``; a bool or a non-integer raises ``ValueError``."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{value!r} is not an integer")
 
 
 def word_from_text(text, n_strands):
@@ -284,17 +297,23 @@ def verify_identity(rep, word, target, subspace=None, tol=1e-8):
     if subspace is not None:
         e = np.asarray(subspace, dtype=complex)
         if e.shape[0] != rep.dim or e.shape[1] != target.shape[0]:
-            raise ValueError("subspace/target dimensions do not match the rep")
+            raise ValueError(f"subspace/target dimensions do not match the rep: subspace "
+                             f"{_size(e)}, target {_size(target)}, rep dim {rep.dim}")
         ue = u @ e
         restricted = e.conj().T @ ue
         leakage = abs(ue - e @ restricted).max()
     else:
         if target.shape[0] != rep.dim:
-            raise ValueError("target dimension does not match the rep")
+            raise ValueError(f"target dimension does not match the rep: target "
+                             f"{_size(target)}, rep dim {rep.dim}")
         restricted = u
         leakage = 0.0
     residual, phase = phase_distance(restricted, target)
     return VerifyResult(residual < tol and leakage < tol, phase, residual, leakage)
+
+
+def _size(matrix):
+    return " x ".join(map(str, matrix.shape))
 
 
 # ---------------------------------------------------------------------------

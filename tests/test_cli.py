@@ -116,6 +116,20 @@ def test_braid_eval_named(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["braid", "eval", "--model", "su2_4-qutrit", "--named", "CZword"],
+     "error: word is on 8 strands, rep on 4"),
+    (["verify", "identity", "--model", "su2_4-qutrit", "--named", "CZword", "--target", "H3"],
+     "error: word is on 8 strands, rep on 4"),
+    (["verify", "identity", "--category", "su2_4", "--shape", "(((1 1)(1 1))((1 1)(1 1)))->2",
+      "--named", "CZword", "--target", "H3"],
+     "error: target dimension does not match the rep: target 3 x 3, rep dim 27")])
+def test_size_mismatch_messages(argv, message, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message] and not captured.out
+
+
 def test_witness_commands(capsys):
     assert main(["witness", "qutrit", "--level", "0"]) == EXIT_OK
     assert main(["witness", "imprimitivity", "--gate", "SUM3"]) == EXIT_OK

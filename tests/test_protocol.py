@@ -1,5 +1,6 @@
 """Protocol simulator: states, measurements, and the Flip construction."""
 
+import itertools
 import time
 import tracemalloc
 import warnings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from metaplectic.gates import hadamard, sum_gate, x_gate
 from metaplectic import protocol
-from metaplectic.protocol import (FLIP_PATTERNS, FlipCurveRow, ProtocolState, _projector,
+from metaplectic.protocol import (FLIP_PATTERNS, FlipCurveRow, ProtocolState,
                                   estimate_flip_success, exact_flip_curve,
                                   exact_flip_probability, prepare_flip_ancilla,
                                   run_flip_round)
@@ -158,6 +159,26 @@ def test_apply_index_errors():
         state.apply(hadamard(3), (2,))
     with pytest.raises(ValueError):
         state.apply(hadamard(3), (0, 1))
+
+
+@pytest.mark.parametrize("at", [(2, 0), (1, 2), (0, 2)])
+def test_apply_two_qudit_gate_out_of_order(at):
+    """The gate's first factor acts on qudit at[0], its second on at[1]."""
+    rng = np.random.default_rng(at)
+    gate = np.linalg.qr(random_state(rng, (9, 9)))[0]
+    (other,) = set(range(3)) - set(at)
+    full = np.zeros((27, 27), dtype=complex)
+    digits = list(itertools.product(range(3), repeat=3))
+    for row, out in enumerate(digits):
+        for col, inp in enumerate(digits):
+            if out[other] == inp[other]:
+                full[row, col] = gate[3 * out[at[0]] + out[at[1]], 3 * inp[at[0]] + inp[at[1]]]
+    for _ in range(5):
+        amps = random_state(rng, (3, 3, 3))
+        state = ProtocolState(3, 3, seed=0)
+        state.amps = amps.copy()
+        state.apply(gate, at)
+        assert abs(state.vector() - full @ amps.reshape(-1)).max() < 1e-14
 
 
 def test_project_coherent_complement():
@@ -382,20 +403,11 @@ def test_measure_standard_rejects_invalid_probabilities():
         state.measure_standard(0)
 
 
-def test_project_accepts_precomputed_projector():
-    vectors = [np.eye(3)[0], np.eye(3)[2]]
-    for seed in range(20):
-        amps = random_state(np.random.default_rng(seed), (3, 3))
-        one, two = (ProtocolState(2, 3, seed=seed) for _ in range(2))
-        one.amps, two.amps = amps.copy(), amps.copy()
-        assert one.project(1, vectors) == two.project(1, _projector(vectors, 3))
-        assert np.array_equal(one.vector(), two.vector())
-
-
 def test_register_ops_match_slow_path():
     # projections and measurements on every qudit of random 1-3 qutrit
-    # registers: same outcomes and draws; off qudit 0 the one-qudit product
-    # sums in another order, so amplitudes agree to a few float64 ulp
+    # registers: same outcomes and draws; both sides contract the moved
+    # qudit axis with tensordot, so amplitudes agree to a few float64 ulp
+    # at most (a BLAS may sum the products in another order)
     for seed in range(60):
         rng = np.random.default_rng(seed)
         m = 1 + seed % 3

@@ -49,11 +49,21 @@ def test_word_validation():
 
 
 @pytest.mark.parametrize("n_strands, letters, bad", [
-    (4, (1.5,), "1.5"), (4, (2, 1.0), "1.0"), (4, ("1",), "'1'"), (4.0, (1,), "4.0")])
+    (4, (1.5,), "1.5"), (4, (2, 1.0), "1.0"), (4, ("1",), "'1'"), (4.0, (1,), "4.0"),
+    (4, (True, -1), "True"), (True, (1,), "True")])
 def test_word_rejects_non_integers(n_strands, letters, bad):
     with pytest.raises(ValueError, match=f"^{bad} is not an integer$"):
         BraidWord(n_strands, letters)
     assert BraidWord(np.int64(4), (np.int32(3), -1)).letters == (3, -1)
+
+
+def test_word_stores_python_int_tuples():
+    word = BraidWord(4, (1, 2, -3))
+    for same in (BraidWord(4, [1, 2, -3]),
+                 BraidWord(np.int64(4), (np.int32(1), np.int64(2), np.int8(-3)))):
+        assert same == word and hash(same) == hash(word) and str(same) == "1 2 -3"
+        assert type(same.n_strands) is int and type(same.letters) is tuple
+        assert all(type(letter) is int for letter in same.letters)
 
 
 def test_empty_word_is_identity(qutrit_rep):
@@ -293,6 +303,12 @@ def test_controlled_z_leakage_free(two_qutrit):
     assert result.passed
     assert result.residual < 1e-8
     assert result.leakage < 1e-8
+
+
+def test_verify_identity_subspace_message_states_sizes(two_qutrit):
+    rep, embed = two_qutrit
+    with pytest.raises(ValueError, match=r"subspace 27 x 9, target 3 x 3, rep dim 27$"):
+        verify_identity(rep, named_words("su2_4")["CZword"], hadamard(3), subspace=embed)
 
 
 def test_so52_gate_words(qupit_rep):
