@@ -6,6 +6,12 @@ Subcommands: ``category``, ``rep``, ``braid``, ``verify``, ``group``,
 ``=== machine ===``, and a machine-readable ``key=value`` (or CSV)
 section that is byte-identical across runs with identical argv.
 
+The argv grammar is built once per process, on the first :func:`main`
+call, and reused by every later call: building it costs milliseconds
+(argparse looks up every help string in gettext and asks the terminal's
+width for every help formatter), while one parse costs a tenth of one,
+and a process such as ``scripts/verify_all.py`` runs many commands.
+
 Exit codes: 0 all checks passed; 1 a check failed (residual above
 tolerance, wrong order, statistical rejection); 2 missing category data
 prevented a check; 64 flag parse error; 66 file I/O error.
@@ -14,6 +20,7 @@ prevented a check; 64 flag parse error; 66 file I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -319,9 +326,11 @@ def _verify_suite_so52(tol):
 
 
 def _cmd_group(args):
-    if args.no_det_lift and (args.projective or not args.gates):
+    if args.gates == "":
+        args.source_parser.error("--gates needs at least one gate name")
+    if args.no_det_lift and (args.projective or args.gates is None):
         args.source_parser.error("--no-det-lift applies only to linear closures of --gates")
-    if args.gates:
+    if args.gates is not None:
         # split on the commas outside brackets: R3[0,1,1],H3 is two gates
         gens = [make_gate(parse_gate(tok)) for tok in re.split(r",(?![^\[]*\])", args.gates)]
         label = args.gates
@@ -466,7 +475,18 @@ def _add_word_source(parser):
     word.add_argument("--named", help="preregistered word name (p, q, Hword, CZword, ...)")
 
 
+@functools.cache
 def build_parser():
+    """The ``metaplectic`` argument parser, built on the first call and
+    shared by every later one in the process; ``build_parser.__wrapped__()``
+    builds a fresh one.  Callers must not mutate the returned parser.
+
+    Sharing is safe because argparse keeps no state between parses: each
+    parse fills a fresh namespace, mutually exclusive groups track what
+    they have seen in locals, the ``source_parser`` default is only read,
+    and errors and ``--help`` look up the output streams and the terminal
+    width when they print.
+    """
     parser = _Parser(prog="metaplectic",
                      description="metaplectic anyon braiding simulator and verifier")
     sub = parser.add_subparsers(dest="command", required=True)

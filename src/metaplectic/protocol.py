@@ -100,8 +100,8 @@ class ProtocolState:
         A gate that is not a unitary matrix to 1e-9 raises ``ValueError``.
         """
         gate = _unitary(gate)
-        at = tuple(at)
-        if any(not 0 <= q < self.m for q in at) or len(set(at)) != len(at):
+        at = tuple(map(self._qudit, at))
+        if len(set(at)) != len(at):
             raise IndexError(f"bad qudit indices {at} for register of {self.m}")
         if gate.shape != (self.d ** len(at),) * 2:
             raise ValueError(f"gate shape {gate.shape} does not act on {len(at)} qudits")
@@ -118,12 +118,19 @@ class ProtocolState:
         out = np.tensordot(tensor, moved, axes=(tuple(range(k, 2 * k)), tuple(range(k))))
         return np.transpose(out, np.argsort(order))
 
-    def _check_qudit(self, qudit):
-        if not 0 <= qudit < self.m:
-            raise IndexError(f"bad qudit index {qudit} for register of {self.m}")
+    def _qudit(self, qudit):
+        """``qudit`` as an int in range(m); a bool, a non-integer or an
+        index out of range raises ``IndexError``."""
+        try:
+            index = None if isinstance(qudit, (bool, np.bool_)) else operator.index(qudit)
+        except TypeError:
+            index = None
+        if index is None or not 0 <= index < self.m:
+            raise IndexError(f"bad qudit index {qudit!r} for register of {self.m}")
+        return index
 
     def probabilities(self, qudit):
-        self._check_qudit(qudit)
+        qudit = self._qudit(qudit)
         axes = tuple(ax for ax in range(self.m) if ax != qudit)
         return np.abs(self.amps) ** 2 if not axes else (np.abs(self.amps) ** 2).sum(axis=axes)
 
@@ -153,7 +160,7 @@ class ProtocolState:
         fusion-tree qutrit is trivial projects onto span{|1>} (the |1 Y>
         basis vector) versus its complement, coherently.
         """
-        self._check_qudit(qudit)
+        qudit = self._qudit(qudit)
         inside, outside = _projector(vectors, self.d)
         projected = self._acted(inside, (qudit,))
         p_in = float((np.abs(projected) ** 2).sum())

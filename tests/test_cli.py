@@ -1,6 +1,7 @@
 """CLI surface: exit codes, machine-readable sections, determinism."""
 
 import argparse
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from metaplectic import cli
 from metaplectic.categories import BUILTIN_CATEGORIES
 from metaplectic.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_MISSING_DATA, EXIT_OK, EXIT_USAGE,
                              SENTINEL, build_parser, main)
@@ -266,6 +268,9 @@ BAD_INPUTS = [
     (["witness", "imprimitivity", "--gate", "CZ3[1]"], EXIT_USAGE),
     (["group", "order", "--gates", "R5[1,2]"], EXIT_USAGE),
     (["group", "order", "--gates", "R3[0,1,1],H3", "--projective"], EXIT_OK),
+    (["group", "order", "--gates", ""], EXIT_USAGE),
+    (["group", "order", "--gates", "", "--projective"], EXIT_USAGE),
+    (["group", "order", "--gates", "", "--no-det-lift"], EXIT_USAGE),
 ]
 
 
@@ -279,6 +284,64 @@ def test_bad_input_exit_codes(argv, code, capsys):
         assert "error" in err
     elif "--expect" in argv:
         assert machine_section(out).splitlines()[-1] == "pass=0"
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in BAD_INPUTS if "" in argv], ids=" ".join)
+def test_empty_gate_list_is_a_usage_error_naming_gates(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    assert "error: --gates" in capsys.readouterr().err.splitlines()[-1]
+
+
+def _verify_all_commands():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "verify_all.py"
+    spec = importlib.util.spec_from_file_location("verify_all", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.COMMANDS
+
+
+def _outcomes(argvs, capsys):
+    """(exit code, stdout, stderr) of each argv run through ``main``."""
+    capsys.readouterr()
+    outcomes = []
+    for argv in argvs:
+        code = main(list(argv))
+        outcomes.append((code, *capsys.readouterr()))
+    return outcomes
+
+
+def test_shared_parser_behaves_like_a_fresh_one(monkeypatch, capsys):
+    failing = [argv for argv, code in BAD_INPUTS if code != EXIT_OK]
+    passing = _verify_all_commands() + [argv for argv, code in BAD_INPUTS if code == EXIT_OK]
+    argvs = [["--help"]]
+    for i in range(max(len(failing), len(passing))):
+        argvs += [failing[i % len(failing)], passing[i % len(passing)]]
+    argvs += [["group", "order", "--help"], ["--help"]]
+    shared = _outcomes(argvs, capsys)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert shared == _outcomes(argvs, capsys)
+    assert {code for code, _, _ in shared} == {EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE}
+
+
+def test_parser_built_once_per_process(monkeypatch):
+    roots = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.prog == "metaplectic":
+                roots.append(self)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    cli.build_parser.cache_clear()
+    try:
+        argvs = [["category", "fuse", "su2_4", "eps", "eps"], ["group", "order"],
+                 ["witness", "qutrit", "--level", "0"], ["rep", "check", "--tol", "nan"]]
+        codes = [main(list(argvs[i % len(argvs)])) for i in range(20)]
+    finally:
+        cli.build_parser.cache_clear()
+    assert codes == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_USAGE] * 5
+    assert len(roots) == 1
 
 
 def _category_choices(parser, path=()):

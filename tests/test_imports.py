@@ -1,6 +1,7 @@
 """The engine depends on numpy and the standard library only."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,3 +31,16 @@ def test_import_scan_flags_third_party():
     tree = ast.parse("import scipy.sparse\nfrom sympy import Rational\nfrom . import gates\n"
                      "import numpy.linalg\nfrom collections import abc\n")
     assert set(imported_roots(tree)) - ALLOWED == {"scipy", "sympy"}
+
+
+def test_package_import_builds_no_parser():
+    """Importing the engine leaves the CLI and argparse unloaded, so a
+    process that never parses an argv pays nothing for the parser."""
+    src = str(Path(metaplectic.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import metaplectic, metaplectic.categories; "
+            "print(sorted({'argparse', 'metaplectic.cli'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -383,6 +383,35 @@ def test_qudit_index_checked():
         state.probabilities(-1)
 
 
+QUDIT_CALLS = {
+    "probabilities": lambda state, q: state.probabilities(q),
+    "measure_standard": lambda state, q: state.measure_standard(q),
+    "project": lambda state, q: state.project(q, [np.eye(3)[0]]),
+    "apply": lambda state, q: state.apply(hadamard(3), (q,)).vector(),
+}
+
+
+@pytest.mark.parametrize("method", sorted(QUDIT_CALLS))
+@pytest.mark.parametrize("qudit", [1.0, True, False, np.True_, "1", None, 2, -1],
+                         ids=repr)
+def test_qudit_index_must_be_an_int_in_range(method, qudit):
+    state = ProtocolState(2, 3, seed=0).apply(np.kron(hadamard(3), hadamard(3)), (0, 1))
+    before = state.vector()
+    with pytest.raises(IndexError, match="bad qudit index"):
+        QUDIT_CALLS[method](state, qudit)
+    assert np.array_equal(state.vector(), before)
+
+
+@pytest.mark.parametrize("method", sorted(QUDIT_CALLS))
+@pytest.mark.parametrize("qudit", [np.int64(1), np.uint8(1), np.intp(1)], ids=repr)
+def test_qudit_index_accepts_numpy_integers(method, qudit):
+    states = [ProtocolState(2, 3, seed=0).apply(np.kron(hadamard(3), x_gate(3)), (0, 1))
+              for _ in range(2)]
+    np.testing.assert_equal(QUDIT_CALLS[method](states[0], qudit),
+                            QUDIT_CALLS[method](states[1], 1))
+    assert np.array_equal(states[0].vector(), states[1].vector())
+
+
 def test_from_vector_rejects_zero_and_non_finite():
     for bad in (np.zeros(9), np.zeros(0), np.array([1.0, np.nan, 0, 0, 0, 0, 0, 0, 0]),
                 np.array([np.inf, 0, 0, 0, 0, 0, 0, 0, 0])):
