@@ -44,7 +44,8 @@ import numpy as np
 from .categories import _label_tables
 from .trees import (_finder, _internal_paths, _leaf_slots, _rotate, _subtree, enumerate_basis,
                     pair_tree)
-from .triples import _dense, _nonzeros, _product, _summed
+from .triples import (_dense, _keyed_product, _max_diff, _nonzeros, _product, _stacked,
+                      _unkeyed)
 
 __all__ = ["BraidRep", "RepReport", "pair_tree_generators", "general_generators", "rep_check"]
 
@@ -52,11 +53,40 @@ __all__ = ["BraidRep", "RepReport", "pair_tree_generators", "general_generators"
 @dataclass(frozen=True)
 class BraidRep:
     """Generators sigma_1..sigma_{n-1} on a fusion-tree basis, each stored
-    as the row-major (rows, cols, values) triples of its exact nonzeros."""
+    as the row-major (rows, cols, values) triples of its exact nonzeros.
+
+    ``nonzeros`` must be a tuple of n - 1 triples, each a tuple of three
+    equal-length 1-D arrays: integer rows and cols in [0, dim), numeric
+    values, with row-major keys rows * dim + cols strictly increasing (no
+    repeated position).  Anything else raises ``ValueError``.
+    """
 
     cat: object
     basis: object
     nonzeros: tuple
+
+    def __post_init__(self):
+        n, dim = self.n_strands, self.dim
+        if not isinstance(self.nonzeros, tuple) or len(self.nonzeros) != n - 1:
+            raise ValueError(f"nonzeros must be a tuple of {n - 1} triples, one per "
+                             f"generator on {n} strands")
+        for i, triple in enumerate(self.nonzeros, 1):
+            if not (isinstance(triple, tuple) and len(triple) == 3
+                    and all(isinstance(x, np.ndarray) and x.ndim == 1 for x in triple)
+                    and len({len(x) for x in triple}) == 1):
+                raise ValueError(f"sigma_{i}: need three equal-length 1-D arrays "
+                                 "(rows, cols, values)")
+            rows, cols, values = triple
+            if not (np.issubdtype(rows.dtype, np.integer) and np.issubdtype(cols.dtype, np.integer)
+                    and np.issubdtype(values.dtype, np.number)):
+                raise ValueError(f"sigma_{i}: rows and cols must be integer, values numeric")
+            if len(rows) and not (0 <= min(rows.min(), cols.min())
+                                  and max(rows.max(), cols.max()) < dim):
+                raise ValueError(f"sigma_{i}: a row or column lies outside 0..{dim - 1}")
+            keys = rows.astype(np.int64) * dim + cols
+            if np.any(keys[1:] <= keys[:-1]):
+                raise ValueError(f"sigma_{i}: entries are not in strictly increasing "
+                                 "row-major order")
 
     @property
     def n_strands(self):
@@ -209,10 +239,27 @@ class RepReport:
                    (self.unitarity_max, self.braid_max, self.far_commutation_max))
 
 
-def _max_diff(dim, lhs, rhs):
-    """max |lhs - rhs| over the whole matrix; off both supports it is 0."""
-    rows, cols, values = (np.concatenate(pair) for pair in zip(lhs, (*rhs[:2], -rhs[2])))
-    return np.abs(_summed(dim, rows, cols, values)[2]).max(initial=0.0)
+# Basis rows of one stacked product in rep_check: relations of one kind are
+# formed _BATCH_ROWS // dim at a time (at least one), block-diagonally.
+_BATCH_ROWS = 1024
+
+
+def _batches(dim, items):
+    """``items`` (tuples of triples) in runs of _BATCH_ROWS // dim, at least
+    one, each given as its length and the block-diagonal stack of each part."""
+    step = max(1, _BATCH_ROWS // dim)
+    for k in range(0, len(items), step):
+        batch = items[k:k + step]
+        yield len(batch), [_stacked(dim, part) for part in zip(*batch)]
+
+
+def _word(dim, blocks, factors):
+    """``(keys, values)`` of the product of ``factors``, stacks of ``blocks``
+    blocks; all but the first must be row-major."""
+    left, *middle, right = factors
+    for factor in middle:
+        left = _unkeyed(blocks * dim, _keyed_product(dim, left, factor, blocks))
+    return _keyed_product(dim, left, right, blocks)
 
 
 def rep_check(rep):
@@ -226,18 +273,28 @@ def rep_check(rep):
     (combs, block combs) each costs O(dim log dim) rather than dim^3.  A
     product that would need more than dim^2 terms (dense generators, as on
     shapes where no edge is fixed for some sigma_i) is formed with a dense
-    matmul.  A NaN entry yields a NaN residual; an empty space raises
-    ``ValueError``.
+    matmul.  The two sides of a relation are summed once each and compared
+    on their aligned positions (:func:`metaplectic.triples._max_diff`).
+    Relations of one kind are stacked block-diagonally, _BATCH_ROWS // dim
+    at a time, so a small space takes O(n) kernel calls rather than O(n^2),
+    while above dim 512 (from dim 729 on for the combs) each relation is its
+    own batch; every entry is summed as in a check of that relation alone,
+    so the residuals do not depend on the batching.  A NaN entry yields a NaN residual; an empty
+    space raises ``ValueError``.
     """
     dim = rep.dim
     if dim == 0:
         raise ValueError("empty fusion space: nothing to check")
     gens = rep.nonzeros
-    eye = (np.arange(dim), np.arange(dim), np.ones(dim))
-    unit = [_max_diff(dim, _product(dim, (c, r, v.conj()), (r, c, v)), eye) for r, c, v in gens]
-    braid = [_max_diff(dim, _product(dim, _product(dim, a, b), a),
-                       _product(dim, _product(dim, b, a), b))
-             for a, b in zip(gens, gens[1:])]
-    far = [_max_diff(dim, _product(dim, a, b), _product(dim, b, a))
-           for i, a in enumerate(gens) for b in gens[i + 2:]]
+    unit = []
+    for blocks, (gen,) in _batches(dim, [(gen,) for gen in gens]):
+        rows, cols, values = gen
+        size = blocks * dim
+        unit.append(_max_diff(_word(dim, blocks, ((cols, rows, values.conj()), gen)),
+                              (np.arange(size) * (size + 1), np.ones(size))))
+    braid = [_max_diff(_word(dim, blocks, (a, b, a)), _word(dim, blocks, (b, a, b)))
+             for blocks, (a, b) in _batches(dim, list(zip(gens, gens[1:])))]
+    far = [_max_diff(_word(dim, blocks, (a, b)), _word(dim, blocks, (b, a)))
+           for blocks, (a, b) in _batches(dim, [(a, b) for i, a in enumerate(gens)
+                                                for b in gens[i + 2:]])]
     return RepReport(*(float(np.max(res, initial=0.0)) for res in (unit, braid, far)))

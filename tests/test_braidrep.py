@@ -312,6 +312,58 @@ def _residuals(report):
     return report.unitarity_max, report.braid_max, report.far_commutation_max
 
 
+def reference_summed(dim, rows, cols, values):
+    """Row-major triples with the values at repeated positions added up."""
+    keys, inverse = np.unique(rows * dim + cols, return_inverse=True)
+    sums = np.zeros(len(keys), dtype=complex)
+    np.add.at(sums, inverse, values)
+    return keys // dim, keys % dim, sums
+
+
+def reference_product(dim, a, b):
+    """Triples of a @ b: each nonzero a[r, k] meets the nonzeros of row k
+    of ``b``, which must be row-major.  When that pairing would produce more
+    than dim^2 terms, the product is formed densely instead."""
+    a_rows, a_cols, a_vals = a
+    b_rows, b_cols, b_vals = b
+    starts = np.searchsorted(b_rows, np.arange(dim + 1))
+    counts = np.diff(starts)[a_cols]
+    if counts.sum() > dim * dim:
+        return triples._dense_product(dim, a, b)
+    left = np.repeat(np.arange(len(a_rows)), counts)
+    right = np.repeat(starts[a_cols] + counts - np.cumsum(counts), counts) + np.arange(len(left))
+    return reference_summed(dim, a_rows[left], b_cols[right], a_vals[left] * b_vals[right])
+
+
+def reference_max_diff(dim, lhs, rhs):
+    """max |lhs - rhs| over the whole matrix; off both supports it is 0."""
+    rows, cols, values = (np.concatenate(pair) for pair in zip(lhs, (*rhs[:2], -rhs[2])))
+    return np.abs(reference_summed(dim, rows, cols, values)[2]).max(initial=0.0)
+
+
+def reference_rep_check(rep):
+    """The per-relation check that ``rep_check`` replaced: every relation
+    formed alone, each side summed by ``np.unique`` + ``np.add.at``, and the
+    difference summed again over the concatenation lhs || -rhs.  Returns the
+    three residuals."""
+    dim = rep.dim
+    gens = rep.nonzeros
+    eye = (np.arange(dim), np.arange(dim), np.ones(dim))
+    unit = [reference_max_diff(dim, reference_product(dim, (c, r, v.conj()), (r, c, v)), eye)
+            for r, c, v in gens]
+    braid = [reference_max_diff(dim, reference_product(dim, reference_product(dim, a, b), a),
+                                reference_product(dim, reference_product(dim, b, a), b))
+             for a, b in zip(gens, gens[1:])]
+    far = [reference_max_diff(dim, reference_product(dim, a, b), reference_product(dim, b, a))
+           for i, a in enumerate(gens) for b in gens[i + 2:]]
+    return tuple(float(np.max(res, initial=0.0)) for res in (unit, braid, far))
+
+
+def _same_residuals(got, want):
+    """Equal floats, a NaN matching a NaN."""
+    return all(g == w or (math.isnan(g) and math.isnan(w)) for g, w in zip(got, want))
+
+
 def reference_rep_shapes(su24, so52):
     """(label, category, shape) of the fusion-tree reps of ``reference_reps``."""
     shapes = [(f"comb{n}-{leaf}-{total}", su24, comb_tree(su24, [leaf] * n, total))
@@ -367,19 +419,127 @@ def test_rep_check_matches_dense_on_corrupted_reps(reference_reps, delta):
                 assert abs(s - d) < 1e-13, label
 
 
+def _variants(rep):
+    """``rep`` itself, its middle generator corrupted at [0, -1] by 1e-6 and
+    by 0.01, and with the middle generator's first nonzero set to NaN."""
+    yield "clean", rep
+    for delta in (1e-6, 0.01):
+        bad = [g.copy() for g in rep.generators]
+        bad[len(bad) // 2][0, -1] += delta
+        yield f"delta={delta}", BraidRep(rep.cat, rep.basis, tuple(_nonzeros(g) for g in bad))
+    gens = list(rep.nonzeros)
+    rows, cols, values = gens[len(gens) // 2]
+    values = values.copy()
+    values[0] = np.nan
+    gens[len(gens) // 2] = rows, cols, values
+    yield "nan", BraidRep(rep.cat, rep.basis, tuple(gens))
+
+
+def test_rep_check_bit_identical_to_per_relation_reference(reference_reps):
+    """Aligned differences and batched relations give exactly the residuals
+    of the per-relation check, on clean, corrupted and NaN reps."""
+    nans = 0
+    for label, rep in reference_reps:
+        for variant, checked in _variants(rep):
+            got = _residuals(rep_check(checked))
+            want = reference_rep_check(checked)
+            assert _same_residuals(got, want), (label, variant, got, want)
+            nans += math.isnan(got[0])
+    assert nans == len(reference_reps)
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_rep_check_bit_identical_on_large_combs(su24, n):
+    rep = general_generators(su24, enumerate_basis(su24, comb_tree(su24, ["1"] * n, "2")))
+    assert _residuals(rep_check(rep)) == reference_rep_check(rep)
+
+
+def test_summation_kernel_keeps_generators(su24, so52, reference_reps, monkeypatch):
+    """Generators built with the np.unique + np.add.at sums are the stored
+    ones byte for byte: the sorted bincount kernel adds in the same order."""
+    def unique_summed(keys, values):
+        keys, inverse = np.unique(keys, return_inverse=True)
+        sums = np.zeros(len(keys), dtype=complex)
+        np.add.at(sums, inverse, values)
+        return keys, sums
+    built = dict(reference_reps)
+    monkeypatch.setattr(triples, "_summed", unique_summed)
+    for label, cat, shape in reference_rep_shapes(su24, so52):
+        if label not in built:
+            continue
+        for got, want in zip(general_generators(cat, enumerate_basis(cat, shape)).nonzeros,
+                             built[label].nonzeros):
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want)), label
+
+
+def _keyed(dim, entries):
+    """(keys, values) of ``{(row, col): value}``, row-major."""
+    ordered = sorted(entries.items())
+    keys = np.array([r * dim + c for (r, c), _ in ordered], dtype=np.int64)
+    return keys, np.array([v for _, v in ordered], dtype=complex)
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    ({(0, 0): 1, (1, 2): 2j, (3, 3): -1}, {(0, 0): 1 + 1e-3, (2, 1): 5, (3, 3): -1}),
+    ({(0, 1): 1, (2, 2): 3}, {(1, 0): 2, (3, 1): 0.5j}),  # disjoint supports
+    ({}, {(1, 1): 4 - 3j}),
+    ({(2, 0): 7}, {}),
+    ({}, {}),
+    ({(0, 0): np.nan, (1, 1): 1}, {(1, 1): 1}),
+    ({(1, 1): 1}, {(0, 0): complex(0, np.nan), (1, 1): 1}),
+    ({(0, 0): 1, (1, 1): 2}, {(1, 1): np.nan}),
+])
+def test_max_diff_aligns_keys(lhs, rhs):
+    """|l - r| on shared positions, |l| or |r| on one-sided ones, 0 on none;
+    a NaN anywhere gives NaN: bit for bit the concatenate-and-sum residual."""
+    dim = 4
+    got = triples._max_diff(_keyed(dim, lhs), _keyed(dim, rhs))
+    want = reference_max_diff(dim, *(tuple(np.divmod(k, dim)) + (v,)
+                                     for k, v in (_keyed(dim, lhs), _keyed(dim, rhs))))
+    assert _same_residuals([got], [want])
+    dense = np.zeros((dim, dim), dtype=complex)
+    for side, sign in ((lhs, 1), (rhs, -1)):
+        for (r, c), v in side.items():
+            dense[r, c] += sign * v
+    assert _same_residuals([got], [np.abs(dense).max()])
+
+
+def test_rep_check_batches_relations(su24, monkeypatch):
+    """On comb-10 (dim 81) the relations go through O(n) products: one
+    stack of unitarity relations, one of braid relations and three of far
+    commutations (the per-relation check summed 142 times)."""
+    sums = []
+    summed = triples._summed
+    monkeypatch.setattr(triples, "_summed", lambda *args: sums.append(1) or summed(*args))
+    n = 10
+    rep = general_generators(su24, enumerate_basis(su24, comb_tree(su24, ["1"] * n, "2")))
+    assert rep.dim == 81
+    sums.clear()
+    assert rep_check(rep).ok(1e-12)
+    assert len(sums) == 1 + 4 + 2 * 3 <= n + 1
+
+
 def test_rep_check_product_choice(su24, monkeypatch):
     """Local generators are multiplied term by term; a product that would
-    expand to more than dim^2 terms falls back to a dense matmul."""
+    expand to more than dim^2 terms falls back to a dense matmul.  On the
+    zigzag (dim 243, so relations are stacked several at a time) exactly
+    the 19 products of the per-relation check go dense, on the same
+    operands, and no sparse relation stacked with them does."""
     dense_calls = []
     dense_product = triples._dense_product
     monkeypatch.setattr(triples, "_dense_product",
-                        lambda *args: dense_calls.append(1) or dense_product(*args))
+                        lambda dim, a, b: dense_calls.append(
+                            b"".join(x.tobytes() for x in (*a, *b))) or dense_product(dim, a, b))
     for text, dense_expected in [("((((1 1)(1 1))((1 1)(1 1)))((1 1)(1 1)))->2", False),
                                  (ZIGZAG12, True)]:
         rep = general_generators(su24, enumerate_basis(su24, parse_shape(su24, text)))
         dense_calls.clear()
         assert rep_check(rep).ok(1e-12)
         assert bool(dense_calls) == dense_expected, text
+    batched = sorted(dense_calls)
+    dense_calls.clear()
+    reference_rep_check(rep)
+    assert len(batched) == 19 and batched == sorted(dense_calls)
     rep = general_generators(su24, enumerate_basis(su24, comb_tree(su24, ["1"] * 10, "2")))
     dense_calls.clear()
     assert rep_check(rep).ok(1e-12) and not dense_calls
@@ -636,6 +796,52 @@ def test_sigma_index_checked(qutrit_rep):
             qutrit_rep.sigma(i)
     for i in (1, 2, 3):
         assert np.array_equal(qutrit_rep.sigma(i), qutrit_rep.generators[i - 1])
+
+
+@pytest.fixture(scope="module")
+def comb6(su24):
+    return general_generators(su24, enumerate_basis(su24, comb_tree(su24, ["1"] * 6, "2")))
+
+
+def test_rep_rejects_reversed_triples(comb6):
+    """Each triple reversed holds the same entries (the dense generators are
+    equal) but breaks the row-major order that the products rely on."""
+    flipped = tuple(tuple(x[::-1] for x in triple) for triple in comb6.nonzeros)
+    assert all(np.array_equal(triples._dense(comb6.dim, t), g)
+               for t, g in zip(flipped, comb6.generators))
+    with pytest.raises(ValueError, match="row-major"):
+        BraidRep(comb6.cat, comb6.basis, flipped)
+
+
+def test_rep_rejects_missing_generators(comb6):
+    assert len(comb6.nonzeros) == 5
+    with pytest.raises(ValueError, match="5 triples"):
+        BraidRep(comb6.cat, comb6.basis, comb6.nonzeros[:2])
+
+
+def test_rep_rejects_out_of_range_index(comb6):
+    rows, cols, values = comb6.nonzeros[0]
+    cols = cols.copy()
+    cols[-1] = comb6.dim
+    with pytest.raises(ValueError, match="outside"):
+        BraidRep(comb6.cat, comb6.basis, ((rows, cols, values), *comb6.nonzeros[1:]))
+
+
+@pytest.mark.parametrize("fault", ["list", "pair", "2-d", "lengths", "float rows",
+                                   "bool cols", "text values", "repeat", "negative"])
+def test_rep_rejects_malformed_triples(comb6, fault):
+    rows, cols, values = comb6.nonzeros[0]
+    first = {"list": [rows, cols, values],
+             "pair": (rows, cols),
+             "2-d": (rows[:, None], cols[:, None], values[:, None]),
+             "lengths": (rows, cols, values[:-1]),
+             "float rows": (rows.astype(float), cols, values),
+             "bool cols": (rows, cols.astype(bool), values),
+             "text values": (rows, cols, values.astype(str)),
+             "repeat": (np.repeat(rows, 2), np.repeat(cols, 2), np.repeat(values, 2)),
+             "negative": (rows - 1, cols, values)}[fault]
+    with pytest.raises(ValueError):
+        BraidRep(comb6.cat, comb6.basis, (first, *comb6.nonzeros[1:]))
 
 
 def test_dense_views_do_not_alias_the_stored_generators(su24):
