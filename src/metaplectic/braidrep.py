@@ -41,9 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .categories import _label_tables
-from .trees import (_finder, _internal_paths, _leaf_slots, _rotate, _subtree, enumerate_basis,
-                    pair_tree)
+from .trees import _finder, _internal_nodes, _leaf_slots, _rotate, enumerate_basis, pair_tree
 from .triples import (_dense, _keyed_product, _max_diff, _nonzeros, _product, _stacked,
                       _unkeyed)
 
@@ -108,50 +106,38 @@ class BraidRep:
         return _dense(self.dim, self.nonzeros[i - 1])
 
 
-def _f_entry(cat, a, b, c, d, n, m):
-    """F[a,b,c;d]_{n,m}, zero-extended outside the admissible index sets.
-
-    Raises MissingDataError only when the entry genuinely exists in the
-    theory but is absent from a partial table.
-    """
-    rows = cat.f_rows(a, b, c, d)
-    cols = cat.f_cols(a, b, c, d)
-    if n not in rows or m not in cols:
-        return 0.0
-    return cat.f(a, b, c, d)[rows.index(n), cols.index(m)]
-
-
 def pair_tree_generators(cat, a, b):
-    """The B_4 generators on the 4-strand pair-tree space V^{aaaa}_b."""
-    a, b = cat.resolve(a), cat.resolve(b)
+    """The B_4 generators on the 4-strand pair-tree space V^{aaaa}_b, gathered
+    from ``cat.tables``; the first absent entry the formulas read, in their
+    order, raises through ``cat.f``/``cat.r``."""
     basis = enumerate_basis(cat, pair_tree(cat, a, b))
-    states = basis.states
-    dim = basis.dim
+    names, tables = cat.labels, cat.tables
+    a, b = names.index(cat.resolve(a)), names.index(cat.resolve(b))
+    _, x, y = basis.labels.T  # the pair charges x_i, y_i of state i
+    pair_charges = np.flatnonzero(tables.fusion[a, a])
     signs = np.asarray(basis.signs, dtype=float)
 
-    sigma1 = np.diag([cat.r(a, a, x) for x, _ in states]).astype(complex)
-    sigma3 = np.diag([cat.r(a, a, y) for _, y in states]).astype(complex)
+    def r_aa(c):
+        cat._raise_missing(cat.r, tables.r_missing[a, a, c], a, a, c)
+        return tables.r[a, a, c]
+
+    sigma1, sigma3 = np.diag(r_aa(x)), np.diag(r_aa(y))
 
     # per v: outer[i] = F[x_i a a; b]_{v y_i}, inner[i, w] = F[a a a; v]_{x_i w}
-    sigma2 = np.zeros((dim, dim), dtype=complex)
-    pair_charges = sorted(cat.fuse(a, a), key=cat.labels.index)
-    for v in cat.labels:
-        outer = np.array([_f_entry(cat, x, a, a, b, v, y) for x, y in states], dtype=complex)
+    sigma2 = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for v in range(len(names)):
+        cat._raise_missing(cat.f, tables.f_missing[x, a, a, b] & tables.rows[x, a, a, b, v]
+                           & tables.cols[x, a, a, b, y], x, a, a, b)
+        outer = tables.f[x, a, a, b, v, y]
         if not outer.any():
             continue
-        twist = np.array([cat.r(a, a, w) for w in pair_charges])
-        inner = np.array([[_f_entry(cat, a, a, a, v, x, w) for w in pair_charges]
-                          for x, _ in states], dtype=complex)
+        twist = r_aa(pair_charges)
+        cat._raise_missing(cat.f, tables.f_missing[a, a, a, v] & tables.rows[a, a, a, v, x].any(),
+                           a, a, a, v)  # a missing block is admissible: a column of it is read
+        inner = tables.f[a, a, a, v][x[:, None], pair_charges]
         sigma2 += outer.conj()[:, None] * ((inner * twist) @ inner.conj().T) * outer
     sigma2 = signs[:, None] * sigma2.T * signs[None, :]
     return BraidRep(cat, basis, tuple(_nonzeros(g) for g in (sigma1, sigma2, sigma3)))
-
-
-def _twist(cat, x, a, d):
-    """sigma on the rows of F[x,a,a;d], indexed [c', c]."""
-    fmat = cat.f(x, a, a, d)
-    twist = np.array([cat.r(a, a, w) for w in cat.f_cols(x, a, a, d)])
-    return fmat.conj() @ (twist[:, None] * fmat.T)
 
 
 def general_generators(cat, basis):
@@ -164,23 +150,27 @@ def general_generators(cat, basis):
     is internal.  The node, of charge d, then reads ``((X, i-1), i)`` and
     sigma_i changes only the charge c of ``(X, i-1)``, x that of X, by
     sigma[c', c] = sum_w conj(F[x,a,a;d]_{c'w}) R[a,a;w] F[x,a,a;d]_{cw};
-    for siblings ``(i-1, i)`` it is R[a,a;d].  It is one gather from the
-    :func:`_twist` blocks indexed [x, d, c', c]; the first row that needs
-    absent data raises through ``cat.f``/``cat.r``.  Undoing the rotations
-    gives sigma_i on the basis.  All strands must carry one anyon type.
+    for siblings ``(i-1, i)`` it is R[a,a;d].  It is one gather from these
+    twist blocks, indexed [x, d, c', c] and formed from ``cat.tables``; the
+    first row that needs absent data raises through ``cat.f``/``cat.r``.
+    Undoing the rotations gives sigma_i on the basis.  All strands must
+    carry one anyon type.
     """
     shape = basis.shape
     n = shape.n_leaves  # at least 2, as TreeShape checks
     if len(set(shape.leaves)) != 1:
         raise ValueError("general_generators requires identical leaf labels")
-    names, tables = cat.labels, _label_tables(cat)
+    names, tables = cat.labels, cat.tables
     a = names.index(shape.leaves[0])
-    c_rows = tables.rows[:, a, a]  # [x, d, c]: c is a row of F[x,a,a;d]
-    missing = tables.f_missing[:, a, a] | (tables.cols[:, a, a] & tables.r_missing[a, a]).any(-1)
+    c_rows, c_cols = tables.rows[:, a, a], tables.cols[:, a, a]  # [x, d, c]: c is a row/col
+    r_missing = c_cols & tables.r_missing[a, a]
+    missing = tables.f_missing[:, a, a] | r_missing.any(-1)
     twists = np.zeros((len(names),) * 4, dtype=complex)  # [x, d, c', c]
     for x, d in zip(*np.nonzero(c_rows.any(-1) & ~missing)):
-        block = np.ix_(c_rows[x, d], c_rows[x, d])
-        twists[x, d][block] = _twist(cat, names[x], names[a], names[d])
+        # F[x,a,a;d]^* diag(R[a,a;w]) F[x,a,a;d]^T on the block's own rows and columns
+        fmat = tables.f[x, a, a, d][np.ix_(c_rows[x, d], c_cols[x, d])]
+        twist = tables.r[a, a, c_cols[x, d]]
+        twists[x, d][np.ix_(c_rows[x, d], c_rows[x, d])] = fmat.conj() @ (twist[:, None] * fmat.T)
     dim = basis.dim
     signs = np.asarray(basis.signs, dtype=float)
     identity = (np.arange(dim), np.arange(dim), np.ones(dim, dtype=complex))
@@ -188,26 +178,27 @@ def general_generators(cat, basis):
     # the rows of every sigma_i whose node needs no rotation, sorted once
     find_unrotated = _finder(np.column_stack([basis.labels, tail]))
     generators = []
-    nodes = [_subtree(shape.structure, path) for path in _internal_paths(shape.structure)]
+    nodes = _internal_nodes(shape.structure)
     meeting = {_leaf_slots(node[0])[-1] + 1: k for k, node in enumerate(nodes)}
     for i in range(1, n):
         k = meeting[i]  # preorder index of the node
         node, labels, move = nodes[k], basis.labels, identity
         while not isinstance(node[1], int):
-            node, labels, rotation = _rotate(cat, tables, shape, node, k, labels)
+            node, labels, rotation = _rotate(cat, shape, node, k, labels)
             move = _product(dim, rotation, move)
             node, k = node[0], k + 1
         left = node[0]
         while not isinstance(left, int) and not isinstance(left[1], int):
-            left, labels, rotation = _rotate(cat, tables, shape, left, k + 1, labels)
+            left, labels, rotation = _rotate(cat, shape, left, k + 1, labels)
             move = _product(dim, rotation, move)
         # extended by the columns (a, unit), a row holds d at k and c, x at pc, px
         pc, px = ((-2, -1) if isinstance(left, int)
                   else (k + 1, -2 if isinstance(left[0], int) else k + 2))
         extended = np.column_stack([labels, tail])
         x, c, d = extended[:, px], extended[:, pc], extended[:, k]
-        for first in np.flatnonzero(missing[x, d])[:1]:  # raises MissingDataError
-            _twist(cat, names[x[first]], names[a], names[d[first]])
+        for j in np.flatnonzero(missing[x, d])[:1]:  # raises MissingDataError
+            cat._raise_missing(cat.f, tables.f_missing[x[j], a, a, d[j]], x[j], a, a, d[j])
+            cat._raise_missing(cat.r, r_missing[x[j], d[j]], a, a, np.arange(len(names)))
         coeffs = twists[x, d, :, c]
         cols, new = np.nonzero(coeffs)
         moved = extended[cols]

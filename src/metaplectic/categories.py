@@ -44,22 +44,24 @@ Conventions
 All categories here are multiplicity-free (every fusion coefficient is 0
 or 1), and every label is self-dual.
 
+A :class:`Category` is immutable, so it builds its dense arrays indexed
+by label position (:attr:`Category.tables`) once, on first use: a 0/1
+fusion tensor, an F tensor ``F[a,b,c,d,row,col]`` (unit blocks written as
+1 at their one admissible position), an R tensor, and masks of the
+admissible F-blocks and R-symbols that are not stored.  Every F- and
+R-number the engine computes with is read from them.
+
 Consistency checks
 ------------------
-:func:`check_consistency` first turns the category into dense arrays
-indexed by label position: a 0/1 fusion tensor, an F tensor
-``F[a,b,c,d,row,col]`` (unit blocks written as 1 at their one admissible
-position), an R tensor, and masks of the admissible F-blocks and
-R-symbols that are not stored.  It builds them afresh on every call.
-Two kernels then evaluate every pentagon and hexagon instance as stacked
-array operations, with no Python loop per equation: the pentagon
-instances are enumerated by ``np.nonzero`` joins on the fusion tensor and
-their entries gathered by fancy indexing, in chunks over the first label;
-the hexagon instances are stacked as zero-padded blocks and multiplied
-as one batch.  Sums run in the order the scalar loops used, so the
-residuals keep their bits.  An instance is skipped, and counted, iff an
-F-block or R-symbol it reads is missing; a NaN in an entry makes every
-residual that reads it NaN.
+Two kernels of :func:`check_consistency` evaluate every pentagon and
+hexagon instance on them as stacked array operations, with no Python
+loop per equation: the pentagon instances are enumerated by
+``np.nonzero`` joins on the fusion tensor and their entries gathered by
+fancy indexing, in chunks over the first label; the hexagon instances
+are stacked as zero-padded blocks and multiplied as one batch.  Sums run
+in the order the scalar loops used, so the residuals keep their bits.
+An instance is skipped, and counted, iff an F-block or R-symbol it reads
+is missing; a NaN in an entry makes every residual that reads it NaN.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -123,7 +126,9 @@ class Category:
     F-blocks of unit total charge and its 9 R-symbols with a unit anyon.
     An F-block with the unit among ``a, b, c`` or an R-symbol with a unit
     anyon need not be stored; lookups synthesize it as (1) or 1, and
-    :func:`parse_category` accepts it in a file only with that value.
+    :func:`parse_category` accepts it in a file only with that value.  The
+    dicts are kept as read-only copies, the F-blocks as read-only arrays:
+    an edited category is a new one, made with ``dataclasses.replace``.
     """
 
     name: str
@@ -133,6 +138,17 @@ class Category:
     f_table: dict  # (a, b, c, d) -> complex ndarray
     r_table: dict  # (a, b, c) -> complex
     aliases: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        blocks = {key: _read_only(np.array(mat)) for key, mat in self.f_table.items()}
+        for name, value in (("qdim", self.qdim), ("fusion", self.fusion), ("f_table", blocks),
+                            ("r_table", self.r_table), ("aliases", self.aliases)):
+            object.__setattr__(self, name, MappingProxyType(dict(value)))
+
+    @cached_property
+    def tables(self):
+        """The data as label-indexed :class:`_LabelTables`, built once."""
+        return _label_tables(self)
 
     @property
     def unit(self):
@@ -200,6 +216,17 @@ class Category:
         if (a, b, c) not in self.r_table:
             raise MissingDataError(f"{self.name}: no stored R-symbol for ({a},{b};{c})")
         return self.r_table[(a, b, c)]
+
+    def _raise_missing(self, lookup, missing, *at):
+        """Raise via ``lookup`` at the positions ``at`` where ``missing`` first holds."""
+        missing, *at = np.broadcast_arrays(missing, *at)
+        for first in np.flatnonzero(missing)[:1]:
+            lookup(*(self.labels[v.flat[first]] for v in at))
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
 
 
 def _symmetrized_fusion(labels, rules):
@@ -427,7 +454,7 @@ class ConsistencyReport:
 
 @dataclass(frozen=True)
 class _LabelTables:
-    """A category's data as dense arrays indexed by label position.
+    """A category's data as read-only dense arrays indexed by label position.
 
     ``n`` labels in canonical order, the unit at 0:
 
@@ -453,23 +480,16 @@ class _LabelTables:
     slots: np.ndarray
 
 
-def _fusion_tensor(cat):
-    """``N[a, b, c]``: ``c in a x b``, over label positions."""
-    index = {lab: i for i, lab in enumerate(cat.labels)}
-    fusion = np.zeros((len(index),) * 3, dtype=bool)
-    for (a, b), out in cat.fusion.items():
-        fusion[index[a], index[b], [index[c] for c in out]] = True
-    return fusion
-
-
 def _label_tables(cat):
     """Build :class:`_LabelTables` from ``cat``; one pass over its dicts."""
     index = {lab: i for i, lab in enumerate(cat.labels)}
     n = len(index)
-    fusion = _fusion_tensor(cat)
+    fusion = np.zeros((n,) * 3, dtype=bool)
     slots = np.full((n, n, max(map(len, cat.fusion.values()))), -1, dtype=np.intp)
     for (a, b), out in cat.fusion.items():
-        slots[index[a], index[b], :len(out)] = [index[c] for c in out]
+        at = [index[c] for c in out]
+        fusion[index[a], index[b], at] = True
+        slots[index[a], index[b], :len(out)] = at
 
     # rows[a,b,c,d,m] = N[a,b,m] N[m,c,d]; cols[a,b,c,d,m] = N[b,c,m] N[a,m,d]
     rows = fusion[:, :, None, None, :] & fusion.transpose(1, 2, 0)[None, None]
@@ -496,8 +516,8 @@ def _label_tables(cat):
         r[at], r_stored[at] = value, True
     r_stored[0], r_stored[:, 0] = True, True
     r[0], r[:, 0] = fusion[0], fusion[:, 0]
-    return _LabelTables(fusion, rows, cols, f, admissible & ~has_unit & ~stored,
-                        r, fusion & ~r_stored, slots)
+    return _LabelTables(*map(_read_only, (fusion, rows, cols, f, admissible & ~has_unit & ~stored,
+                                          r, fusion & ~r_stored, slots)))
 
 
 def _pentagon(tables):
@@ -592,13 +612,12 @@ def check_consistency(cat):
     """Evaluate every checkable pentagon/hexagon instance plus the
     unitarity, R-modulus and quantum-dimension invariants.
 
-    Each call builds the category's label-indexed arrays afresh (see
-    :class:`_LabelTables`) and evaluates all pentagon and hexagon
-    instances on them as stacked array operations (:func:`_pentagon`,
-    :func:`_hexagon`).  An instance is skipped, and counted, iff an
-    F-block or R-symbol it reads is missing.  A NaN in any entry a
-    residual reads makes that residual NaN, so every threshold test on
-    it fails.
+    All pentagon and hexagon instances are evaluated as stacked array
+    operations (:func:`_pentagon`, :func:`_hexagon`) on the category's
+    label-indexed arrays, :attr:`Category.tables`, built once per
+    category.  An instance is skipped, and counted, iff an F-block or
+    R-symbol it reads is missing.  A NaN in any entry a residual reads
+    makes that residual NaN, so every threshold test on it fails.
     """
     dim_res = np.max([abs(cat.qdim[a] * cat.qdim[b] - sum(cat.qdim[c] for c in cat.fuse(a, b)))
                       for a in cat.labels for b in cat.labels])
@@ -606,9 +625,8 @@ def check_consistency(cat):
                        for mat in cat.f_table.values()], initial=0.0)
     r_res = np.max([abs(abs(v) - 1.0) for v in cat.r_table.values()], initial=0.0)
 
-    tables = _label_tables(cat)
-    p_max, p_checked, p_skipped = _pentagon(tables)
-    h_r, h_rinv, h_checked, h_skipped = _hexagon(tables)
+    p_max, p_checked, p_skipped = _pentagon(cat.tables)
+    h_r, h_rinv, h_checked, h_skipped = _hexagon(cat.tables)
     if h_r <= h_rinv:
         h_max, orientation = h_r, "R"
     else:

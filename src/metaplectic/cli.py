@@ -31,12 +31,12 @@ from .categories import (BUILTIN_CATEGORIES, CategoryFileError, MissingDataError
                          UnknownLabelError, builtin_category, check_consistency,
                          parse_category, serialize_category)
 from .braidrep import general_generators, pair_tree_generators, rep_check
-from .gates import (cz_gate, hadamard, make_gate, mult_gate, parse_gate, q_gate,
+from .gates import (_MAX_DIM, cz_gate, hadamard, make_gate, mult_gate, parse_gate, q_gate,
                     sum_gate, x_gate, z_gate, equal_up_to_phase)
-from .protocol import estimate_flip_success
+from .protocol import _MAX_ROUNDS, _MAX_TRIALS, estimate_flip_success
 from .synthesis import eval_word, group_closure, named_words, verify_identity, word_from_text
 from .trees import block_embedding, comb_tree, enumerate_basis, parse_shape
-from .witnesses import (imprimitivity_witness, infinite_order_witness,
+from .witnesses import (_MAX_POWER, imprimitivity_witness, infinite_order_witness,
                         qupit_subspace_chain, qutrit_commutator_witness,
                         so5_partial_results)
 
@@ -74,11 +74,9 @@ def _tolerance(text):
     return value
 
 
-def _fmt_matrix(mat):
-    lines = []
-    for row in np.atleast_2d(mat):
-        lines.append(" ".join(f"{z.real:+.12f}{z.imag:+.12f}i" for z in row))
-    return "\n".join(lines)
+def _print_matrix(mat):
+    for row in mat if len(mat) else np.zeros((1, 0)):  # 0 x 0 prints one empty row
+        print(" ".join(map("{:+.12f}{:+.12f}i".format, row.real.tolist(), row.imag.tolist())))
 
 
 def _emit(human_lines, machine_lines):
@@ -191,12 +189,12 @@ def _resolve_rep(args):
 def _cmd_rep(args):
     cat, rep = _resolve_rep(args)
     if args.action == "show":
-        human = [f"{cat.name}: {rep.n_strands} strands, dim {rep.dim}"]
-        machine = [f"dim={rep.dim}", f"n_strands={rep.n_strands}"]
+        # one dense generator at a time: the text of a 16-strand comb is 2.3 GB
+        print(f"{cat.name}: {rep.n_strands} strands, dim {rep.dim}")
         for i in range(1, rep.n_strands):
-            human.append(f"sigma_{i} =")
-            human.append(_fmt_matrix(rep.sigma(i)))
-        _emit(human, machine)
+            print(f"sigma_{i} =")
+            _print_matrix(rep.sigma(i))
+        _emit([], [f"dim={rep.dim}", f"n_strands={rep.n_strands}"])
         return EXIT_OK
     report = rep_check(rep)
     ok = report.ok(args.tol)
@@ -228,7 +226,9 @@ def _cmd_braid(args):
     _, rep = _resolve_rep(args)
     word = _resolve_word(args, rep)
     mat = eval_word(rep, word)
-    _emit([f"word: {word}", _fmt_matrix(mat)], [f"dim={mat.shape[0]}"])
+    print(f"word: {word}")
+    _print_matrix(mat)
+    _emit([], [f"dim={mat.shape[0]}"])
     return EXIT_OK
 
 
@@ -527,7 +527,8 @@ def build_parser():
     ident = verify_sub.add_parser("identity")
     _add_rep_source(ident)
     _add_word_source(ident)
-    ident.add_argument("--target", required=True, help="gate name, e.g. H3 or M5[2]")
+    gate_help = f"gate name, e.g. SUM3 or M5[2], on at most {_MAX_DIM} dimensions"
+    ident.add_argument("--target", required=True, help=gate_help)
     ident.add_argument("--tol", type=_tolerance, default=1e-8)
 
     group = sub.add_parser("group", help="finite closure of generated matrix groups")
@@ -535,7 +536,8 @@ def build_parser():
     order = group_sub.add_parser("order")
     gens = order.add_mutually_exclusive_group(required=True)
     gens.add_argument("--model", choices=sorted(MODELS))
-    gens.add_argument("--gates", help="comma-separated gate names, e.g. H3,P3[1]")
+    gens.add_argument("--gates", help="comma-separated gate names, e.g. H3,P3[1], each on "
+                      f"at most {_MAX_DIM} dimensions (d for SUMd and CZd is d^2)")
     order.add_argument("--projective", action="store_true")
     order.add_argument("--no-det-lift", action="store_true",
                        help="close the literal matrices (only with --gates, linear)")
@@ -547,25 +549,22 @@ def build_parser():
     witness_sub = witness.add_subparsers(dest="kind", required=True)
     wq = witness_sub.add_parser("qutrit")
     wq.add_argument("--level", type=int, choices=(0, 1, 2))
-    wi = witness_sub.add_parser("imprimitivity")
-    wi.add_argument("--gate", default="SUM3")
-    wc = witness_sub.add_parser("qupit-chain")
-    wc.add_argument("--p", type=int, default=5)
-    wc.add_argument("--k-max", type=int, default=10000)
-    wc.add_argument("--delta", type=float, default=1e-6)
-    ws = witness_sub.add_parser("so5-partial")
-    ws.add_argument("--k-max", type=int, default=10000)
-    ws.add_argument("--delta", type=float, default=1e-6)
-    wo = witness_sub.add_parser("infinite-order")
-    wo.add_argument("--gate", required=True)
-    wo.add_argument("--k-max", type=int, default=10000)
-    wo.add_argument("--delta", type=float, default=1e-6)
+    witness_sub.add_parser("imprimitivity").add_argument("--gate", default="SUM3", help=gate_help)
+    for kind in ("qupit-chain", "so5-partial", "infinite-order"):
+        screen = witness_sub.add_parser(kind)
+        if kind == "qupit-chain":
+            screen.add_argument("--p", type=int, default=5, help=f"an odd prime, 5..{_MAX_DIM}")
+        if kind == "infinite-order":
+            screen.add_argument("--gate", required=True, help=gate_help)
+        screen.add_argument("--k-max", type=int, default=10000,
+                            help=f"largest power screened, 1..{_MAX_POWER}")
+        screen.add_argument("--delta", type=float, default=1e-6)
 
     proto = sub.add_parser("protocol", help="measurement-assisted protocol Monte Carlo")
     proto_sub = proto.add_subparsers(dest="action", required=True)
     flip = proto_sub.add_parser("flip")
-    flip.add_argument("--trials", type=int, default=100000)
-    flip.add_argument("--rounds", type=int, default=10)
+    flip.add_argument("--trials", type=int, default=100000, help=f"1..{_MAX_TRIALS}")
+    flip.add_argument("--rounds", type=int, default=10, help=f"1..{_MAX_ROUNDS}")
     flip.add_argument("--seed", type=int, default=0)
     return parser
 

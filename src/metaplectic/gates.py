@@ -122,19 +122,23 @@ class GateSpec:
     params: tuple = ()
 
 
-# kind -> (constructor taking (d, *params), number of params)
+# kind -> (constructor taking (d, *params), number of params, number of qudits)
 _MAKERS = {
-    "H": (hadamard, 0),
-    "SUM": (sum_gate, 0),
-    "Q": (q_gate, 1),
-    "P": (p_gate, 1),
-    "X": (x_gate, 0),
-    "Z": (z_gate, 0),
-    "CZ": (cz_gate, 0),
-    "FLIP": (flip_gate, 1),
-    "M": (mult_gate, 1),
-    "R": (relative_phase_gate, 3),
+    "H": (hadamard, 0, 1),
+    "SUM": (sum_gate, 0, 2),
+    "Q": (q_gate, 1, 1),
+    "P": (p_gate, 1, 1),
+    "X": (x_gate, 0, 1),
+    "Z": (z_gate, 0, 1),
+    "CZ": (cz_gate, 0, 2),
+    "FLIP": (flip_gate, 1, 1),
+    "M": (mult_gate, 1, 1),
+    "R": (relative_phase_gate, 3, 1),
 }
+
+# The largest side of a gate (d, or d^2 for SUM and CZ), checked before it
+# is built, and the largest qudit dimension of a witness: 1 MiB matrices.
+_MAX_DIM = 256
 
 
 def make_gate(spec):
@@ -142,9 +146,11 @@ def make_gate(spec):
         raise ValueError(f"unknown gate kind {spec.kind!r}")
     if spec.d < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {spec.d}")
-    maker, n_params = _MAKERS[spec.kind]
+    maker, n_params, n_qudits = _MAKERS[spec.kind]
     if len(spec.params) != n_params:
         raise ValueError(f"gate {spec.kind} takes {n_params} parameters, got {len(spec.params)}")
+    if spec.d ** n_qudits > _MAX_DIM:
+        raise ValueError(f"gate {spec.kind}{spec.d} acts on more than {_MAX_DIM} dimensions")
     return maker(spec.d, *spec.params)
 
 

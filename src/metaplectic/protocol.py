@@ -380,6 +380,8 @@ class FlipCurveRow:
 # temporaries, a few (3, _BLOCK) float64 arrays, stay in cache.
 _BLOCK = 1 << 13
 
+_MAX_TRIALS, _MAX_ROUNDS = 10 ** 7, 10 ** 5  # 270 MB of trial state, 23 MB of rows
+
 
 def estimate_flip_success(trials, n_max, seed):
     """Monte Carlo estimate of the Flip[2] success curve.
@@ -408,9 +410,10 @@ def estimate_flip_success(trials, n_max, seed):
     one per 64-bit output, so the blocks together draw exactly the stream
     one ``rng.random(live)`` per round would, and the rows do not depend
     on the block size.
+    ``trials`` runs up to ``_MAX_TRIALS`` and ``n_max`` to ``_MAX_ROUNDS``.
     """
-    if trials < 1 or n_max < 1:
-        raise ValueError("need at least one trial and one round")
+    if not (1 <= trials <= _MAX_TRIALS and 1 <= n_max <= _MAX_ROUNDS):
+        raise ValueError(f"need 1..{_MAX_TRIALS} trials and 1..{_MAX_ROUNDS} rounds")
     rng = np.random.default_rng(seed)
     psi = np.array([1.0, -1.0, 1.0]) / np.sqrt(3)
     # shifted[i, j] is the ancilla amplitude at outcome j after SUM when

@@ -28,7 +28,7 @@ from functools import reduce
 
 import numpy as np
 
-from .categories import InadmissibleError, _fusion_tensor, _label_tables
+from .categories import InadmissibleError, _read_only
 from .triples import _dense, _product
 
 __all__ = [
@@ -65,13 +65,6 @@ class TreeShape:
     def n_leaves(self):
         return len(self.leaves)
 
-    @property
-    def edge_leaves(self):
-        """Leaf slots under each internal edge, in labeling order: the
-        charge of edge k is the total charge of leaves ``edge_leaves[k]``."""
-        return tuple(_leaf_slots(_subtree(self.structure, path))
-                     for path in _internal_paths(self.structure)[1:])
-
 
 def _leaf_slots(structure):
     if isinstance(structure, int):
@@ -80,18 +73,11 @@ def _leaf_slots(structure):
     return _leaf_slots(left) + _leaf_slots(right)
 
 
-def _internal_paths(structure, path=()):
-    """Paths of internal nodes in preorder; () is the root."""
+def _internal_nodes(structure):
+    """The internal nodes in preorder, the root first."""
     if isinstance(structure, int):
         return []
-    left, right = structure
-    return [path] + _internal_paths(left, path + (0,)) + _internal_paths(right, path + (1,))
-
-
-def _subtree(structure, path):
-    for step in path:
-        structure = structure[step]
-    return structure
+    return [structure] + _internal_nodes(structure[0]) + _internal_nodes(structure[1])
 
 
 def pair_tree(cat, leaf, total):
@@ -156,13 +142,14 @@ def enumerate_basis(cat, shape):
     """All admissible labelings of ``shape`` (empty basis allowed).
 
     Leaves and total go through ``cat.resolve``.  Each node joins the rows
-    of its two subtrees on the fusion tensor.  States are sorted
-    lexicographically in the category's label order, except for the
-    registered computational bases, whose printed order and signs are kept.
+    of its two subtrees on the fusion tensor ``cat.tables.fusion``.  States
+    are sorted lexicographically in the category's label order, except for
+    the registered computational bases, whose printed order and signs are
+    kept.
     """
     shape = TreeShape(shape.structure, tuple(map(cat.resolve, shape.leaves)),
                       cat.resolve(shape.total))
-    fusion = _fusion_tensor(cat)
+    fusion = cat.tables.fusion
 
     def join(structure):
         # rows of a subtree: its root charge, then its internal charges in preorder
@@ -186,8 +173,7 @@ def enumerate_basis(cat, shape):
         if not np.array_equal(np.unique(golden, axis=0), labels):
             raise AssertionError(f"golden basis mismatch for {key}")
         labels = golden
-    labels.setflags(write=False)
-    return FusionTreeBasis(cat, shape, labels, signs)
+    return FusionTreeBasis(cat, shape, _read_only(labels), signs)
 
 
 def _keys(labels):
@@ -204,12 +190,7 @@ def _finder(labels):
     return lambda rows: order[np.searchsorted(keys, _keys(rows))]
 
 
-def _find(labels, rows):
-    """Position in ``labels`` of each of ``rows``, which must all occur there."""
-    return _finder(labels)(rows)
-
-
-def _to_comb(cat, tables, basis):
+def _to_comb(cat, basis):
     """Rewrite a basis into the left comb: returns the comb rows and the
     move, as row-major triples, taking basis coordinates to them.  It is
     the product of :func:`_rotate` at the highest node of the left spine
@@ -221,16 +202,16 @@ def _to_comb(cat, tables, basis):
         if isinstance(node[1], int):
             node, k = node[0], k + 1
         else:
-            node, labels, rotation = _rotate(cat, tables, shape, node, k, labels)
+            node, labels, rotation = _rotate(cat, shape, node, k, labels)
             move = _product(dim, rotation, move)  # only the right factor must be row-major
     return labels, move
 
 
-def _rotate(cat, tables, shape, node, k, labels):
+def _rotate(cat, shape, node, k, labels):
     """The F-move ``(X (Y Z)) -> ((X Y) Z)`` at ``node``, internal node k
     (column k of ``labels``).  With ``(Y Z)`` in column im, a row goes to
     the rows with u inserted at column k + 1 and column im dropped, with
-    coefficient conj(F[x,y,z;w])[u, m] from ``tables.f``; the first row
+    coefficient conj(F[x,y,z;w])[u, m] from ``cat.tables.f``; the first row
     whose F-block is missing raises through ``cat.f``.  Returns the rotated
     node, the new rows (in order of first appearance) and the rotation as
     column-ordered (rows, cols, values) triples between the two.
@@ -241,13 +222,12 @@ def _rotate(cat, tables, shape, node, k, labels):
     x, y, z = (cat.labels.index(shape.leaves[part]) if isinstance(part, int) else labels[:, col]
                for part, col in ((x_part, k + 1), (y_part, im + 1), (z_part, iz)))
     xyzw = np.broadcast_arrays(x, y, z, labels[:, k])
-    for first in np.flatnonzero(tables.f_missing[tuple(xyzw)])[:1]:
-        cat.f(*(cat.labels[v[first]] for v in xyzw))  # raises MissingDataError
-    coeffs = tables.f[(*xyzw, slice(None), labels[:, im])].conj()
+    cat._raise_missing(cat.f, cat.tables.f_missing[tuple(xyzw)], *xyzw)
+    coeffs = cat.tables.f[(*xyzw, slice(None), labels[:, im])].conj()
     cols, u = np.nonzero(coeffs)
     rows = np.insert(np.delete(labels[cols], im, axis=1), k + 1, u, axis=1)
     moved = rows[np.sort(np.unique(_keys(rows), return_index=True)[1])]  # first appearance
-    return ((x_part, y_part), z_part), moved, (_find(moved, rows), cols, coeffs[cols, u])
+    return ((x_part, y_part), z_part), moved, (_finder(moved)(rows), cols, coeffs[cols, u])
 
 
 def tree_change(cat, basis_from, basis_to):
@@ -267,12 +247,11 @@ def _change(cat, basis_from, basis_to):
         raise InadmissibleError("tree_change: leaf labels differ")
     if basis_from.shape.total != basis_to.shape.total:
         raise InadmissibleError("tree_change: total charges differ")
-    tables = _label_tables(cat)
-    labs_f, move_from = _to_comb(cat, tables, basis_from)
-    labs_t, (rows_t, cols_t, values_t) = _to_comb(cat, tables, basis_to)
+    labs_f, move_from = _to_comb(cat, basis_from)
+    labs_t, (rows_t, cols_t, values_t) = _to_comb(cat, basis_to)
     if not np.array_equal(np.sort(_keys(labs_f)), np.sort(_keys(labs_t))):
         raise AssertionError("comb bases disagree; inconsistent inputs")
-    rows_t = _find(labs_f, labs_t)[rows_t]
+    rows_t = _finder(labs_f)(labs_t)[rows_t]
     rows, cols, values = _product(basis_from.dim, (cols_t, rows_t, values_t.conj()), move_from)
     s_from = np.asarray(basis_from.signs, dtype=float)
     s_to = np.asarray(basis_to.signs, dtype=float)
@@ -306,7 +285,7 @@ def block_embedding(cat, leaf, block_total, n_blocks, total):
                              np.repeat(blocks, d, axis=0), np.tile(blocks, (d, 1))])
     mat = np.zeros((full_basis.dim, d * d), dtype=complex)
     signs = np.outer(block_basis.signs, block_basis.signs).ravel()
-    mat[_find(full_basis.labels, pairs), np.arange(d * d)] = signs
+    mat[_finder(full_basis.labels)(pairs), np.arange(d * d)] = signs
     return mat, full_basis, block_basis
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import hadamard, omega, p_gate, q_gate, relative_phase_gate
+from .gates import _MAX_DIM, hadamard, omega, p_gate, q_gate, relative_phase_gate
 
 __all__ = [
     "QutritCommutatorReport", "qutrit_commutator_witness",
@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 _EXPECTED_PAIR = ((2 + 1j * np.sqrt(5)) / 3, (2 - 1j * np.sqrt(5)) / 3)
+
+_MAX_POWER = 10 ** 6  # the largest k_max: a screen holds k_max powers at a time, 8 MB
 
 
 def qutrit_fixed_vector(i):
@@ -122,11 +124,12 @@ def infinite_order_witness(u, k_max=10000, delta=1e-6):
     """Root-of-unity screen: every eigenvalue farther than ``delta`` from 1
     must stay farther than ``delta`` from 1 under all powers up to
     ``k_max``, and at least one eigenvalue must be that far.  A pass is a
-    finite witness for infinite order, not a proof.  ``delta`` lies in
-    (0, 2): every unit eigenvalue is within 2 of 1.
+    finite witness for infinite order, not a proof.  ``k_max`` lies in
+    1.._MAX_POWER, and ``delta`` in (0, 2): every unit eigenvalue is
+    within 2 of 1.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    if not 1 <= k_max <= _MAX_POWER:
+        raise ValueError(f"k_max must lie in 1..{_MAX_POWER}, got {k_max}")
     if not 0 < delta < 2:
         raise ValueError("delta must lie in (0, 2)")
     vals = np.linalg.eigvals(np.asarray(u, dtype=complex))
@@ -185,8 +188,8 @@ class SubspaceChainReport:
 
 def qupit_subspace_chain(p, k_max=10000, delta=1e-6):
     """Verify the S_i-plane structure of the commutators for prime p >= 5."""
-    if p < 5 or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
-        raise ValueError("p must be an odd prime >= 5")
+    if not 5 <= p <= _MAX_DIM or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"p must be an odd prime in 5..{_MAX_DIM}")
     h = hadamard(p)
     hi = h.conj().T
     w = omega(p)

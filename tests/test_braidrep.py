@@ -9,11 +9,11 @@ from functools import cache, reduce
 import numpy as np
 import pytest
 
-from metaplectic.categories import MissingDataError, builtin_category
+from metaplectic.categories import Category, MissingDataError, builtin_category
 from metaplectic import triples
 from metaplectic.triples import _nonzeros
 from metaplectic import braidrep
-from metaplectic.braidrep import (BraidRep, RepReport, _f_entry, general_generators,
+from metaplectic.braidrep import (BraidRep, RepReport, general_generators,
                                   pair_tree_generators, rep_check)
 from metaplectic.trees import (TreeShape, block_comb_tree, comb_tree, enumerate_basis,
                                pair_tree, parse_shape, tree_change)
@@ -103,6 +103,19 @@ def test_general_engine_matches_closed_formula_to_round_off(su24, so52, qutrit_r
             assert abs(a - b).max() <= 1e-15
 
 
+def _f_entry(cat, a, b, c, d, n, m):
+    """F[a,b,c;d]_{n,m}, zero-extended outside the admissible index sets.
+
+    Raises MissingDataError only when the entry genuinely exists in the
+    theory but is absent from a partial table.
+    """
+    rows = cat.f_rows(a, b, c, d)
+    cols = cat.f_cols(a, b, c, d)
+    if n not in rows or m not in cols:
+        return 0.0
+    return cat.f(a, b, c, d)[rows.index(n), cols.index(m)]
+
+
 def reference_pair_tree_generators(cat, a, b):
     """The scalar loop that ``pair_tree_generators`` replaced: each sigma_2
     entry summed over v and w, one F lookup per term."""
@@ -178,15 +191,20 @@ def test_pair_tree_generators_match_scalar_reference(su24, so52):
     assert [outcomes.count(k) for k in ("rep", "empty", "missing")] == [24, 46, 30]
 
 
-def test_pair_tree_generators_read_few_f_entries(su24, so52, monkeypatch):
-    """At most L * dim * (1 + |a x a|) F lookups, L the number of labels."""
+def test_pair_tree_generators_make_no_scalar_lookups(su24, so52, monkeypatch):
+    """On complete data every F- and R-number is gathered from the
+    category's tables: no ``Category.f`` or ``Category.r`` call."""
     calls = []
-    monkeypatch.setattr(braidrep, "_f_entry",
-                        lambda *args: calls.append(args) or _f_entry(*args))
+    for name in ("f", "r"):
+        lookup = getattr(Category, name)
+        monkeypatch.setattr(Category, name, lambda *args, lookup=lookup:
+                            calls.append(args[1:]) or lookup(*args))
     for cat, a, b in ((su24, "1", "2"), (su24, "1", "0"), (so52, "eps", "y1")):
-        calls.clear()
         rep = pair_tree_generators(cat, a, b)
-        assert 0 < len(calls) <= len(cat.labels) * rep.dim * (1 + len(cat.fuse(a, a)))
+        assert rep.dim and calls == []
+    with pytest.raises(MissingDataError):
+        pair_tree_generators(so52, "eps", "1")
+    assert calls  # the spy sees the lookup that raises
 
 
 def _internal_nodes(structure):
@@ -607,11 +625,19 @@ def dense_general_generators(cat, basis):
     return tuple(generators)
 
 
+def _leaves(structure):
+    """Leaf slots of a tree structure, left to right."""
+    if isinstance(structure, int):
+        return (structure,)
+    return _leaves(structure[0]) + _leaves(structure[1])
+
+
 def dense_local(gen, basis, i):
     """``gen`` with the entries sigma_i cannot have set to 0: those between
-    states that differ on an edge holding both strands i-1, i or neither."""
-    fixed = [k for k, slots in enumerate(basis.shape.edge_leaves)
-             if (i - 1 in slots) == (i in slots)]
+    states that differ on an edge holding both strands i-1, i or neither.
+    Edge k, internal node k + 1 in preorder, holds the leaves under it."""
+    edges = [_leaves(node) for node in _internal_nodes(basis.shape.structure)[1:]]
+    fixed = [k for k, slots in enumerate(edges) if (i - 1 in slots) == (i in slots)]
     groups = {}
     group = np.array([groups.setdefault(tuple(lab[k] for k in fixed), len(groups))
                       for lab in basis.states])

@@ -1,6 +1,7 @@
 """Category data: fusion rules, F/R tables, consistency, file format."""
 
 import cmath
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -15,6 +16,8 @@ from metaplectic.categories import (BUILTIN_CATEGORIES, Category, CategoryFileEr
                                     _symmetric_closure, builtin_category,
                                     categories_equal, check_consistency,
                                     parse_category, serialize_category)
+from metaplectic.braidrep import general_generators, pair_tree_generators
+from metaplectic.trees import comb_tree, enumerate_basis, parse_shape, tree_change
 
 
 @pytest.fixture(scope="module")
@@ -274,24 +277,22 @@ def test_consistency_detects_corruption(su24):
     assert report.pentagon_max > 1e-3 or report.unitarity_max > 1e-3
 
 
-def _su24_copy():
-    su24 = builtin_category("su2_4")
-    return Category("su2_4-copy", su24.labels, dict(su24.qdim), su24.fusion,
-                    {key: mat.copy() for key, mat in su24.f_table.items()},
-                    dict(su24.r_table))
+def _edited(cat, table, key, value, entry=(0, 0)):
+    """A new category: ``cat`` with entry ``key`` of ``table`` set to
+    ``value``; for ``"f"``, the given entry of the block."""
+    if table == "f":
+        block = cat.f_table[key].copy()
+        block[entry] = value
+        value = block
+    name = {"f": "f_table", "r": "r_table", "qdim": "qdim"}[table]
+    return dataclasses.replace(cat, **{name: {**getattr(cat, name), key: value}})
 
 
 @pytest.mark.parametrize("table, key", [
     ("f", ("1", "2", "1", "2")), ("f", ("2", "2", "2", "2")), ("f", ("3", "3", "3", "3")),
     ("r", ("1", "1", "2")), ("qdim", "1")])
-def test_consistency_propagates_nan(table, key):
-    cat = _su24_copy()
-    if table == "f":
-        cat.f_table[key][0, 0] = math.nan
-    elif table == "r":
-        cat.r_table[key] = complex(math.nan, 0.0)
-    else:
-        cat.qdim[key] = math.nan
+def test_consistency_propagates_nan(table, key, su24):
+    cat = _edited(su24, table, key, complex(math.nan, 0.0) if table == "r" else math.nan)
     report = check_consistency(cat)
     reads = {"f": ("unitarity_max", "pentagon_max", "hexagon_max"),
              "r": ("r_modulus_max", "hexagon_max"),
@@ -302,11 +303,82 @@ def test_consistency_propagates_nan(table, key):
     assert report.skips == 0
 
 
-def test_consistency_reads_the_table_it_is_given():
-    cat = _su24_copy()
-    assert check_consistency(cat).pentagon_max < 1e-12
-    cat.f_table[("1", "2", "1", "2")][0, 1] += 0.1
-    assert check_consistency(cat).pentagon_max > 1e-3
+def test_consistency_reads_the_table_it_is_given(su24):
+    key = ("1", "2", "1", "2")
+    edited = _edited(su24, "f", key, su24.f_table[key][0, 1] + 0.1, (0, 1))
+    assert check_consistency(edited).pentagon_max > 1e-3
+    assert check_consistency(su24).pentagon_max < 1e-12
+
+
+def test_category_data_is_read_only():
+    """Every mapping field, every F-block and every label table refuses writes."""
+    for build in BUILTIN_CATEGORIES.values():
+        cat = build()  # a fresh object: a write that got through would reach no other test
+        key = next(iter(cat.f_table))
+        with pytest.raises(ValueError, match="read-only"):
+            cat.f_table[key][0, 0] = 0.0
+        for field, entry, value in (("f_table", key, np.ones((1, 1))),
+                                    ("r_table", next(iter(cat.r_table)), 1.0),
+                                    ("qdim", cat.unit, 1.0),
+                                    ("fusion", (cat.unit, cat.unit), frozenset()),
+                                    ("aliases", "new", cat.unit)):
+            with pytest.raises(TypeError):
+                getattr(cat, field)[entry] = value
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cat.f_table = {}
+        for name, array in vars(cat.tables).items():
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = array[(0,) * array.ndim]
+
+
+def test_category_copies_what_it_is_built_from(su24):
+    """Later writes into the dicts and arrays a category was built from do
+    not reach it."""
+    blocks = {key: mat.copy() for key, mat in su24.f_table.items()}
+    r_table, qdim = dict(su24.r_table), dict(su24.qdim)
+    cat = Category("su2_4-copy", su24.labels, qdim, su24.fusion, blocks, r_table)
+    blocks[("2", "2", "2", "2")][0, 0] = math.nan
+    r_table[("1", "1", "2")] = math.nan
+    qdim["1"] = math.nan
+    report = check_consistency(cat)
+    assert max(report.dim_residual, report.r_modulus_max, report.pentagon_max) < 1e-12
+
+
+def test_replaced_category_builds_its_own_tables(su24):
+    """An edited ``dataclasses.replace`` copy reads its own tables: its
+    check sees the edit, the original's does not."""
+    key = ("1", "2", "1", "2")
+    assert check_consistency(su24).pentagon_max < 1e-12  # su24's tables are built
+    edited = _edited(su24, "f", key, su24.f_table[key][0, 1] + 0.1, (0, 1))
+    assert edited.tables is not su24.tables
+    at = (*map(su24.labels.index, key), 1, 3)  # entry [0, 1] of the block: rows 1, 3 x cols 1, 3
+    assert edited.tables.f[at] == su24.tables.f[at] + 0.1
+    assert check_consistency(edited).pentagon_max > 1e-3
+    assert check_consistency(su24).pentagon_max < 1e-12
+
+
+def test_label_tables_built_once_per_category(monkeypatch):
+    """Checks, enumeration, generators and basis changes on a category all
+    read the one table build of that category object."""
+    builds = []
+    build = categories._label_tables
+    monkeypatch.setattr(categories, "_label_tables",
+                        lambda cat: builds.append(cat.name) or build(cat))
+    for name, shape in (("su2_4", "((1 1)(1 (1 (1 1))))->2"),
+                        ("so5_2", "((eps eps)(eps eps))->y1")):
+        cat = BUILTIN_CATEGORIES[name]()  # a fresh object, with no tables yet
+        check_consistency(cat)
+        other = enumerate_basis(cat, parse_shape(cat, shape))
+        leaf, total = other.shape.leaves[0], other.shape.total
+        comb = enumerate_basis(cat, comb_tree(cat, other.shape.leaves, total))
+        assert comb.dim == other.dim > 0
+        general_generators(cat, comb)
+        general_generators(cat, other)
+        tree_change(cat, other, comb)
+        pair_tree_generators(cat, leaf, total)
+        check_consistency(cat)
+        assert builds == [name]
+        builds.clear()
 
 
 def test_serialize_parse_round_trip(su24, so52):

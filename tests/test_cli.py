@@ -1,16 +1,22 @@
 """CLI surface: exit codes, machine-readable sections, determinism."""
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from metaplectic import cli
-from metaplectic.categories import BUILTIN_CATEGORIES
+from metaplectic.braidrep import general_generators
+from metaplectic.categories import BUILTIN_CATEGORIES, builtin_category
+from metaplectic.trees import comb_tree, enumerate_basis
 from metaplectic.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_MISSING_DATA, EXIT_OK, EXIT_USAGE,
                              SENTINEL, build_parser, main)
 
@@ -271,6 +277,22 @@ BAD_INPUTS = [
     (["group", "order", "--gates", ""], EXIT_USAGE),
     (["group", "order", "--gates", "", "--projective"], EXIT_USAGE),
     (["group", "order", "--gates", "", "--no-det-lift"], EXIT_USAGE),
+    # sizes past the stated limits are refused before anything is allocated
+    (["witness", "qupit-chain", "--p", "100003"], EXIT_USAGE),
+    (["witness", "qupit-chain", "--p", "257"], EXIT_USAGE),
+    (["group", "order", "--gates", "H100003"], EXIT_USAGE),
+    (["group", "order", "--gates", "X5,SUM1000"], EXIT_USAGE),
+    (["group", "order", "--gates", "H257", "--projective"], EXIT_USAGE),
+    (["witness", "imprimitivity", "--gate", "SUM17"], EXIT_USAGE),
+    (["witness", "infinite-order", "--gate", "CZ100"], EXIT_USAGE),
+    (["verify", "identity", "--model", "su2_4-qutrit", "--named", "Hword", "--target",
+      "H100003"], EXIT_USAGE),
+    (["witness", "infinite-order", "--gate", "Z3", "--k-max", "1000001"], EXIT_USAGE),
+    (["witness", "so5-partial", "--k-max", "10000000000"], EXIT_USAGE),
+    (["witness", "qupit-chain", "--p", "5", "--k-max", "10000000000"], EXIT_USAGE),
+    (["protocol", "flip", "--trials", "10000001"], EXIT_USAGE),
+    (["protocol", "flip", "--trials", "10", "--rounds", "100001"], EXIT_USAGE),
+    (["protocol", "flip", "--trials", "10", "--rounds", "1000000000"], EXIT_USAGE),
 ]
 
 
@@ -290,6 +312,81 @@ def test_bad_input_exit_codes(argv, code, capsys):
 def test_empty_gate_list_is_a_usage_error_naming_gates(argv, capsys):
     assert main(argv) == EXIT_USAGE
     assert "error: --gates" in capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv, limits", [
+    (["witness", "qupit-chain", "--help"], ["5..256", "1..1000000"]),
+    (["witness", "infinite-order", "--help"], ["at most 256 dimensions", "1..1000000"]),
+    (["witness", "imprimitivity", "--help"], ["at most 256 dimensions"]),
+    (["group", "order", "--help"], ["at most 256 dimensions"]),
+    (["verify", "identity", "--help"], ["at most 256 dimensions"]),
+    (["protocol", "flip", "--help"], ["1..10000000", "1..100000"]),
+])
+def test_help_states_size_limits(argv, limits, capsys):
+    assert main(argv) == EXIT_OK
+    text = " ".join(capsys.readouterr().out.split())
+    for limit in limits:
+        assert limit in text
+
+
+def _fmt_matrix(mat):
+    """The matrix text ``rep show`` and ``braid eval`` built before they
+    printed row by row."""
+    lines = []
+    for row in np.atleast_2d(mat):
+        lines.append(" ".join(f"{z.real:+.12f}{z.imag:+.12f}i" for z in row))
+    return "\n".join(lines)
+
+
+def _rep_show_reference(cat, rep):
+    """The text ``rep show`` wrote when it gathered every matrix's text
+    before printing."""
+    human = [f"{cat.name}: {rep.n_strands} strands, dim {rep.dim}"]
+    for i in range(1, rep.n_strands):
+        human += [f"sigma_{i} =", _fmt_matrix(rep.sigma(i))]
+    machine = [f"dim={rep.dim}", f"n_strands={rep.n_strands}"]
+    return "\n".join(human + [SENTINEL] + machine) + "\n"
+
+
+def _comb8():
+    cat = builtin_category("su2_4")
+    return cat, general_generators(cat, enumerate_basis(cat, comb_tree(cat, ["1"] * 8, "2")))
+
+
+@pytest.mark.parametrize("argv, build", [
+    *((["--model", model], lambda model=model: cli._model_rep(model)) for model in cli.MODELS),
+    (["--category", "su2_4", "--leaves", " ".join(["1"] * 8), "--total", "2"], _comb8),
+], ids=[*cli.MODELS, "comb8"])
+def test_rep_show_streams_the_same_bytes(argv, build, capsys):
+    assert main(["rep", "show", *argv]) == EXIT_OK
+    assert capsys.readouterr().out == _rep_show_reference(*build())
+
+
+class _CountingSink(io.TextIOBase):
+    """A stdout that keeps nothing and counts the characters written."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+
+def test_rep_show_holds_less_than_its_text():
+    """On the 12-strand comb (dim 243) the text is about 21 MB; rep show
+    prints it row by row, so its peak allocation stays below that."""
+    argv = ["rep", "show", "--category", "su2_4", "--leaves", " ".join(["1"] * 12),
+            "--total", "2"]
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < sink.size / 4, (peak, sink.size)
 
 
 def _verify_all_commands():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaplectic.gates import (GateSpec, _anchor, cz_gate, equal_up_to_phase, flip_gate,
+from metaplectic.gates import (_MAX_DIM, GateSpec, _anchor, cz_gate, equal_up_to_phase, flip_gate,
                                hadamard, make_gate, mult_gate, omega, p_gate,
                                parse_gate, phase_distance, q_gate,
                                relative_phase_gate, sum_gate, x_gate, z_gate)
@@ -108,6 +108,16 @@ def test_parameter_validation():
         make_gate(GateSpec("H", 1))
     with pytest.raises(ValueError):
         make_gate(GateSpec("WAT", 3))
+
+
+def test_gate_side_is_bounded_before_building():
+    """A gate acts on at most _MAX_DIM dimensions (d^2 for SUM and CZ); a
+    wider name is refused before its matrix is built."""
+    assert _MAX_DIM == 256
+    assert make_gate(parse_gate("SUM16")).shape == make_gate(parse_gate("H256")).shape == (256, 256)
+    for name in ("H257", "SUM17", "CZ100", "Q100003[1]", "SUM1000"):
+        with pytest.raises(ValueError, match=f"more than {_MAX_DIM} dimensions"):
+            parse_gate(name)
 
 
 def test_parse_gate_names():

@@ -16,8 +16,8 @@ import numpy as np
 
 from metaplectic.braidrep import general_generators
 from metaplectic.categories import InadmissibleError, MissingDataError, builtin_category
-from metaplectic.trees import (_GOLDEN, TreeShape, _change, _internal_paths, _leaf_slots,
-                               _subtree, comb_tree, enumerate_basis, format_shape, pair_tree)
+from metaplectic.trees import (_GOLDEN, TreeShape, _change, _internal_nodes, _leaf_slots,
+                               comb_tree, enumerate_basis, format_shape, pair_tree)
 from metaplectic.triples import _product
 
 from test_braidrep import reference_rep_shapes
@@ -157,7 +157,7 @@ def tuple_general_generators(cat, basis):
     signs = np.asarray(basis.signs, dtype=float)
     identity = (np.arange(dim), np.arange(dim), np.ones(dim, dtype=complex))
     generators = []
-    nodes = [_subtree(shape.structure, path) for path in _internal_paths(shape.structure)]
+    nodes = _internal_nodes(shape.structure)
     meeting = {_leaf_slots(node[0])[-1] + 1: k for k, node in enumerate(nodes)}
     for i in range(1, n):
         k = meeting[i]  # preorder index of the node

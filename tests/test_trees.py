@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from metaplectic.categories import InadmissibleError, UnknownLabelError, builtin_category
-from metaplectic.trees import (_internal_paths, _subtree, block_comb_tree, block_embedding,
-                               comb_tree, enumerate_basis, format_shape,
-                               pair_tree, parse_shape, tree_change, TreeShape)
+from metaplectic.trees import (block_comb_tree, block_embedding, comb_tree, enumerate_basis,
+                               format_shape, pair_tree, parse_shape, tree_change, TreeShape)
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +149,20 @@ def _replace(structure, path, new):
     if path[0] == 0:
         return (_replace(left, path[1:], new), right)
     return (left, _replace(right, path[1:], new))
+
+
+def _internal_paths(structure, path=()):
+    """Paths of internal nodes in preorder; () is the root."""
+    if isinstance(structure, int):
+        return []
+    left, right = structure
+    return [path] + _internal_paths(left, path + (0,)) + _internal_paths(right, path + (1,))
+
+
+def _subtree(structure, path):
+    for step in path:
+        structure = structure[step]
+    return structure
 
 
 def _assignment(shape, labeling):
