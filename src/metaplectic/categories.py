@@ -806,16 +806,17 @@ def _partial_category(name, labels, qdim, rules):
 
 
 def categories_equal(cat1, cat2, tol=1e-12):
-    """Entrywise equality of two categories' data within ``tol``."""
+    """Entrywise equality of two categories' data within ``tol``; a NaN
+    entry on either side is unequal."""
     if cat1.labels != cat2.labels:
         return False
-    if any(abs(cat1.qdim[l] - cat2.qdim[l]) > tol for l in cat1.labels):
+    if any(not abs(cat1.qdim[l] - cat2.qdim[l]) <= tol for l in cat1.labels):
         return False
     if cat1.fusion != cat2.fusion:
         return False
     if set(cat1.f_table) != set(cat2.f_table) or set(cat1.r_table) != set(cat2.r_table):
         return False
     for key, mat in cat1.f_table.items():
-        if mat.shape != cat2.f_table[key].shape or abs(mat - cat2.f_table[key]).max() > tol:
+        if mat.shape != cat2.f_table[key].shape or not abs(mat - cat2.f_table[key]).max() <= tol:
             return False
     return all(abs(v - cat2.r_table[k]) <= tol for k, v in cat1.r_table.items())

@@ -16,11 +16,17 @@ four-group {identity, Flip[0], Flip[1], Flip[2]} modulo a global sign.
 The walk absorbs at Flip[2] (up to global sign) with probability
 p_n = 1 - (2/3)^n after n rounds; :func:`exact_flip_curve` reproduces
 that closed form from the quotient chain in exact rational arithmetic and
-:func:`estimate_flip_success` estimates it by seeded Monte Carlo.
+:func:`estimate_flip_success` estimates it by seeded Monte Carlo.  Every
+trial of that estimate has the same amplitude magnitudes, exactly: the
+start state and every ancilla entry are +-1/sqrt(3), and IEEE multiply,
+square and divide are sign-symmetric.  So the estimate keeps one shared
+magnitude column per round and a 2-bit sign class per trial.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -177,13 +183,16 @@ class ProtocolState:
 
 def _born_outcome(probs, rng):
     """Index drawn as ``Generator.choice(len(probs), p=probs / probs.sum())``
-    draws it: one ``rng.random()`` against the normalised cumulative sum."""
-    total = probs.sum()
-    if not (all(0 <= p < math.inf for p in probs.tolist()) and total > 0):
+    draws it: one ``rng.random()`` against the normalised cumulative sum.
+    The total is numpy's (pairwise from 8 terms); the rest runs on Python
+    floats in numpy's order, ``bisect_right`` for ``searchsorted``."""
+    total = float(probs.sum())
+    probs = probs.tolist()
+    if not (all(0 <= p < math.inf for p in probs) and total > 0):
         raise ValueError(f"invalid outcome probabilities {probs}")
-    cdf = (probs / total).cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    cdf = list(itertools.accumulate(p / total for p in probs))
+    last = cdf[-1]
+    return bisect.bisect_right([c / last for c in cdf], rng.random())
 
 
 def _norm(amps):
@@ -236,7 +245,7 @@ FLIP_PATTERNS = {0: (1, 1, -1), 1: (-1, 1, 1), 2: (1, -1, 1)}
 
 # after SUM on phi (x) psi, amplitude (i, j) is phi_i psi[_SHIFT[i, j]]
 _SHIFT = (np.arange(3) - np.arange(3)[:, None]) % 3
-_DATA = np.arange(3)[:, None]  # row index i of that gather
+_SUM_GATHER = 3 * np.arange(3)[:, None] + _SHIFT  # (i, _SHIFT[i, j]) in a flat 3 x 3
 
 
 class _AlwaysIn:
@@ -305,7 +314,7 @@ def run_flip_round(phi, psi, rng):
     of ``psi`` carries over to the returned data state.
 
     No register is built: SUM on the normalised product state is one
-    gather by ``_SHIFT``, and the measurement is the register's
+    flat ``take`` by ``_SUM_GATHER``, and the measurement is the register's
     (:meth:`ProtocolState.measure_standard`) on that 3 x 3 array, with the
     same probabilities, the same single draw and the same two
     normalisations, so draws and states are those of the register.
@@ -318,19 +327,26 @@ def run_flip_round(phi, psi, rng):
     norm = _norm(joint)
     if not 0 < norm < np.inf:
         raise ValueError(f"state vector needs a finite, nonzero norm (got {norm})")
-    amps = (joint / norm)[_DATA, _SHIFT]
-    outcome = _born_outcome((np.abs(amps) ** 2).sum(axis=0), rng)
+    amps = (joint / norm).take(_SUM_GATHER)
+    outcome = _born_outcome(np.square(np.abs(amps)).sum(axis=0), rng)
+    column = amps[:, outcome]
     # the register's collapse normalises over all nine entries; the zeros
     # change the dot's summation order and so the last bit of the state
     kept = np.zeros((3, 3), complex)
-    kept[:, outcome] = amps[:, outcome]
-    marginal = _renormalized(kept)[:, outcome]
+    kept[:, outcome] = column
+    marginal = column / _norm(kept)
     return FLIP_PATTERNS[outcome], marginal / _norm(marginal)
 
 
-def _pattern_class(pattern):
-    """Quotient by the global sign: canonical representative."""
-    return pattern if pattern[0] > 0 else tuple(-s for s in pattern)
+def _sign_class(pattern):
+    """A sign pattern modulo global sign (the Klein four-group) as 2 bits,
+    (s0 != s1) | (s2 != s0) << 1: a product of patterns XORs the codes."""
+    return int(pattern[0] != pattern[1]) | int(pattern[2] != pattern[0]) << 1
+
+
+# outcome j -> the code its round XORs in; Flip[2] is outcome 0's pattern
+_STEPS = np.array([_sign_class(FLIP_PATTERNS[j]) for j in range(3)], np.uint8)
+_ABSORBING = _sign_class(FLIP_PATTERNS[0])
 
 
 def exact_flip_probability(n):
@@ -341,28 +357,21 @@ def exact_flip_probability(n):
 def exact_flip_curve(n_max):
     """Absorption probabilities of the 4-state quotient chain, exactly.
 
-    States are the Klein four-group of sign patterns modulo global sign;
-    each round multiplies by one of the three flip classes with
-    probability 1/3, absorbing at the Flip[2] class.
+    States are the Klein four-group of sign patterns modulo global sign
+    (:func:`_sign_class` codes); each round multiplies by one of the three
+    flip classes with probability 1/3, absorbing at the Flip[2] class.
     """
-    classes = [(1, 1, 1), (1, -1, -1), (1, -1, 1), (1, 1, -1)]
-    index = {c: i for i, c in enumerate(classes)}
-    absorbing = index[(1, 1, -1)]
     third = Fraction(1, 3)
-    dist = [Fraction(0)] * 4
-    dist[index[(1, 1, 1)]] = Fraction(1)
+    dist = [Fraction(1)] + [Fraction(0)] * 3  # the identity class, code 0
     absorbed = Fraction(0)
     curve = []
     for _ in range(n_max):
         new = [Fraction(0)] * 4
-        for i, cls in enumerate(classes):
-            if dist[i] == 0:
-                continue
-            for step in FLIP_PATTERNS.values():
-                product = _pattern_class(tuple(a * b for a, b in zip(cls, step)))
-                new[index[product]] += third * dist[i]
-        absorbed += new[absorbing]
-        new[absorbing] = Fraction(0)
+        for code, mass in enumerate(dist):
+            for step in _STEPS.tolist():
+                new[code ^ step] += third * mass
+        absorbed += new[_ABSORBING]
+        new[_ABSORBING] = Fraction(0)
         dist = new
         curve.append(absorbed)
     return curve
@@ -377,10 +386,10 @@ class FlipCurveRow:
 
 
 # Live trials per block of the Monte Carlo round loop.  A block's
-# temporaries, a few (3, _BLOCK) float64 arrays, stay in cache.
+# temporaries, a few arrays of _BLOCK entries, stay in cache.
 _BLOCK = 1 << 13
 
-_MAX_TRIALS, _MAX_ROUNDS = 10 ** 7, 10 ** 5  # 270 MB of trial state, 23 MB of rows
+_MAX_TRIALS, _MAX_ROUNDS = 10 ** 7, 10 ** 5  # 10 MB of trial state, 23 MB of rows
 
 
 def estimate_flip_success(trials, n_max, seed):
@@ -390,26 +399,29 @@ def estimate_flip_success(trials, n_max, seed):
     batch.  A round is not simulated on the two-qutrit state vector: SUM
     with a fresh exact ancilla followed by measuring the ancilla gives
     outcome j with probability sum_i |phi_i shifted[i, j]|^2 and leaves the
-    data amplitudes phi * shifted[:, j] (normalised), so each round is that
-    closed update on the live trials' amplitudes.  The ancilla and the
-    start state are real, so the batch runs in float64, and trials that
-    have succeeded are dropped from it.
+    data amplitudes phi * shifted[:, j] (normalised).
     Success at round n means the accumulated sign pattern equals Flip[2]
     up to a global sign.  Returns one row per n with the empirical
     cumulative success rate and its binomial standard error.
 
-    The live amplitudes are one (3, trials) float64 array and the
-    accumulated sign patterns one (3, trials) int8 array, so each
-    component is a contiguous row.  A round walks the live trials in
-    blocks of ``_BLOCK``: each block's probabilities, outcomes and updates
-    are formed in block-sized temporaries, and its survivors are written
-    to the front of the same two arrays, at an offset no greater than the
-    block's start, which no later block of the round reads.  Memory is
-    the two arrays plus a few blocks, whatever ``trials`` is.  Each block
-    draws its own ``rng.random(width)``; the Generator's doubles come
-    one per 64-bit output, so the blocks together draw exactly the stream
-    one ``rng.random(live)`` per round would, and the rows do not depend
-    on the block size.
+    Every live trial has the same amplitude magnitudes, so they are one
+    shared (3, 1) float64 column.  This is exact: the start state is
+    (1, 1, 1)/sqrt(3), every entry of ``shifted`` is +-1/sqrt(3), and IEEE
+    multiply, square and divide are sign-symmetric, so every trial and
+    every outcome computes bit-identical probabilities and magnitudes.  A
+    round's thresholds p0 and p0 + p1 are scalars, formed from the column
+    by the ufunc sequence a per-trial kernel runs, and the column becomes
+    |column * shifted[:, 0]| / sqrt(p0).  A trial is then only its sign
+    pattern modulo global sign, one uint8 code (:func:`_sign_class`); a
+    round XORs in its outcome's code, and the trial is absorbed at Flip[2]'s.
+    A round walks the live codes in blocks of ``_BLOCK`` and writes each
+    block's survivors to the front of the same array, at an offset no
+    greater than the block's start, which no later block of the round
+    reads: one byte per trial plus block-sized temporaries.  Each block
+    draws its own ``rng.random(width)``; the Generator's doubles come one
+    per 64-bit output, so the blocks together draw exactly the stream one
+    ``rng.random(live)`` per round would, and the rows do not depend on
+    the block size.
     ``trials`` runs up to ``_MAX_TRIALS`` and ``n_max`` to ``_MAX_ROUNDS``.
     """
     if not (1 <= trials <= _MAX_TRIALS and 1 <= n_max <= _MAX_ROUNDS):
@@ -419,43 +431,30 @@ def estimate_flip_success(trials, n_max, seed):
     # shifted[i, j] is the ancilla amplitude at outcome j after SUM when
     # the data qutrit is |i>; one round maps phi -> phi * shifted[:, j].
     shifted = psi[_SHIFT]
-    patterns = np.sign(shifted).astype(np.int8)  # column j: outcome-j pattern
-    phi = np.full((3, trials), 1 / np.sqrt(3))  # columns [0, live) hold the live trials
-    accumulated = np.ones((3, trials), dtype=np.int8)
-    width = min(trials, _BLOCK)
-    probs = np.empty((3, width))
-    columns = np.arange(width)
+    column = np.full((3, 1), 1 / np.sqrt(3))  # every live trial's |phi|
+    codes = np.zeros(trials, np.uint8)  # [0, live) holds the live trials
     successes = np.zeros(n_max, dtype=np.int64)
     live, done = trials, 0
     for round_index in range(n_max):
         if not live:
             successes[round_index:] = done
             break
+        # p[j] = sum_i (phi_i shifted[i, j])^2, summed i = 0, 1, 2 in order
+        sq0, sq1 = (np.square(column * shifted[:, j, None]) for j in (0, 1))
+        p0, p1 = (sq0[0] + sq0[1]) + sq0[2], (sq1[0] + sq1[1]) + sq1[2]
+        first, second = float(p0[0]), float((p0 + p1)[0])
+        column = np.abs(column * shifted[:, 0, None]) / np.sqrt(p0)
         kept_live = 0
         for start in range(0, live, _BLOCK):
             stop = min(start + _BLOCK, live)
-            w = stop - start
-            amps, signs = phi[:, start:stop], accumulated[:, start:stop]
-            # p[j] = sum_i (phi_i shifted[i, j])^2, summed i = 0, 1, 2 in order
-            p = probs[:, :w]
-            for j in range(3):
-                sq = np.square(amps * shifted[:, j, None])
-                np.add(sq[0], sq[1], out=p[j])
-                p[j] += sq[2]
-            # outcome = min(#{c in (p0, p0 + p1, (p0 + p1) + p2) : draw >= c}, 2).
-            # The probabilities are sums of squares, so the cumulative sums
-            # never decrease: the third comparison holds only when the first
-            # two do, and the min drops it.
-            draws = rng.random(w)
-            outcomes = np.add(draws >= p[0], draws >= p[0] + p[1], dtype=np.intp)
-            kept = p[outcomes, columns[:w]]
-            amps = amps * shifted.take(outcomes, axis=1) / np.sqrt(kept)
-            signs = signs * patterns.take(outcomes, axis=1)
-            # alive: the accumulated pattern is not Flip[2] up to a global sign
-            alive = (signs[0] != signs[1]) | (signs[2] != -signs[0])
+            # outcome = min(#{c in (p0, p0 + p1, total) : draw >= c}, 2); the
+            # sums never decrease, so the min drops the third comparison
+            draws = rng.random(stop - start)
+            outcomes = np.add(draws >= first, draws >= second, dtype=np.intp)
+            block = codes[start:stop] ^ _STEPS.take(outcomes)
+            alive = block != _ABSORBING
             front = slice(kept_live, kept_live + int(np.count_nonzero(alive)))
-            np.compress(alive, amps, axis=1, out=phi[:, front])
-            np.compress(alive, signs, axis=1, out=accumulated[:, front])
+            np.compress(alive, block, out=codes[front])
             kept_live = front.stop
         done += live - kept_live
         live = kept_live

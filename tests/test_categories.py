@@ -344,6 +344,20 @@ def test_category_copies_what_it_is_built_from(su24):
     assert max(report.dim_residual, report.r_modulus_max, report.pentagon_max) < 1e-12
 
 
+@pytest.mark.parametrize("table, key", [("f", ("2", "2", "2", "2")), ("r", ("1", "1", "2")),
+                                        ("qdim", "1")])
+def test_categories_equal_rejects_nan(table, key, su24):
+    value = complex(math.nan, 0.0) if table == "r" else math.nan
+    edited = _edited(su24, table, key, value)
+    assert not categories_equal(edited, su24) and not categories_equal(su24, edited)
+    assert not categories_equal(edited, edited)
+
+
+def test_categories_equal_holds_for_the_same_data(su24):
+    assert categories_equal(su24, su24)
+    assert categories_equal(su24, BUILTIN_CATEGORIES["su2_4"]())
+
+
 def test_replaced_category_builds_its_own_tables(su24):
     """An edited ``dataclasses.replace`` copy reads its own tables: its
     check sees the edit, the original's does not."""

@@ -128,6 +128,55 @@ def slow_estimate_flip_success(trials, n_max, seed):
     return rows
 
 
+def blocked_estimate_flip_success(trials, n_max, seed):
+    """The blocked amplitude kernel the sign-class kernel replaced: every
+    live trial's amplitudes in a (3, trials) float64 array and its
+    accumulated signs in a (3, trials) int8 array, walked in blocks of B
+    with one draw per block."""
+    rng = np.random.default_rng(seed)
+    psi = np.array([1.0, -1.0, 1.0]) / np.sqrt(3)
+    shifted = psi[protocol._SHIFT]
+    patterns = np.sign(shifted).astype(np.int8)
+    phi = np.full((3, trials), 1 / np.sqrt(3))
+    accumulated = np.ones((3, trials), dtype=np.int8)
+    width = min(trials, B)
+    probs = np.empty((3, width))
+    columns = np.arange(width)
+    successes = np.zeros(n_max, dtype=np.int64)
+    live, done = trials, 0
+    for round_index in range(n_max):
+        if not live:
+            successes[round_index:] = done
+            break
+        kept_live = 0
+        for start in range(0, live, B):
+            stop = min(start + B, live)
+            w = stop - start
+            amps, signs = phi[:, start:stop], accumulated[:, start:stop]
+            p = probs[:, :w]
+            for j in range(3):
+                sq = np.square(amps * shifted[:, j, None])
+                np.add(sq[0], sq[1], out=p[j])
+                p[j] += sq[2]
+            draws = rng.random(w)
+            outcomes = np.add(draws >= p[0], draws >= p[0] + p[1], dtype=np.intp)
+            kept = p[outcomes, columns[:w]]
+            amps = amps * shifted.take(outcomes, axis=1) / np.sqrt(kept)
+            signs = signs * patterns.take(outcomes, axis=1)
+            alive = (signs[0] != signs[1]) | (signs[2] != -signs[0])
+            front = slice(kept_live, kept_live + int(np.count_nonzero(alive)))
+            np.compress(alive, amps, axis=1, out=phi[:, front])
+            np.compress(alive, signs, axis=1, out=accumulated[:, front])
+            kept_live = front.stop
+        done += live - kept_live
+        live = kept_live
+        successes[round_index] = done
+    p_hat = successes / trials
+    stderr = np.sqrt(np.maximum(p_hat * (1 - p_hat), 1e-300) / trials)
+    return [FlipCurveRow(n, rate, float(exact_flip_probability(n)), err)
+            for n, rate, err in zip(range(1, n_max + 1), p_hat.tolist(), stderr.tolist())]
+
+
 def random_state(rng, shape):
     amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     return amps / np.linalg.norm(amps)
@@ -474,16 +523,56 @@ def test_ancilla_and_rounds_match_slow_path(seed):
 @pytest.mark.parametrize("trials, n_max, seed", [(20000, 10, 0), (20000, 10, 5), (3000, 8, 123),
                                                  (1, 60, 1), (7, 60, 7), (200, 80, 3),
                                                  (B - 1, 10, 2), (B, 10, 8), (B + 1, 10, 13),
-                                                 (3 * B + 17, 12, 21)])
+                                                 (3 * B + 17, 12, 21), (150_000, 10, 6)])
 def test_monte_carlo_matches_slow_path(trials, n_max, seed):
     # (1, 60, 1), (7, 60, 7) and (200, 80, 3) run until every trial is
-    # absorbed before n_max; the last four put the first round's live count
+    # absorbed before n_max; the next four put the first round's live count
     # on either side of one block and past three
     fast = estimate_flip_success(trials, n_max, seed)
-    slow = slow_estimate_flip_success(trials, n_max, seed)
-    assert fast == slow
+    assert fast == slow_estimate_flip_success(trials, n_max, seed)
+    assert fast == blocked_estimate_flip_success(trials, n_max, seed)
     if trials < 1000:
         assert fast[-1].p_hat == 1.0
+
+
+def test_monte_carlo_matches_blocked_kernel_at_a_million():
+    assert estimate_flip_success(10 ** 6, 10, 3) == blocked_estimate_flip_success(10 ** 6, 10, 3)
+
+
+def test_sign_classes_are_the_quotient_group():
+    """Codes multiply as patterns do, and two patterns share a code exactly
+    when they agree up to a global sign."""
+    patterns = list(itertools.product((1, -1), repeat=3))
+    for a, b in itertools.product(patterns, repeat=2):
+        product = tuple(x * y for x, y in zip(a, b))
+        assert protocol._sign_class(product) == protocol._sign_class(a) ^ protocol._sign_class(b)
+        assert (protocol._sign_class(a) == protocol._sign_class(b)) == (a in (b, tuple(-x for x in b)))
+    assert protocol._ABSORBING == protocol._sign_class((-1, -1, 1)) != 0
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_born_outcome_matches_searchsorted(d):
+    """Python-float cdf and bisect against the numpy cdf and searchsorted,
+    on random draws and on every cdf boundary and its neighbours."""
+    rng = np.random.default_rng(d)
+
+    class Fixed:
+        def __init__(self, value):
+            self.value = value
+
+        def random(self):
+            return self.value
+
+    for _ in range(300):
+        probs = rng.random(d) * rng.choice([1.0, 1e-9, 1e9], d)
+        probs[rng.integers(d)] = 0.0
+        cdf = (probs / probs.sum()).cumsum()
+        cdf /= cdf[-1]
+        draws = [rng.random()] + [v for c in cdf for v in (c, np.nextafter(c, 0), np.nextafter(c, 2))
+                                  if 0 <= v < 1]
+        for draw in draws:
+            expected = int(cdf.searchsorted(draw, side="right"))
+            assert protocol._born_outcome(probs, Fixed(float(draw))) == expected
 
 
 def test_monte_carlo_survivors_cross_block_edge():
@@ -505,15 +594,15 @@ def test_blockwise_draws_equal_one_draw(widths):
 
 
 def test_monte_carlo_memory_is_bounded():
-    # the live amplitudes and patterns take 27 MB at a million trials; the
-    # rest is block-sized
+    # the live sign classes take 1 MB at a million trials; the rest is
+    # block-sized
     tracemalloc.start()
     try:
         estimate_flip_success(1_000_000, 10, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 4e6
 
 
 def test_monte_carlo_exact_column_and_long_runs():
