@@ -45,11 +45,12 @@ All categories here are multiplicity-free (every fusion coefficient is 0
 or 1), and every label is self-dual.
 
 A :class:`Category` is immutable, so it builds its dense arrays indexed
-by label position (:attr:`Category.tables`) once, on first use: a 0/1
-fusion tensor, an F tensor ``F[a,b,c,d,row,col]`` (unit blocks written as
-1 at their one admissible position), an R tensor, and masks of the
-admissible F-blocks and R-symbols that are not stored.  Every F- and
-R-number the engine computes with is read from them.
+by label position (:attr:`Category.tables`) when it is made: a 0/1
+fusion tensor, masks of each F-block's admissible rows and columns, an F
+tensor ``F[a,b,c,d,row,col]`` (unit blocks written as 1 at their one
+admissible position), an R tensor, and masks of the admissible F-blocks
+and R-symbols that are not stored.  Every F- and R-number the engine
+computes with, and every admissibility test, is read from them.
 
 Consistency checks
 ------------------
@@ -59,7 +60,8 @@ loop per equation: the pentagon instances are enumerated by
 ``np.nonzero`` joins on the fusion tensor and their entries gathered by
 fancy indexing, in chunks over the first label; the hexagon instances
 are stacked as zero-padded blocks and multiplied as one batch.  Sums run
-in the order the scalar loops used, so the residuals keep their bits.
+over fusion outcomes in canonical label order, so the residuals do not
+depend on the order in which a set yields its labels.
 An instance is skipped, and counted, iff an F-block or R-symbol it reads
 is missing; a NaN in an entry makes every residual that reads it NaN.
 """
@@ -70,7 +72,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -129,6 +131,8 @@ class Category:
     :func:`parse_category` accepts it in a file only with that value.  The
     dicts are kept as read-only copies, the F-blocks as read-only arrays:
     an edited category is a new one, made with ``dataclasses.replace``.
+    Making one raises ``ValueError`` for a stored F-block or R-symbol that
+    the fusion rules do not admit (see :func:`_label_tables`).
     """
 
     name: str
@@ -138,17 +142,14 @@ class Category:
     f_table: dict  # (a, b, c, d) -> complex ndarray
     r_table: dict  # (a, b, c) -> complex
     aliases: dict = field(default_factory=dict)
+    tables: _LabelTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = {key: _read_only(np.array(mat)) for key, mat in self.f_table.items()}
         for name, value in (("qdim", self.qdim), ("fusion", self.fusion), ("f_table", blocks),
                             ("r_table", self.r_table), ("aliases", self.aliases)):
             object.__setattr__(self, name, MappingProxyType(dict(value)))
-
-    @cached_property
-    def tables(self):
-        """The data as label-indexed :class:`_LabelTables`, built once."""
-        return _label_tables(self)
+        object.__setattr__(self, "tables", _label_tables(self))
 
     @property
     def unit(self):
@@ -167,21 +168,25 @@ class Category:
         """Fusion outcomes of ``a x b`` as a frozenset."""
         return self.fusion[(self.resolve(a), self.resolve(b))]
 
-    def _sorted(self, labels):
-        return tuple(sorted(labels, key=self.labels.index))
+    def outcomes(self, a, b):
+        """Fusion outcomes of ``a x b`` in canonical label order."""
+        return self._listed(self.tables.fusion, a, b)
 
     def f_rows(self, a, b, c, d):
         """Admissible row labels of F[a,b,c;d] in canonical order."""
-        a, b, c, d = map(self.resolve, (a, b, c, d))
-        return self._sorted(n for n in self.fuse(a, b) if d in self.fuse(n, c))
+        return self._listed(self.tables.rows, a, b, c, d)
 
     def f_cols(self, a, b, c, d):
         """Admissible column labels of F[a,b,c;d] in canonical order."""
-        a, b, c, d = map(self.resolve, (a, b, c, d))
-        return self._sorted(m for m in self.fuse(b, c) if d in self.fuse(a, m))
+        return self._listed(self.tables.cols, a, b, c, d)
 
     def is_admissible_f(self, a, b, c, d):
         return bool(self.f_rows(a, b, c, d)) and bool(self.f_cols(a, b, c, d))
+
+    def _listed(self, mask, *labels):
+        """The labels at which ``mask[labels]`` holds, in canonical order."""
+        at = tuple(self.labels.index(self.resolve(x)) for x in labels)
+        return tuple(self.labels[m] for m in np.flatnonzero(mask[at]))
 
     def has_f(self, a, b, c, d):
         """True if F[a,b,c;d] is admissible and available."""
@@ -403,14 +408,8 @@ def _build_so5_2():
         ("eps", "eps", "y2"): cmath.exp(-1j * pi / 10),
     }
 
-    cat = Category("so5_2", labels, qdim, fusion, f_table, r_table,
-                   aliases={"y_1": "y1", "y_2": "y2", "epsp": "eps'", "unit": "1"})
-
-    for key, mat in f_table.items():
-        rows, cols = cat.f_rows(*key), cat.f_cols(*key)
-        if mat.shape != (len(rows), len(cols)):
-            raise AssertionError(f"F{key}: table shape {mat.shape} vs {(len(rows), len(cols))}")
-    return cat
+    return Category("so5_2", labels, qdim, fusion, f_table, r_table,
+                    aliases={"y_1": "y1", "y_2": "y2", "epsp": "eps'", "unit": "1"})
 
 
 BUILTIN_CATEGORIES = {
@@ -465,9 +464,7 @@ class _LabelTables:
     * ``f[a, b, c, d, row, col]``: the F-entries at admissible positions,
       0 elsewhere; a unit block holds 1 at its one admissible position;
     * ``f_missing[a, b, c, d]``: F[a,b,c;d] is admissible but not stored;
-    * ``r[a, b, c]`` / ``r_missing[a, b, c]``: the same for R-symbols;
-    * ``slots[b, c, k]``: the k-th element of ``cat.fusion[b, c]`` in the
-      frozenset's iteration order, -1 past its end.
+    * ``r[a, b, c]`` / ``r_missing[a, b, c]``: the same for R-symbols.
     """
 
     fusion: np.ndarray
@@ -477,19 +474,18 @@ class _LabelTables:
     f_missing: np.ndarray
     r: np.ndarray
     r_missing: np.ndarray
-    slots: np.ndarray
 
 
 def _label_tables(cat):
-    """Build :class:`_LabelTables` from ``cat``; one pass over its dicts."""
+    """Build :class:`_LabelTables` from ``cat``; one pass over its dicts.
+    Raises ``ValueError`` for a stored F-block whose shape is not its
+    admissible rows x columns (an inadmissible key has none) or an
+    R-symbol stored at an inadmissible (a, b; c)."""
     index = {lab: i for i, lab in enumerate(cat.labels)}
     n = len(index)
     fusion = np.zeros((n,) * 3, dtype=bool)
-    slots = np.full((n, n, max(map(len, cat.fusion.values()))), -1, dtype=np.intp)
     for (a, b), out in cat.fusion.items():
-        at = [index[c] for c in out]
-        fusion[index[a], index[b], at] = True
-        slots[index[a], index[b], :len(out)] = at
+        fusion[index[a], index[b], [index[c] for c in out]] = True
 
     # rows[a,b,c,d,m] = N[a,b,m] N[m,c,d]; cols[a,b,c,d,m] = N[b,c,m] N[a,m,d]
     rows = fusion[:, :, None, None, :] & fusion.transpose(1, 2, 0)[None, None]
@@ -501,6 +497,13 @@ def _label_tables(cat):
     # each block's entries, raveled, fill its admissible positions in row-major order
     at = tuple(np.array([[index[x] for x in key] for key in cat.f_table], dtype=np.intp)
                .reshape(-1, 4).T)
+    shapes = zip(rows[at].sum(-1).tolist(), cols[at].sum(-1).tolist())
+    for (key, mat), shape in zip(cat.f_table.items(), shapes):
+        if 0 in shape:
+            raise ValueError(f"{cat.name}: F-block stored at inadmissible F{key}")
+        if mat.shape != shape:
+            raise ValueError(f"{cat.name}: stored F{key} has shape {mat.shape}, but its "
+                             f"admissible rows x columns are {shape[0]} x {shape[1]}")
     block, i, j = np.nonzero(rows[at][:, :, None] & cols[at][:, None, :])
     f = np.zeros((n,) * 6, dtype=complex)
     f[(*(x[block] for x in at), i, j)] = np.concatenate(
@@ -513,11 +516,13 @@ def _label_tables(cat):
     r_stored = np.zeros((n, n, n), dtype=bool)
     for key, value in cat.r_table.items():
         at = tuple(index[x] for x in key)
+        if not fusion[at]:
+            raise ValueError(f"{cat.name}: R-symbol stored at inadmissible R{key}")
         r[at], r_stored[at] = value, True
     r_stored[0], r_stored[:, 0] = True, True
     r[0], r[:, 0] = fusion[0], fusion[:, 0]
     return _LabelTables(*map(_read_only, (fusion, rows, cols, f, admissible & ~has_unit & ~stored,
-                                          r, fusion & ~r_stored, slots)))
+                                          r, fusion & ~r_stored)))
 
 
 def _pentagon(tables):
@@ -527,12 +532,15 @@ def _pentagon(tables):
     The instances (a,b,c,d,u,v,e,r,t) are enumerated by ``np.nonzero``
     joins on the fusion tensor, one chunk per label ``a``: u in a x b,
     v in u x c, e in v x d, r in c x d with e in u x r, t in b x r with
-    e in a x t.  The sum over s runs over ``slots[b, c]`` in order, each
-    term ``(F1 F2) F3`` masked by ``v in a x s`` and ``t in s x d``, so
-    every residual has the bits of the scalar loop's.  An instance is
-    skipped iff a block it reads is missing.
+    e in a x t.  The sum over s runs over b x c in canonical label order,
+    each term ``(F1 F2) F3`` masked by ``v in a x s`` and ``t in s x d``,
+    so every residual has the bits of a scalar loop in that order.  An
+    instance is skipped iff a block it reads is missing.
     """
     N, F, missing = tables.fusion, tables.f, tables.f_missing
+    # slots[b, c, k]: the k-th outcome of b x c in label order, -1 past the last
+    order = np.argsort(~N, axis=-1, kind="stable")[..., :N.sum(-1).max()]
+    slots = np.where(np.take_along_axis(N, order, -1), order, -1)
     worst = [0.0]
     checked = skipped = 0
     for a in range(len(N)):
@@ -549,7 +557,7 @@ def _pentagon(tables):
         skip = missing[u, c, d, e] | missing[a, b, r, e]
         missing13 = missing[a, b, c, v] | missing[b, c, d, t]  # F1, F3 do not depend on s
         lhs = np.zeros(len(t), dtype=complex)
-        for s in tables.slots[b, c].T:
+        for s in slots[b, c].T:
             term = (s >= 0) & N[a, s, v] & N[s, d, t]
             skip |= term & (missing13 | missing[a, s, d, e])
             lhs += np.where(term, F[a, b, c, v, u, s] * F[a, s, d, e, v, t]
@@ -619,7 +627,7 @@ def check_consistency(cat):
     R-symbol it reads is missing.  A NaN in any entry a residual reads
     makes that residual NaN, so every threshold test on it fails.
     """
-    dim_res = np.max([abs(cat.qdim[a] * cat.qdim[b] - sum(cat.qdim[c] for c in cat.fuse(a, b)))
+    dim_res = np.max([abs(cat.qdim[a] * cat.qdim[b] - sum(cat.qdim[c] for c in cat.outcomes(a, b)))
                       for a in cat.labels for b in cat.labels])
     unit_res = np.max([abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
                        for mat in cat.f_table.values()], initial=0.0)
@@ -627,23 +635,12 @@ def check_consistency(cat):
 
     p_max, p_checked, p_skipped = _pentagon(cat.tables)
     h_r, h_rinv, h_checked, h_skipped = _hexagon(cat.tables)
-    if h_r <= h_rinv:
-        h_max, orientation = h_r, "R"
-    else:
-        h_max, orientation = h_rinv, "R-inverse"
+    h_max, orientation = (h_r, "R") if h_r <= h_rinv else (h_rinv, "R-inverse")
     return ConsistencyReport(
-        category=cat.name,
-        dim_residual=float(dim_res),
-        unitarity_max=float(unit_res),
-        r_modulus_max=float(r_res),
-        pentagon_max=p_max,
-        pentagon_checked=p_checked,
-        pentagon_skipped=p_skipped,
-        hexagon_max=h_max,
-        hexagon_checked=h_checked,
-        hexagon_skipped=h_skipped,
-        hexagon_orientation=orientation,
-    )
+        category=cat.name, dim_residual=float(dim_res), unitarity_max=float(unit_res),
+        r_modulus_max=float(r_res), pentagon_max=p_max, pentagon_checked=p_checked,
+        pentagon_skipped=p_skipped, hexagon_max=h_max, hexagon_checked=h_checked,
+        hexagon_skipped=h_skipped, hexagon_orientation=orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +661,7 @@ def serialize_category(cat):
         out.append(f"label {lab} qdim {cat.qdim[lab]:.17g}")
     for a in cat.labels:
         for b in cat.labels:
-            cs = ",".join(cat._sorted(cat.fuse(a, b)))
-            out.append(f"fuse {a} {b} -> {cs}")
+            out.append(f"fuse {a} {b} -> {','.join(cat.outcomes(a, b))}")
     for key in sorted(cat.f_table, key=lambda t: tuple(map(cat.labels.index, t))):
         rows, cols = cat.f_rows(*key), cat.f_cols(*key)
         mat = cat.f_table[key]
@@ -747,11 +743,13 @@ def parse_category(text, name="parsed"):
                     fail(lineno, f"unknown label {lab!r}")
             if partial is None:
                 partial = _partial_category(name, labels, qdim, rules)
-            if not partial.is_admissible_f(*key):
-                fail(lineno, f"inadmissible F{key}")
-            if n not in partial.f_rows(*key) or m not in partial.f_cols(*key):
+            if key not in f_entries:
+                if not partial.is_admissible_f(*key):
+                    fail(lineno, f"inadmissible F{key}")
+                f_entries[key] = partial.f_rows(*key), partial.f_cols(*key), {}
+            rows, cols, block = f_entries[key]
+            if n not in rows or m not in cols:
                 fail(lineno, f"index ({n},{m}) not admissible for F{key}")
-            block = f_entries.setdefault(key, {})
             if (n, m) in block:
                 fail(lineno, f"repeated entry ({n},{m}) of F{key}")
             block[(n, m)] = complex(
@@ -781,8 +779,7 @@ def parse_category(text, name="parsed"):
     if partial is None:
         partial = _partial_category(name, labels, qdim, rules)
     f_table = {}
-    for key, entries in f_entries.items():
-        rows, cols = partial.f_rows(*key), partial.f_cols(*key)
+    for key, (rows, cols, entries) in f_entries.items():
         mat = np.zeros((len(rows), len(cols)), dtype=complex)
         for i, n in enumerate(rows):
             for j, m in enumerate(cols):

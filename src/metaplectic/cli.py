@@ -32,7 +32,7 @@ from .categories import (BUILTIN_CATEGORIES, CategoryFileError, MissingDataError
                          parse_category, serialize_category)
 from .braidrep import general_generators, pair_tree_generators, rep_check
 from .gates import (_MAX_DIM, cz_gate, hadamard, make_gate, mult_gate, parse_gate, q_gate,
-                    sum_gate, x_gate, z_gate, equal_up_to_phase)
+                    sum_gate, x_gate, equal_up_to_phase)
 from .protocol import _MAX_ROUNDS, _MAX_TRIALS, estimate_flip_success
 from .synthesis import eval_word, group_closure, named_words, verify_identity, word_from_text
 from .trees import block_embedding, comb_tree, enumerate_basis, parse_shape
@@ -127,7 +127,7 @@ def _cmd_category(args):
 
     if args.action == "fuse":
         cat = _load_category(args.name, None)
-        outcomes = sorted(cat.fuse(args.a, args.b), key=cat.labels.index)
+        outcomes = cat.outcomes(args.a, args.b)
         _emit([f"{args.a} x {args.b} = {' + '.join(outcomes)}"],
               [f"fusion={','.join(outcomes)}"])
         return EXIT_OK
@@ -295,17 +295,9 @@ def _verify_suite_su24(tol):
 
 def _verify_suite_so52(tol):
     _, rep = _model_rep("so5_2-qupit")
-    targets = [
-        ("H5", "-1 -3 2 2 -1 -3", hadamard(5)),
-        ("Z5", "1 -3", z_gate(5)),
-        ("X5", "1 2 -1 -1 3 3 -2 -1", x_gate(5)),
-        ("M5[2]", "1 1 -2 -2 -1 -3 2 1", mult_gate(5, 2)),
-        ("M5[3]", "1 1 -2 1 3 2 2 3", mult_gate(5, 3)),
-        ("M5[4]", "1 2 1 3 2 1", mult_gate(5, 4)),
-    ]
     human, machine, ok = ["so5_2 braiding gate inventory:"], [], True
-    for name, text, target in targets:
-        result = verify_identity(rep, word_from_text(text, 4), target, tol=tol)
+    for name, word in named_words("so5_2").items():  # each word is named after its gate
+        result = verify_identity(rep, word, make_gate(parse_gate(name)), tol=tol)
         ok = ok and result.passed
         human.append(f"  [{'PASS' if result.passed else 'FAIL'}] {name} word"
                      f" (residual {result.residual:.3e})")

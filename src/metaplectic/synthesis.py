@@ -121,11 +121,21 @@ def _su2_4_words():
     }
 
 
-_NAMED = {"su2_4": _su2_4_words()}
+def _so5_2_words():
+    return {name: word_from_text(text, 4) for name, text in (
+        ("H5", "-1 -3 2 2 -1 -3"),
+        ("Z5", "1 -3"),
+        ("X5", "1 2 -1 -1 3 3 -2 -1"),
+        ("M5[2]", "1 1 -2 -2 -1 -3 2 1"),
+        ("M5[3]", "1 1 -2 1 3 2 2 3"),
+        ("M5[4]", "1 2 1 3 2 1"))}
+
+
+_NAMED = {"su2_4": _su2_4_words(), "so5_2": _so5_2_words()}
 
 
 def named_words(category_name):
-    """Preregistered words (p, q, Hword, CZword, s1, s2, s3) per category.
+    """Preregistered words per category, by name.
 
     For su2_4, p, q and Hword are 4-strand words on the qutrit model.
     s1, s2, s3 and CZword are 8-strand words on the 27-dim block-8 rep
@@ -134,6 +144,10 @@ def named_words(category_name):
     is a gate.  ``verify suite --category su2_4`` checks CZword there.
     ``verify identity`` compares the whole matrix with the target and exits
     64 for these words.
+
+    For so5_2, H5, Z5, X5, M5[2], M5[3] and M5[4] are 4-strand words on the
+    qupit model (two eps pairs, total y1), each named after the gate it
+    makes; ``verify suite --category so5_2`` checks them in that order.
     """
     return dict(_NAMED.get(category_name, {}))
 

@@ -371,6 +371,28 @@ def test_replaced_category_builds_its_own_tables(su24):
     assert check_consistency(su24).pentagon_max < 1e-12
 
 
+def test_category_rejects_misshapen_f_block(su24):
+    """F[1,1,1;1] is 2 x 2; its four entries stored as 1 x 4 are refused,
+    not scattered into the 2 x 2 positions."""
+    key = ("1", "1", "1", "1")
+    flat = su24.f_table[key].reshape(1, 4)
+    with pytest.raises(ValueError, match=r"shape \(1, 4\).* 2 x 2"):
+        dataclasses.replace(su24, f_table={**su24.f_table, key: flat})
+
+
+def test_category_rejects_f_block_at_inadmissible_key(su24):
+    key = ("1", "1", "1", "0")  # 1 x 1 x 1 = 1 + 3
+    assert not su24.is_admissible_f(*key)
+    with pytest.raises(ValueError, match="inadmissible"):
+        dataclasses.replace(su24, f_table={**su24.f_table, key: np.ones((1, 1))})
+
+
+def test_category_rejects_r_symbol_at_inadmissible_key(su24):
+    key = ("1", "1", "1")  # 1 x 1 = 0 + 2
+    with pytest.raises(ValueError, match="inadmissible"):
+        dataclasses.replace(su24, r_table={**su24.r_table, key: 1.0})
+
+
 def test_label_tables_built_once_per_category(monkeypatch):
     """Checks, enumeration, generators and basis changes on a category all
     read the one table build of that category object."""
@@ -702,7 +724,7 @@ def loop_hexagon(cat):
     worst = {False: 0.0, True: 0.0}
     checked = skipped = 0
     for a, b, c in itertools.product(cat.labels, repeat=3):
-        for d in cat._sorted({x for n in cat.fuse(a, b) for x in cat.fuse(n, c)}):
+        for d in sorted({x for n in cat.fuse(a, b) for x in cat.fuse(n, c)}, key=cat.labels.index):
             try:
                 r1, c1, f1 = _block(cat, cache, a, b, c, d)
                 r2, c2, f2 = _block(cat, cache, a, c, b, d)

@@ -15,7 +15,8 @@ import pytest
 
 from metaplectic import cli
 from metaplectic.braidrep import general_generators
-from metaplectic.categories import BUILTIN_CATEGORIES, builtin_category
+from metaplectic.categories import (BUILTIN_CATEGORIES, _su2_k, builtin_category,
+                                    serialize_category)
 from metaplectic.trees import comb_tree, enumerate_basis
 from metaplectic.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_MISSING_DATA, EXIT_OK, EXIT_USAGE,
                              SENTINEL, build_parser, main)
@@ -83,6 +84,13 @@ def test_verify_identity(capsys):
     assert main(["verify", "identity", "--model", "so5_2-qupit",
                  "--word", "1 -3", "--target", "X5"]) == EXIT_CHECK_FAILED
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["H5", "Z5", "X5", "M5[2]", "M5[3]", "M5[4]"])
+def test_verify_identity_so52_named_words(name, capsys):
+    assert main(["verify", "identity", "--model", "so5_2-qupit",
+                 "--named", name, "--target", name]) == EXIT_OK
+    assert "pass=1" in machine_section(capsys.readouterr().out)
 
 
 def test_rep_check_and_show(capsys):
@@ -461,8 +469,8 @@ def test_cli_category_choices_come_from_registry():
 
 @pytest.mark.parametrize("category", ["su2_4", "so5_2"])
 def test_category_check_independent_of_hash_seed(category):
-    """The pentagon sums run in the iteration order of fusion frozensets,
-    which follows the string hash; the machine section must not."""
+    """Fusion frozensets iterate in an order that follows the string hash;
+    the machine section must not."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     sections = []
     for seed in ("0", "12345"):
@@ -473,6 +481,24 @@ def test_category_check_independent_of_hash_seed(category):
         assert done.returncode == EXIT_OK, done.stderr
         sections.append(machine_section(done.stdout))
     assert sections[0] == sections[1]
+
+
+def test_category_file_check_independent_of_hash_seed(tmp_path):
+    """The whole output on SU(2)_10, whose quantum dimension sums have
+    enough terms to round differently in frozenset order."""
+    path = tmp_path / "su2_10.cat"
+    path.write_text(serialize_category(_su2_k(10)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in ("0", "7"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "metaplectic", "category", "check",
+                               "--file", str(path)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == EXIT_OK, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_all_runs_from_checkout(tmp_path):

@@ -110,6 +110,15 @@ def test_qupit_subspace_chain(p):
     assert report.passed()
 
 
+@pytest.mark.parametrize("p", [43, 101])
+def test_qupit_subspace_chain_passes_for_large_p(p):
+    """The restricted commutator minimum falls roughly as p^-3 (9.1e-4 at
+    p = 43, 4.7e-5 at 101); it is held to the round-off bound, not 1e-3."""
+    report = qupit_subspace_chain(p)
+    assert 1e-9 < report.restricted_commutator_min < 1e-3
+    assert report.passed()
+
+
 def test_subspace_planes_not_orthogonal():
     # S_0 vs S_1 at p = 5: the cross inner-product matrix is nonzero
     w = omega(5)
