@@ -322,6 +322,8 @@ def _cmd_group(args):
         args.source_parser.error("--gates needs at least one gate name")
     if args.no_det_lift and (args.projective or args.gates is None):
         args.source_parser.error("--no-det-lift applies only to linear closures of --gates")
+    if args.expect is not None and args.expect < 1:
+        args.source_parser.error(f"--expect must be at least 1 (got {args.expect})")
     if args.gates is not None:
         # split on the commas outside brackets: R3[0,1,1],H3 is two gates
         gens = [make_gate(parse_gate(tok)) for tok in re.split(r",(?![^\[]*\])", args.gates)]

@@ -20,14 +20,23 @@ phase normalized away) or linearly after rescaling each generator to
 determinant one with the principal root.  The search is vectorized: the
 queue of found elements is processed a batch at a time (a whole BFS level
 when it fits); each batch's products with every generator come from one
-matrix product per generator, and are phase-canonicalized, keyed on a
-1e-6 grid and deduplicated by one ``np.unique`` as one stack, so that
-only distinct keys are looked up in the dictionary of known elements.
+matrix product per generator, and are phase-canonicalized and keyed on a
+1e-6 grid as one stack; each key is then looked up in the dictionary of
+known elements, and a new one numbered as it appears.
 Elements are found in the same order as by a product-by-product search
 (queue first, then generator), so the cap is met at the same product.
-The center and the element orders are computed on stacks of elements
-too, through the same stack-aware :func:`gates.phase_distance` that
-``verify_identity`` uses.
+The search keeps what it looked up: the Cayley table, the slot of x g for
+every found x and generator g, and the BFS tree (each element's parent,
+generator and depth).  The center and the element orders are integer
+walks on that table (the regular permutation representation of the
+group): x is central iff x g and g x share a slot for every generator,
+g x being walked down the tree from g, and the order of x is the first k
+at which the walk x^k = x x^(k-1) reaches the identity's slot.  The
+matrices then certify every answer to 1e-8, through the same stack-aware
+:func:`gates.phase_distance` that ``verify_identity`` uses when
+projective: x^(o-1) x is the identity, no other element is, a central
+element commutes with every generator and any other fails to commute
+with the generator the table names.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ import operator
 import os
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -387,14 +397,19 @@ def group_closure(generators, projective=False, cap=100000, det_lift=True):
     the principal-root rescale would introduce spurious phases.  Returns
     order, center size, and a histogram of element orders; if more than
     ``cap`` distinct elements appear, the search stops with
-    ``cap_exceeded`` set and no order claim.  ``cap`` must be at least 1.
-    A generator that is not a finite square unitary matrix to 1e-9 raises
-    ``ValueError``.
+    ``cap_exceeded`` set and no order claim.  ``cap`` must be at least 1,
+    and the most memory a search up to it may hold
+    (:func:`_closure_bytes`) must fit ``_CLOSURE_BYTES``; otherwise
+    ``ValueError`` names the largest cap that fits, before anything is
+    allocated.  A generator that is not a finite square unitary matrix to
+    1e-9 raises ``ValueError``.
 
-    :func:`_bfs` finds the elements.  The center and the element orders
-    are then computed on stacked blocks of elements, comparing matrices to
-    1e-8 entrywise (up to phase when projective); an element whose order
-    would exceed the group order raises ``RuntimeError``.
+    :func:`_bfs` finds the elements and keeps their Cayley table and BFS
+    tree.  The center and the element orders are read off the table by
+    integer walks (:func:`_left_table`, :func:`_table_orders`), and every
+    answer is then certified on the matrices by :func:`_certify`, to 1e-8
+    entrywise (up to phase when projective).  A disagreement, or an
+    element order past the group order, raises ``RuntimeError``.
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1 (got {cap})")
@@ -404,95 +419,262 @@ def group_closure(generators, projective=False, cap=100000, det_lift=True):
     dim = gens[0].shape[0]
     if dim == 0 or any(g.shape != (dim, dim) for g in gens):
         raise ValueError("generators must share one nonzero dimension")
+    need = _closure_bytes(cap, len(gens), dim)
+    if need > _CLOSURE_BYTES:
+        fits = _largest_cap(len(gens), dim)
+        raise ValueError(
+            f"a closure of {len(gens)} generators of size {dim} x {dim} up to cap {cap} may "
+            f"need {need / 2 ** 30:.1f} GiB, over the {_CLOSURE_BYTES >> 30} GiB budget; "
+            + (f"the largest cap that fits is {fits}" if fits else "no cap fits"))
     if not projective and det_lift:
         gens = [det_normalize(g) for g in gens]
     gens = np.array(gens)
-    members = _bfs(gens, phase_canonical if projective else (lambda u: u), cap)
-    if members is None:
+    found = _bfs(gens, phase_canonical if projective else (lambda u: u), cap)
+    if found is None:
         return ClosureResult(None, True, None, None)
 
+    table = found.table
+    if ((table < 0) | (table >= len(table))).any():
+        raise RuntimeError("closure table points past the elements it covers")
+    left = _left_table(found)
+    orders, inverses = _table_orders(left, found, len(found.members))
+    if len(found.members) != len(table):
+        raise RuntimeError(f"closure table covers {len(table)} elements, "
+                           f"the search found {len(found.members)}")
+    disagree = table != left[:, :-1]  # x g against g x, by slot
+    central = ~disagree.any(axis=1)
     if projective:
         def same(a, b):
             return phase_distance(a, b)[0] < 1e-8
     else:
         def same(a, b):
             return abs(a - b).max(axis=(-2, -1)) < 1e-8
-    center, orders = 0, []
-    for block in np.split(members, range(_CHUNK, len(members), _CHUNK)):
-        central = np.ones(len(block), dtype=bool)
-        for g in gens:  # g @ block[i] is (block[i]^T @ g^T)^T
-            central &= same(_times(block, g), _times(block.swapaxes(1, 2), g.T).swapaxes(1, 2))
-        center += int(central.sum())
-        orders.append(_element_orders(block, same, len(members)))
-    values, counts = np.unique(np.concatenate(orders), return_counts=True)
-    return ClosureResult(len(members), False, center, dict(zip(values.tolist(), counts.tolist())))
+    _certify(found.members, gens, same, central, disagree.argmax(axis=1), inverses)
+    values, counts = np.unique(orders, return_counts=True)
+    return ClosureResult(len(table), False, int(central.sum()),
+                         dict(zip(values.tolist(), counts.tolist())))
 
 
-# matrices per stacked step of a closure; at d = 5 each temporary stays near
-# 200 kB, which keeps the peak memory of a 3000-element closure where the
+# matrices per stacked step of a closure (a BFS batch's products, a block of
+# certificates): at most _CHUNK, and at most _CHUNK_BYTES of them, so each
+# temporary stays near 200 kB at every d (512 matrices at d <= 5), which
+# keeps the peak memory of a 3000-element closure where the
 # element-by-element search had it
 _CHUNK = 512
+_CHUNK_BYTES = _CHUNK * 16 * 5 * 5
+
+# the most memory a closure may hold at its cap (see _closure_bytes)
+_CLOSURE_BYTES = 1 << 30
+
+
+def _chunk(dim):
+    """Matrices of side ``dim`` per stacked step."""
+    return max(1, min(_CHUNK, _CHUNK_BYTES // (16 * dim * dim)))
+
+
+def _batch_rows(n_gens, dim):
+    """Elements per BFS batch: their products with every generator make
+    about one stacked step."""
+    return max(1, _chunk(dim) // n_gens)
+
+
+def _store_slots(cap, n_gens, dim):
+    """The most elements :func:`_bfs`'s store holds: the search stops once
+    more than ``cap`` are found, and the batch that passes the cap, at most
+    ``cap`` rows, adds at most one new element per product."""
+    return cap + n_gens * min(_batch_rows(n_gens, dim), cap)
+
+
+def _closure_bytes(cap, n_gens, dim):
+    """The most bytes a closure up to ``cap`` holds at once.  Each store
+    slot takes its matrix, 16 dim^2 bytes, and at most 16 n_gens + 64 bytes
+    of integer tables, tree and walk arrays; while the store grows by
+    doubling, the old copy and the new one, each at most
+    :func:`_store_slots` long, are held together."""
+    return 2 * _store_slots(cap, n_gens, dim) * (16 * dim * dim + 16 * n_gens + 64)
+
+
+def _largest_cap(n_gens, dim):
+    """The largest cap whose :func:`_closure_bytes` fits ``_CLOSURE_BYTES``,
+    or 0 if none does; the bytes grow with the cap, so bisect."""
+    lo, hi = 0, _CLOSURE_BYTES // (32 * dim * dim)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _closure_bytes(mid, n_gens, dim) <= _CLOSURE_BYTES:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+class _Found(NamedTuple):
+    """What :func:`_bfs` finds, slot by slot in discovery order; slot 0 is
+    the identity and the root of the BFS tree."""
+
+    members: np.ndarray  # (n, d, d): the elements
+    table: np.ndarray  # (n, |gens|): table[x, g] is the slot of canon(members[x] @ gens[g])
+    parent: np.ndarray  # (n,): members[x] is canon(members[parent[x]] @ gens[letter[x]])
+    letter: np.ndarray  # (n,): the root is its own parent, with the letter |gens|
+    depth: np.ndarray  # (n,): the BFS level, nondecreasing with the slot
 
 
 def _bfs(gens, canon, cap):
-    """The closure of ``gens`` as an (n, d, d) stack in discovery order,
-    or None once it has more than ``cap`` elements.
+    """The closure of ``gens`` as a :class:`_Found`, or None once it has
+    more than ``cap`` elements.
 
     The BFS queue is the element stack itself, taken in batches of
-    ``_CHUNK // len(gens)`` elements; see the module docstring.  Every
-    product whose key is already known, from an earlier batch or an
-    earlier slot of its own, must lie within 1e-4 of the element stored
-    under it, else the grid has merged distinct elements and
-    ``RuntimeError`` is raised.  When the cap is passed, only the products
-    before element cap + 1 are checked, as a product-by-product search
-    would have stopped there.
+    :func:`_batch_rows` elements; see the module docstring.  Each new
+    element records its parent, generator and depth as it is stored, and
+    each batch fills its rows of the Cayley table from the slots its
+    products were looked up under.  Every product whose key is already
+    known, from an earlier batch or an earlier slot of its own, must lie
+    within 1e-4 of the element stored under it, else the grid has merged
+    distinct elements and ``RuntimeError`` is raised.  When the cap is
+    passed, only the products before element cap + 1 are checked, as a
+    product-by-product search would have stopped there.
     """
-    dim = gens.shape[-1]
-    store = canon(np.eye(dim, dtype=complex)[None])  # elements are store[:count]
-    count, head, size = 1, 0, max(1, _CHUNK // len(gens))
-    known = {_keys(store)[0].tobytes(): 0}
+    n_gens, dim = gens.shape[:2]
+    most = _store_slots(cap, n_gens, dim)
+    size = min(most, _chunk(dim))  # a small closure never grows
+    store = np.empty((size, dim, dim), dtype=complex)  # elements are store[:count]
+    table = np.empty((size, n_gens), dtype=np.intp)
+    parent, letter, depth = np.zeros((3, size), dtype=np.intp)
+    store[:1], letter[0] = canon(np.eye(dim, dtype=complex)[None]), n_gens
+    count, head, rows = 1, 0, _batch_rows(n_gens, dim)
+    known = {_keys(store[:1])[0].tobytes(): 0}
     while head < count:
-        batch = store[head:min(count, head + size)]
+        lo = head
+        batch = store[lo:min(count, lo + rows)]
         head += len(batch)
         products = np.stack([_times(batch, g) for g in gens], axis=1)
         products = canon(products.reshape(-1, dim, dim))
-        keys, first, inverse = np.unique(_keys(products), return_index=True,
-                                         return_inverse=True)
-        slots = np.array([known.get(key, -1) for key in keys.tolist()])
-        fresh = np.flatnonzero(slots < 0)
-        fresh = fresh[np.argsort(first[fresh])]  # new keys, in order of appearance
-        slots[fresh] = count + np.arange(len(fresh))
-        if count + len(fresh) > len(store):  # grow by doubling
-            store = np.concatenate([store[:count], np.empty_like(store, shape=(
-                max(count, len(fresh)), dim, dim))])
-        store[count:count + len(fresh)] = products[first[fresh]]
+        # one dictionary lookup per product, new keys numbered in order of
+        # appearance; on a 2-vCPU x86 box (numpy 2.4) this took 1 us for 3
+        # qupit products and 93 us for 510, where deduplicating the keys
+        # with np.unique first took 11 us and 188 us
+        slots, fresh = [], []
+        for index, key in enumerate(_keys(products).tolist()):
+            slot = known.get(key)
+            if slot is None:
+                slot = known[key] = count + len(fresh)
+                fresh.append(index)
+            slots.append(slot)
+        slots, fresh = np.array(slots), np.array(fresh, dtype=np.intp)
+        if count + len(fresh) > len(store):  # grow by doubling, up to the most it can need
+            size = min(count + max(count, len(fresh)), most)
+            store, table, parent, letter, depth = (
+                _grown(a, count, size) for a in (store, table, parent, letter, depth))
+        new = slice(count, count + len(fresh))
+        store[new] = products[fresh]
+        parent[new], letter[new] = np.divmod(fresh, n_gens)
+        parent[new] += lo
+        depth[new] = depth[parent[new]] + 1
         count += len(fresh)
         stop = len(products)
         if count > cap:  # the product at ``stop`` is element cap + 1
-            stop = first[fresh[cap - count + len(fresh)]]
-        if stop and abs(store[slots[inverse[:stop]]] - products[:stop]).max() > 1e-4:
+            stop = fresh[cap - count + len(fresh)]
+        if stop and abs(store[slots[:stop]] - products[:stop]).max() > 1e-4:
             raise RuntimeError("hash grid collision between distinct elements")
         if count > cap:
             return None
-        known.update(zip(keys[fresh].tolist(), slots[fresh].tolist()))
-    return store[:count]
+        table[lo:head] = slots.reshape(-1, n_gens)
+    return _Found(store[:count], table[:count], parent[:count], letter[:count], depth[:count])
 
 
-def _element_orders(block, same, bound):
-    """The order of each element of ``block``: all are raised to successive
-    powers at once, and an element leaves the stack when its power is
-    ``same`` as the identity.  An order past ``bound``, the group order,
-    raises ``RuntimeError``."""
-    eye = np.eye(block.shape[-1], dtype=complex)
-    orders = np.zeros(len(block), dtype=np.int64)
-    live, power, order = np.arange(len(block)), block, 1
+def _grown(array, count, size):
+    """A ``size``-long copy of ``array``'s first ``count`` rows, the rest
+    uninitialized."""
+    out = np.empty((size, *array.shape[1:]), dtype=array.dtype)
+    out[:count] = array[:count]
+    return out
+
+
+def _left_table(found):
+    """left[x, g], the slot of gens[g] members[x], for every slot and
+    generator, and a last column that maps each slot to itself.  Walked
+    down the BFS tree a level at a time: the root's row is the table's,
+    and g x is (g parent(x)) letter(x)."""
+    table, parent, letter = found.table, found.parent, found.letter
+    n, n_gens = table.shape
+    left = np.empty((n, n_gens + 1), dtype=np.intp)
+    left[:, n_gens] = np.arange(n)
+    left[:1, :n_gens] = table[:1]
+    edges = [*(np.flatnonzero(np.diff(found.depth)) + 1).tolist(), n]
+    for lo, hi in zip(edges, edges[1:]):
+        left[lo:hi, :n_gens] = table[left[parent[lo:hi], :n_gens], letter[lo:hi, None]]
+    return left
+
+
+def _table_orders(left, found, bound):
+    """The order o of each slot's element x, and the slot of x^(o-1).
+
+    x^k = x x^(k-1) is walked from z = x^(k-1) by z -> left[z, letter(c)]
+    for c = x, parent(x), ... up to the root (whose letter is the
+    identity column), all live elements at once; x leaves the walk when
+    its power reaches slot 0.  An order past ``bound``, the group order,
+    raises ``RuntimeError``.  Powers are held as slot times the row width
+    of ``left``, so a step is three gathers and one add."""
+    parent, letter, depth = found.parent, found.letter, found.depth
+    width = left.shape[1]
+    rows = left.ravel() * width  # rows[z * width + g] is (g z) * width
+    orders = np.zeros(len(left), dtype=np.int64)
+    inverses = np.zeros(len(left), dtype=np.intp)
+    live = np.arange(len(left))
+    power, previous, order = live * width, inverses, 1
     while True:
-        done = same(power, np.broadcast_to(eye, power.shape))
+        done = power == 0
         orders[live[done]] = order
+        inverses[live[done]] = previous[done] // width
         live, power = live[~done], power[~done]
         if not len(live):
-            return orders
-        power = power @ block[live]
+            return orders, inverses
         order += 1
         if order > bound:
             raise RuntimeError("element order exceeds group order; inconsistent closure")
+        previous, cursor = power, live
+        for _ in range(depth[live].max()):
+            power = rows[power + letter[cursor]]
+            cursor = parent[cursor]
+
+
+def _certify(members, gens, same, central, named, inverses):
+    """Check the walks' answers on the matrices, ``same`` being the 1e-8
+    comparison: x^(o-1) x is the identity for every x (the slot of x^(o-1)
+    is ``inverses[x]``); no element but slot 0 is the identity; every
+    ``central`` element commutes with every generator, and every other
+    element x fails to commute with gens[named[x]].  The elements are taken
+    in blocks of half a :func:`_chunk`; a block's products with all the
+    generators come from two matrix products, and all its pairs of
+    matrices go through one call of ``same``.  A disagreement raises
+    ``RuntimeError``."""
+    n_gens, dim = gens.shape[:2]
+    eye = np.eye(dim, dtype=complex)
+    # the generators side by side, [g_0 g_1 ...], and their transposes
+    beside = gens.swapaxes(0, 1).reshape(dim, -1)
+    beside_t = gens.transpose(2, 0, 1).reshape(dim, -1)
+    step = max(1, _chunk(dim) // 2)
+    for lo in range(0, len(members), step):
+        block, slots = members[lo:lo + step], np.arange(lo, min(lo + step, len(members)))
+        # only a matrix whose off-diagonal entries are all within 1e-8 of 0
+        # can lie within 1e-8 of a multiple of the identity
+        near = block[(abs(block - block * eye).max(axis=(-2, -1)) < 1e-8) & (slots > 0)]
+        # (x, g) pairs: every generator for a central x, the named one otherwise
+        pick = central[slots, None] | (named[slots, None] == np.arange(n_gens))
+        b, m = len(block), len(block) + len(near)
+        lhs = np.empty((m + np.count_nonzero(pick), dim, dim), dtype=complex)
+        rhs = np.empty_like(lhs)
+        np.matmul(members[inverses[slots]], block, out=lhs[:b])
+        lhs[b:m], rhs[:m] = near, eye
+        shape = (b, dim, n_gens, dim)
+        lhs[m:] = (block.reshape(-1, dim) @ beside).reshape(shape).swapaxes(1, 2)[pick]
+        # g x is (x^T g^T)^T
+        gx = (block.swapaxes(1, 2).reshape(-1, dim) @ beside_t).reshape(shape)
+        rhs[m:] = gx.swapaxes(1, 2)[pick].swapaxes(1, 2)
+        want = np.zeros(len(lhs), dtype=bool)
+        want[:b], want[m:] = True, (pick & central[slots, None])[pick]
+        wrong = np.flatnonzero(same(lhs, rhs) != want)
+        if len(wrong):
+            raise RuntimeError(
+                "an element to the power of its order is not the identity" if wrong[0] < b
+                else "an element other than the first is the identity" if wrong[0] < m
+                else "the Cayley table and the matrices disagree on the center")

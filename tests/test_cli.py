@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metaplectic import cli
+from metaplectic import cli, synthesis
 from metaplectic.braidrep import general_generators
 from metaplectic.categories import (BUILTIN_CATEGORIES, _su2_k, builtin_category,
                                     serialize_category)
@@ -285,12 +285,15 @@ BAD_INPUTS = [
     (["group", "order", "--gates", ""], EXIT_USAGE),
     (["group", "order", "--gates", "", "--projective"], EXIT_USAGE),
     (["group", "order", "--gates", "", "--no-det-lift"], EXIT_USAGE),
+    (["group", "order", "--gates", "X5", "--no-det-lift", "--expect", "0"], EXIT_USAGE),
+    (["group", "order", "--gates", "X5", "--no-det-lift", "--expect", "-5"], EXIT_USAGE),
     # sizes past the stated limits are refused before anything is allocated
     (["witness", "qupit-chain", "--p", "100003"], EXIT_USAGE),
     (["witness", "qupit-chain", "--p", "257"], EXIT_USAGE),
     (["group", "order", "--gates", "H100003"], EXIT_USAGE),
     (["group", "order", "--gates", "X5,SUM1000"], EXIT_USAGE),
     (["group", "order", "--gates", "H257", "--projective"], EXIT_USAGE),
+    (["group", "order", "--gates", "X256,Z256", "--projective"], EXIT_USAGE),  # 64 GiB
     (["witness", "imprimitivity", "--gate", "SUM17"], EXIT_USAGE),
     (["witness", "infinite-order", "--gate", "CZ100"], EXIT_USAGE),
     (["verify", "identity", "--model", "su2_4-qutrit", "--named", "Hword", "--target",
@@ -320,6 +323,34 @@ def test_bad_input_exit_codes(argv, code, capsys):
 def test_empty_gate_list_is_a_usage_error_naming_gates(argv, capsys):
     assert main(argv) == EXIT_USAGE
     assert "error: --gates" in capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["group", "order", "--gates", "X256,Z256", "--projective"],
+     "error: a closure of 2 generators of size 256 x 256 up to cap 100000 may need 195.3 GiB, "
+     "over the 1 GiB budget; the largest cap that fits is 509"),
+    (["group", "order", "--gates", "X5", "--no-det-lift", "--expect", "0"],
+     "error: --expect must be at least 1 (got 0)"),
+    (["group", "order", "--gates", "X5", "--no-det-lift", "--expect", "-5"],
+     "error: --expect must be at least 1 (got -5)"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_group_order_refusals_run_no_closure(argv, message, capsys, monkeypatch):
+    """Both refusals come before the search: at 1 MiB a matrix, the 65536
+    elements of the projective Weyl-Heisenberg group in d = 256 would take
+    64 GiB, and no group order is below 1."""
+    monkeypatch.setattr(synthesis, "_bfs", lambda *args: pytest.fail("the closure ran"))
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+
+
+def test_closure_budget_names_the_largest_cap_that_fits():
+    budget = synthesis._CLOSURE_BYTES
+    for n_gens, dim in ((2, 256), (1, 2), (4, 5), (3, 100), (7, 19)):
+        cap = synthesis._largest_cap(n_gens, dim)
+        assert synthesis._closure_bytes(cap, n_gens, dim) <= budget
+        assert synthesis._closure_bytes(cap + 1, n_gens, dim) > budget
+    assert synthesis._largest_cap(1, 6000) == 0  # one 6000 x 6000 slot is past the budget
+    assert synthesis._closure_bytes(100000, 3, 5) < budget  # every paper closure fits
 
 
 @pytest.mark.parametrize("argv, limits", [

@@ -487,6 +487,80 @@ def test_level_closure_matches_the_loop_closure():
     assert finished == 8
 
 
+# ---------------------------------------------------------------------------
+# group closure: the center and element orders on stacked matrices, which the
+# integer walks on the Cayley table replaced, kept as the reference
+
+
+def stacked_group_closure(generators, projective=False, cap=100000, det_lift=True):
+    """``_bfs``'s elements, then the center (2 |gens| products per element)
+    and the element orders (stacked powers, each compared with the
+    identity) computed on blocks of ``_CHUNK`` matrices."""
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    if not projective and det_lift:
+        gens = [det_normalize(g) for g in gens]
+    gens = np.array(gens)
+    found = synthesis._bfs(gens, phase_canonical if projective else (lambda u: u), cap)
+    if found is None:
+        return ClosureResult(None, True, None, None)
+    members = found.members
+    if projective:
+        def same(a, b):
+            return synthesis.phase_distance(a, b)[0] < 1e-8
+    else:
+        def same(a, b):
+            return abs(a - b).max(axis=(-2, -1)) < 1e-8
+    center, orders = 0, []
+    chunk = synthesis._CHUNK
+    for block in np.split(members, range(chunk, len(members), chunk)):
+        central = np.ones(len(block), dtype=bool)
+        for g in gens:  # g @ block[i] is (block[i]^T @ g^T)^T
+            central &= same(synthesis._times(block, g),
+                            synthesis._times(block.swapaxes(1, 2), g.T).swapaxes(1, 2))
+        center += int(central.sum())
+        orders.append(stacked_element_orders(block, same, len(members)))
+    values, counts = np.unique(np.concatenate(orders), return_counts=True)
+    return ClosureResult(len(members), False, center, dict(zip(values.tolist(), counts.tolist())))
+
+
+def stacked_element_orders(block, same, bound):
+    """All of ``block`` raised to successive powers at once; an element
+    leaves the stack when its power is ``same`` as the identity."""
+    eye = np.eye(block.shape[-1], dtype=complex)
+    orders = np.zeros(len(block), dtype=np.int64)
+    live, power, order = np.arange(len(block)), block, 1
+    while True:
+        done = same(power, np.broadcast_to(eye, power.shape))
+        orders[live[done]] = order
+        live, power = live[~done], power[~done]
+        if not len(live):
+            return orders
+        power = power @ block[live]
+        order += 1
+        if order > bound:
+            raise RuntimeError("element order exceeds group order; inconsistent closure")
+
+
+def test_table_closure_matches_the_stacked_reference():
+    """``==`` results on every case of the loop comparison; the Haar test
+    below compares the 15000-element linear qupit closure and the
+    conjugated closures."""
+    for label, gens, kwargs in _closure_cases():
+        assert group_closure(gens, **kwargs) == stacked_group_closure(gens, **kwargs), label
+
+
+def test_closure_of_larger_matrices_takes_smaller_batches():
+    """Past d = 5 a batch is cut to about 200 kB of products (25 rows of 2
+    generators at d = 16); the search, the walks and the certificates must
+    still agree with both references."""
+    assert synthesis._batch_rows(2, 16) == 25 and synthesis._batch_rows(3, 5) == 170
+    gens = [x_gate(16), z_gate(16)]
+    for kwargs in (dict(projective=True), dict(det_lift=False, cap=5000)):
+        result = group_closure(gens, **kwargs)
+        assert result == loop_group_closure(gens, **kwargs) == stacked_group_closure(gens, **kwargs)
+        assert result.order == (256 if kwargs.get("projective") else 4096)
+
+
 def _haar(d, rng):
     """A Haar-random unitary: QR of a complex Gaussian with the phases of
     R's diagonal moved into Q."""
@@ -513,6 +587,11 @@ def test_closure_is_invariant_under_haar_conjugation(qutrit_rep, qupit_rep, mode
     for result in (plain, turned):
         assert (result.center_size, result.histogram_text()) == (center, histogram)
         assert result.order == sum(result.element_orders.values())
+    turned_reference = stacked_group_closure([v @ g @ v.conj().T for g in gens],
+                                             projective=projective, cap=20000)
+    assert turned == turned_reference
+    if seed == 0:  # the plain closure does not depend on the seed
+        assert plain == stacked_group_closure(gens, projective=projective, cap=20000)
 
 
 @pytest.mark.parametrize("generators, projective, det_lift, message", [
@@ -568,7 +647,11 @@ def test_closure_rejects_an_element_order_past_the_group_order(qutrit_rep, monke
     """A search that lost elements must not report orders larger than the
     group it found: here sigma_1, of order 3, in a 'group' of 2."""
     bfs = synthesis._bfs
-    monkeypatch.setattr(synthesis, "_bfs", lambda *args: bfs(*args)[:2])
+
+    def lost(*args):  # the table still knows sigma_1^2, the stack holds 2 elements
+        found = bfs(*args)
+        return found._replace(members=found.members[:2])
+    monkeypatch.setattr(synthesis, "_bfs", lost)
     with pytest.raises(RuntimeError, match="element order exceeds group order"):
         group_closure(qutrit_rep.generators, projective=True)
 
@@ -578,7 +661,7 @@ def test_bfs_finds_elements_in_product_by_product_order(qupit_rep):
     would, although the batches (at most 170 elements here) split levels
     of up to 772."""
     gens = np.array(qupit_rep.generators)
-    found = synthesis._bfs(gens, phase_canonical, 10000)
+    found = synthesis._bfs(gens, phase_canonical, 10000).members
     expected = [phase_canonical(np.eye(5, dtype=complex))]
     keys = {_loop_key(expected[0])}
     for element in expected:  # the list grows while it is walked
@@ -589,3 +672,72 @@ def test_bfs_finds_elements_in_product_by_product_order(qupit_rep):
                 expected.append(new)
     assert len(found) == len(expected) == 3000
     assert abs(found - np.array(expected)).max() < 1e-12
+
+
+@pytest.mark.parametrize("model, projective", [("qutrit", True), ("qutrit", False),
+                                               ("qupit", True)])
+def test_bfs_table_and_tree_match_the_matrices(qutrit_rep, qupit_rep, model, projective):
+    """members[table[x, g]] is canon(members[x] @ g), and each element is
+    its BFS parent times its letter, one level deeper."""
+    gens = (qupit_rep if model == "qupit" else qutrit_rep).generators
+    canon = phase_canonical if projective else (lambda u: u)
+    gens = np.array(gens if projective else [det_normalize(g) for g in gens])
+    found = synthesis._bfs(gens, canon, 20000)
+    members, table, parent, letter, depth = found
+    n = len(members)
+    assert n == {"qutrit": 216 if projective else 648, "qupit": 3000}[model]
+    assert table.shape == (n, len(gens)) and parent.shape == letter.shape == depth.shape == (n,)
+    for k, g in enumerate(gens):
+        assert abs(members[table[:, k]] - canon(members @ g)).max() < 1e-12
+    assert (parent[0], letter[0], depth[0]) == (0, len(gens), 0)
+    assert (parent[1:] < np.arange(1, n)).all() and (depth[1:] == depth[parent[1:]] + 1).all()
+    assert abs(members[1:] - canon(members[parent[1:]] @ gens[letter[1:]])).max() < 1e-12
+
+
+def _corrupted(found, slot, generator, value):
+    table = found.table.copy()
+    table[slot, generator] = value
+    return found._replace(table=table)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda found: _corrupted(found, 0, 0, 0), "element order exceeds"),  # 1 sigma_1 = 1
+    (lambda found: _corrupted(found, 105, 0, 0), "disagree on the center"),
+    (lambda found: _corrupted(found, 5, 2, len(found.table)), "points past"),
+    (lambda found: found._replace(**{k: v[:100] for k, v in found._asdict().items()}),
+     "points past"),  # a truncated found set
+])
+def test_closure_rejects_a_corrupted_table(qutrit_rep, monkeypatch, change, message):
+    """A table entry that the walks read and the matrices contradict, or one
+    that leads out of the found set, raises before any answer is returned."""
+    bfs = synthesis._bfs
+    monkeypatch.setattr(synthesis, "_bfs", lambda *args: change(bfs(*args)))
+    with pytest.raises(RuntimeError, match=message):
+        group_closure(qutrit_rep.generators, projective=True)
+
+
+def test_closure_certifies_orders_on_the_matrices(qutrit_rep, monkeypatch):
+    """Walks that claim sigma_1 has order 2, or a second stored identity,
+    are caught by the matrix certificates."""
+    walk = synthesis._table_orders
+
+    def short(*args):
+        orders, inverses = walk(*args)
+        orders[1], inverses[1] = 2, 1
+        return orders, inverses
+    monkeypatch.setattr(synthesis, "_table_orders", short)
+    with pytest.raises(RuntimeError, match="power of its order"):
+        group_closure(qutrit_rep.generators, projective=True)
+    monkeypatch.setattr(synthesis, "_table_orders", walk)
+    bfs = synthesis._bfs
+
+    def twice(*args):  # an involution, its own inverse, stored as a second identity
+        found = bfs(*args)
+        left = synthesis._left_table(found)
+        orders, _ = walk(left, found, len(found.members))
+        members = found.members.copy()
+        members[np.flatnonzero(orders == 2)[0]] = members[0]
+        return found._replace(members=members)
+    monkeypatch.setattr(synthesis, "_bfs", twice)
+    with pytest.raises(RuntimeError, match="other than the first is the identity"):
+        group_closure(qutrit_rep.generators, projective=True)
