@@ -192,7 +192,7 @@ def _anchor(m):
     smallest (row, col) among ties within 1e-9.  On a (..., d, d) stack
     this is a tuple of index arrays, so ``m[_anchor(m)]`` holds the anchor
     entry of every slice."""
-    mags = np.abs(m).reshape(*m.shape[:-2], -1)
+    mags = np.abs(m).reshape(*m.shape[:-2], m.shape[-2] * m.shape[-1])  # no -1: a stack may be empty
     top = mags >= mags.max(axis=-1, keepdims=True) - 1e-9
     return (*np.indices(m.shape[:-2], sparse=True), *np.divmod(top.argmax(axis=-1), m.shape[-1]))
 

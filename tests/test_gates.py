@@ -246,7 +246,7 @@ def test_stack_aware_phase_helpers_match_the_2d_reference():
     assert phase_distance(zero, eye) == reference_phase_distance(zero, eye)
 
 
-@pytest.mark.parametrize("lead", [(1,), (7,), (2, 5)])
+@pytest.mark.parametrize("lead", [(1,), (7,), (2, 5), (0,), (2, 0)])  # and empty stacks
 def test_stack_aware_phase_helpers_act_slice_by_slice(lead):
     rng = np.random.default_rng(12)
     for d in (1, 2, 3, 5):
@@ -256,7 +256,7 @@ def test_stack_aware_phase_helpers_act_slice_by_slice(lead):
         residual, theta = phase_distance(u, v)
         canon = phase_canonical(v)
         rows, cols = _anchor(v)[-2:]
-        assert residual.shape == theta.shape == rows.shape == lead
+        assert residual.shape == theta.shape == rows.shape == lead and canon.shape == v.shape
         for index in np.ndindex(*lead):
             assert (rows[index], cols[index]) == reference_anchor(v[index])
             assert (residual[index], theta[index]) == reference_phase_distance(u[index], v[index])
