@@ -195,24 +195,34 @@ def eval_word(rep, word):
     dense-matmul letter runs as one panel in the calling thread (a matmul
     on panels can round differently), as does a dim that fits the budget
     (there threads cost more than they gain).
+
+    A result and panel buffers of more than ``_CLOSURE_BYTES`` (1 GiB)
+    raise ``ValueError`` before anything dim x dim is allocated: gather
+    words fit up to dim 6561 (the 18-strand comb), words with a dense
+    letter up to dim 4096.
     """
-    if word.n_strands != rep.n_strands:
-        raise ValueError(f"word is on {word.n_strands} strands, rep on {rep.n_strands}")
+    _check_strands(rep, word)
     dim = rep.dim
-    actions = {letter: _letter_action(rep, letter) for letter in set(word.letters)}
-    steps = [actions[letter][0] for letter in word.letters]
-    out = np.empty((dim, dim), dtype=complex)
-    if 48 * dim * dim <= _PANEL_BYTES or any(dense for _, dense in actions.values()):
+    letters = set(word.letters)
+    if 48 * dim * dim <= _PANEL_BYTES or any(_letter_factor(rep, x)[1] for x in letters):
         workers, count = 1, 1
     else:
         workers = _workers()
         count = -(-48 * dim * dim // _PANEL_BYTES)
         count += -count % workers
+    width = -(-dim // count)
+    need = 16 * dim * (dim + 3 * workers * width)
+    if need > _CLOSURE_BYTES:
+        raise ValueError(f"a word on the dim-{dim} rep needs {need / 2 ** 30:.1f} GiB for its "
+                         f"result and buffers, over the {_CLOSURE_BYTES >> 30} GiB budget")
+    actions = {letter: _letter_action(rep, letter)[0] for letter in letters}
+    steps = [actions[letter] for letter in word.letters]
+    out = np.empty((dim, dim), dtype=complex)
     edges = [dim * k // count for k in range(count + 1)]
     panels = list(zip(edges, edges[1:]))
     # every letter writes into preallocated arrays: at dim 243 a fresh
     # array per step can cost more in page faults than the arithmetic
-    buffers = np.empty((workers, 3, dim * -(-dim // count)), dtype=complex)
+    buffers = np.empty((workers, 3, dim * width), dtype=complex)
     failures = []
 
     def work(k):
@@ -264,19 +274,32 @@ def _run_panels(steps, out, panels, buffers):
         out[lo:hi] = held.T
 
 
-def _letter_action(rep, letter):
-    """A function (t, out, scratch) writing (t^T s)^T into ``out`` for the
-    letter's factor s, and whether it is a dense matmul; see
-    :func:`eval_word`."""
+def _check_strands(rep, word):
+    if word.n_strands != rep.n_strands:
+        raise ValueError(f"word is on {word.n_strands} strands, rep on {rep.n_strands}")
+
+
+def _letter_factor(rep, letter):
+    """The nonzeros (rows, cols, values) of the letter's factor s (sigma_i,
+    or sigma_i^dagger for -i), and whether s is applied by a dense matmul;
+    see :func:`eval_word`."""
     dim = rep.dim
     rows, cols, values = rep.nonzeros[abs(letter) - 1]
     if letter < 0:  # the nonzeros of s = sigma_i^dagger
         rows, cols, values = cols, rows, values.conj()
-    off = rows != cols
-    passes = int(np.bincount(cols[off], minlength=dim).max(initial=0))
-    if 4 * passes * passes > dim - 32:
+    passes = int(np.bincount(cols[rows != cols], minlength=dim).max(initial=0))
+    return (rows, cols, values), 4 * passes * passes > dim - 32
+
+
+def _letter_action(rep, letter):
+    """A function (t, out, scratch) writing (t^T s)^T into ``out`` for the
+    factor s of :func:`_letter_factor`, and whether it is a dense matmul."""
+    dim = rep.dim
+    (rows, cols, values), dense = _letter_factor(rep, letter)
+    if dense:
         factor = _dense(dim, (cols, rows, values))  # s^T, as it multiplies t
         return (lambda t, out, scratch: np.matmul(factor, t, out=out)), True
+    off = rows != cols
     diag = np.zeros((dim, 1), dtype=complex)
     diag[cols[~off], 0] = values[~off]
     order = np.argsort(cols[off], kind="stable")
@@ -285,6 +308,7 @@ def _letter_action(rep, letter):
     # off-diagonal nonzero of column c; a column with fewer nonzeros pads
     # with weight 0 on its own row
     slot = np.arange(len(cols)) - np.searchsorted(cols, cols)
+    passes = int(slot.max(initial=-1)) + 1
     index = np.tile(np.arange(dim), (passes, 1))
     index[slot, cols] = rows
     weights = np.zeros((passes, dim, 1), dtype=complex)
@@ -316,20 +340,22 @@ def verify_identity(rep, word, target, subspace=None, tol=1e-8):
     E^dag U E against the k x k target, and the leakage norm
     max|(I - E E^dag) U E| is reported as well.
     """
-    u = eval_word(rep, word)
+    _check_strands(rep, word)
     target = np.asarray(target, dtype=complex)
     if subspace is not None:
         e = np.asarray(subspace, dtype=complex)
         if e.shape[0] != rep.dim or e.shape[1] != target.shape[0]:
             raise ValueError(f"subspace/target dimensions do not match the rep: subspace "
                              f"{_size(e)}, target {_size(target)}, rep dim {rep.dim}")
+    elif target.shape[0] != rep.dim:
+        raise ValueError(f"target dimension does not match the rep: target "
+                         f"{_size(target)}, rep dim {rep.dim}")
+    u = eval_word(rep, word)
+    if subspace is not None:
         ue = u @ e
         restricted = e.conj().T @ ue
         leakage = abs(ue - e @ restricted).max()
     else:
-        if target.shape[0] != rep.dim:
-            raise ValueError(f"target dimension does not match the rep: target "
-                             f"{_size(target)}, rep dim {rep.dim}")
         restricted = u
         leakage = 0.0
     residual, phase = phase_distance(restricted, target)

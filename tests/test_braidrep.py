@@ -506,6 +506,10 @@ def _keyed(dim, entries):
     ({(0, 0): np.nan, (1, 1): 1}, {(1, 1): 1}),
     ({(1, 1): 1}, {(0, 0): complex(0, np.nan), (1, 1): 1}),
     ({(0, 0): 1, (1, 1): 2}, {(1, 1): np.nan}),
+    ({(0, 0): 1, (1, 2): 2j}, {(0, 0): 1 + 1e-3, (1, 2): 2j - 0.5}),  # the same keys
+    ({(0, 0): np.nan, (3, 3): 1}, {(0, 0): 1, (3, 3): 1}),
+    ({(0, 0): 1, (3, 3): 1}, {(0, 0): 1, (3, 3): complex(np.nan, 0)}),
+    ({(0, 1): 1, (2, 2): 3}, {(0, 1): 1, (2, 3): 3}),  # as many keys, not the same
 ])
 def test_max_diff_aligns_keys(lhs, rhs):
     """|l - r| on shared positions, |l| or |r| on one-sided ones, 0 on none;
@@ -520,6 +524,86 @@ def test_max_diff_aligns_keys(lhs, rhs):
         for (r, c), v in side.items():
             dense[r, c] += sign * v
     assert _same_residuals([got], [np.abs(dense).max()])
+
+
+def _searchsorted_calls(monkeypatch):
+    """The list that every ``np.searchsorted`` call appends to from now on."""
+    calls, search = [], np.searchsorted
+    monkeypatch.setattr(np, "searchsorted",
+                        lambda *args, **kw: calls.append(1) or search(*args, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("rhs, searched", [
+    ({(0, 1): 1, (2, 2): 3 + 1j}, False),
+    ({(0, 1): 1, (2, 3): 3 + 1j}, True),
+    ({(0, 1): 1}, True),
+])
+def test_max_diff_searches_only_unequal_keys(rhs, searched, monkeypatch):
+    calls = _searchsorted_calls(monkeypatch)
+    triples._max_diff(_keyed(4, {(0, 1): 1, (2, 2): 3}), _keyed(4, rhs))
+    assert bool(calls) == searched
+
+
+def _sparse(rng, dim, empty_rows, density=0.4):
+    """Row-major triples of a random complex dim x dim matrix whose rows
+    ``empty_rows`` hold no nonzero."""
+    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    mat[rng.random((dim, dim)) > density] = 0
+    mat[list(empty_rows)] = 0
+    return _nonzeros(mat)
+
+
+def _reference_keyed(dim, a, b):
+    rows, cols, values = reference_product(dim, a, b)
+    return rows * dim + cols, values
+
+
+def _same_keyed(got, want):
+    return all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_keyed_product_matches_searchsorted_reference(su24, monkeypatch):
+    """Row starts counted by ``np.bincount`` give the searchsorted reference
+    byte for byte: empty leading, interior and trailing rows on either
+    side, an empty factor, and the unit relation's transposed left factor,
+    which is not row-major.  No call searches."""
+    rng, dim = np.random.default_rng(27), 7
+    empty = _nonzeros(np.zeros((dim, dim)))
+    cases = [(_sparse(rng, dim, (0, 3, 6)), _sparse(rng, dim, rows))
+             for rows in ((0,), (3,), (6,), (0, 1, 4, 6), ())]
+    cases += [(_sparse(rng, dim, (2,)), empty), (empty, _sparse(rng, dim, ())),
+              (_sparse(rng, dim, (), density=1.0), _sparse(rng, dim, (), density=1.0))]
+    rep = general_generators(su24, enumerate_basis(su24, comb_tree(su24, ["1"] * 6, "2")))
+    unit = [((c, r, v.conj()), (r, c, v)) for r, c, v in rep.nonzeros]
+    calls = _searchsorted_calls(monkeypatch)
+    got = [triples._keyed_product(dim, a, b) for a, b in cases]
+    got += [triples._keyed_product(rep.dim, a, b) for a, b in unit]
+    assert not calls
+    want = [_reference_keyed(dim, a, b) for a, b in cases]
+    want += [_reference_keyed(rep.dim, a, b) for a, b in unit]
+    assert all(map(_same_keyed, got, want))
+    assert len(got[5][0]) == 0 and len(got[6][0]) == 0
+
+
+def test_keyed_product_stacks_match_searchsorted_reference():
+    """A block-diagonal stack with one block past dim^2 terms, which goes
+    dense, and blocks with empty rows: each block is the searchsorted
+    reference of that block alone, byte for byte."""
+    rng, dim = np.random.default_rng(28), 5
+    a = [_sparse(rng, dim, (0,)), _sparse(rng, dim, (), density=1.0), _sparse(rng, dim, (2, 4))]
+    b = [_sparse(rng, dim, (4,)), _sparse(rng, dim, (), density=1.0), _sparse(rng, dim, (0, 2))]
+    assert sum(np.diff(np.searchsorted(b[1][0], np.arange(dim + 1)))[a[1][1]]) > dim * dim
+    blocks = len(a)
+    keys, values = triples._keyed_product(dim, triples._stacked(dim, a),
+                                          triples._stacked(dim, b), blocks)
+    size = blocks * dim
+    rows, cols = np.divmod(keys, size)
+    for p, (x, y) in enumerate(zip(a, b)):
+        at = rows // dim == p
+        assert (cols[at] // dim == p).all()
+        got = ((rows[at] - p * dim) * dim + cols[at] - p * dim, values[at])
+        assert _same_keyed(got, _reference_keyed(dim, x, y)), p
 
 
 def test_rep_check_batches_relations(su24, monkeypatch):

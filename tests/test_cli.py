@@ -223,6 +223,9 @@ def test_rep_check_large(source, dim, capsys):
     assert tail[0] == f"dim={dim}" and tail[-1] == "pass=1"
 
 
+COMB14 = ["--category", "su2_4", "--leaves", " ".join(["1"] * 14), "--total", "2"]  # dim 729
+COMB20 = ["--category", "su2_4", "--leaves", " ".join(["1"] * 20), "--total", "2"]  # dim 19683
+
 # argv -> exit code for missing, conflicting, or out-of-domain inputs and for
 # checks that could not be performed; main must return, never raise.
 BAD_INPUTS = [
@@ -304,6 +307,8 @@ BAD_INPUTS = [
     (["protocol", "flip", "--trials", "10000001"], EXIT_USAGE),
     (["protocol", "flip", "--trials", "10", "--rounds", "100001"], EXIT_USAGE),
     (["protocol", "flip", "--trials", "10", "--rounds", "1000000000"], EXIT_USAGE),
+    (["braid", "eval", *COMB20, "--word", "1 2"], EXIT_USAGE),  # a 6.2 GB result
+    (["verify", "identity", *COMB14, "--word", "1 2", "--target", "H3"], EXIT_USAGE),
 ]
 
 
@@ -341,6 +346,24 @@ def test_group_order_refusals_run_no_closure(argv, message, capsys, monkeypatch)
     monkeypatch.setattr(synthesis, "_bfs", lambda *args: pytest.fail("the closure ran"))
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err.splitlines()[-1].endswith(message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["braid", "eval", *COMB20, "--word", "1 2"],
+     "error: a word on the dim-19683 rep needs 5.8 GiB for its result and buffers, "
+     "over the 1 GiB budget"),
+    (["verify", "identity", *COMB14, "--word", "1 2", "--target", "H3"],
+     "error: target dimension does not match the rep: target 3 x 3, rep dim 729"),
+], ids=["braid eval comb20", "verify identity comb14 H3"])
+def test_word_refusals_evaluate_no_word(argv, message, capsys, monkeypatch):
+    """A result past the 1 GiB budget is refused before any letter is built,
+    and a target that does not fit the rep before the word is evaluated."""
+    monkeypatch.setattr(synthesis, "_workers", lambda: 2)
+    monkeypatch.setattr(synthesis, "_letter_action", lambda *args: pytest.fail("a letter ran"))
+    monkeypatch.setattr(synthesis, "eval_word", lambda *args: pytest.fail("the word ran"))
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message] and not captured.out
 
 
 def test_closure_budget_names_the_largest_cap_that_fits():

@@ -201,6 +201,25 @@ def test_eval_word_factor_choice(word_reps, monkeypatch):
         assert (panels == [(0, rep.dim)]) == one_panel, label
 
 
+@pytest.mark.parametrize("label, need", [
+    ("comb12-1-2", 16 * 243 * (243 + 3 * 2 * 122)),  # two panels of 122 columns, two workers
+    ("zigzag12", 16 * 243 * 243 * 4),  # a dense letter: one panel of three dim^2 buffers
+])
+def test_eval_word_budget(word_reps, label, need, monkeypatch):
+    """The result and the panel buffers must fit ``_CLOSURE_BYTES``; past
+    it the word is refused before any letter is built."""
+    rep = dict(word_reps)[label]
+    word = BraidWord(rep.n_strands, tuple(range(1, rep.n_strands)))
+    monkeypatch.setattr(synthesis, "_workers", lambda: 2)
+    expected = eval_word(rep, word)
+    monkeypatch.setattr(synthesis, "_CLOSURE_BYTES", need)
+    assert np.array_equal(eval_word(rep, word), expected)
+    monkeypatch.setattr(synthesis, "_CLOSURE_BYTES", need - 1)
+    monkeypatch.setattr(synthesis, "_letter_action", lambda *args: pytest.fail("a letter ran"))
+    with pytest.raises(ValueError, match=f"dim-243 rep needs {need / 2 ** 30:.1f} GiB"):
+        eval_word(rep, word)
+
+
 @pytest.fixture(scope="module")
 def panel_reps():
     """The su2_4 combs of 13 and 14 `1` leaves, dims 365 and 729, with a
