@@ -42,8 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .trees import _finder, _internal_nodes, _leaf_slots, _rotate, enumerate_basis, pair_tree
-from .triples import (_dense, _keyed_product, _max_diff, _nonzeros, _product, _stacked,
-                      _unkeyed)
+from .triples import _dense, _keyed_product, _max_diff, _nonzeros, _product
 
 __all__ = ["BraidRep", "RepReport", "pair_tree_generators", "general_generators", "rep_check"]
 
@@ -56,7 +55,9 @@ class BraidRep:
     ``nonzeros`` must be a tuple of n - 1 triples, each a tuple of three
     equal-length 1-D arrays: integer rows and cols in [0, dim), numeric
     values, with row-major keys rows * dim + cols strictly increasing (no
-    repeated position).  Anything else raises ``ValueError``.
+    repeated position).  Anything else raises ``ValueError``.  Rows and
+    cols are stored as ``np.intp``, so every product forms its keys
+    rows * dim + cols without wrapping.
     """
 
     cat: object
@@ -85,6 +86,9 @@ class BraidRep:
             if np.any(keys[1:] <= keys[:-1]):
                 raise ValueError(f"sigma_{i}: entries are not in strictly increasing "
                                  "row-major order")
+        object.__setattr__(self, "nonzeros", tuple(
+            (rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False), values)
+            for rows, cols, values in self.nonzeros))
 
     @property
     def n_strands(self):
@@ -230,27 +234,13 @@ class RepReport:
                    (self.unitarity_max, self.braid_max, self.far_commutation_max))
 
 
-# Basis rows of one stacked product in rep_check: relations of one kind are
-# formed _BATCH_ROWS // dim at a time (at least one), block-diagonally.
-_BATCH_ROWS = 1024
-
-
-def _batches(dim, items):
-    """``items`` (tuples of triples) in runs of _BATCH_ROWS // dim, at least
-    one, each given as its length and the block-diagonal stack of each part."""
-    step = max(1, _BATCH_ROWS // dim)
-    for k in range(0, len(items), step):
-        batch = items[k:k + step]
-        yield len(batch), [_stacked(dim, part) for part in zip(*batch)]
-
-
-def _word(dim, blocks, factors):
-    """``(keys, values)`` of the product of ``factors``, stacks of ``blocks``
-    blocks; all but the first must be row-major."""
+def _word(dim, factors):
+    """``(keys, values)`` of the product of ``factors``; all but the first
+    must be row-major."""
     left, *middle, right = factors
     for factor in middle:
-        left = _unkeyed(blocks * dim, _keyed_product(dim, left, factor, blocks))
-    return _keyed_product(dim, left, right, blocks)
+        left = _product(dim, left, factor)
+    return _keyed_product(dim, left, right)
 
 
 def rep_check(rep):
@@ -264,28 +254,20 @@ def rep_check(rep):
     (combs, block combs) each costs O(dim log dim) rather than dim^3.  A
     product that would need more than dim^2 terms (dense generators, as on
     shapes where no edge is fixed for some sigma_i) is formed with a dense
-    matmul.  The two sides of a relation are summed once each and compared
-    on their aligned positions (:func:`metaplectic.triples._max_diff`).
-    Relations of one kind are stacked block-diagonally, _BATCH_ROWS // dim
-    at a time, so a small space takes O(n) kernel calls rather than O(n^2),
-    while above dim 512 (from dim 729 on for the combs) each relation is its
-    own batch; every entry is summed as in a check of that relation alone,
-    so the residuals do not depend on the batching.  A NaN entry yields a NaN residual; an empty
-    space raises ``ValueError``.
+    matmul.  Each relation is checked alone: its two sides are summed once
+    each and compared on their aligned positions
+    (:func:`metaplectic.triples._max_diff`).  A NaN entry yields a NaN
+    residual; an empty space raises ``ValueError``.
     """
     dim = rep.dim
     if dim == 0:
         raise ValueError("empty fusion space: nothing to check")
     gens = rep.nonzeros
-    unit = []
-    for blocks, (gen,) in _batches(dim, [(gen,) for gen in gens]):
-        rows, cols, values = gen
-        size = blocks * dim
-        unit.append(_max_diff(_word(dim, blocks, ((cols, rows, values.conj()), gen)),
-                              (np.arange(size) * (size + 1), np.ones(size))))
-    braid = [_max_diff(_word(dim, blocks, (a, b, a)), _word(dim, blocks, (b, a, b)))
-             for blocks, (a, b) in _batches(dim, list(zip(gens, gens[1:])))]
-    far = [_max_diff(_word(dim, blocks, (a, b)), _word(dim, blocks, (b, a)))
-           for blocks, (a, b) in _batches(dim, [(a, b) for i, a in enumerate(gens)
-                                                for b in gens[i + 2:]])]
+    eye = (np.arange(dim) * (dim + 1), np.ones(dim))
+    unit = [_max_diff(_word(dim, ((cols, rows, values.conj()), (rows, cols, values))), eye)
+            for rows, cols, values in gens]
+    braid = [_max_diff(_word(dim, (a, b, a)), _word(dim, (b, a, b)))
+             for a, b in zip(gens, gens[1:])]
+    far = [_max_diff(_word(dim, (a, b)), _word(dim, (b, a)))
+           for i, a in enumerate(gens) for b in gens[i + 2:]]
     return RepReport(*(float(np.max(res, initial=0.0)) for res in (unit, braid, far)))

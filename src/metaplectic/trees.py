@@ -146,10 +146,37 @@ def enumerate_basis(cat, shape):
     are sorted lexicographically in the category's label order, except for
     the registered computational bases, whose printed order and signs are
     kept.
+
+    A space is refused with ``ValueError`` before any row is formed when
+    the label rows of one node, counted on the fusion tensor, or the least
+    storage of its braid generators (each sigma_i is unitary: an intp row,
+    intp column and complex value per basis row) would pass the 1 GiB
+    budget of :mod:`metaplectic.synthesis`.
     """
+    from .synthesis import _CLOSURE_BYTES  # here, so importing trees loads no synthesis
+
     shape = TreeShape(shape.structure, tuple(map(cat.resolve, shape.leaves)),
                       cat.resolve(shape.total))
     fusion = cat.tables.fusion
+    exact, node_bytes, intp = fusion.astype(object), [], np.dtype(np.intp).itemsize
+
+    def count(structure):
+        # rows join forms for a subtree per root charge, as Python ints, and their width
+        if isinstance(structure, int):
+            return (np.array(cat.labels) == shape.leaves[structure]).astype(object), 0
+        (left, left_width), (right, right_width) = map(count, structure)
+        rows = (left[:, None, None] * right[:, None] * exact).sum((0, 1))
+        width = 1 + left_width + right_width
+        node_bytes.append(int(rows.sum()) * width * intp)
+        return rows, width
+
+    dim = int(count(shape.structure)[0][cat.labels.index(shape.total)])
+    for what, need in (("label rows", max(node_bytes)),
+                       ("braid generators", dim * (shape.n_leaves - 1) * (2 * intp + 16))):
+        if need > _CLOSURE_BYTES:
+            raise ValueError(f"the dim-{dim} space on {shape.n_leaves} leaves needs at least "
+                             f"{need} bytes ({need / 2 ** 30:.2f} GiB) for its {what}, over "
+                             f"the {_CLOSURE_BYTES >> 30} GiB budget")
 
     def join(structure):
         # rows of a subtree: its root charge, then its internal charges in preorder

@@ -15,6 +15,7 @@ from metaplectic.triples import _nonzeros
 from metaplectic import braidrep
 from metaplectic.braidrep import (BraidRep, RepReport, general_generators,
                                   pair_tree_generators, rep_check)
+from metaplectic.synthesis import BraidWord, eval_word
 from metaplectic.trees import (TreeShape, block_comb_tree, comb_tree, enumerate_basis,
                                pair_tree, parse_shape, tree_change)
 
@@ -586,47 +587,12 @@ def test_keyed_product_matches_searchsorted_reference(su24, monkeypatch):
     assert len(got[5][0]) == 0 and len(got[6][0]) == 0
 
 
-def test_keyed_product_stacks_match_searchsorted_reference():
-    """A block-diagonal stack with one block past dim^2 terms, which goes
-    dense, and blocks with empty rows: each block is the searchsorted
-    reference of that block alone, byte for byte."""
-    rng, dim = np.random.default_rng(28), 5
-    a = [_sparse(rng, dim, (0,)), _sparse(rng, dim, (), density=1.0), _sparse(rng, dim, (2, 4))]
-    b = [_sparse(rng, dim, (4,)), _sparse(rng, dim, (), density=1.0), _sparse(rng, dim, (0, 2))]
-    assert sum(np.diff(np.searchsorted(b[1][0], np.arange(dim + 1)))[a[1][1]]) > dim * dim
-    blocks = len(a)
-    keys, values = triples._keyed_product(dim, triples._stacked(dim, a),
-                                          triples._stacked(dim, b), blocks)
-    size = blocks * dim
-    rows, cols = np.divmod(keys, size)
-    for p, (x, y) in enumerate(zip(a, b)):
-        at = rows // dim == p
-        assert (cols[at] // dim == p).all()
-        got = ((rows[at] - p * dim) * dim + cols[at] - p * dim, values[at])
-        assert _same_keyed(got, _reference_keyed(dim, x, y)), p
-
-
-def test_rep_check_batches_relations(su24, monkeypatch):
-    """On comb-10 (dim 81) the relations go through O(n) products: one
-    stack of unitarity relations, one of braid relations and three of far
-    commutations (the per-relation check summed 142 times)."""
-    sums = []
-    summed = triples._summed
-    monkeypatch.setattr(triples, "_summed", lambda *args: sums.append(1) or summed(*args))
-    n = 10
-    rep = general_generators(su24, enumerate_basis(su24, comb_tree(su24, ["1"] * n, "2")))
-    assert rep.dim == 81
-    sums.clear()
-    assert rep_check(rep).ok(1e-12)
-    assert len(sums) == 1 + 4 + 2 * 3 <= n + 1
-
-
 def test_rep_check_product_choice(su24, monkeypatch):
     """Local generators are multiplied term by term; a product that would
     expand to more than dim^2 terms falls back to a dense matmul.  On the
-    zigzag (dim 243, so relations are stacked several at a time) exactly
-    the 19 products of the per-relation check go dense, on the same
-    operands, and no sparse relation stacked with them does."""
+    zigzag (dim 243) exactly the 19 products of the per-relation reference
+    check go dense, on the same operands; none does on the block comb or
+    on comb-10."""
     dense_calls = []
     dense_product = triples._dense_product
     monkeypatch.setattr(triples, "_dense_product",
@@ -911,6 +877,21 @@ def test_sigma_index_checked(qutrit_rep):
 @pytest.fixture(scope="module")
 def comb6(su24):
     return general_generators(su24, enumerate_basis(su24, comb_tree(su24, ["1"] * 6, "2")))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.int32, np.uint64])
+def test_rep_stores_intp_indices(su24, dtype):
+    """Rows and cols of any integer dtype are stored as intp, so keys
+    rows * dim + cols never wrap: comb-11 (dim 122) rebuilt with narrow or
+    unsigned indices checks and evaluates exactly as built."""
+    rep = general_generators(su24, enumerate_basis(su24, comb_tree(su24, ["1"] * 11, "1")))
+    assert rep.dim == 122
+    narrow = BraidRep(rep.cat, rep.basis, tuple((rows.astype(dtype), cols.astype(dtype), values)
+                                                for rows, cols, values in rep.nonzeros))
+    assert all(x.dtype == np.intp for rows, cols, _ in narrow.nonzeros for x in (rows, cols))
+    assert _residuals(rep_check(narrow)) == _residuals(rep_check(rep))
+    word = BraidWord(11, (1, 2, -3, 4, 5, 6, -7, 8, 9, 10, 1, -10))
+    assert np.array_equal(eval_word(narrow, word), eval_word(rep, word))
 
 
 def test_rep_rejects_reversed_triples(comb6):

@@ -225,6 +225,8 @@ def test_rep_check_large(source, dim, capsys):
 
 COMB14 = ["--category", "su2_4", "--leaves", " ".join(["1"] * 14), "--total", "2"]  # dim 729
 COMB20 = ["--category", "su2_4", "--leaves", " ".join(["1"] * 20), "--total", "2"]  # dim 19683
+COMB28 = ["--category", "su2_4", "--leaves", " ".join(["1"] * 28), "--total", "2"]  # dim 3^13
+COMB40 = ["--category", "su2_4", "--leaves", " ".join(["1"] * 40), "--total", "2"]  # dim 3^19
 
 # argv -> exit code for missing, conflicting, or out-of-domain inputs and for
 # checks that could not be performed; main must return, never raise.
@@ -309,6 +311,8 @@ BAD_INPUTS = [
     (["protocol", "flip", "--trials", "10", "--rounds", "1000000000"], EXIT_USAGE),
     (["braid", "eval", *COMB20, "--word", "1 2"], EXIT_USAGE),  # a 6.2 GB result
     (["verify", "identity", *COMB14, "--word", "1 2", "--target", "H3"], EXIT_USAGE),
+    (["rep", "check", *COMB28], EXIT_USAGE),  # generators of at least 1.28 GiB
+    (["rep", "check", *COMB40], EXIT_USAGE),  # label rows of 675 GiB
 ]
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from metaplectic import synthesis
 from metaplectic.categories import InadmissibleError, UnknownLabelError, builtin_category
 from metaplectic.trees import (block_comb_tree, block_embedding, comb_tree, enumerate_basis,
                                format_shape, pair_tree, parse_shape, tree_change, TreeShape)
@@ -404,3 +405,29 @@ def test_shape_text_errors(su24):
         parse_shape(su24, "((eps eps)(eps eps))")  # no total
     with pytest.raises(ValueError):
         parse_shape(su24, "((eps eps)(eps)->y")  # malformed
+
+
+COMB10 = "(((((((((1 1) 1) 1) 1) 1) 1) 1) 1) 1)"
+
+
+@pytest.mark.parametrize("text, what, need", [
+    # dim 81, 9 generators: one intp row, intp column and complex value per row each
+    (COMB10 + "->2", "braid generators", 81 * 9 * 32),
+    # dim 40: the root's rows for all totals (41 + 81 + 40), 9 intp charges each
+    (COMB10 + "->4", "label rows", (41 + 81 + 40) * 9 * 8),
+    # dim 13: the root's rows for all totals (14 + 27 + 13), 7 intp charges each
+    ("(((1 1)(1 1))((1 1)(1 1)))->4", "label rows", (14 + 27 + 13) * 7 * 8),
+])
+def test_enumerate_basis_budget(su24, text, what, need, monkeypatch):
+    """The label rows of every node and the least storage of generators on
+    the space must fit ``_CLOSURE_BYTES``; past it the space is refused
+    before any row is formed."""
+    shape = parse_shape(su24, text)
+    expected = enumerate_basis(su24, shape)
+    monkeypatch.setattr(synthesis, "_CLOSURE_BYTES", need)
+    assert np.array_equal(enumerate_basis(su24, shape).labels, expected.labels)
+    monkeypatch.setattr(synthesis, "_CLOSURE_BYTES", need - 1)
+    monkeypatch.setattr(np, "nonzero", lambda *args: pytest.fail("a row was formed"))
+    with pytest.raises(ValueError, match=rf"dim-{expected.dim} space on {shape.n_leaves} "
+                                         rf"leaves needs at least {need} bytes .* for its {what}"):
+        enumerate_basis(su24, shape)
