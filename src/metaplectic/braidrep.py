@@ -47,25 +47,31 @@ from .triples import _dense, _keyed_product, _max_diff, _nonzeros, _product
 __all__ = ["BraidRep", "RepReport", "pair_tree_generators", "general_generators", "rep_check"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BraidRep:
-    """Generators sigma_1..sigma_{n-1} on a fusion-tree basis, each stored
-    as the row-major (rows, cols, values) triples of its exact nonzeros.
+    """Generators sigma_1..sigma_{n-1} of a braid-group representation on
+    ``n_strands`` >= 2 strands in dimension ``dim`` >= 0, each stored as the
+    row-major (rows, cols, values) triples of its exact nonzeros.
 
+    Both sizes must be integers, not bools, and are stored as ints.
     ``nonzeros`` must be a tuple of n - 1 triples, each a tuple of three
     equal-length 1-D arrays: integer rows and cols in [0, dim), numeric
     values, with row-major keys rows * dim + cols strictly increasing (no
     repeated position).  Anything else raises ``ValueError``.  Rows and
     cols are stored as ``np.intp``, so every product forms its keys
-    rows * dim + cols without wrapping.
+    rows * dim + cols without wrapping.  Reps compare and hash by identity.
     """
 
-    cat: object
-    basis: object
+    n_strands: int
+    dim: int
     nonzeros: tuple
 
     def __post_init__(self):
-        n, dim = self.n_strands, self.dim
+        from .synthesis import _integer  # here, so importing braidrep loads no synthesis
+
+        n, dim = _integer(self.n_strands), _integer(self.dim)
+        if n < 2 or dim < 0:
+            raise ValueError(f"need at least 2 strands and dim >= 0, got {n} and {dim}")
         if not isinstance(self.nonzeros, tuple) or len(self.nonzeros) != n - 1:
             raise ValueError(f"nonzeros must be a tuple of {n - 1} triples, one per "
                              f"generator on {n} strands")
@@ -86,17 +92,11 @@ class BraidRep:
             if np.any(keys[1:] <= keys[:-1]):
                 raise ValueError(f"sigma_{i}: entries are not in strictly increasing "
                                  "row-major order")
+        object.__setattr__(self, "n_strands", n)
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "nonzeros", tuple(
             (rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False), values)
             for rows, cols, values in self.nonzeros))
-
-    @property
-    def n_strands(self):
-        return self.basis.shape.n_leaves
-
-    @property
-    def dim(self):
-        return self.basis.dim
 
     @property
     def generators(self):
@@ -141,7 +141,7 @@ def pair_tree_generators(cat, a, b):
         inner = tables.f[a, a, a, v][x[:, None], pair_charges]
         sigma2 += outer.conj()[:, None] * ((inner * twist) @ inner.conj().T) * outer
     sigma2 = signs[:, None] * sigma2.T * signs[None, :]
-    return BraidRep(cat, basis, tuple(_nonzeros(g) for g in (sigma1, sigma2, sigma3)))
+    return BraidRep(4, basis.dim, tuple(_nonzeros(g) for g in (sigma1, sigma2, sigma3)))
 
 
 def general_generators(cat, basis):
@@ -158,8 +158,11 @@ def general_generators(cat, basis):
     twist blocks, indexed [x, d, c', c] and formed from ``cat.tables``; the
     first row that needs absent data raises through ``cat.f``/``cat.r``.
     Undoing the rotations gives sigma_i on the basis.  All strands must
-    carry one anyon type.
+    carry one anyon type, and ``basis`` must be a basis of ``cat``.
     """
+    if basis.cat is not cat:
+        raise ValueError(f"general_generators: the basis must be enumerated on {cat.name} "
+                         "itself, not on another category")
     shape = basis.shape
     n = shape.n_leaves  # at least 2, as TreeShape checks
     if len(set(shape.leaves)) != 1:
@@ -217,7 +220,7 @@ def general_generators(cat, basis):
             values = signs[rows] * values * signs[cols]
             gen = tuple(x[values != 0] for x in (rows, cols, values))
         generators.append(gen)
-    return BraidRep(cat, basis, tuple(generators))
+    return BraidRep(n, dim, tuple(generators))
 
 
 @dataclass

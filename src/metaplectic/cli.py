@@ -212,19 +212,19 @@ def _cmd_rep(args):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _resolve_word(args, rep):
+def _resolve_word(args, cat, rep):
     """The word of ``--named`` or ``--word``; an unknown name is a usage error."""
     if not args.named:
         return word_from_text(args.word, rep.n_strands)
-    words = named_words(rep.cat.name)
+    words = named_words(cat.name)
     if args.named not in words:
         raise ValueError(f"unknown named word {args.named!r}; have {sorted(words)}")
     return words[args.named]
 
 
 def _cmd_braid(args):
-    _, rep = _resolve_rep(args)
-    word = _resolve_word(args, rep)
+    cat, rep = _resolve_rep(args)
+    word = _resolve_word(args, cat, rep)
     mat = eval_word(rep, word)
     print(f"word: {word}")
     _print_matrix(mat)
@@ -238,8 +238,8 @@ def _cmd_braid(args):
 
 def _cmd_verify(args):
     if args.action == "identity":
-        _, rep = _resolve_rep(args)
-        word = _resolve_word(args, rep)
+        cat, rep = _resolve_rep(args)
+        word = _resolve_word(args, cat, rep)
         target = make_gate(parse_gate(args.target))
         result = verify_identity(rep, word, target, tol=args.tol)
         _emit(

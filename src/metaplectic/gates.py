@@ -206,7 +206,8 @@ def _modulus(z):
 
 def phase_distance(u, v):
     """(residual, theta): the max-entry deviation of u from theta*v, with
-    theta the unit phase read off the :func:`_anchor` entry of v.  On
+    theta the unit phase read off the :func:`_anchor` entry of v, or 1
+    where u is zero there (so a zero u lies max|v| from v).  On
     (..., d, d) stacks both are arrays over the leading axes."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -216,6 +217,7 @@ def phase_distance(u, v):
     theta = np.asarray(u[idx] / v[idx])
     modulus = _modulus(theta)
     np.divide(theta, modulus, out=theta, where=modulus > 1e-30)
+    theta[modulus <= 1e-30] = 1
     return np.abs(u - theta[..., None, None] * v).max(axis=(-2, -1)), theta[()]
 
 

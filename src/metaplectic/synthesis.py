@@ -338,7 +338,8 @@ def verify_identity(rep, word, target, subspace=None, tol=1e-8):
 
     With ``subspace`` (an isometry E of shape dim x k) the comparison is
     E^dag U E against the k x k target, and the leakage norm
-    max|(I - E E^dag) U E| is reported as well.
+    max|(I - E E^dag) U E| is reported as well.  A ``subspace`` whose
+    columns are not orthonormal to 1e-9 raises ``ValueError``.
     """
     _check_strands(rep, word)
     target = np.asarray(target, dtype=complex)
@@ -347,6 +348,10 @@ def verify_identity(rep, word, target, subspace=None, tol=1e-8):
         if e.shape[0] != rep.dim or e.shape[1] != target.shape[0]:
             raise ValueError(f"subspace/target dimensions do not match the rep: subspace "
                              f"{_size(e)}, target {_size(target)}, rep dim {rep.dim}")
+        residual = abs(e.conj().T @ e - np.eye(e.shape[1])).max(initial=0.0)
+        if not residual <= 1e-9:
+            raise ValueError(f"subspace columns are not orthonormal "
+                             f"(|E^dagger E - 1| = {residual:.3e})")
     elif target.shape[0] != rep.dim:
         raise ValueError(f"target dimension does not match the rep: target "
                          f"{_size(target)}, rep dim {rep.dim}")

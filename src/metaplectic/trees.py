@@ -142,10 +142,10 @@ def enumerate_basis(cat, shape):
     """All admissible labelings of ``shape`` (empty basis allowed).
 
     Leaves and total go through ``cat.resolve``.  Each node joins the rows
-    of its two subtrees on the fusion tensor ``cat.tables.fusion``.  States
-    are sorted lexicographically in the category's label order, except for
-    the registered computational bases, whose printed order and signs are
-    kept.
+    of its two subtrees on the fusion tensor ``cat.tables.fusion``, and the
+    root only into the total.  States are sorted lexicographically in the
+    category's label order, except for the registered computational bases,
+    whose printed order and signs are kept.
 
     A space is refused with ``ValueError`` before any row is formed when
     the label rows of one node, counted on the fusion tensor, or the least
@@ -170,7 +170,8 @@ def enumerate_basis(cat, shape):
         node_bytes.append(int(rows.sum()) * width * intp)
         return rows, width
 
-    dim = int(count(shape.structure)[0][cat.labels.index(shape.total)])
+    total = cat.labels.index(shape.total)
+    dim = int(count(shape.structure)[0][total])
     for what, need in (("label rows", max(node_bytes)),
                        ("braid generators", dim * (shape.n_leaves - 1) * (2 * intp + 16))):
         if need > _CLOSURE_BYTES:
@@ -178,18 +179,17 @@ def enumerate_basis(cat, shape):
                              f"{need} bytes ({need / 2 ** 30:.2f} GiB) for its {what}, over "
                              f"the {_CLOSURE_BYTES >> 30} GiB budget")
 
-    def join(structure):
+    def join(structure, fuse=fusion):
         # rows of a subtree: its root charge, then its internal charges in preorder
         if isinstance(structure, int):
             return np.array([[cat.labels.index(shape.leaves[structure])]])
         left, right = map(join, structure)
-        i, j, charge = np.nonzero(fusion[left[:, :1], right[:, 0]])
+        i, j, charge = np.nonzero(fuse[left[:, :1], right[:, 0]])
         return np.column_stack([charge] + [rows[at] for rows, at, child in
                                            ((left, i, structure[0]), (right, j, structure[1]))
                                            if not isinstance(child, int)])
 
-    labels = join(shape.structure)
-    labels = labels[labels[:, 0] == cat.labels.index(shape.total)]
+    labels = join(shape.structure, fusion & (np.arange(len(cat.labels)) == total))
     labels = labels[np.lexsort(labels.T[::-1])]
     signs = (1,) * len(labels)
     key = (cat.name, shape.structure, shape.leaves, shape.total)
@@ -263,13 +263,17 @@ def tree_change(cat, basis_from, basis_to):
 
     Signs of both computational bases are folded in, so coordinates map
     to coordinates.  Raises ``MissingDataError`` if a required F-entry is
-    absent and ``InadmissibleError`` on mismatched leaves or total.
+    absent, ``InadmissibleError`` on mismatched leaves or total, and
+    ``ValueError`` on a basis of another category than ``cat``.
     """
     return _dense(basis_from.dim, _change(cat, basis_from, basis_to))
 
 
 def _change(cat, basis_from, basis_to):
     """:func:`tree_change` as row-major (rows, cols, values) triples."""
+    if not (basis_from.cat is cat is basis_to.cat):
+        raise ValueError(f"tree_change: both bases must be enumerated on {cat.name} itself, "
+                         "not on another category")
     if basis_from.shape.leaves != basis_to.shape.leaves:
         raise InadmissibleError("tree_change: leaf labels differ")
     if basis_from.shape.total != basis_to.shape.total:

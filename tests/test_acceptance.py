@@ -21,7 +21,7 @@ from metaplectic.protocol import (estimate_flip_success, exact_flip_curve,
                                   exact_flip_probability)
 from metaplectic.synthesis import (eval_word, group_closure, named_words,
                                    verify_identity, word_from_text)
-from metaplectic.trees import block_comb_tree, block_embedding, enumerate_basis
+from metaplectic.trees import block_comb_tree, block_embedding, enumerate_basis, pair_tree
 from metaplectic.witnesses import (imprimitivity_witness, infinite_order_witness,
                                    qupit_subspace_chain, qutrit_commutator_witness,
                                    qutrit_fixed_vector, so5_partial_results)
@@ -104,8 +104,9 @@ def test_criterion_2_matrix_reproduction(su24, so52, qutrit_rep, qupit_rep):
 
 
 def test_criterion_3_closed_formula_cross_check(su24, so52, qutrit_rep, qupit_rep):
-    for cat, closed in ((su24, qutrit_rep), (so52, qupit_rep)):
-        move_based = general_generators(cat, closed.basis)
+    for cat, closed, leaf, total in ((su24, qutrit_rep, "eps", "y"),
+                                     (so52, qupit_rep, "eps", "y1")):
+        move_based = general_generators(cat, enumerate_basis(cat, pair_tree(cat, leaf, total)))
         for a, b in zip(move_based.generators, closed.generators):
             assert abs(a - b).max() < 1e-9
     _report(3, "move engine vs closed formulas")

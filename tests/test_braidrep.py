@@ -84,10 +84,10 @@ def test_qubit_generators(su24):
 
 
 def test_general_engine_matches_closed_formula(su24, so52, qutrit_rep, qupit_rep):
-    cases = [(su24, qutrit_rep), (so52, qupit_rep),
-             (su24, pair_tree_generators(su24, "1", "0"))]
-    for cat, closed in cases:
-        move_based = general_generators(cat, closed.basis)
+    cases = [(su24, qutrit_rep, "eps", "y"), (so52, qupit_rep, "eps", "y1"),
+             (su24, pair_tree_generators(su24, "1", "0"), "1", "0")]
+    for cat, closed, leaf, total in cases:
+        move_based = general_generators(cat, enumerate_basis(cat, pair_tree(cat, leaf, total)))
         for a, b in zip(move_based.generators, closed.generators):
             assert abs(a - b).max() < 1e-9
 
@@ -97,9 +97,10 @@ def test_general_engine_matches_closed_formula_to_round_off(su24, so52, qutrit_r
     """The F-moves at the node where two strands meet give the closed form's
     sigma_2 to round-off on the three model pair trees; the twists of
     sibling strands are the same R phases."""
-    for cat, closed in [(su24, qutrit_rep), (so52, qupit_rep),
-                        (su24, pair_tree_generators(su24, "1", "0"))]:
-        move_based = general_generators(cat, closed.basis)
+    for cat, closed, leaf, total in [(su24, qutrit_rep, "eps", "y"),
+                                     (so52, qupit_rep, "eps", "y1"),
+                                     (su24, pair_tree_generators(su24, "1", "0"), "1", "0")]:
+        move_based = general_generators(cat, enumerate_basis(cat, pair_tree(cat, leaf, total)))
         for a, b in zip(move_based.generators, closed.generators):
             assert abs(a - b).max() <= 1e-15
 
@@ -144,7 +145,7 @@ def reference_pair_tree_generators(cat, a, b):
                 acc += left * mid * right
             sigma2[j, i] = acc
     sigma2 = signs[:, None] * sigma2 * signs[None, :]
-    return BraidRep(cat, basis, tuple(_nonzeros(g) for g in (sigma1, sigma2, sigma3)))
+    return BraidRep(4, basis.dim, tuple(_nonzeros(g) for g in (sigma1, sigma2, sigma3)))
 
 
 def _pair_tree_outcome(build, cat, a, b):
@@ -287,7 +288,7 @@ def test_inverse_is_conjugate_transpose(qutrit_rep):
 def test_corrupted_rep_detected(qutrit_rep):
     bad = [g.copy() for g in qutrit_rep.generators]
     bad[1][0, 1] += 0.01
-    report = rep_check(BraidRep(qutrit_rep.cat, qutrit_rep.basis,
+    report = rep_check(BraidRep(qutrit_rep.n_strands, qutrit_rep.dim,
                                 tuple(_nonzeros(g) for g in bad)))
     assert max(report.unitarity_max, report.braid_max) > 1e-3
 
@@ -397,19 +398,33 @@ def reference_rep_shapes(su24, so52):
     return shapes
 
 
+PAIR_MODELS = (("qutrit", "su2_4", "1", "2"), ("qubit", "su2_4", "1", "0"),
+               ("qupit", "so5_2", "eps", "y1"))
+
+
+def reference_bases(su24, so52):
+    """(label, category, basis) of the reps of ``reference_reps``, in order."""
+    cats = {"su2_4": su24, "so5_2": so52}
+    bases = [(label, cats[name], enumerate_basis(cats[name], pair_tree(cats[name], leaf, total)))
+             for label, name, leaf, total in PAIR_MODELS]
+    for label, cat, shape in reference_rep_shapes(su24, so52):
+        basis = enumerate_basis(cat, shape)
+        if basis.dim:
+            bases.append((label, cat, basis))
+    return bases
+
+
 @pytest.fixture(scope="module")
 def reference_reps(su24, so52):
     """(label, rep) over the pair-tree models, su2_4 combs n = 2..10 with
     leaves 1 and 3 and every admissible total, the block-8 and block-12
     shapes, a right comb, a 12-leaf zigzag (a right comb joined to a left
     comb, whose sigma_6 no edge constrains), and the so5_2 4-comb."""
-    reps = [("qutrit", pair_tree_generators(su24, "1", "2")),
-            ("qubit", pair_tree_generators(su24, "1", "0")),
-            ("qupit", pair_tree_generators(so52, "eps", "y1"))]
-    for label, cat, shape in reference_rep_shapes(su24, so52):
-        basis = enumerate_basis(cat, shape)
-        if basis.dim:
-            reps.append((label, general_generators(cat, basis)))
+    cats = {"su2_4": su24, "so5_2": so52}
+    reps = [(label, pair_tree_generators(cats[name], leaf, total))
+            for label, name, leaf, total in PAIR_MODELS]
+    for label, cat, basis in reference_bases(su24, so52)[len(PAIR_MODELS):]:
+        reps.append((label, general_generators(cat, basis)))
     return reps
 
 
@@ -427,7 +442,7 @@ def test_rep_check_matches_dense_on_corrupted_reps(reference_reps, delta):
     for label, rep in reference_reps:
         bad = [g.copy() for g in rep.generators]
         bad[len(bad) // 2][0, -1] += delta
-        bad_rep = BraidRep(rep.cat, rep.basis, tuple(_nonzeros(g) for g in bad))
+        bad_rep = BraidRep(rep.n_strands, rep.dim, tuple(_nonzeros(g) for g in bad))
         sparse = _residuals(rep_check(bad_rep))
         dense = dense_rep_check(bad_rep)
         assert sparse[0] > delta / 10, label
@@ -445,13 +460,13 @@ def _variants(rep):
     for delta in (1e-6, 0.01):
         bad = [g.copy() for g in rep.generators]
         bad[len(bad) // 2][0, -1] += delta
-        yield f"delta={delta}", BraidRep(rep.cat, rep.basis, tuple(_nonzeros(g) for g in bad))
+        yield f"delta={delta}", BraidRep(rep.n_strands, rep.dim, tuple(_nonzeros(g) for g in bad))
     gens = list(rep.nonzeros)
     rows, cols, values = gens[len(gens) // 2]
     values = values.copy()
     values[0] = np.nan
     gens[len(gens) // 2] = rows, cols, values
-    yield "nan", BraidRep(rep.cat, rep.basis, tuple(gens))
+    yield "nan", BraidRep(rep.n_strands, rep.dim, tuple(gens))
 
 
 def test_rep_check_bit_identical_to_per_relation_reference(reference_reps):
@@ -617,7 +632,7 @@ def test_rep_check_propagates_nan(qutrit_rep):
     for k in range(3):
         bad = [g.copy() for g in qutrit_rep.generators]
         bad[k][1, 1] = np.nan
-        report = rep_check(BraidRep(qutrit_rep.cat, qutrit_rep.basis,
+        report = rep_check(BraidRep(qutrit_rep.n_strands, qutrit_rep.dim,
                                     tuple(_nonzeros(g) for g in bad)))
         assert math.isnan(report.unitarity_max) and math.isnan(report.braid_max)
         assert not report.ok()
@@ -798,14 +813,14 @@ def test_longdouble_theory_matches_su2_4(su24):
         assert abs(r(*map(int, (a, b, c))) - value) < 1e-15
 
 
-def test_general_generators_match_dense_reference(su24, reference_reps):
+def test_general_generators_match_dense_reference(su24, so52):
     """Combs: the stored triples are the reference's exact nonzeros, bit for
     bit.  Other shapes (built by other F-moves than the reference): every
     stored entry lies inside the edge rule, every reference entry above
     1e-12 is stored, and on su2_4 each generator is no farther from the
     long-double theory than the reference is."""
     comb14 = enumerate_basis(su24, comb_tree(su24, ["1"] * 14, "2"))
-    bases = [(label, rep.cat, rep.basis) for label, rep in reference_reps]
+    bases = reference_bases(su24, so52)
     bases.append(("comb14", su24, comb14))
     combs = 0
     for label, cat, basis in bases:
@@ -886,12 +901,39 @@ def test_rep_stores_intp_indices(su24, dtype):
     unsigned indices checks and evaluates exactly as built."""
     rep = general_generators(su24, enumerate_basis(su24, comb_tree(su24, ["1"] * 11, "1")))
     assert rep.dim == 122
-    narrow = BraidRep(rep.cat, rep.basis, tuple((rows.astype(dtype), cols.astype(dtype), values)
-                                                for rows, cols, values in rep.nonzeros))
+    narrow = BraidRep(rep.n_strands, rep.dim,
+                      tuple((rows.astype(dtype), cols.astype(dtype), values)
+                            for rows, cols, values in rep.nonzeros))
     assert all(x.dtype == np.intp for rows, cols, _ in narrow.nonzeros for x in (rows, cols))
     assert _residuals(rep_check(narrow)) == _residuals(rep_check(rep))
     word = BraidWord(11, (1, 2, -3, 4, 5, 6, -7, 8, 9, 10, 1, -10))
     assert np.array_equal(eval_word(narrow, word), eval_word(rep, word))
+
+
+@pytest.mark.parametrize("n_strands, dim", [(True, 3), (4.0, 3), ("4", 3), (1, 3), (0, 3),
+                                             (4, False), (4, 3.0), (4, None), (4, -1)])
+def test_rep_rejects_bad_sizes(qutrit_rep, n_strands, dim):
+    with pytest.raises(ValueError):
+        BraidRep(n_strands, dim, qutrit_rep.nonzeros)
+
+
+def test_rep_holds_its_sizes_and_generators_only(qutrit_rep):
+    """Sizes of any integer type are stored as ints; a rep has no field
+    beyond them and its generators, and compares and hashes by identity."""
+    rep = BraidRep(np.int64(4), np.int32(3), qutrit_rep.nonzeros)
+    assert type(rep.n_strands) is int and type(rep.dim) is int
+    assert (rep.n_strands, rep.dim) == (qutrit_rep.n_strands, qutrit_rep.dim)
+    assert [field.name for field in dataclasses.fields(BraidRep)] == ["n_strands", "dim",
+                                                                       "nonzeros"]
+    assert rep == rep and rep != qutrit_rep
+    assert len({rep, qutrit_rep, rep}) == 2 and hash(rep) == hash(rep)
+
+
+def test_general_generators_refuse_a_basis_of_another_category(su24, so52):
+    """so5_2 data on the su2_4 6-comb basis would pass for a dim-9 rep."""
+    basis = enumerate_basis(su24, comb_tree(su24, ["1"] * 6, "2"))
+    with pytest.raises(ValueError, match="another category"):
+        general_generators(so52, basis)
 
 
 def test_rep_rejects_reversed_triples(comb6):
@@ -901,13 +943,13 @@ def test_rep_rejects_reversed_triples(comb6):
     assert all(np.array_equal(triples._dense(comb6.dim, t), g)
                for t, g in zip(flipped, comb6.generators))
     with pytest.raises(ValueError, match="row-major"):
-        BraidRep(comb6.cat, comb6.basis, flipped)
+        BraidRep(comb6.n_strands, comb6.dim, flipped)
 
 
 def test_rep_rejects_missing_generators(comb6):
     assert len(comb6.nonzeros) == 5
     with pytest.raises(ValueError, match="5 triples"):
-        BraidRep(comb6.cat, comb6.basis, comb6.nonzeros[:2])
+        BraidRep(comb6.n_strands, comb6.dim, comb6.nonzeros[:2])
 
 
 def test_rep_rejects_out_of_range_index(comb6):
@@ -915,7 +957,7 @@ def test_rep_rejects_out_of_range_index(comb6):
     cols = cols.copy()
     cols[-1] = comb6.dim
     with pytest.raises(ValueError, match="outside"):
-        BraidRep(comb6.cat, comb6.basis, ((rows, cols, values), *comb6.nonzeros[1:]))
+        BraidRep(comb6.n_strands, comb6.dim, ((rows, cols, values), *comb6.nonzeros[1:]))
 
 
 @pytest.mark.parametrize("fault", ["list", "pair", "2-d", "lengths", "float rows",
@@ -932,7 +974,7 @@ def test_rep_rejects_malformed_triples(comb6, fault):
              "repeat": (np.repeat(rows, 2), np.repeat(cols, 2), np.repeat(values, 2)),
              "negative": (rows - 1, cols, values)}[fault]
     with pytest.raises(ValueError):
-        BraidRep(comb6.cat, comb6.basis, (first, *comb6.nonzeros[1:]))
+        BraidRep(comb6.n_strands, comb6.dim, (first, *comb6.nonzeros[1:]))
 
 
 def test_dense_views_do_not_alias_the_stored_generators(su24):

@@ -239,11 +239,25 @@ def test_stack_aware_phase_helpers_match_the_2d_reference():
         assert residual == ref_residual and theta == ref_theta
         assert type(residual) is type(ref_residual) and type(theta) is type(ref_theta)
         assert np.array_equal(phase_canonical(v), reference_phase_canonical(v))
-    # the exact cases: u = v (theta 1) and a zero anchor entry of u (theta 0)
+    # the exact cases: u = v (theta 1) and a zero anchor entry of u (theta 1,
+    # residual max|v|: no phase is read, and none is forgiven)
     eye = np.eye(3, dtype=complex)
     assert phase_distance(eye, eye) == reference_phase_distance(eye, eye) == (0.0, 1.0)
     zero = np.zeros((3, 3), dtype=complex)
-    assert phase_distance(zero, eye) == reference_phase_distance(zero, eye)
+    assert phase_distance(zero, eye) == (abs(eye).max(), 1.0)
+
+
+def test_zero_anchor_reads_no_phase():
+    """u zero at v's anchor: theta is 1 and the residual max|v|, alone and as
+    one slice of a stack, so a zero matrix never equals a gate."""
+    h = hadamard(3)
+    assert equal_up_to_phase(np.zeros((3, 3)), h) == (False, 1)
+    phase = np.exp(0.3j)
+    stack = np.stack([phase * h, np.zeros((3, 3)), h])
+    residual, theta = phase_distance(stack, np.broadcast_to(h, stack.shape))
+    assert residual[0] < 1e-15 and abs(theta[0] - phase) < 1e-15
+    assert (residual[1], theta[1]) == (abs(h).max(), 1)
+    assert (residual[2], theta[2]) == (0, 1)
 
 
 @pytest.mark.parametrize("lead", [(1,), (7,), (2, 5), (0,), (2, 0)])  # and empty stacks

@@ -153,7 +153,7 @@ def word_reps():
     for label, rep in [r for r in reps if r[0] in ("qupit", "comb7-1-1", "zigzag12")]:
         phases = np.exp(2j * np.pi * rng.random(rep.dim))
         twisted = tuple(_nonzeros(phases[:, None] * g * phases.conj()) for g in rep.generators)
-        reps.append((f"{label}-twisted", BraidRep(rep.cat, rep.basis, twisted)))
+        reps.append((f"{label}-twisted", BraidRep(rep.n_strands, rep.dim, twisted)))
     return reps
 
 
@@ -328,6 +328,17 @@ def test_verify_identity_subspace_message_states_sizes(two_qutrit):
     rep, embed = two_qutrit
     with pytest.raises(ValueError, match=r"subspace 27 x 9, target 3 x 3, rep dim 27$"):
         verify_identity(rep, named_words("su2_4")["CZword"], hadamard(3), subspace=embed)
+
+
+@pytest.mark.parametrize("scale", [0, 2])
+def test_verify_identity_refuses_a_subspace_that_is_not_an_isometry(two_qutrit, scale,
+                                                                    monkeypatch):
+    """A zero or doubled E raises before the word is evaluated: E = 0 would
+    pass any word with residual and leakage 0."""
+    rep, embed = two_qutrit
+    monkeypatch.setattr(synthesis, "eval_word", lambda *args: pytest.fail("word evaluated"))
+    with pytest.raises(ValueError, match="not orthonormal"):
+        verify_identity(rep, word_from_text("1 2 3", 8), cz_gate(3), subspace=scale * embed)
 
 
 def test_so52_gate_words(qupit_rep):

@@ -1,12 +1,14 @@
 """Fusion-tree bases, F-move basis changes, block embeddings."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from metaplectic import synthesis
-from metaplectic.categories import InadmissibleError, UnknownLabelError, builtin_category
+from metaplectic.categories import (InadmissibleError, UnknownLabelError, builtin_category,
+                                    parse_category, serialize_category)
 from metaplectic.trees import (block_comb_tree, block_embedding, comb_tree, enumerate_basis,
                                format_shape, pair_tree, parse_shape, tree_change, TreeShape)
 
@@ -128,6 +130,22 @@ def test_tree_change_path_independence(su24):
     direct = tree_change(su24, pair, comb)
     via_fork = tree_change(su24, fork, comb) @ tree_change(su24, pair, fork)
     assert abs(direct - via_fork).max() < 1e-8
+
+
+def test_tree_change_refuses_a_basis_of_another_category(su24, so52):
+    """Both bases must be enumerated on ``cat`` itself: so5_2 data read at
+    the su2_4 qutrit labels would give a 3 x 3 matrix, and a parsed copy of
+    su2_4 is another category object."""
+    pair = enumerate_basis(su24, pair_tree(su24, "eps", "y"))
+    comb = enumerate_basis(su24, comb_tree(su24, ["1"] * 4, "2"))
+    copy = parse_category(serialize_category(su24), name="su2_4")
+    for cat, basis_from, basis_to in [(so52, pair, pair), (copy, pair, comb),
+                                      (su24, pair, enumerate_basis(copy, comb.shape)),
+                                      (su24, enumerate_basis(copy, pair.shape), comb)]:
+        with pytest.raises(ValueError, match="another category"):
+            tree_change(cat, basis_from, basis_to)
+    assert tree_change(copy, enumerate_basis(copy, pair.shape),
+                       enumerate_basis(copy, comb.shape)).shape == (3, 3)
 
 
 def test_tree_change_mismatch_errors(su24):
@@ -408,6 +426,21 @@ def test_shape_text_errors(su24):
 
 
 COMB10 = "(((((((((1 1) 1) 1) 1) 1) 1) 1) 1) 1)"
+
+
+def test_enumerate_basis_peak_memory(su24):
+    """The root joins only the requested total: on comb-20 (total 2, dim
+    19683) the traced peak stays within 3.5 times the labels returned
+    (forming the rows of every total and filtering them took 5.2)."""
+    shape = comb_tree(su24, ["1"] * 20, "2")
+    tracemalloc.start()
+    try:
+        basis = enumerate_basis(su24, shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.dim == 19683
+    assert peak <= 3.5 * basis.labels.nbytes
 
 
 @pytest.mark.parametrize("text, what, need", [
