@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .trees import _finder, _internal_nodes, _leaf_slots, _rotate, enumerate_basis, pair_tree
-from .triples import _dense, _keyed_product, _max_diff, _nonzeros, _product
+from .triples import _dense, _keyed_product, _max_diff, _nonzeros, _product, _row_starts
 
 __all__ = ["BraidRep", "RepReport", "pair_tree_generators", "general_generators", "rep_check"]
 
@@ -237,13 +237,14 @@ class RepReport:
                    (self.unitarity_max, self.braid_max, self.far_commutation_max))
 
 
-def _word(dim, factors):
-    """``(keys, values)`` of the product of ``factors``; all but the first
-    must be row-major."""
-    left, *middle, right = factors
-    for factor in middle:
-        left = _product(dim, left, factor)
-    return _keyed_product(dim, left, right)
+def _word(dim, left, *factors):
+    """``(keys, values)`` of the product of the triples ``left`` and
+    ``factors``, each a pair of row-major triples and their row starts
+    (:func:`metaplectic.triples._row_starts`)."""
+    *middle, (right, starts) = factors
+    for factor, factor_starts in middle:
+        left = _product(dim, left, factor, factor_starts)
+    return _keyed_product(dim, left, right, starts)
 
 
 def rep_check(rep):
@@ -253,24 +254,26 @@ def rep_check(rep):
     sigma_i sigma_{i+1} sigma_i - sigma_{i+1} sigma_i sigma_{i+1}, or
     sigma_i sigma_j - sigma_j sigma_i (|i - j| >= 2) over the whole matrix.
     Products are formed from the generators' nonzeros, one term per pair
-    (nonzero a[r, k], nonzero in row k of b): with O(1) nonzeros per row
-    (combs, block combs) each costs O(dim log dim) rather than dim^3.  A
-    product that would need more than dim^2 terms (dense generators, as on
-    shapes where no edge is fixed for some sigma_i) is formed with a dense
-    matmul.  Each relation is checked alone: its two sides are summed once
-    each and compared on their aligned positions
+    (nonzero a[r, k], nonzero in row k of b); every right factor is a
+    generator, whose row starts are counted once.  With O(1) nonzeros per
+    row (combs, block combs) a product costs O(dim) when its terms come out
+    in row-major order and O(dim log dim) when they must be sorted, rather
+    than dim^3.  A product that would need more than dim^2 terms (dense
+    generators, as on shapes where no edge is fixed for some sigma_i) is
+    formed with a dense matmul.  Each relation is checked alone: its two
+    sides are summed once each and compared on their aligned positions
     (:func:`metaplectic.triples._max_diff`).  A NaN entry yields a NaN
     residual; an empty space raises ``ValueError``.
     """
     dim = rep.dim
     if dim == 0:
         raise ValueError("empty fusion space: nothing to check")
-    gens = rep.nonzeros
+    gens = [(gen, _row_starts(dim, gen[0])) for gen in rep.nonzeros]
     eye = (np.arange(dim) * (dim + 1), np.ones(dim))
-    unit = [_max_diff(_word(dim, ((cols, rows, values.conj()), (rows, cols, values))), eye)
-            for rows, cols, values in gens]
-    braid = [_max_diff(_word(dim, (a, b, a)), _word(dim, (b, a, b)))
+    unit = [_max_diff(_word(dim, (gen[1], gen[0], gen[2].conj()), (gen, starts)), eye)
+            for gen, starts in gens]
+    braid = [_max_diff(_word(dim, a[0], b, a), _word(dim, b[0], a, b))
              for a, b in zip(gens, gens[1:])]
-    far = [_max_diff(_word(dim, (a, b)), _word(dim, (b, a)))
+    far = [_max_diff(_word(dim, a[0], b), _word(dim, b[0], a))
            for i, a in enumerate(gens) for b in gens[i + 2:]]
     return RepReport(*(float(np.max(res, initial=0.0)) for res in (unit, braid, far)))

@@ -142,10 +142,12 @@ def enumerate_basis(cat, shape):
     """All admissible labelings of ``shape`` (empty basis allowed).
 
     Leaves and total go through ``cat.resolve``.  Each node joins the rows
-    of its two subtrees on the fusion tensor ``cat.tables.fusion``, and the
-    root only into the total.  States are sorted lexicographically in the
-    category's label order, except for the registered computational bases,
-    whose printed order and signs are kept.
+    of its two subtrees on the fusion tensor ``cat.tables.fusion`` into
+    only the charges that can still reach the total: the root into the
+    total, a child into those that fuse with some charge its sibling can
+    carry into one its parent keeps.  States are sorted lexicographically
+    in the category's label order, except for the registered computational
+    bases, whose printed order and signs are kept.
 
     A space is refused with ``ValueError`` before any row is formed when
     the label rows of one node, counted on the fusion tensor, or the least
@@ -159,15 +161,18 @@ def enumerate_basis(cat, shape):
                       cat.resolve(shape.total))
     fusion = cat.tables.fusion
     exact, node_bytes, intp = fusion.astype(object), [], np.dtype(np.intp).itemsize
+    possible = {}  # subtree -> the root charges it has rows for
 
     def count(structure):
         # rows join forms for a subtree per root charge, as Python ints, and their width
         if isinstance(structure, int):
-            return (np.array(cat.labels) == shape.leaves[structure]).astype(object), 0
-        (left, left_width), (right, right_width) = map(count, structure)
-        rows = (left[:, None, None] * right[:, None] * exact).sum((0, 1))
-        width = 1 + left_width + right_width
-        node_bytes.append(int(rows.sum()) * width * intp)
+            rows, width = (np.array(cat.labels) == shape.leaves[structure]).astype(object), 0
+        else:
+            (left, left_width), (right, right_width) = map(count, structure)
+            rows = (left[:, None, None] * right[:, None] * exact).sum((0, 1))
+            width = 1 + left_width + right_width
+            node_bytes.append(int(rows.sum()) * width * intp)
+        possible[structure] = rows > 0
         return rows, width
 
     total = cat.labels.index(shape.total)
@@ -179,17 +184,20 @@ def enumerate_basis(cat, shape):
                              f"{need} bytes ({need / 2 ** 30:.2f} GiB) for its {what}, over "
                              f"the {_CLOSURE_BYTES >> 30} GiB budget")
 
-    def join(structure, fuse=fusion):
-        # rows of a subtree: its root charge, then its internal charges in preorder
+    def join(structure, allowed):
+        # rows of a subtree with an allowed root charge: that charge, then its
+        # internal charges in preorder
         if isinstance(structure, int):
             return np.array([[cat.labels.index(shape.leaves[structure])]])
-        left, right = map(join, structure)
+        fuse = fusion & allowed
+        reach = fuse & possible[structure[0]][:, None, None] & possible[structure[1]][:, None]
+        left, right = join(structure[0], reach.any((1, 2))), join(structure[1], reach.any((0, 2)))
         i, j, charge = np.nonzero(fuse[left[:, :1], right[:, 0]])
         return np.column_stack([charge] + [rows[at] for rows, at, child in
                                            ((left, i, structure[0]), (right, j, structure[1]))
                                            if not isinstance(child, int)])
 
-    labels = join(shape.structure, fusion & (np.arange(len(cat.labels)) == total))
+    labels = join(shape.structure, np.arange(len(cat.labels)) == total)
     labels = labels[np.lexsort(labels.T[::-1])]
     signs = (1,) * len(labels)
     key = (cat.name, shape.structure, shape.leaves, shape.total)

@@ -4,13 +4,17 @@ The F-move basis changes of :mod:`metaplectic.trees` and the relation
 check of :mod:`metaplectic.braidrep` both multiply matrices with few
 nonzeros per row in this form.  A product expands one term per pair
 (nonzero a[r, k], nonzero in row k of b) and adds up the terms that land
-on one position: a stable sort groups them by row-major key, and
-``np.bincount`` adds each group's real and imaginary parts one after the
-other in order of appearance, as ``np.add.at`` does.  Row k of b starts
-where the nonzeros of rows 0..k-1 end: one count of b's rows and a
-cumulative sum give every start (row pointers, as in Gustavson's
-row-wise sparse product), in time linear in the nonzeros and rows,
-with no search.
+on one position.  Row k of b starts where the nonzeros of rows 0..k-1
+end: one count of b's rows and a cumulative sum give every start (row
+pointers, as in Gustavson's row-wise sparse product), in time linear in
+the nonzeros and rows, with no search; a caller that multiplies by one
+factor many times counts its row starts once.  Terms that come out in
+strictly increasing row-major order are already summed.  Otherwise a
+stable sort groups them by key; only when some key repeats does
+``np.bincount`` add each group's real and imaginary parts one after the
+other in order of appearance, as ``np.add.at`` does.  A lone term gets
++0.0 added, as ``np.bincount`` adds it, so every path gives the same
+bytes.
 """
 
 from __future__ import annotations
@@ -26,17 +30,20 @@ def _nonzeros(mat):
 
 def _summed(keys, values):
     """The sorted distinct ``keys`` and the sum of the ``values`` at each,
-    added sequentially in order of appearance."""
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.empty(len(keys), dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    group = np.cumsum(first) - 1
-    sums = np.empty(group[-1] + 1 if len(group) else 0, dtype=complex)
-    sums.real = np.bincount(group, weights=values.real[order])
-    sums.imag = np.bincount(group, weights=values.imag[order])
-    return keys[first], sums
+    added sequentially in order of appearance, as complex numbers."""
+    if np.any(keys[1:] <= keys[:-1]):
+        order = np.argsort(keys, kind="stable")
+        keys, values = keys[order], values[order]
+        first = np.empty(len(keys), dtype=bool)
+        first[0] = True  # there are two or more keys, as fewer are in order
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        if not first.all():
+            group = np.cumsum(first) - 1
+            sums = np.empty(group[-1] + 1, dtype=complex)
+            sums.real = np.bincount(group, weights=values.real)
+            sums.imag = np.bincount(group, weights=values.imag)
+            return keys[first], sums
+    return keys, np.add(values, 0.0, dtype=complex)  # what np.bincount makes of a lone term
 
 
 def _dense(dim, triples):
@@ -51,31 +58,41 @@ def _dense_product(dim, a, b):
     return _nonzeros(_dense(dim, a) @ _dense(dim, b))
 
 
-def _keyed_product(dim, a, b):
+def _row_starts(dim, rows):
+    """Where each row of a row-major dim x dim matrix with nonzero rows
+    ``rows`` starts: element k is the count of nonzeros in rows before k,
+    so an empty row (leading, interior or trailing) starts where the next
+    one does, and element dim is the count of all."""
+    starts = np.zeros(dim + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=dim), out=starts[1:])
+    return starts
+
+
+def _keyed_product(dim, a, b, b_starts=None):
     """Row-major ``(keys, values)`` of a @ b for dim x dim matrices; ``b``
     must be row-major, ``a`` need not be.  Each nonzero a[r, k] meets the
-    nonzeros of row k of ``b``, which start at ``starts[k]``: the count of
-    b's nonzeros in rows before k, so an empty row (leading, interior or
-    trailing) starts where the next one does.  A product that would
-    produce more than dim^2 terms is formed by a dense matmul instead, so
-    time and memory never exceed a dense matmul's by more than a constant."""
+    nonzeros of row k of ``b``, from ``b_starts[k]`` to ``b_starts[k + 1]``
+    (:func:`_row_starts` of b, counted here unless given).  A product that
+    would produce more than dim^2 terms is formed by a dense matmul
+    instead, so time and memory never exceed a dense matmul's by more than
+    a constant."""
     a_rows, a_cols, a_vals = a
     b_rows, b_cols, b_vals = b
-    row_counts = np.bincount(b_rows, minlength=dim)
-    counts = row_counts[a_cols]
+    if b_starts is None:
+        b_starts = _row_starts(dim, b_rows)
+    starts = b_starts[a_cols]
+    counts = b_starts[a_cols + 1] - starts
     if counts.sum() > dim * dim:
         rows, cols, values = _dense_product(dim, a, b)
         return rows * dim + cols, values
-    starts = np.zeros(dim + 1, dtype=np.intp)
-    np.cumsum(row_counts, out=starts[1:])
     left = np.repeat(np.arange(len(a_rows)), counts)
-    right = np.repeat(starts[a_cols] + counts - np.cumsum(counts), counts) + np.arange(len(left))
+    right = np.repeat(starts + counts - np.cumsum(counts), counts) + np.arange(len(left))
     return _summed(a_rows[left] * dim + b_cols[right], a_vals[left] * b_vals[right])
 
 
-def _product(dim, a, b):
+def _product(dim, a, b, b_starts=None):
     """Row-major triples of a @ b, as :func:`_keyed_product` forms it."""
-    keys, values = _keyed_product(dim, a, b)
+    keys, values = _keyed_product(dim, a, b, b_starts)
     return (*np.divmod(keys, dim), values)
 
 

@@ -602,6 +602,82 @@ def test_keyed_product_matches_searchsorted_reference(su24, monkeypatch):
     assert len(got[5][0]) == 0 and len(got[6][0]) == 0
 
 
+def _unique_summed(keys, values):
+    """The np.unique + np.add.at sums of ``values`` at each distinct key."""
+    keys, inverse = np.unique(keys, return_inverse=True)
+    sums = np.zeros(len(keys), dtype=complex)
+    np.add.at(sums, inverse, values)
+    return keys, sums
+
+
+@pytest.mark.parametrize("keys, values", [
+    ([1, 4, 5, 9], [1 + 2j, -3j, 0.5, 2]),  # already increasing
+    ([9, 1, 5, 4], [1 + 2j, -3j, 0.5, 2]),  # distinct, out of order
+    ([5, 1, 5, 4, 1, 5], [1e16, 2j, 1.0, -1e-3, -2j, -1e16]),  # repeated, order matters
+    ([2, 7], [complex(-0.0, -0.0), complex(1, -0.0)]),  # a lone -0.0 term
+    ([7, 2], [complex(-0.0, 1), complex(3, -0.0)]),
+    ([3, 3, 0], [complex(-0.0, -0.0), complex(-0.0, -0.0), 1]),
+    ([0, 3, 6], [np.nan, complex(0, np.nan), 1]),  # NaN terms
+    ([6, 3, 3, 0], [1, complex(0, np.nan), 2, complex(-np.nan, 0)]),
+    ([4], [complex(-0.0, 2)]),  # one term
+    ([], []),  # no terms
+])
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_summed_matches_unique_reference(keys, values, dtype):
+    """Keys in order, keys sorted and distinct, and repeated keys each give
+    the np.unique + np.add.at sums byte for byte, -0.0 and NaN payloads
+    included; real values come out complex."""
+    keys = np.array(keys, dtype=np.intp)
+    values = np.array(values, dtype=complex)
+    if dtype is float:
+        values = values.real.copy()
+    got, want = triples._summed(keys, values), _unique_summed(keys, values)
+    assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("text", [
+    "(((((1 1)(1 1))((1 1)(1 1)))((1 1)(1 1)))((1 1)(1 1)))->2",  # block-16, dim 2187
+    ZIGZAG12,
+])
+def test_rep_check_matches_reference_on_noncomb_shapes(su24, text):
+    rep = general_generators(su24, enumerate_basis(su24, parse_shape(su24, text)))
+    assert _residuals(rep_check(rep)) == reference_rep_check(rep)
+
+
+def test_rep_check_sorts_and_sums_only_what_needs_it(su24, monkeypatch):
+    """Of comb-14's 193 summations, 103 come out in row-major order and
+    are neither sorted nor summed, 55 are distinct once sorted, and only 35
+    repeat a position and are summed by np.bincount.  Each generator's row
+    starts are counted once."""
+    rep = general_generators(su24, enumerate_basis(su24, comb_tree(su24, ["1"] * 14, "2")))
+    calls, inside = [], []
+    summed, argsort, bincount = triples._summed, np.argsort, np.bincount
+
+    def traced_summed(keys, values):
+        calls.append({"argsort": 0, "bincount": 0})
+        inside.append(True)
+        try:
+            return summed(keys, values)
+        finally:
+            inside.pop()
+
+    def counted(name, func):
+        def call(*args, **kw):
+            (calls[-1] if inside else outside)[name] += 1
+            return func(*args, **kw)
+        return call
+
+    outside = {"argsort": 0, "bincount": 0}
+    monkeypatch.setattr(triples, "_summed", traced_summed)
+    monkeypatch.setattr(np, "argsort", counted("argsort", argsort))
+    monkeypatch.setattr(np, "bincount", counted("bincount", bincount))
+    assert rep_check(rep).ok(1e-12)
+    paths = [(c["argsort"], c["bincount"]) for c in calls]
+    assert len(paths) == 193
+    assert (paths.count((0, 0)), paths.count((1, 0)), paths.count((1, 2))) == (103, 55, 35)
+    assert outside == {"argsort": 0, "bincount": 13}
+
+
 def test_rep_check_product_choice(su24, monkeypatch):
     """Local generators are multiplied term by term; a product that would
     expand to more than dim^2 terms falls back to a dense matmul.  On the

@@ -443,6 +443,60 @@ def test_enumerate_basis_peak_memory(su24):
     assert peak <= 3.5 * basis.labels.nbytes
 
 
+@pytest.mark.parametrize("n, total, dim", [(20, "0", 9842), (20, "4", 9841), (21, "1", 29525)])
+def test_enumerate_basis_forms_no_rows_off_the_total(su24, n, total, dim):
+    """Each node joins only the charges that can still reach the requested
+    total: away from total 2 the traced peak also stays within 3.5 times
+    the labels returned (joining every charge below the root took 5.3 at
+    comb-20 total 0)."""
+    shape = comb_tree(su24, ["1"] * n, total)
+    tracemalloc.start()
+    try:
+        basis = enumerate_basis(su24, shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.dim == dim
+    assert peak <= 3.5 * basis.labels.nbytes
+
+
+def reference_labels(cat, shape):
+    """Sorted label rows of ``shape``: every node joins every charge its
+    children fuse to, and rows of another total are dropped at the end."""
+    def rows(structure):
+        # (root charge, internal charges in preorder) of each labeling of a subtree
+        if isinstance(structure, int):
+            return [(cat.labels.index(shape.leaves[structure]),)]
+        left, right = map(rows, structure)
+        keep = [not isinstance(part, int) for part in structure]  # a leaf has no internal node
+        return [(int(charge), *l_row[:len(l_row) * keep[0]], *r_row[:len(r_row) * keep[1]])
+                for l_row in left for r_row in right
+                for charge in np.flatnonzero(cat.tables.fusion[l_row[0], r_row[0]])]
+
+    total = cat.labels.index(shape.total)
+    labels = [row for row in rows(shape.structure) if row[0] == total]
+    return np.unique(np.array(labels, dtype=np.intp).reshape(-1, shape.n_leaves - 1), axis=0)
+
+
+def test_enumerate_basis_matches_join_then_filter_reference(su24, so52):
+    """The labels of every total on combs, block-8, a right comb and an
+    8-leaf zigzag are the rows of a join over all charges, filtered by total."""
+    shapes = [comb_tree(cat, [leaf] * n, total) for cat, leaf in ((su24, "1"), (su24, "3"),
+                                                                   (so52, "eps"))
+              for n in range(2, 8) for total in cat.labels]
+    shapes += [block_comb_tree(su24, "1", 2, total) for total in su24.labels]
+    shapes += [parse_shape(su24, text + "->" + total) for total in su24.labels
+               for text in ("(1 (1 (1 (1 (1 1)))))", "((1 (1 (1 1))) (((1 1) 1) 1))")]
+    dims = []
+    for shape in shapes:
+        cat = so52 if shape.leaves[0] == "eps" else su24
+        basis = enumerate_basis(cat, shape)
+        assert np.array_equal(np.unique(basis.labels, axis=0), reference_labels(cat, shape)), \
+            format_shape(shape)
+        dims.append(basis.dim)
+    assert 0 in dims and max(dims) == 63
+
+
 @pytest.mark.parametrize("text, what, need", [
     # dim 81, 9 generators: one intp row, intp column and complex value per row each
     (COMB10 + "->2", "braid generators", 81 * 9 * 32),
