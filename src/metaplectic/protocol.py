@@ -21,6 +21,12 @@ trial of that estimate has the same amplitude magnitudes, exactly: the
 start state and every ancilla entry are +-1/sqrt(3), and IEEE multiply,
 square and divide are sign-symmetric.  So the estimate keeps one shared
 magnitude column per round and a 2-bit sign class per trial.
+
+A single Flip round (:func:`run_flip_round`) keeps numpy only where numpy
+sets the bits: the complex product, ``np.abs`` of complex amplitudes, the
+BLAS dots in ``_norm`` and the complex / real divides.  Its squares, sums
+and Born draw run on Python floats, which is exact: IEEE products are
+correctly rounded, and numpy sums three float64 terms left to right.
 """
 
 from __future__ import annotations
@@ -147,7 +153,7 @@ class ProtocolState:
         one ``rng.random()`` against the normalised cumulative sum.
         """
         probs = self.probabilities(qudit)
-        outcome = _born_outcome(probs, self.rng)
+        outcome = _born_outcome(probs.tolist(), float(probs.sum()), self.rng)
         keep = np.zeros((self.d, self.d))
         keep[outcome, outcome] = 1.0
         self._collapse(qudit, keep)
@@ -181,13 +187,12 @@ class ProtocolState:
         self.amps = _renormalized(self._acted(matrix, (qudit,)))
 
 
-def _born_outcome(probs, rng):
-    """Index drawn as ``Generator.choice(len(probs), p=probs / probs.sum())``
+def _born_outcome(probs, total, rng):
+    """Index drawn as ``Generator.choice(len(probs), p=probs / total)``
     draws it: one ``rng.random()`` against the normalised cumulative sum.
-    The total is numpy's (pairwise from 8 terms); the rest runs on Python
-    floats in numpy's order, ``bisect_right`` for ``searchsorted``."""
-    total = float(probs.sum())
-    probs = probs.tolist()
+    ``probs`` is a list of Python floats and ``total`` their sum as the
+    caller's numpy would form it (pairwise from 8 terms); the rest runs on
+    Python floats in numpy's order, ``bisect_right`` for ``searchsorted``."""
     if not (all(0 <= p < math.inf for p in probs) and total > 0):
         raise ValueError(f"invalid outcome probabilities {probs}")
     cdf = list(itertools.accumulate(p / total for p in probs))
@@ -317,7 +322,17 @@ def run_flip_round(phi, psi, rng):
     flat ``take`` by ``_SUM_GATHER``, and the measurement is the register's
     (:meth:`ProtocolState.measure_standard`) on that 3 x 3 array, with the
     same probabilities, the same single draw and the same two
-    normalisations, so draws and states are those of the register.
+    normalisations, so draws and states are those of the register, down
+    to the sign of an exact zero.
+
+    Numpy stays where its bits differ from plain Python's: the complex
+    product, ``np.abs`` (its complex absolute value differs from ``abs``
+    in the last bit on about a third of inputs), the BLAS dots in
+    :func:`_norm` and the complex / real divides.  The probabilities are
+    Python floats from ``np.abs(amps).tolist()``: squares are correctly
+    rounded either way, and numpy sums three float64 terms left to right,
+    both along axis 0 of a 3 x 3 and in a 1-D ``sum``, so the column sums
+    and the total are numpy's exactly.
     """
     phi = np.asarray(phi, complex)
     if phi.shape != (3,) or np.shape(psi) != (3,):
@@ -328,12 +343,16 @@ def run_flip_round(phi, psi, rng):
     if not 0 < norm < np.inf:
         raise ValueError(f"state vector needs a finite, nonzero norm (got {norm})")
     amps = (joint / norm).take(_SUM_GATHER)
-    outcome = _born_outcome(np.square(np.abs(amps)).sum(axis=0), rng)
-    column = amps[:, outcome]
+    (a, b, c), (d, e, f), (g, h, i) = np.abs(amps).tolist()
+    probs = [a * a + d * d + g * g, b * b + e * e + h * h, c * c + f * f + i * i]
+    outcome = _born_outcome(probs, probs[0] + probs[1] + probs[2], rng)
     # the register's collapse normalises over all nine entries; the zeros
-    # change the dot's summation order and so the last bit of the state
+    # change the dot's summation order and so the last bit of the state.
+    # Adding into +0.0 makes a -0.0 amplitude +0.0, as the register's
+    # matrix products do
     kept = np.zeros((3, 3), complex)
-    kept[:, outcome] = column
+    column = kept[:, outcome]
+    column += amps[:, outcome]
     marginal = column / _norm(kept)
     return FLIP_PATTERNS[outcome], marginal / _norm(marginal)
 
@@ -349,9 +368,20 @@ _STEPS = np.array([_sign_class(FLIP_PATTERNS[j]) for j in range(3)], np.uint8)
 _ABSORBING = _sign_class(FLIP_PATTERNS[0])
 
 
+def _round_count(n):
+    """``n`` as an int >= 0; a bool or a non-integer raises ``TypeError``,
+    a negative count ``ValueError``."""
+    if isinstance(n, bool):
+        raise TypeError(f"a round count must be an integer, got {n!r}")
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"a round count must be >= 0, got {n}")
+    return n
+
+
 def exact_flip_probability(n):
-    """p_n = 1 - (2/3)^n as an exact Fraction."""
-    return 1 - Fraction(2, 3) ** n
+    """p_n = 1 - (2/3)^n as an exact Fraction, for an integer n >= 0."""
+    return 1 - Fraction(2, 3) ** _round_count(n)
 
 
 def exact_flip_curve(n_max):
@@ -360,7 +390,9 @@ def exact_flip_curve(n_max):
     States are the Klein four-group of sign patterns modulo global sign
     (:func:`_sign_class` codes); each round multiplies by one of the three
     flip classes with probability 1/3, absorbing at the Flip[2] class.
+    One row per round 1..``n_max``, an integer >= 0.
     """
+    n_max = _round_count(n_max)
     third = Fraction(1, 3)
     dist = [Fraction(1)] + [Fraction(0)] * 3  # the identity class, code 0
     absorbed = Fraction(0)

@@ -182,6 +182,18 @@ def random_state(rng, shape):
     return amps / np.linalg.norm(amps)
 
 
+# data qutrits the slow-path Flip comparisons run besides random ones: exact
+# and negative zeros, whose signs only a byte comparison sees, and norms
+# 1e-3 and 1e3
+FLIP_EDGE_STARTS = [np.array([1, 0, 0], complex), np.array([0, -0.0j, 1j]),
+                    1e-3 * np.array([0.6, 0.48j, 0.64]), 1e3 * np.array([0.6, -0.48j, 0.64])]
+
+
+def flip_starts(data, episodes):
+    """The edge starts, then ``episodes`` random unit data qutrits."""
+    return FLIP_EDGE_STARTS + [random_state(data, 3) for _ in range(episodes)]
+
+
 def test_apply_hadamard():
     state = ProtocolState(1, 3, seed=0)
     state.apply(hadamard(3), (0,))
@@ -382,6 +394,19 @@ def test_exact_curve_matches_closed_form():
     for n in range(1, 11):
         assert curve[n - 1] == exact_flip_probability(n)
         assert curve[n - 1] == Fraction(3 ** n - 2 ** n, 3 ** n)
+    # zero rounds are valid, and any integer type is a round count
+    assert exact_flip_probability(0) == 0 and exact_flip_curve(0) == []
+    assert exact_flip_probability(np.int64(3)) == curve[2]
+    assert exact_flip_curve(np.int64(2)) == curve[:2]
+
+
+@pytest.mark.parametrize("function", [exact_flip_probability, exact_flip_curve])
+@pytest.mark.parametrize("n, error", [(-1, ValueError), (-3, ValueError), (2.5, TypeError),
+                                      (2.0, TypeError), (True, TypeError), ("3", TypeError),
+                                      (np.True_, TypeError)])
+def test_exact_flip_round_count_checked(function, n, error):
+    with pytest.raises(error):
+        function(n)
 
 
 def test_monte_carlo_matches_curve():
@@ -507,17 +532,24 @@ def test_register_ops_match_slow_path():
 
 @pytest.mark.parametrize("seed", [4, 5, 11])
 def test_ancilla_and_rounds_match_slow_path(seed):
+    """Byte-equal ancillas and states (so the signs of zeros too), odd
+    episodes with the ancilla times a random phase."""
     fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     data = np.random.default_rng([seed, 2])
-    for _ in range(40):
+    for episode, start in enumerate(flip_starts(data, 40)):
         psi, attempts = prepare_flip_ancilla(fast_rng)
         psi_slow, attempts_slow = slow_prepare_flip_ancilla(slow_rng)
-        assert attempts == attempts_slow and np.array_equal(psi, psi_slow)
-        phi = phi_slow = random_state(data, 3)
+        assert attempts == attempts_slow and psi.tobytes() == psi_slow.tobytes()
+        assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+        if episode % 2:
+            phase = np.exp(1j * data.uniform(0, 2 * np.pi))
+            psi, psi_slow = phase * psi, phase * psi_slow
+        phi = phi_slow = start
         for _ in range(5):
             pattern, phi = run_flip_round(phi, psi, fast_rng)
             pattern_slow, phi_slow = slow_run_flip_round(phi_slow, psi_slow, slow_rng)
-            assert pattern == pattern_slow and np.array_equal(phi, phi_slow)
+            assert pattern == pattern_slow and phi.tobytes() == phi_slow.tobytes()
+            assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("trials, n_max, seed", [(20000, 10, 0), (20000, 10, 5), (3000, 8, 123),
@@ -553,7 +585,8 @@ def test_sign_classes_are_the_quotient_group():
 @pytest.mark.parametrize("d", range(2, 13))
 def test_born_outcome_matches_searchsorted(d):
     """Python-float cdf and bisect against the numpy cdf and searchsorted,
-    on random draws and on every cdf boundary and its neighbours."""
+    on random draws and on every cdf boundary and its neighbours.  The
+    total is numpy's, as callers pass it: pairwise from d = 8."""
     rng = np.random.default_rng(d)
 
     class Fixed:
@@ -572,7 +605,22 @@ def test_born_outcome_matches_searchsorted(d):
                                   if 0 <= v < 1]
         for draw in draws:
             expected = int(cdf.searchsorted(draw, side="right"))
-            assert protocol._born_outcome(probs, Fixed(float(draw))) == expected
+            assert protocol._born_outcome(probs.tolist(), float(probs.sum()),
+                                          Fixed(float(draw))) == expected
+
+
+def test_numpy_sums_three_floats_left_to_right():
+    """A Flip round sums its probabilities on Python floats as
+    ``(a + b) + c``; numpy's 1-D ``sum`` and a 3 x 3 ``sum(axis=0)`` must
+    do the same, or the draws move."""
+    rng = np.random.default_rng(31)
+    for scale in (1.0, 1e-9, 1e9):
+        triples = rng.random((3000, 3)) * rng.choice([1.0, scale], (3000, 3))
+        left_to_right = [(a + b) + c for a, b, c in triples.tolist()]
+        assert [float(t.sum()) for t in triples] == left_to_right
+        # C-contiguous 3 x 3 blocks holding a triple per column, as a round's are
+        blocks = np.ascontiguousarray(triples.reshape(-1, 3, 3).transpose(0, 2, 1))
+        assert [x for block in blocks for x in block.sum(axis=0).tolist()] == left_to_right
 
 
 def test_monte_carlo_survivors_cross_block_edge():
@@ -648,17 +696,17 @@ def test_flip_episodes_match_slow_path_draw_for_draw(seed, theta):
     phase = np.exp(1j * theta)
     fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     data = np.random.default_rng([seed, 2])
-    for _ in range(40):
+    for start in flip_starts(data, 40):
         psi, attempts = prepare_flip_ancilla(fast_rng)
         psi_slow, attempts_slow = slow_prepare_flip_ancilla(slow_rng)
-        assert attempts == attempts_slow and np.array_equal(psi, psi_slow)
+        assert attempts == attempts_slow and psi.tobytes() == psi_slow.tobytes()
         assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
         psi, psi_slow = phase * psi, phase * psi_slow
-        phi = phi_slow = random_state(data, 3)
+        phi = phi_slow = start
         for _ in range(5):
             pattern, phi = run_flip_round(phi, psi, fast_rng)
             pattern_slow, phi_slow = slow_run_flip_round(phi_slow, psi_slow, slow_rng)
-            assert pattern == pattern_slow and np.array_equal(phi, phi_slow)
+            assert pattern == pattern_slow and phi.tobytes() == phi_slow.tobytes()
             assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
 
