@@ -33,6 +33,16 @@ exact nonzeros (``BraidRep.nonzeros``); no dense dim x dim generator is
 built.  :func:`rep_check` and :func:`metaplectic.synthesis.eval_word`
 work from that form, and ``BraidRep.generators``/``BraidRep.sigma``
 return fresh dense copies for the small reps that need matrices.
+
+:func:`shape_check` checks the relations of the rep on a tree shape.  On
+a left comb of one leaf type, sigma_i changes only the path charge
+p_{i-1}, reading p_{i-2} and p_i (the path model of the comb reps; Wenzl,
+"Hecke algebras of type A_n and subfactors", Invent. Math. 1988), so it
+checks local path windows and builds neither basis rows nor generators;
+its residuals are :func:`rep_check`'s, float for float.  Every other
+shape, and a comb too small or short of data for windows, takes
+:func:`rep_check` on :func:`general_generators`, as the pair-tree models
+take it on :func:`pair_tree_generators`.
 """
 
 from __future__ import annotations
@@ -41,10 +51,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import _finder, _internal_nodes, _leaf_slots, _rotate, enumerate_basis, pair_tree
+from .trees import (_comb_structure, _counted, _finder, _internal_nodes, _leaf_slots, _rotate,
+                    enumerate_basis, pair_tree)
 from .triples import _dense, _keyed_product, _max_diff, _nonzeros, _product, _row_starts
 
-__all__ = ["BraidRep", "RepReport", "pair_tree_generators", "general_generators", "rep_check"]
+__all__ = ["BraidRep", "RepReport", "pair_tree_generators", "general_generators", "rep_check",
+           "shape_check"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,6 +156,39 @@ def pair_tree_generators(cat, a, b):
     return BraidRep(4, basis.dim, tuple(_nonzeros(g) for g in (sigma1, sigma2, sigma3)))
 
 
+def _twists(cat, a):
+    """The twist blocks of leaf ``a``: ``twists[x, d, c', c]`` =
+    sum_w conj(F[x,a,a;d]_{c'w}) R[a,a;w] F[x,a,a;d]_{cw} on each block's
+    own rows, zero elsewhere and on blocks that need absent data; the mask
+    ``missing[x, d]`` of those blocks; and ``r_missing[x, d, w]``, the
+    absent R[a,a;w] that the block (x, d) would read."""
+    tables = cat.tables
+    c_rows, c_cols = tables.rows[:, a, a], tables.cols[:, a, a]  # [x, d, c]: c is a row/col
+    r_missing = c_cols & tables.r_missing[a, a]
+    missing = tables.f_missing[:, a, a] | r_missing.any(-1)
+    twists = np.zeros((len(cat.labels),) * 4, dtype=complex)  # [x, d, c', c]
+    for x, d in zip(*np.nonzero(c_rows.any(-1) & ~missing)):
+        # F[x,a,a;d]^* diag(R[a,a;w]) F[x,a,a;d]^T on the block's own rows and columns
+        fmat = tables.f[x, a, a, d][np.ix_(c_rows[x, d], c_cols[x, d])]
+        twist = tables.r[a, a, c_cols[x, d]]
+        twists[x, d][np.ix_(c_rows[x, d], c_rows[x, d])] = fmat.conj() @ (twist[:, None] * fmat.T)
+    return twists, missing, r_missing
+
+
+def _twisted(twists, labels, find, x, c, d, pc):
+    """Row-major triples of the twist acting on column ``pc`` of ``labels``
+    (charge ``c`` of each row, between ``x`` and ``d``): row j goes to the
+    row ``find`` locates with c' in column pc, with coefficient
+    twists[x, d, c', c]."""
+    coeffs = twists[x, d, :, c]
+    cols, new = np.nonzero(coeffs)
+    moved = labels[cols]
+    moved[:, pc] = new
+    rows = find(moved)
+    order = np.argsort(rows * len(labels) + cols)
+    return rows[order], cols[order], coeffs[cols, new][order]
+
+
 def general_generators(cat, basis):
     """Braid generators on an arbitrary fusion-tree basis.
 
@@ -155,10 +200,10 @@ def general_generators(cat, basis):
     sigma_i changes only the charge c of ``(X, i-1)``, x that of X, by
     sigma[c', c] = sum_w conj(F[x,a,a;d]_{c'w}) R[a,a;w] F[x,a,a;d]_{cw};
     for siblings ``(i-1, i)`` it is R[a,a;d].  It is one gather from these
-    twist blocks, indexed [x, d, c', c] and formed from ``cat.tables``; the
-    first row that needs absent data raises through ``cat.f``/``cat.r``.
-    Undoing the rotations gives sigma_i on the basis.  All strands must
-    carry one anyon type, and ``basis`` must be a basis of ``cat``.
+    twist blocks (:func:`_twists`), indexed [x, d, c', c]; the first row
+    that needs absent data raises through ``cat.f``/``cat.r``.  Undoing the
+    rotations gives sigma_i on the basis.  All strands must carry one anyon
+    type, and ``basis`` must be a basis of ``cat``.
     """
     if basis.cat is not cat:
         raise ValueError(f"general_generators: the basis must be enumerated on {cat.name} "
@@ -169,15 +214,7 @@ def general_generators(cat, basis):
         raise ValueError("general_generators requires identical leaf labels")
     names, tables = cat.labels, cat.tables
     a = names.index(shape.leaves[0])
-    c_rows, c_cols = tables.rows[:, a, a], tables.cols[:, a, a]  # [x, d, c]: c is a row/col
-    r_missing = c_cols & tables.r_missing[a, a]
-    missing = tables.f_missing[:, a, a] | r_missing.any(-1)
-    twists = np.zeros((len(names),) * 4, dtype=complex)  # [x, d, c', c]
-    for x, d in zip(*np.nonzero(c_rows.any(-1) & ~missing)):
-        # F[x,a,a;d]^* diag(R[a,a;w]) F[x,a,a;d]^T on the block's own rows and columns
-        fmat = tables.f[x, a, a, d][np.ix_(c_rows[x, d], c_cols[x, d])]
-        twist = tables.r[a, a, c_cols[x, d]]
-        twists[x, d][np.ix_(c_rows[x, d], c_rows[x, d])] = fmat.conj() @ (twist[:, None] * fmat.T)
+    twists, missing, r_missing = _twists(cat, a)
     dim = basis.dim
     signs = np.asarray(basis.signs, dtype=float)
     identity = (np.arange(dim), np.arange(dim), np.ones(dim, dtype=complex))
@@ -202,17 +239,12 @@ def general_generators(cat, basis):
         pc, px = ((-2, -1) if isinstance(left, int)
                   else (k + 1, -2 if isinstance(left[0], int) else k + 2))
         extended = np.column_stack([labels, tail])
-        x, c, d = extended[:, px], extended[:, pc], extended[:, k]
+        x, d = extended[:, px], extended[:, k]
         for j in np.flatnonzero(missing[x, d])[:1]:  # raises MissingDataError
             cat._raise_missing(cat.f, tables.f_missing[x[j], a, a, d[j]], x[j], a, a, d[j])
             cat._raise_missing(cat.r, r_missing[x[j], d[j]], a, a, np.arange(len(names)))
-        coeffs = twists[x, d, :, c]
-        cols, new = np.nonzero(coeffs)
-        moved = extended[cols]
-        moved[:, pc] = new
-        rows = (find_unrotated if move is identity else _finder(extended))(moved)
-        order = np.argsort(rows * dim + cols)
-        gen = rows[order], cols[order], coeffs[cols, new][order]
+        gen = _twisted(twists, extended, find_unrotated if move is identity else _finder(extended),
+                       x, extended[:, pc], d, pc)
         if move is not identity:
             # only trees._GOLDEN pair trees have signs; unrotated, sigma_i is diagonal there
             rows, cols, values = _product(dim, (move[1], move[0], move[2].conj()),
@@ -247,6 +279,24 @@ def _word(dim, left, *factors):
     return _keyed_product(dim, left, right, starts)
 
 
+def _unit_and_braid(dim, nonzeros, states):
+    """The generators' (triples, row starts) pairs, the unitarity residual
+    of each and the braid residual of each consecutive pair, for row-major
+    triples on dim x dim matrices whose first ``states`` rows and columns
+    hold the space (the rest are empty)."""
+    gens = [(gen, _row_starts(dim, gen[0])) for gen in nonzeros]
+    eye = (np.arange(states) * (dim + 1), np.ones(states))
+    unit = [_max_diff(_word(dim, (gen[1], gen[0], gen[2].conj()), (gen, starts)), eye)
+            for gen, starts in gens]
+    braid = [_max_diff(_word(dim, a[0], b, a), _word(dim, b[0], a, b))
+             for a, b in zip(gens, gens[1:])]
+    return gens, unit, braid
+
+
+def _report(unit, braid, far):
+    return RepReport(*(float(np.max(res, initial=0.0)) for res in (unit, braid, far)))
+
+
 def rep_check(rep):
     """Exact residuals of unitarity, braid, and far-commutation relations.
 
@@ -268,12 +318,104 @@ def rep_check(rep):
     dim = rep.dim
     if dim == 0:
         raise ValueError("empty fusion space: nothing to check")
-    gens = [(gen, _row_starts(dim, gen[0])) for gen in rep.nonzeros]
-    eye = (np.arange(dim) * (dim + 1), np.ones(dim))
-    unit = [_max_diff(_word(dim, (gen[1], gen[0], gen[2].conj()), (gen, starts)), eye)
-            for gen, starts in gens]
-    braid = [_max_diff(_word(dim, a[0], b, a), _word(dim, b[0], a, b))
-             for a, b in zip(gens, gens[1:])]
+    gens, unit, braid = _unit_and_braid(dim, rep.nonzeros, dim)
     far = [_max_diff(_word(dim, a[0], b), _word(dim, b[0], a))
            for i, a in enumerate(gens) for b in gens[i + 2:]]
-    return RepReport(*(float(np.max(res, initial=0.0)) for res in (unit, braid, far)))
+    return _report(unit, braid, far)
+
+
+def shape_check(cat, shape):
+    """``(dim, report)`` of the braid rep on ``shape``: the report is
+    ``rep_check(general_generators(cat, enumerate_basis(cat, shape)))``,
+    float for float, and every error is the one that call raises.
+
+    A left comb of one leaf type is checked on local path windows
+    (:func:`_comb_windows`), building neither basis rows nor generators;
+    every other shape, and a comb whose windows defer, takes that call.
+    """
+    leaves = {cat.resolve(leaf) for leaf in shape.leaves}
+    if len(leaves) == 1 and shape.structure == _comb_structure(shape.n_leaves):
+        counted, dim, _ = _counted(cat, shape)
+        report = _comb_windows(cat, counted, dim)
+        if report is not None:
+            return dim, report
+    basis = enumerate_basis(cat, shape)
+    return basis.dim, rep_check(general_generators(cat, basis))
+
+
+def _comb_windows(cat, shape, dim):
+    """:func:`rep_check` of the left comb ``shape`` (one leaf type a, labels
+    resolved, space of dimension ``dim``) from local path windows, or None
+    where the global check must run instead.
+
+    Write p_0 = a, p_j for the charge of leaves 0..j (p_{n-1} the total)
+    and p_{-1} for the unit.  sigma_i changes only p_{i-1}, by the twist
+    block (p_{i-2}, p_i) of :func:`_twists`, as in
+    :func:`general_generators`; the comb basis orders its states
+    lexicographically, the last charge first.  So every entry of a
+    relation's residual depends only on a window of charges, bit for bit:
+    its terms are the same values, multiplied in the same operand order and
+    summed in the same order, as the window's own states sort the same
+    way.  A window occurs when its first charge is reachable from p_{-1}
+    and its last reaches the total.
+
+    * Unitarity and braid relations: sigma_A and sigma_B act on c and d of
+      the states (x, c, d, e) with x -> c -> d -> e under fusion with a,
+      over every (x, e) that occurs for some i as (p_{i-2}, p_{i+1}).  They
+      are checked by the global kernel on that space, embedded in at least
+      m^3 dimensions, m the largest twist block, so that no product takes
+      the dense fallback; the global check takes none either, as it runs
+      here only for dim >= m^3.
+    * Far commutation: each entry of sigma_i sigma_j (j >= i + 2) is one
+      term u v, u from sigma_i and v from sigma_j, and of sigma_j sigma_i
+      the term v u, so the residual is the max |(uv + 0) - (vu + 0)| over
+      the pairs of twist entries whose blocks occur on one path.
+
+    Returns None for fewer than 3 strands, an empty space, dim < m^3, or a
+    window that needs absent data, so that the global check meets the
+    same rows and raises the same error.
+    """
+    n, tables = shape.n_leaves, cat.tables
+    size = len(cat.labels)
+    a, total = cat.labels.index(shape.leaves[0]), cat.labels.index(shape.total)
+    twists, missing, _ = _twists(cat, a)
+    step = tables.fusion[:, a]  # [q, q']: q x a -> q'
+    blocks = tables.rows[:, a, a]  # [x, d, c]: x -> c -> d
+    m = int(blocks.sum(-1).max())
+    if n < 3 or dim == 0 or dim < m ** 3:
+        return None
+    # forward[t], backward[t]: the charges p_{t-1} can carry on a path from
+    # the unit, and on a path to the total
+    forward, backward = [np.arange(size) == 0], [np.arange(size) == total]
+    for _ in range(n):
+        forward.append(forward[-1] @ step)
+        backward.append(step @ backward[-1])
+    backward.reverse()
+    # braid windows (x, e) = (p_{i-2}, p_{i+1}), i = 1..n-2
+    ends = np.any([np.outer(forward[i - 1], backward[i + 2]) for i in range(1, n - 1)], axis=0)
+    e, d, c, x = np.nonzero(ends.T[:, None, None, :] & step.T[:, :, None, None]
+                            & step.T[None, :, :, None] & step.T[None, None, :, :])
+    if missing[x, d].any() or missing[c, e].any():
+        return None
+    labels = np.column_stack([e, d, c, x])
+    find, states = _finder(labels), len(labels)
+    sigma_a = _twisted(twists, labels, find, x, c, d, 2)
+    sigma_b = _twisted(twists, labels, find, c, d, e, 1)
+    _, unit, braid = _unit_and_braid(max(states, m ** 3), (sigma_a, sigma_b), states)
+    # far[x, d, y, f]: a block (x, d) of sigma_i and (y, f) of sigma_j occur
+    # on one path for some j >= i + 2; later[d, y, f]: from p_i = d a path
+    # reaches y at p_{j-2} and f at p_j through the block (y, f)
+    has_block = blocks.any(-1)
+    far = np.zeros((size,) * 4, dtype=bool)
+    later = np.zeros((size,) * 3, dtype=bool)
+    paths = step.astype(int)
+    for i in range(n - 3, 0, -1):
+        later = (paths @ later.reshape(size, -1) > 0).reshape(later.shape)
+        later |= np.eye(size, dtype=bool)[:, :, None] & (has_block & backward[i + 3])[None]
+        far |= (forward[i - 1][:, None] & has_block)[:, :, None, None] & later[None]
+    bx, bd, rows, cols = np.nonzero(twists)
+    values = twists[bx, bd, rows, cols]
+    first, second = np.nonzero(far[bx[:, None], bd[:, None], bx, bd])
+    u, v = values[first], values[second]
+    commutation = np.abs((u * v + 0.0) - (v * u + 0.0))
+    return _report(unit, braid, [commutation.max(initial=0.0)])

@@ -30,7 +30,7 @@ import numpy as np
 from .categories import (BUILTIN_CATEGORIES, CategoryFileError, MissingDataError,
                          UnknownLabelError, builtin_category, check_consistency,
                          parse_category, serialize_category)
-from .braidrep import general_generators, pair_tree_generators, rep_check
+from .braidrep import BraidRep, general_generators, pair_tree_generators, rep_check, shape_check
 from .gates import (_MAX_DIM, cz_gate, hadamard, make_gate, mult_gate, parse_gate, q_gate,
                     sum_gate, x_gate, equal_up_to_phase)
 from .protocol import _MAX_ROUNDS, _MAX_TRIALS, estimate_flip_success
@@ -171,7 +171,9 @@ def _cmd_category(args):
 # rep / braid
 
 
-def _resolve_rep(args):
+def _resolve_source(args):
+    """The category, and the pair-tree rep of a ``--model`` or the tree
+    shape of a ``--category`` source."""
     if args.model:
         if args.shape or args.leaves or args.total:
             args.source_parser.error("--model takes no --shape, --leaves or --total")
@@ -181,14 +183,20 @@ def _resolve_rep(args):
     if not (args.shape or (args.leaves and args.total)):
         args.source_parser.error("--category needs --shape, or --leaves with --total")
     cat = builtin_category(args.category)
-    shape = (parse_shape(cat, args.shape) if args.shape
-             else comb_tree(cat, args.leaves.split(), args.total))
-    return cat, general_generators(cat, enumerate_basis(cat, shape))
+    return cat, (parse_shape(cat, args.shape) if args.shape
+                 else comb_tree(cat, args.leaves.split(), args.total))
+
+
+def _resolve_rep(args):
+    cat, source = _resolve_source(args)
+    if isinstance(source, BraidRep):
+        return cat, source
+    return cat, general_generators(cat, enumerate_basis(cat, source))
 
 
 def _cmd_rep(args):
-    cat, rep = _resolve_rep(args)
     if args.action == "show":
+        cat, rep = _resolve_rep(args)
         # one dense generator at a time: the text of a 16-strand comb is 2.3 GB
         print(f"{cat.name}: {rep.n_strands} strands, dim {rep.dim}")
         for i in range(1, rep.n_strands):
@@ -196,14 +204,19 @@ def _cmd_rep(args):
             _print_matrix(rep.sigma(i))
         _emit([], [f"dim={rep.dim}", f"n_strands={rep.n_strands}"])
         return EXIT_OK
-    report = rep_check(rep)
+    cat, source = _resolve_source(args)
+    if isinstance(source, BraidRep):
+        dim, n_strands, report = source.dim, source.n_strands, rep_check(source)
+    else:  # a left comb is checked on path windows, without its generators
+        n_strands = source.n_leaves
+        dim, report = shape_check(cat, source)
     ok = report.ok(args.tol)
     _emit(
-        [f"{cat.name}: dim {rep.dim} rep on {rep.n_strands} strands",
+        [f"{cat.name}: dim {dim} rep on {n_strands} strands",
          f"  unitarity max residual       : {report.unitarity_max:.3e}",
          f"  braid relation max residual  : {report.braid_max:.3e}",
          f"  far commutation max residual : {report.far_commutation_max:.3e}"],
-        [f"dim={rep.dim}",
+        [f"dim={dim}",
          f"unitarity_max={report.unitarity_max:.3e}",
          f"braid_max={report.braid_max:.3e}",
          f"far_commutation_max={report.far_commutation_max:.3e}",

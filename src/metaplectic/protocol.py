@@ -193,7 +193,7 @@ def _born_outcome(probs, total, rng):
     ``probs`` is a list of Python floats and ``total`` their sum as the
     caller's numpy would form it (pairwise from 8 terms); the rest runs on
     Python floats in numpy's order, ``bisect_right`` for ``searchsorted``."""
-    if not (all(0 <= p < math.inf for p in probs) and total > 0):
+    if not (all(0 <= p < math.inf for p in probs) and 0 < total < math.inf):
         raise ValueError(f"invalid outcome probabilities {probs}")
     cdf = list(itertools.accumulate(p / total for p in probs))
     last = cdf[-1]

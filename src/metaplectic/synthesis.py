@@ -203,8 +203,8 @@ def eval_word(rep, word):
     """
     _check_strands(rep, word)
     dim = rep.dim
-    letters = set(word.letters)
-    if 48 * dim * dim <= _PANEL_BYTES or any(_letter_factor(rep, x)[1] for x in letters):
+    factors = {letter: _letter_factor(rep, letter) for letter in set(word.letters)}
+    if 48 * dim * dim <= _PANEL_BYTES or any(dense for _, dense in factors.values()):
         workers, count = 1, 1
     else:
         workers = _workers()
@@ -215,7 +215,7 @@ def eval_word(rep, word):
     if need > _CLOSURE_BYTES:
         raise ValueError(f"a word on the dim-{dim} rep needs {need / 2 ** 30:.1f} GiB for its "
                          f"result and buffers, over the {_CLOSURE_BYTES >> 30} GiB budget")
-    actions = {letter: _letter_action(rep, letter)[0] for letter in letters}
+    actions = {letter: _letter_action(dim, *factor) for letter, factor in factors.items()}
     steps = [actions[letter] for letter in word.letters]
     out = np.empty((dim, dim), dtype=complex)
     edges = [dim * k // count for k in range(count + 1)]
@@ -291,14 +291,13 @@ def _letter_factor(rep, letter):
     return (rows, cols, values), 4 * passes * passes > dim - 32
 
 
-def _letter_action(rep, letter):
-    """A function (t, out, scratch) writing (t^T s)^T into ``out`` for the
-    factor s of :func:`_letter_factor`, and whether it is a dense matmul."""
-    dim = rep.dim
-    (rows, cols, values), dense = _letter_factor(rep, letter)
+def _letter_action(dim, nonzeros, dense):
+    """A function (t, out, scratch) writing (t^T s)^T into ``out`` for a
+    factor s on dim x dim, given as :func:`_letter_factor` returns it."""
+    rows, cols, values = nonzeros
     if dense:
         factor = _dense(dim, (cols, rows, values))  # s^T, as it multiplies t
-        return (lambda t, out, scratch: np.matmul(factor, t, out=out)), True
+        return lambda t, out, scratch: np.matmul(factor, t, out=out)
     off = rows != cols
     diag = np.zeros((dim, 1), dtype=complex)
     diag[cols[~off], 0] = values[~off]
@@ -322,7 +321,7 @@ def _letter_action(rep, letter):
             np.take(t, rows_of_t, axis=0, out=scratch, mode="clip")
             np.multiply(scratch, weight, out=scratch)
             np.add(out, scratch, out=out)
-    return act, False
+    return act
 
 
 @dataclass

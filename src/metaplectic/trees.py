@@ -89,8 +89,12 @@ def pair_tree(cat, leaf, total):
 def comb_tree(cat, leaves, total):
     """Left-nested comb (((l0 l1) l2) ...) -> total."""
     leaves = tuple(cat.resolve(l) for l in leaves)
-    structure = reduce(lambda acc, i: (acc, i), range(1, len(leaves)), 0)
-    return TreeShape(structure, leaves, cat.resolve(total))
+    return TreeShape(_comb_structure(len(leaves)), leaves, cat.resolve(total))
+
+
+def _comb_structure(n):
+    """The structure of the left comb on n leaves."""
+    return reduce(lambda acc, i: (acc, i), range(1, n), 0)
 
 
 def block_comb_tree(cat, leaf, n_blocks, total):
@@ -149,18 +153,42 @@ def enumerate_basis(cat, shape):
     in the category's label order, except for the registered computational
     bases, whose printed order and signs are kept.
 
-    A space is refused with ``ValueError`` before any row is formed when
-    the label rows of one node, counted on the fusion tensor, or the least
-    storage of its braid generators (each sigma_i is unitary: an intp row,
-    intp column and complex value per basis row) would pass the 1 GiB
-    budget of :mod:`metaplectic.synthesis`.
+    The count pass (:func:`_counted`) refuses a space with ``ValueError``
+    before any row is formed when the label rows of one node, counted on
+    the fusion tensor, or the least storage of its braid generators (each
+    sigma_i is unitary: an intp row, intp column and complex value per
+    basis row) would pass the 1 GiB budget of :mod:`metaplectic.synthesis`.
+    The comb check of :func:`metaplectic.braidrep.shape_check`, which forms
+    neither rows nor generators, runs the same count pass and so meets the
+    same refusal: every argv keeps its exit code, and lifting the budget
+    for combs would be a separate change.
     """
+    shape, _, possible = _counted(cat, shape)
+    total = cat.labels.index(shape.total)
+    labels = _joined(cat, shape, possible, shape.structure, np.arange(len(cat.labels)) == total)
+    labels = labels[np.lexsort(labels.T[::-1])]
+    signs = (1,) * len(labels)
+    key = (cat.name, shape.structure, shape.leaves, shape.total)
+    if key in _GOLDEN:
+        golden_states, signs = _GOLDEN[key]
+        golden = np.array([[cat.labels.index(x) for x in (shape.total, *state)]
+                           for state in golden_states])
+        if not np.array_equal(np.unique(golden, axis=0), labels):
+            raise AssertionError(f"golden basis mismatch for {key}")
+        labels = golden
+    return FusionTreeBasis(cat, shape, _read_only(labels), signs)
+
+
+def _counted(cat, shape):
+    """The count pass of :func:`enumerate_basis`: ``shape`` with its labels
+    resolved, the dimension of its space, and for each subtree the root
+    charges it has rows for.  Counts are exact Python ints; a space past
+    the budget raises ``ValueError`` here, before any row is formed."""
     from .synthesis import _CLOSURE_BYTES  # here, so importing trees loads no synthesis
 
     shape = TreeShape(shape.structure, tuple(map(cat.resolve, shape.leaves)),
                       cat.resolve(shape.total))
-    fusion = cat.tables.fusion
-    exact, node_bytes, intp = fusion.astype(object), [], np.dtype(np.intp).itemsize
+    exact, node_bytes, intp = cat.tables.fusion.astype(object), [], np.dtype(np.intp).itemsize
     possible = {}  # subtree -> the root charges it has rows for
 
     def count(structure):
@@ -175,40 +203,30 @@ def enumerate_basis(cat, shape):
         possible[structure] = rows > 0
         return rows, width
 
-    total = cat.labels.index(shape.total)
-    dim = int(count(shape.structure)[0][total])
+    dim = int(count(shape.structure)[0][cat.labels.index(shape.total)])
     for what, need in (("label rows", max(node_bytes)),
                        ("braid generators", dim * (shape.n_leaves - 1) * (2 * intp + 16))):
         if need > _CLOSURE_BYTES:
             raise ValueError(f"the dim-{dim} space on {shape.n_leaves} leaves needs at least "
                              f"{need} bytes ({need / 2 ** 30:.2f} GiB) for its {what}, over "
                              f"the {_CLOSURE_BYTES >> 30} GiB budget")
+    return shape, dim, possible
 
-    def join(structure, allowed):
-        # rows of a subtree with an allowed root charge: that charge, then its
-        # internal charges in preorder
-        if isinstance(structure, int):
-            return np.array([[cat.labels.index(shape.leaves[structure])]])
-        fuse = fusion & allowed
-        reach = fuse & possible[structure[0]][:, None, None] & possible[structure[1]][:, None]
-        left, right = join(structure[0], reach.any((1, 2))), join(structure[1], reach.any((0, 2)))
-        i, j, charge = np.nonzero(fuse[left[:, :1], right[:, 0]])
-        return np.column_stack([charge] + [rows[at] for rows, at, child in
-                                           ((left, i, structure[0]), (right, j, structure[1]))
-                                           if not isinstance(child, int)])
 
-    labels = join(shape.structure, np.arange(len(cat.labels)) == total)
-    labels = labels[np.lexsort(labels.T[::-1])]
-    signs = (1,) * len(labels)
-    key = (cat.name, shape.structure, shape.leaves, shape.total)
-    if key in _GOLDEN:
-        golden_states, signs = _GOLDEN[key]
-        golden = np.array([[cat.labels.index(x) for x in (shape.total, *state)]
-                           for state in golden_states])
-        if not np.array_equal(np.unique(golden, axis=0), labels):
-            raise AssertionError(f"golden basis mismatch for {key}")
-        labels = golden
-    return FusionTreeBasis(cat, shape, _read_only(labels), signs)
+def _joined(cat, shape, possible, structure, allowed):
+    """The rows of a subtree of ``shape`` with an allowed root charge: that
+    charge, then its internal charges in preorder (the row join of
+    :func:`enumerate_basis`)."""
+    if isinstance(structure, int):
+        return np.array([[cat.labels.index(shape.leaves[structure])]])
+    fuse = cat.tables.fusion & allowed
+    reach = fuse & possible[structure[0]][:, None, None] & possible[structure[1]][:, None]
+    left = _joined(cat, shape, possible, structure[0], reach.any((1, 2)))
+    right = _joined(cat, shape, possible, structure[1], reach.any((0, 2)))
+    i, j, charge = np.nonzero(fuse[left[:, :1], right[:, 0]])
+    return np.column_stack([charge] + [rows[at] for rows, at, child in
+                                       ((left, i, structure[0]), (right, j, structure[1]))
+                                       if not isinstance(child, int)])
 
 
 def _keys(labels):

@@ -14,7 +14,7 @@ from metaplectic import triples
 from metaplectic.triples import _nonzeros
 from metaplectic import braidrep
 from metaplectic.braidrep import (BraidRep, RepReport, general_generators,
-                                  pair_tree_generators, rep_check)
+                                  pair_tree_generators, rep_check, shape_check)
 from metaplectic.synthesis import BraidWord, eval_word
 from metaplectic.trees import (TreeShape, block_comb_tree, comb_tree, enumerate_basis,
                                pair_tree, parse_shape, tree_change)
@@ -486,6 +486,50 @@ def test_rep_check_bit_identical_to_per_relation_reference(reference_reps):
 def test_rep_check_bit_identical_on_large_combs(su24, n):
     rep = general_generators(su24, enumerate_basis(su24, comb_tree(su24, ["1"] * n, "2")))
     assert _residuals(rep_check(rep)) == reference_rep_check(rep)
+
+
+COMB_WINDOW_GRID = ([("su2_4", leaf, n) for leaf in ("1", "2", "3") for n in range(3, 17)]
+                    + [("so5_2", "eps", n) for n in range(3, 9)])
+
+
+@pytest.mark.parametrize("name, leaf, n", COMB_WINDOW_GRID,
+                         ids=lambda v: v if isinstance(v, str) else str(v))
+def test_comb_windows_equal_the_global_check(name, leaf, n):
+    """On every comb of the grid, at every total with a nonempty space, the
+    window check gives the global check's residuals float for float, and
+    the error it raises where the generators need absent data.  Every
+    twist block of these leaves has at most 3 rows, so from dim 27 on the
+    windows must not defer."""
+    cat = builtin_category(name)
+    for total in cat.labels:
+        shape = comb_tree(cat, [leaf] * n, total)
+        basis = enumerate_basis(cat, shape)
+        if basis.dim == 0:
+            continue
+        try:
+            want = _residuals(rep_check(general_generators(cat, basis)))
+        except MissingDataError as exc:
+            with pytest.raises(MissingDataError) as raised:
+                shape_check(cat, shape)
+            assert str(raised.value) == str(exc)
+            continue
+        dim, report = shape_check(cat, shape)
+        assert (dim, _residuals(report)) == (basis.dim, want), total
+        windows = braidrep._comb_windows(cat, shape, basis.dim)
+        if basis.dim >= 27:
+            assert _residuals(windows) == want, total
+        else:
+            assert windows is None or _residuals(windows) == want, total
+
+
+def test_comb_windows_defer_where_the_global_check_goes_dense(su24):
+    """The 3-strand `2` comb at total 2 (dim 3, twist blocks of 3 rows) has
+    products past dim^2 terms, which the global check forms by a dense
+    matmul: the windows defer to it."""
+    shape = comb_tree(su24, ["2"] * 3, "2")
+    assert braidrep._comb_windows(su24, shape, 3) is None
+    assert shape_check(su24, shape) == (3, rep_check(general_generators(
+        su24, enumerate_basis(su24, shape))))
 
 
 def test_summation_kernel_keeps_generators(su24, so52, reference_reps, monkeypatch):

@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metaplectic import cli, synthesis
+from metaplectic import braidrep, cli, synthesis, trees
 from metaplectic.braidrep import general_generators
 from metaplectic.categories import (BUILTIN_CATEGORIES, _su2_k, builtin_category,
                                     serialize_category)
-from metaplectic.trees import comb_tree, enumerate_basis
+from metaplectic.trees import comb_tree, enumerate_basis, format_shape
 from metaplectic.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_MISSING_DATA, EXIT_OK, EXIT_USAGE,
                              SENTINEL, build_parser, main)
 
@@ -227,6 +227,68 @@ COMB14 = ["--category", "su2_4", "--leaves", " ".join(["1"] * 14), "--total", "2
 COMB20 = ["--category", "su2_4", "--leaves", " ".join(["1"] * 20), "--total", "2"]  # dim 19683
 COMB28 = ["--category", "su2_4", "--leaves", " ".join(["1"] * 28), "--total", "2"]  # dim 3^13
 COMB40 = ["--category", "su2_4", "--leaves", " ".join(["1"] * 40), "--total", "2"]  # dim 3^19
+
+# rep check sources whose check stops with an error, the same on the window
+# path and on the global one: (source, exit code, the one line on stderr)
+REP_CHECK_ERRORS = [
+    (["--category", "su2_4", "--leaves", "1 1 1", "--total", "0"], EXIT_USAGE,
+     "error: empty fusion space: nothing to check"),
+    (["--category", "su2_4", "--leaves", "1 1 3", "--total", "1"], EXIT_USAGE,
+     "error: general_generators requires identical leaf labels"),
+    (COMB28, EXIT_USAGE, "error: the dim-1594323 space on 28 leaves needs at least 1377495072 "
+     "bytes (1.28 GiB) for its braid generators, over the 1 GiB budget"),
+    (COMB40, EXIT_USAGE, "error: the dim-1162261467 space on 40 leaves needs at least "
+     "725251155408 bytes (675.44 GiB) for its label rows, over the 1 GiB budget"),
+    (["--category", "so5_2", "--leaves", "eps eps eps eps", "--total", "1"], EXIT_MISSING_DATA,
+     "missing category data: so5_2: no stored F-matrix for ('y1', 'eps', 'eps', '1')"),
+]
+
+
+@pytest.mark.parametrize("path", ["windows", "global"])
+@pytest.mark.parametrize("source, code, message", REP_CHECK_ERRORS,
+                         ids=["empty", "mixed", "comb28", "comb40", "so5_2-eps4"])
+def test_rep_check_errors_do_not_depend_on_the_path(source, code, message, path, capsys,
+                                                    monkeypatch):
+    if path == "global":
+        monkeypatch.setattr(braidrep, "_comb_windows", lambda *args: None)
+    assert main(["rep", "check", *source]) == code
+    out, err = capsys.readouterr()
+    assert not out and err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("source", [
+    COMB14,
+    ["--category", "su2_4", "--shape", format_shape(comb_tree(builtin_category("su2_4"),
+                                                              ["1"] * 10, "2"))],
+    ["--category", "su2_4", "--leaves", " ".join(["2"] * 9), "--total", "0"],
+], ids=["comb14", "comb10-shape", "comb9-2"])
+def test_rep_check_on_a_comb_builds_no_rows_or_generators(source, capsys, monkeypatch):
+    """A left comb is checked on path windows: the same stdout as the global
+    check, with neither the row join nor the generators run."""
+    with monkeypatch.context() as forced:
+        forced.setattr(braidrep, "_comb_windows", lambda *args: None)
+        assert main(["rep", "check", *source]) == EXIT_OK
+    want = capsys.readouterr().out
+    for module in (cli, braidrep):
+        monkeypatch.setattr(module, "general_generators",
+                            lambda *args: pytest.fail("the generators were built"))
+    monkeypatch.setattr(trees, "_joined", lambda *args: pytest.fail("the rows were joined"))
+    assert main(["rep", "check", *source]) == EXIT_OK
+    assert capsys.readouterr().out == want
+
+
+def test_rep_show_builds_the_generators(capsys, monkeypatch):
+    built = []
+
+    def counted(cat, basis):
+        built.append(basis.dim)
+        return general_generators(cat, basis)
+    monkeypatch.setattr(cli, "general_generators", counted)
+    assert main(["rep", "show", "--category", "su2_4", "--leaves", "1 1 1 1 1", "--total", "1"]) \
+        == EXIT_OK
+    assert built == [5]
+    assert machine_section(capsys.readouterr().out).splitlines() == ["dim=5", "n_strands=5"]
+
 
 # argv -> exit code for missing, conflicting, or out-of-domain inputs and for
 # checks that could not be performed; main must return, never raise.

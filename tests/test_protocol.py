@@ -506,6 +506,17 @@ def test_measure_standard_rejects_invalid_probabilities():
         state.measure_standard(0)
 
 
+def test_measure_standard_rejects_an_overflowing_total():
+    """Finite probabilities whose sum overflows to inf would normalise to
+    all zeros and divide by zero; they are refused like other invalid ones.
+    (numpy warns of the overflow in the sum, which is not what is tested.)"""
+    state = ProtocolState(1, 3, seed=0)
+    state.amps = np.array([1.3e154, 1.3e154, 0], dtype=complex)
+    with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                   match="invalid outcome probabilities"):
+        state.measure_standard(0)
+
+
 def test_register_ops_match_slow_path():
     # projections and measurements on every qudit of random 1-3 qutrit
     # registers: same outcomes and draws; both sides contract the moved

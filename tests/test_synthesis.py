@@ -110,9 +110,9 @@ def dense_eval_word(rep, word):
 
 def one_array_eval_word(rep, word):
     """``eval_word`` as one array in the calling thread, the reference for
-    its column panels (``_letter_action`` also returns whether the letter
-    is dense, hence the ``[0]``)."""
-    actions = {letter: synthesis._letter_action(rep, letter)[0] for letter in set(word.letters)}
+    its column panels."""
+    actions = {letter: synthesis._letter_action(rep.dim, *synthesis._letter_factor(rep, letter))
+               for letter in set(word.letters)}
     held = np.eye(rep.dim, dtype=complex)
     # every letter writes into preallocated arrays: at dim 243 a fresh
     # array per step can cost more in page faults than the arithmetic
