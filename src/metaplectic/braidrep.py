@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import (_comb_structure, _counted, _finder, _internal_nodes, _leaf_slots, _rotate,
+from .trees import (_counted, _finder, _internal_nodes, _is_comb, _leaf_slots, _rotate,
                     enumerate_basis, pair_tree)
 from .triples import _dense, _keyed_product, _max_diff, _nonzeros, _product, _row_starts
 
@@ -334,7 +334,7 @@ def shape_check(cat, shape):
     every other shape, and a comb whose windows defer, takes that call.
     """
     leaves = {cat.resolve(leaf) for leaf in shape.leaves}
-    if len(leaves) == 1 and shape.structure == _comb_structure(shape.n_leaves):
+    if len(leaves) == 1 and _is_comb(shape.structure):
         counted, dim, _ = _counted(cat, shape)
         report = _comb_windows(cat, counted, dim)
         if report is not None:

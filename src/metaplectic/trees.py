@@ -24,6 +24,7 @@ other bases are ordered lexicographically in the category's label order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import reduce
 
 import numpy as np
@@ -67,17 +68,32 @@ class TreeShape:
 
 
 def _leaf_slots(structure):
-    if isinstance(structure, int):
-        return (structure,)
-    left, right = structure
-    return _leaf_slots(left) + _leaf_slots(right)
+    return tuple(node for node, children in _subtrees(structure) if not children)
 
 
 def _internal_nodes(structure):
     """The internal nodes in preorder, the root first."""
-    if isinstance(structure, int):
-        return []
-    return [structure] + _internal_nodes(structure[0]) + _internal_nodes(structure[1])
+    return [node for node, children in _subtrees(structure) if children]
+
+
+def _subtrees(structure):
+    """Every subtree of ``structure``, leaves included, in preorder (the
+    root first), each with the positions of its two children in that list,
+    or () for a leaf.  A child comes after its parent, so a walk in reverse
+    order meets both children of a node before the node itself.  A loop,
+    not a recursion: a comb of any length fits the recursion limit."""
+    subtrees, stack = [], [(structure, None)]
+    while stack:
+        node, parent = stack.pop()
+        if parent is not None:
+            subtrees[parent][1].append(len(subtrees))
+        if isinstance(node, int):
+            subtrees.append((node, ()))
+        else:
+            left, right = node
+            stack += (right, len(subtrees)), (left, len(subtrees))
+            subtrees.append((node, []))
+    return subtrees
 
 
 def pair_tree(cat, leaf, total):
@@ -95,6 +111,15 @@ def comb_tree(cat, leaves, total):
 def _comb_structure(n):
     """The structure of the left comb on n leaves."""
     return reduce(lambda acc, i: (acc, i), range(1, n), 0)
+
+
+def _is_comb(structure):
+    """Whether a valid structure is the left comb: every right child on its
+    left spine is a leaf.  A loop, where ``==`` on the nested tuples would
+    recurse once per leaf."""
+    while not isinstance(structure, int) and isinstance(structure[1], int):
+        structure = structure[0]
+    return isinstance(structure, int)
 
 
 def block_comb_tree(cat, leaf, n_blocks, total):
@@ -164,8 +189,7 @@ def enumerate_basis(cat, shape):
     for combs would be a separate change.
     """
     shape, _, possible = _counted(cat, shape)
-    total = cat.labels.index(shape.total)
-    labels = _joined(cat, shape, possible, shape.structure, np.arange(len(cat.labels)) == total)
+    labels = _joined(cat, shape, possible)
     labels = labels[np.lexsort(labels.T[::-1])]
     signs = (1,) * len(labels)
     key = (cat.name, shape.structure, shape.leaves, shape.total)
@@ -181,52 +205,73 @@ def enumerate_basis(cat, shape):
 
 def _counted(cat, shape):
     """The count pass of :func:`enumerate_basis`: ``shape`` with its labels
-    resolved, the dimension of its space, and for each subtree the root
-    charges it has rows for.  Counts are exact Python ints; a space past
-    the budget raises ``ValueError`` here, before any row is formed."""
+    resolved, the dimension of its space, and for each subtree, in the
+    order of :func:`_subtrees`, the root charges it has rows for.  Counts
+    are exact Python ints; a space past the budget raises ``ValueError``
+    here, before any row is formed."""
     from .synthesis import _CLOSURE_BYTES  # here, so importing trees loads no synthesis
 
     shape = TreeShape(shape.structure, tuple(map(cat.resolve, shape.leaves)),
                       cat.resolve(shape.total))
     exact, node_bytes, intp = cat.tables.fusion.astype(object), [], np.dtype(np.intp).itemsize
-    possible = {}  # subtree -> the root charges it has rows for
+    subtrees = _subtrees(shape.structure)
+    # per subtree: the rows join forms per root charge, as Python ints, and their width
+    rows, widths = [None] * len(subtrees), [0] * len(subtrees)
+    for at in reversed(range(len(subtrees))):  # both children first
+        structure, children = subtrees[at]
+        if not children:
+            rows[at] = (np.array(cat.labels) == shape.leaves[structure]).astype(object)
+            continue
+        left, right = children
+        rows[at] = (rows[left][:, None, None] * rows[right][:, None] * exact).sum((0, 1))
+        widths[at] = 1 + widths[left] + widths[right]
+        node_bytes.append(int(rows[at].sum()) * widths[at] * intp)
 
-    def count(structure):
-        # rows join forms for a subtree per root charge, as Python ints, and their width
-        if isinstance(structure, int):
-            rows, width = (np.array(cat.labels) == shape.leaves[structure]).astype(object), 0
-        else:
-            (left, left_width), (right, right_width) = map(count, structure)
-            rows = (left[:, None, None] * right[:, None] * exact).sum((0, 1))
-            width = 1 + left_width + right_width
-            node_bytes.append(int(rows.sum()) * width * intp)
-        possible[structure] = rows > 0
-        return rows, width
-
-    dim = int(count(shape.structure)[0][cat.labels.index(shape.total)])
+    dim = int(rows[0][cat.labels.index(shape.total)])
     for what, need in (("label rows", max(node_bytes)),
                        ("braid generators", dim * (shape.n_leaves - 1) * (2 * intp + 16))):
         if need > _CLOSURE_BYTES:
-            raise ValueError(f"the dim-{dim} space on {shape.n_leaves} leaves needs at least "
-                             f"{need} bytes ({need / 2 ** 30:.2f} GiB) for its {what}, over "
-                             f"the {_CLOSURE_BYTES >> 30} GiB budget")
-    return shape, dim, possible
+            gib = f"{need / 2 ** 30:.2f}" if need < 10 ** 30 else f"{Decimal(need) / 2 ** 30:.2e}"
+            raise ValueError(f"the dim-{_amount(dim)} space on {shape.n_leaves} leaves needs at "
+                             f"least {_amount(need)} bytes ({gib} GiB) for its {what}, over the "
+                             f"{_CLOSURE_BYTES >> 30} GiB budget")
+    return shape, dim, [count > 0 for count in rows]
 
 
-def _joined(cat, shape, possible, structure, allowed):
-    """The rows of a subtree of ``shape`` with an allowed root charge: that
-    charge, then its internal charges in preorder (the row join of
-    :func:`enumerate_basis`)."""
-    if isinstance(structure, int):
-        return np.array([[cat.labels.index(shape.leaves[structure])]])
-    fuse = cat.tables.fusion & allowed
-    reach = fuse & possible[structure[0]][:, None, None] & possible[structure[1]][:, None]
-    left = _joined(cat, shape, possible, structure[0], reach.any((1, 2)))
-    right = _joined(cat, shape, possible, structure[1], reach.any((0, 2)))
-    i, j, charge = np.nonzero(fuse[left[:, :1], right[:, 0]])
-    return np.column_stack([charge] + [rows[at] for rows, at, child in
-                                       ((left, i, structure[0]), (right, j, structure[1]))
-                                       if not isinstance(child, int)])
+def _amount(n):
+    """``n`` in full, or as 1.234e+5678 from 31 digits on: ``str`` refuses
+    an int past 4300 digits, and a float holds none past 1e308."""
+    return str(n) if n < 10 ** 30 else f"{Decimal(n):.3e}"
+
+
+def _joined(cat, shape, possible):
+    """The rows of ``shape``: the total, then the internal charges in
+    preorder (the row join of :func:`enumerate_basis`).  The allowed root
+    charges pass down the subtrees, then the rows of each subtree join
+    upwards, both in loops over :func:`_subtrees`."""
+    subtrees = _subtrees(shape.structure)
+    allowed, fuse = [None] * len(subtrees), [None] * len(subtrees)
+    allowed[0] = np.arange(len(cat.labels)) == cat.labels.index(shape.total)
+    for at, (_, children) in enumerate(subtrees):  # each parent first
+        if children:
+            left, right = children
+            fuse[at] = cat.tables.fusion & allowed[at]
+            reach = fuse[at] & possible[left][:, None, None] & possible[right][:, None]
+            allowed[left], allowed[right] = reach.any((1, 2)), reach.any((0, 2))
+    rows = [None] * len(subtrees)
+    for at in reversed(range(len(subtrees))):  # both children first
+        structure, children = subtrees[at]
+        if not children:
+            rows[at] = np.array([[cat.labels.index(shape.leaves[structure])]])
+            continue
+        left, right = children
+        left_rows, right_rows = rows[left], rows[right]
+        rows[left] = rows[right] = None
+        i, j, charge = np.nonzero(fuse[at][left_rows[:, :1], right_rows[:, 0]])
+        rows[at] = np.column_stack([charge] + [part[picked] for part, picked, child in
+                                               ((left_rows, i, left), (right_rows, j, right))
+                                               if subtrees[child][1]])
+    return rows[0]
 
 
 def _keys(labels):
@@ -351,43 +396,48 @@ def block_embedding(cat, leaf, block_total, n_blocks, total):
 
 
 def parse_shape(cat, text):
-    """Parse a nested-parenthesis tree with leaf labels and total charge."""
+    """Parse a nested-parenthesis tree with leaf labels and total charge
+    (in a loop, so a tree of any depth fits the recursion limit)."""
     if "->" not in text:
         raise ValueError("shape text needs a '->' total charge")
     tree_text, total = text.rsplit("->", 1)
     tokens = tree_text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-    leaves = []
-
-    def parse_node():
-        nonlocal pos
+    # each open '(' holds its left child once that is parsed
+    pos, leaves, open_pairs, structure = 0, [], [], None
+    while structure is None:
         if pos >= len(tokens):
             raise ValueError("unexpected end of shape text")
         tok = tokens[pos]
+        pos += 1
         if tok == "(":
-            pos += 1
-            left = parse_node()
-            right = parse_node()
+            open_pairs.append([])
+            continue
+        if tok == ")":
+            raise ValueError("unexpected ')' in shape text")
+        leaves.append(cat.resolve(tok))
+        node = len(leaves) - 1
+        while open_pairs and open_pairs[-1]:  # node is a right child: close its pair
             if pos >= len(tokens) or tokens[pos] != ")":
                 raise ValueError("expected ')' in shape text")
             pos += 1
-            return (left, right)
-        if tok == ")":
-            raise ValueError("unexpected ')' in shape text")
-        pos += 1
-        leaves.append(cat.resolve(tok))
-        return len(leaves) - 1
-
-    structure = parse_node()
+            node = (open_pairs.pop()[0], node)
+        if open_pairs:
+            open_pairs[-1].append(node)
+        else:
+            structure = node
     if pos != len(tokens):
         raise ValueError(f"trailing tokens in shape text: {tokens[pos:]}")
     return TreeShape(structure, tuple(leaves), cat.resolve(total.strip()))
 
 
 def format_shape(shape):
-    def fmt(structure):
-        if isinstance(structure, int):
-            return shape.leaves[structure]
-        return "(" + " ".join(fmt(child) for child in structure) + ")"
-
-    return f"{fmt(shape.structure)}->{shape.total}"
+    parts, stack = [], [shape.structure]
+    while stack:  # a loop, as in parse_shape; a str on the stack is literal text
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif isinstance(node, int):
+            parts.append(shape.leaves[node])
+        else:
+            stack += ")", node[1], " ", node[0], "("
+    return f"{''.join(parts)}->{shape.total}"

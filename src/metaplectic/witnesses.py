@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gates import _MAX_DIM, hadamard, omega, p_gate, q_gate, relative_phase_gate
+from .synthesis import _integer
 
 __all__ = [
     "QutritCommutatorReport", "qutrit_commutator_witness",
@@ -41,7 +42,7 @@ __all__ = [
 
 _EXPECTED_PAIR = ((2 + 1j * np.sqrt(5)) / 3, (2 - 1j * np.sqrt(5)) / 3)
 
-_MAX_POWER = 10 ** 6  # the largest k_max: a screen holds k_max powers at a time, 8 MB
+_MAX_POWER = 10 ** 6  # the largest k_max: the domain of --k-max, 1..10^6
 
 
 def qutrit_fixed_vector(i):
@@ -124,24 +125,58 @@ def infinite_order_witness(u, k_max=10000, delta=1e-6):
     """Root-of-unity screen: every eigenvalue farther than ``delta`` from 1
     must stay farther than ``delta`` from 1 under all powers up to
     ``k_max``, and at least one eigenvalue must be that far.  A pass is a
-    finite witness for infinite order, not a proof.  ``k_max`` lies in
-    1.._MAX_POWER, and ``delta`` in (0, 2): every unit eigenvalue is
-    within 2 of 1.
+    finite witness for infinite order, not a proof.  ``k_max`` is an
+    integer in 1.._MAX_POWER (a bool is refused), and ``delta`` lies in
+    (0, 2): every unit eigenvalue is within 2 of 1.
+
+    The gap |lam^k - 1| = 2|sin(k theta / 2)| of lam = e^{i theta} is
+    evaluated only at the powers of :func:`_screened_powers`.  Its minimum
+    over k <= k_max falls on the largest convergent denominator q <= k_max
+    of |theta| / 2 pi (best approximation: Khinchin, *Continued Fractions*,
+    Thms 16-17), or, at a finite order m = q, where every multiple of m
+    is a round-off gap, on some multiple of q.  So an eigenvalue costs
+    O(log k_max) evaluations plus k_max / q multiples: about k_max / m at
+    a finite order m.
     """
+    k_max = _integer(k_max)
     if not 1 <= k_max <= _MAX_POWER:
         raise ValueError(f"k_max must lie in 1..{_MAX_POWER}, got {k_max}")
     if not 0 < delta < 2:
         raise ValueError("delta must lie in (0, 2)")
     vals = np.linalg.eigvals(np.asarray(u, dtype=complex))
-    ks = np.arange(1, k_max + 1)
     min_gap = np.inf
     for lam in vals:
         if abs(lam - 1.0) <= delta:
             continue
-        gaps = 2.0 * np.abs(np.sin(ks * np.angle(lam) / 2.0))
+        theta = np.angle(lam)
+        ks = _screened_powers(theta, k_max)
+        gaps = 2.0 * np.abs(np.sin(ks * theta / 2.0))
         min_gap = min(min_gap, float(gaps.min()))
     passed = bool(np.isfinite(min_gap) and min_gap > delta)  # inf: nothing was screened
     return InfiniteOrderReport(passed, float(min_gap), vals, k_max, delta)
+
+
+def _screened_powers(theta, k_max):
+    """The powers k <= k_max, ascending, at which the screen evaluates
+    e^{i theta}: 1, every convergent denominator q of |theta| / 2 pi up to
+    k_max, and every multiple of the last such q up to k_max.
+
+    The continued fraction is expanded by Euclid's algorithm on the exact
+    ratio of the float |theta| / 2 pi, so no step divides by a float, and
+    it stops before a partial quotient takes the denominator past k_max.
+    """
+    num, den = (abs(float(theta)) / (2.0 * math.pi)).as_integer_ratio()
+    denominators = [1]  # q_0 = 1: the ratio lies in [0, 1/2], so a_0 = 0
+    before = 0  # q_{-1}
+    while num:
+        quotient, (den, num) = den // num, (num, den % num)
+        q = quotient * denominators[-1] + before
+        if q > k_max:
+            break
+        before = denominators[-1]
+        denominators.append(q)
+    last = denominators.pop()
+    return np.concatenate([np.array(denominators, dtype=int), np.arange(last, k_max + 1, last)])
 
 
 @dataclass

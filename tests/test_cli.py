@@ -256,6 +256,21 @@ def test_rep_check_errors_do_not_depend_on_the_path(source, code, message, path,
     assert not out and err.splitlines() == [message]
 
 
+def test_a_comb_past_the_recursion_limit_exits_64():
+    """A 1200-leaf comb is refused by the 1 GiB budget, as comb-28 is: the
+    shape and the count pass are loops, so no RecursionError escapes."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "metaplectic", "rep", "check", "--category",
+                           "su2_4", "--leaves", " ".join(["1"] * 1200), "--total", "2"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == EXIT_USAGE and not done.stdout and "Traceback" not in done.stderr
+    assert done.stderr.splitlines() == [
+        "error: the dim-6.246e+285 space on 1200 leaves needs at least 1.198e+290 bytes "
+        "(1.12e+281 GiB) for its label rows, over the 1 GiB budget"]
+
+
 @pytest.mark.parametrize("source", [
     COMB14,
     ["--category", "su2_4", "--shape", format_shape(comb_tree(builtin_category("su2_4"),

@@ -518,3 +518,113 @@ def test_enumerate_basis_budget(su24, text, what, need, monkeypatch):
     with pytest.raises(ValueError, match=rf"dim-{expected.dim} space on {shape.n_leaves} "
                                          rf"leaves needs at least {need} bytes .* for its {what}"):
         enumerate_basis(su24, shape)
+
+
+def recursive_subtrees(structure):
+    """Reference: (leaf slots, internal nodes in preorder) by recursion."""
+    if isinstance(structure, int):
+        return (structure,), []
+    (left_slots, left_nodes), (right_slots, right_nodes) = map(recursive_subtrees, structure)
+    return left_slots + right_slots, [structure] + left_nodes + right_nodes
+
+
+@pytest.mark.parametrize("text", ["(1 1)", "((1 1) 1)", "(1 (1 1))", "((1 1)(1 1))",
+                                  "(((1 1)(1 1))((1 1)(1 1)))",
+                                  "((1 (1 (1 1))) (((1 1) 1) 1))", "((((1 1) 1) 1) 1)"])
+def test_tree_walks_match_recursive_reference(su24, text):
+    from metaplectic.trees import _internal_nodes, _is_comb, _leaf_slots, _subtrees
+    structure = parse_shape(su24, text + "->0").structure
+    slots, nodes = recursive_subtrees(structure)
+    assert _leaf_slots(structure) == slots and _internal_nodes(structure) == nodes
+    subtrees = _subtrees(structure)
+    for node, children in subtrees:
+        assert tuple(subtrees[child][0] for child in children) == \
+            (() if isinstance(node, int) else node)
+    assert _is_comb(structure) == (structure == comb_tree(su24, ["1"] * len(slots), "0").structure)
+
+
+def test_long_combs_need_no_recursion(su24):
+    """Past the recursion limit a comb is built, counted and joined in loops:
+    1500 unit leaves have one state, and 10 000 spin-1/2 leaves meet the
+    budget with their sizes in e-notation (no float holds them)."""
+    basis = enumerate_basis(su24, comb_tree(su24, ["0"] * 1500, "0"))
+    assert basis.dim == 1 and np.array_equal(basis.labels, np.zeros((1, 1499), dtype=int))
+    with pytest.raises(ValueError, match=r"^the dim-6\.732e\+2384 space on 10000 leaves needs at "
+                                         r"least 2\.154e\+2390 bytes \(2\.01e\+2381 GiB\) for its "
+                                         r"label rows, over the 1 GiB budget$"):
+        enumerate_basis(su24, comb_tree(su24, ["1"] * 10000, "0"))
+
+
+def recursive_parse_shape(cat, text):
+    """Reference: the recursive-descent parser (one Python frame per level)."""
+    if "->" not in text:
+        raise ValueError("shape text needs a '->' total charge")
+    tree_text, total = text.rsplit("->", 1)
+    tokens = tree_text.replace("(", " ( ").replace(")", " ) ").split()
+    pos, leaves = 0, []
+
+    def parse_node():
+        nonlocal pos
+        if pos >= len(tokens):
+            raise ValueError("unexpected end of shape text")
+        tok = tokens[pos]
+        if tok == "(":
+            pos += 1
+            left, right = parse_node(), parse_node()
+            if pos >= len(tokens) or tokens[pos] != ")":
+                raise ValueError("expected ')' in shape text")
+            pos += 1
+            return (left, right)
+        if tok == ")":
+            raise ValueError("unexpected ')' in shape text")
+        pos += 1
+        leaves.append(cat.resolve(tok))
+        return len(leaves) - 1
+
+    structure = parse_node()
+    if pos != len(tokens):
+        raise ValueError(f"trailing tokens in shape text: {tokens[pos:]}")
+    return TreeShape(structure, tuple(leaves), cat.resolve(total.strip()))
+
+
+def outcome(parse, cat, text):
+    try:
+        shape = parse(cat, text)
+    except (ValueError, UnknownLabelError) as error:
+        return type(error), str(error)
+    return shape, format_shape(shape)
+
+
+def test_parse_shape_matches_recursive_reference(su24):
+    """Every shape and every error message, on random trees and on texts
+    one token off (a dropped ')', an extra '(', a trailing leaf, no total)
+    and random token strings."""
+    rng = np.random.default_rng(3)
+
+    def tree(n):
+        if n == 1:
+            return str(rng.integers(5))
+        k = int(rng.integers(1, n))
+        return f"({tree(k)}{' ' * int(rng.integers(2))} {tree(n - k)})"
+
+    texts = ["", "->0", "(1 1)", "(1 1)->x", "(1 x)->0", ")(->0", "(1)->0", "(1 1 1)->0"]
+    for _ in range(300):
+        text = f"{tree(int(rng.integers(1, 12)))}->{rng.integers(5)}"
+        texts += [text, text.replace(")", "", 1), text.replace("(", "((", 1), text + " 1",
+                  text.rsplit("->", 1)[0]]
+    texts += ["".join(rng.choice(["(", ")", "1", "2", " "], size=n)) + "->1"
+              for n in range(1, 9) for _ in range(50)]
+    for text in texts:
+        assert outcome(parse_shape, su24, text) == outcome(recursive_parse_shape, su24, text), text
+
+
+def test_parse_and_format_deep_shapes(su24):
+    left, right = "1", "1"
+    for _ in range(1499):
+        left, right = f"({left} 1)", f"(1 {right})"
+    for text in (left, right):
+        shape = parse_shape(su24, text + "->0")
+        assert shape.n_leaves == 1500 and format_shape(shape) == text + "->0"
+    from metaplectic.trees import _is_comb  # == on these nested tuples would recurse
+    assert _is_comb(parse_shape(su24, left + "->0").structure)
+    assert not _is_comb(parse_shape(su24, right + "->0").structure)

@@ -162,3 +162,94 @@ def test_relative_phase_gate_matches_display():
     w5 = omega(5)
     mat = relative_phase_gate(5, 0, 1, 2)
     assert abs(np.diag(mat) - np.array([w5 ** 2, w5 ** -2, 1, 1, 1])).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the root-of-unity screen against the brute force over every power
+
+
+def brute_force_screen(eigenvalues, k_max, delta):
+    """(passed, min_power_gap) from 2|sin(k theta / 2)| at every k <= k_max."""
+    ks = np.arange(1, k_max + 1)
+    min_gap = np.inf
+    for lam in eigenvalues:
+        if abs(lam - 1.0) > delta:
+            min_gap = min(min_gap, float((2.0 * np.abs(np.sin(ks * np.angle(lam) / 2.0))).min()))
+    return bool(np.isfinite(min_gap) and min_gap > delta), min_gap
+
+
+def assert_screen_is_brute_force(u, k_max, delta=1e-6):
+    report = infinite_order_witness(u, k_max, delta)
+    assert (report.passed, report.min_power_gap) == \
+        brute_force_screen(report.eigenvalues, k_max, delta), (k_max, report.eigenvalues)
+    return report
+
+
+def screened_matrices(monkeypatch, run):
+    """The (matrix, k_max, delta) of every screen that ``run()`` makes."""
+    import metaplectic.witnesses as witnesses
+    screens, screen = [], witnesses.infinite_order_witness
+
+    def recording(u, k_max=10000, delta=1e-6):
+        screens.append((u, k_max, delta))
+        return screen(u, k_max, delta)
+
+    monkeypatch.setattr(witnesses, "infinite_order_witness", recording)
+    run()
+    return screens
+
+
+@pytest.mark.parametrize("run", [*(lambda p=p: qupit_subspace_chain(p) for p in (5, 7, 11, 13)),
+                                 so5_partial_results], ids=["p5", "p7", "p11", "p13", "so5"])
+def test_screen_equals_brute_force_on_the_witness_matrices(monkeypatch, run):
+    screens = screened_matrices(monkeypatch, run)
+    assert len(screens) in (4, 10, 14, 22, 26)
+    for u, k_max, delta in screens:
+        assert_screen_is_brute_force(u, k_max, delta)
+
+
+@pytest.mark.parametrize("k_max, count", [(1, 300), (2, 300), (10, 300), (10 ** 4, 200),
+                                          (10 ** 6, 3)])
+def test_screen_equals_brute_force_on_random_angles(k_max, count):
+    rng = np.random.default_rng(k_max)
+    for theta in rng.uniform(-np.pi, np.pi, count):
+        assert_screen_is_brute_force(np.diag([1.0, np.exp(1j * theta)]), k_max)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-15, 1e-13, 1e-11, 1e-9])
+def test_screen_equals_brute_force_near_roots_of_unity(offset):
+    # a finite order m: the brute-force minimum is round-off at some multiple of m
+    for m in range(1, 60):
+        lams = np.exp(1j * (2 * np.pi * np.arange(m) / m + offset))
+        for lam in lams:
+            assert_screen_is_brute_force(np.array([[lam]]), 1000)
+
+
+def test_screen_of_minus_one():
+    for k_max in (1, 2, 3, 10 ** 4, 10 ** 6):
+        report = assert_screen_is_brute_force(-np.eye(2), k_max)
+        assert report.passed is (k_max == 1)
+
+
+def test_screen_evaluates_few_powers():
+    from metaplectic.witnesses import _screened_powers
+    # an irrational angle: the convergent denominators, a handful of multiples
+    assert len(_screened_powers(1.0, 10 ** 6)) < 30
+    # order 7: every multiple of 7
+    ks = _screened_powers(np.angle(omega(7) ** 3), 10 ** 6)
+    assert ks[-1] == 999_999 and len(ks) == 3 + 10 ** 6 // 7
+    assert np.all(np.diff(ks) > 0) and ks.dtype == np.arange(1).dtype
+    assert list(_screened_powers(np.pi, 5)) == [1, 2, 4]
+    assert list(_screened_powers(5e-324, 3)) == [1, 2, 3]  # no float 1 / x at all
+    assert list(_screened_powers(0.0, 3)) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("k_max", [2.5, 2.0, True, False, "10", None])
+def test_infinite_order_rejects_non_integer_k_max(k_max):
+    with pytest.raises(ValueError):
+        infinite_order_witness(np.diag([1.0, np.exp(1j)]), k_max)
+
+
+def test_infinite_order_takes_numpy_integer_k_max():
+    report = infinite_order_witness(np.diag([1.0, np.exp(1j)]), np.int64(100))
+    assert report.k_max == 100 and type(report.k_max) is int
