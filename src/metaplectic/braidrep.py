@@ -38,21 +38,23 @@ return fresh dense copies for the small reps that need matrices.
 a left comb of one leaf type, sigma_i changes only the path charge
 p_{i-1}, reading p_{i-2} and p_i (the path model of the comb reps; Wenzl,
 "Hecke algebras of type A_n and subfactors", Invent. Math. 1988), so it
-checks local path windows and builds neither basis rows nor generators;
-its residuals are :func:`rep_check`'s, float for float.  Every other
-shape, and a comb too small or short of data for windows, takes
-:func:`rep_check` on :func:`general_generators`, as the pair-tree models
-take it on :func:`pair_tree_generators`.
+checks local path windows and builds neither basis rows nor generators,
+for any number of strands; its residuals are :func:`rep_check`'s, float
+for float.  Every other shape, and a comb too small or short of data for
+windows, takes :func:`rep_check` on :func:`general_generators`, as the
+pair-tree models take it on :func:`pair_tree_generators`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
-from .trees import (_counted, _finder, _internal_nodes, _is_comb, _leaf_slots, _rotate,
-                    enumerate_basis, pair_tree)
+from .trees import (_finder, _internal_nodes, _is_comb, _rotate, _split_slots, enumerate_basis,
+                    pair_tree)
 from .triples import _dense, _keyed_product, _max_diff, _nonzeros, _product, _row_starts
 
 __all__ = ["BraidRep", "RepReport", "pair_tree_generators", "general_generators", "rep_check",
@@ -161,17 +163,27 @@ def _twists(cat, a):
     sum_w conj(F[x,a,a;d]_{c'w}) R[a,a;w] F[x,a,a;d]_{cw} on each block's
     own rows, zero elsewhere and on blocks that need absent data; the mask
     ``missing[x, d]`` of those blocks; and ``r_missing[x, d, w]``, the
-    absent R[a,a;w] that the block (x, d) would read."""
+    absent R[a,a;w] that the block (x, d) would read.  The blocks of one
+    (rows, cols) size are formed as one stacked product, each matrix of it
+    the same matmul, bit for bit, as the block's own."""
     tables = cat.tables
     c_rows, c_cols = tables.rows[:, a, a], tables.cols[:, a, a]  # [x, d, c]: c is a row/col
     r_missing = c_cols & tables.r_missing[a, a]
     missing = tables.f_missing[:, a, a] | r_missing.any(-1)
     twists = np.zeros((len(cat.labels),) * 4, dtype=complex)  # [x, d, c', c]
-    for x, d in zip(*np.nonzero(c_rows.any(-1) & ~missing)):
-        # F[x,a,a;d]^* diag(R[a,a;w]) F[x,a,a;d]^T on the block's own rows and columns
-        fmat = tables.f[x, a, a, d][np.ix_(c_rows[x, d], c_cols[x, d])]
-        twist = tables.r[a, a, c_cols[x, d]]
-        twists[x, d][np.ix_(c_rows[x, d], c_rows[x, d])] = fmat.conj() @ (twist[:, None] * fmat.T)
+    x, d = np.nonzero(c_rows.any(-1) & ~missing)
+    n_rows, n_cols = c_rows[x, d].sum(-1), c_cols[x, d].sum(-1)
+    for size in set(zip(n_rows.tolist(), n_cols.tolist())):
+        picked = (n_rows == size[0]) & (n_cols == size[1])
+        bx, bd = x[picked], d[picked]
+        rows = np.nonzero(c_rows[bx, bd])[1].reshape(len(bx), size[0])
+        cols = np.nonzero(c_cols[bx, bd])[1].reshape(len(bx), size[1])
+        bx, bd = bx[:, None, None], bd[:, None, None]
+        # F[x,a,a;d]^* diag(R[a,a;w]) F[x,a,a;d]^T on each block's own rows and columns
+        fmat = tables.f[bx, a, a, bd, rows[:, :, None], cols[:, None, :]]
+        twist = tables.r[a, a, cols]
+        twists[bx, bd, rows[:, :, None], rows[:, None, :]] = \
+            fmat.conj() @ (twist[:, :, None] * fmat.transpose(0, 2, 1))
     return twists, missing, r_missing
 
 
@@ -223,7 +235,7 @@ def general_generators(cat, basis):
     find_unrotated = _finder(np.column_stack([basis.labels, tail]))
     generators = []
     nodes = _internal_nodes(shape.structure)
-    meeting = {_leaf_slots(node[0])[-1] + 1: k for k, node in enumerate(nodes)}
+    meeting = {slot: k for k, slot in enumerate(_split_slots(shape.structure))}
     for i in range(1, n):
         k = meeting[i]  # preorder index of the node
         node, labels, move = nodes[k], basis.labels, identity
@@ -327,37 +339,54 @@ def rep_check(rep):
 def shape_check(cat, shape):
     """``(dim, report)`` of the braid rep on ``shape``: the report is
     ``rep_check(general_generators(cat, enumerate_basis(cat, shape)))``,
-    float for float, and every error is the one that call raises.
+    float for float, and every error is the one that call raises, save the
+    1 GiB refusal of :func:`metaplectic.trees.enumerate_basis`.
 
     A left comb of one leaf type is checked on local path windows
-    (:func:`_comb_windows`), building neither basis rows nor generators;
-    every other shape, and a comb whose windows defer, takes that call.
+    (:func:`_comb_windows`), which count its paths instead of its basis
+    rows and form neither rows nor generators, so that budget does not
+    apply to it.  Every other shape, and a comb whose windows defer, takes
+    that call, budget and all.
     """
     leaves = {cat.resolve(leaf) for leaf in shape.leaves}
     if len(leaves) == 1 and _is_comb(shape.structure):
-        counted, dim, _ = _counted(cat, shape)
-        report = _comb_windows(cat, counted, dim)
-        if report is not None:
-            return dim, report
+        checked = _comb_windows(cat, shape)
+        if checked is not None:
+            return checked
     basis = enumerate_basis(cat, shape)
     return basis.dim, rep_check(general_generators(cat, basis))
 
 
-def _comb_windows(cat, shape, dim):
-    """:func:`rep_check` of the left comb ``shape`` (one leaf type a, labels
-    resolved, space of dimension ``dim``) from local path windows, or None
-    where the global check must run instead.
+def _path_count(step, n, total):
+    """The number of paths of n steps from the unit (label 0) to charge
+    ``total``, a step going from q to q' where ``step[q, q']``: the
+    dimension of the n-leaf comb whose leaf fuses by ``step``, as an exact
+    Python int."""
+    into = [[q for q, fused in enumerate(column) if fused] for column in step.T.tolist()]
+    counts = [1] + [0] * (len(into) - 1)
+    for _ in range(n):
+        counts = [sum([counts[q] for q in qs]) for qs in into]
+    return counts[total]
+
+
+def _comb_windows(cat, shape):
+    """``(dim, rep_check report)`` of the left comb ``shape`` (one leaf type
+    a) from local path windows, or None where the global check must run
+    instead.
 
     Write p_0 = a, p_j for the charge of leaves 0..j (p_{n-1} the total)
-    and p_{-1} for the unit.  sigma_i changes only p_{i-1}, by the twist
-    block (p_{i-2}, p_i) of :func:`_twists`, as in
+    and p_{-1} for the unit.  ``dim`` counts the paths p_{-1} .. p_{n-1}
+    under fusion with a (:func:`_path_count`).  sigma_i changes only
+    p_{i-1}, by the twist block (p_{i-2}, p_i) of :func:`_twists`, as in
     :func:`general_generators`; the comb basis orders its states
     lexicographically, the last charge first.  So every entry of a
     relation's residual depends only on a window of charges, bit for bit:
     its terms are the same values, multiplied in the same operand order and
     summed in the same order, as the window's own states sort the same
     way.  A window occurs when its first charge is reachable from p_{-1}
-    and its last reaches the total.
+    and its last reaches the total; these charge sets are memoised
+    bitmasks (:func:`_charge_sets`), so a long comb costs a count step and
+    a few dict lookups per strand, and numpy work only per distinct set.
 
     * Unitarity and braid relations: sigma_A and sigma_B act on c and d of
       the states (x, c, d, e) with x -> c -> d -> e under fusion with a,
@@ -369,30 +398,32 @@ def _comb_windows(cat, shape, dim):
     * Far commutation: each entry of sigma_i sigma_j (j >= i + 2) is one
       term u v, u from sigma_i and v from sigma_j, and of sigma_j sigma_i
       the term v u, so the residual is the max |(uv + 0) - (vu + 0)| over
-      the pairs of twist entries whose blocks occur on one path.
+      the pairs of twist entries whose blocks occur on one path
+      (:func:`_far_blocks`).
 
     Returns None for fewer than 3 strands, an empty space, dim < m^3, or a
     window that needs absent data, so that the global check meets the
     same rows and raises the same error.
     """
-    n, tables = shape.n_leaves, cat.tables
-    size = len(cat.labels)
-    a, total = cat.labels.index(shape.leaves[0]), cat.labels.index(shape.total)
-    twists, missing, _ = _twists(cat, a)
+    n, tables, size = shape.n_leaves, cat.tables, len(cat.labels)
+    a = cat.labels.index(cat.resolve(shape.leaves[0]))
+    total = cat.labels.index(cat.resolve(shape.total))
     step = tables.fusion[:, a]  # [q, q']: q x a -> q'
     blocks = tables.rows[:, a, a]  # [x, d, c]: x -> c -> d
     m = int(blocks.sum(-1).max())
+    dim = _path_count(step, n, total)
     if n < 3 or dim == 0 or dim < m ** 3:
         return None
+    twists, missing, _ = _twists(cat, a)
     # forward[t], backward[t]: the charges p_{t-1} can carry on a path from
     # the unit, and on a path to the total
-    forward, backward = [np.arange(size) == 0], [np.arange(size) == total]
-    for _ in range(n):
-        forward.append(forward[-1] @ step)
-        backward.append(step @ backward[-1])
-    backward.reverse()
+    forward = _charge_sets(1, _masks(step), n)
+    backward = _charge_sets(1 << total, _masks(step.T), n)[::-1]
+    bits = _unpacked(forward + backward, size)
     # braid windows (x, e) = (p_{i-2}, p_{i+1}), i = 1..n-2
-    ends = np.any([np.outer(forward[i - 1], backward[i + 2]) for i in range(1, n - 1)], axis=0)
+    ends = np.any([np.outer(bits[f], bits[b])
+                   for f, b in {(forward[i - 1], backward[i + 2]) for i in range(1, n - 1)}],
+                  axis=0)
     e, d, c, x = np.nonzero(ends.T[:, None, None, :] & step.T[:, :, None, None]
                             & step.T[None, :, :, None] & step.T[None, None, :, :])
     if missing[x, d].any() or missing[c, e].any():
@@ -402,20 +433,65 @@ def _comb_windows(cat, shape, dim):
     sigma_a = _twisted(twists, labels, find, x, c, d, 2)
     sigma_b = _twisted(twists, labels, find, c, d, e, 1)
     _, unit, braid = _unit_and_braid(max(states, m ** 3), (sigma_a, sigma_b), states)
-    # far[x, d, y, f]: a block (x, d) of sigma_i and (y, f) of sigma_j occur
-    # on one path for some j >= i + 2; later[d, y, f]: from p_i = d a path
-    # reaches y at p_{j-2} and f at p_j through the block (y, f)
-    has_block = blocks.any(-1)
-    far = np.zeros((size,) * 4, dtype=bool)
-    later = np.zeros((size,) * 3, dtype=bool)
-    paths = step.astype(int)
-    for i in range(n - 3, 0, -1):
-        later = (paths @ later.reshape(size, -1) > 0).reshape(later.shape)
-        later |= np.eye(size, dtype=bool)[:, :, None] & (has_block & backward[i + 3])[None]
-        far |= (forward[i - 1][:, None] & has_block)[:, :, None, None] & later[None]
+    far = _far_blocks(step, blocks.any(-1), forward, backward, bits)
     bx, bd, rows, cols = np.nonzero(twists)
     values = twists[bx, bd, rows, cols]
     first, second = np.nonzero(far[bx[:, None], bd[:, None], bx, bd])
     u, v = values[first], values[second]
     commutation = np.abs((u * v + 0.0) - (v * u + 0.0))
-    return _report(unit, braid, [commutation.max(initial=0.0)])
+    return dim, _report(unit, braid, [commutation.max(initial=0.0)])
+
+
+def _masks(step):
+    """Row q of ``step`` as the bitmask of the charges it marks."""
+    return [sum(1 << q for q, fused in enumerate(row) if fused) for row in step.tolist()]
+
+
+def _unpacked(masks, size):
+    """Each distinct bitmask of ``masks`` as a bool array over ``size`` labels."""
+    return {mask: np.array([mask >> q & 1 for q in range(size)], dtype=bool)
+            for mask in set(masks)}
+
+
+def _charge_sets(start, moves, n):
+    """The charge sets, as bitmasks, of n + 1 successive path charges from
+    the set ``start``, ``moves[q]`` being the set one step from charge q.
+    A comb's sets soon repeat, so each step is looked up in a memo."""
+    sets, memo = [start], {}
+    for _ in range(n):
+        mask = sets[-1]
+        if mask not in memo:
+            memo[mask] = reduce(or_, (move for q, move in enumerate(moves) if mask >> q & 1), 0)
+        sets.append(memo[mask])
+    return sets
+
+
+def _far_blocks(step, has_block, forward, backward, bits):
+    """far[x, d, y, f]: a block (x, d) of sigma_i and a block (y, f) of
+    sigma_j, j >= i + 2, occur on one path of the comb whose charge sets
+    are ``forward`` and ``backward`` (bitmasks, unpacked by ``bits``), as
+    in :func:`_comb_windows`.
+
+    The recursion runs down i = n-3..1 on later[d, y, f]: from p_i = d a
+    path reaches y at p_{j-2} and f at p_j through the block (y, f).  Each
+    later is formed once per distinct (later, backward set), and each
+    (forward set, later) pair joins far once, so a long comb costs two
+    dict lookups per strand."""
+    size, n = len(step), len(forward) - 1
+    own_blocks = np.eye(size, dtype=bool)[:, :, None] & has_block  # [d, y, f]: y = d
+    later = [np.zeros((size,) * 3, dtype=bool)]
+    known, moves, met, at = {later[0].tobytes(): 0}, {}, set(), 0
+    for i in range(n - 3, 0, -1):
+        key = at, backward[i + 3]
+        if key not in moves:
+            new = (step @ later[at].reshape(size, -1)).reshape(later[at].shape)
+            new |= own_blocks & bits[key[1]]
+            moves[key] = known.setdefault(new.tobytes(), len(later))
+            if moves[key] == len(later):
+                later.append(new)
+        at = moves[key]
+        met.add((forward[i - 1], at))
+    far = np.zeros((size,) * 4, dtype=bool)
+    for f, at in met:
+        far |= (bits[f][:, None] & has_block)[:, :, None, None] & later[at][None]
+    return far

@@ -35,7 +35,7 @@ from .gates import (_MAX_DIM, cz_gate, hadamard, make_gate, mult_gate, parse_gat
                     sum_gate, x_gate, equal_up_to_phase)
 from .protocol import _MAX_ROUNDS, _MAX_TRIALS, estimate_flip_success
 from .synthesis import eval_word, group_closure, named_words, verify_identity, word_from_text
-from .trees import block_embedding, comb_tree, enumerate_basis, parse_shape
+from .trees import _amount, block_embedding, comb_tree, enumerate_basis, parse_shape
 from .witnesses import (_MAX_POWER, imprimitivity_witness, infinite_order_witness,
                         qupit_subspace_chain, qutrit_commutator_witness,
                         so5_partial_results)
@@ -212,11 +212,11 @@ def _cmd_rep(args):
         dim, report = shape_check(cat, source)
     ok = report.ok(args.tol)
     _emit(
-        [f"{cat.name}: dim {dim} rep on {n_strands} strands",
+        [f"{cat.name}: dim {_amount(dim)} rep on {n_strands} strands",
          f"  unitarity max residual       : {report.unitarity_max:.3e}",
          f"  braid relation max residual  : {report.braid_max:.3e}",
          f"  far commutation max residual : {report.far_commutation_max:.3e}"],
-        [f"dim={dim}",
+        [f"dim={_amount(dim)}",
          f"unitarity_max={report.unitarity_max:.3e}",
          f"braid_max={report.braid_max:.3e}",
          f"far_commutation_max={report.far_commutation_max:.3e}",

@@ -76,6 +76,18 @@ def _internal_nodes(structure):
     return [node for node, children in _subtrees(structure) if children]
 
 
+def _split_slots(structure):
+    """For each internal node in preorder, the first leaf slot of its right
+    child: strands slot - 1 and slot meet there.  One bottom-up pass over
+    :func:`_subtrees`, where a leaf-slot list per node would cost O(n^2)."""
+    subtrees = _subtrees(structure)
+    first = [None] * len(subtrees)
+    for at in reversed(range(len(subtrees))):  # both children first
+        node, children = subtrees[at]
+        first[at] = first[children[0]] if children else node
+    return [first[children[1]] for _, children in subtrees if children]
+
+
 def _subtrees(structure):
     """Every subtree of ``structure``, leaves included, in preorder (the
     root first), each with the positions of its two children in that list,
@@ -183,10 +195,9 @@ def enumerate_basis(cat, shape):
     the fusion tensor, or the least storage of its braid generators (each
     sigma_i is unitary: an intp row, intp column and complex value per
     basis row) would pass the 1 GiB budget of :mod:`metaplectic.synthesis`.
-    The comb check of :func:`metaplectic.braidrep.shape_check`, which forms
-    neither rows nor generators, runs the same count pass and so meets the
-    same refusal: every argv keeps its exit code, and lifting the budget
-    for combs would be a separate change.
+    The comb check of :func:`metaplectic.braidrep.shape_check` forms
+    neither rows nor generators and counts its paths instead, so the
+    budget does not apply to it; a comb whose windows defer comes here.
     """
     shape, _, possible = _counted(cat, shape)
     labels = _joined(cat, shape, possible)

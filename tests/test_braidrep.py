@@ -489,7 +489,10 @@ def test_rep_check_bit_identical_on_large_combs(su24, n):
 
 
 COMB_WINDOW_GRID = ([("su2_4", leaf, n) for leaf in ("1", "2", "3") for n in range(3, 17)]
-                    + [("so5_2", "eps", n) for n in range(3, 9)])
+                    + [("so5_2", "eps", n) for n in range(3, 9)]
+                    + [("su2_4", "1", n) for n in range(17, 21)])
+# the totals checked past 18 strands, where the global check takes a second
+LONG_COMB_TOTALS = {19: ("1",), 20: ("2",)}
 
 
 @pytest.mark.parametrize("name, leaf, n", COMB_WINDOW_GRID,
@@ -501,7 +504,7 @@ def test_comb_windows_equal_the_global_check(name, leaf, n):
     twist block of these leaves has at most 3 rows, so from dim 27 on the
     windows must not defer."""
     cat = builtin_category(name)
-    for total in cat.labels:
+    for total in LONG_COMB_TOTALS.get(n, cat.labels):
         shape = comb_tree(cat, [leaf] * n, total)
         basis = enumerate_basis(cat, shape)
         if basis.dim == 0:
@@ -515,11 +518,99 @@ def test_comb_windows_equal_the_global_check(name, leaf, n):
             continue
         dim, report = shape_check(cat, shape)
         assert (dim, _residuals(report)) == (basis.dim, want), total
-        windows = braidrep._comb_windows(cat, shape, basis.dim)
+        windows = braidrep._comb_windows(cat, shape)
         if basis.dim >= 27:
-            assert _residuals(windows) == want, total
+            assert windows[0] == basis.dim and _residuals(windows[1]) == want, total
         else:
-            assert windows is None or _residuals(windows) == want, total
+            assert windows is None or (windows[0], _residuals(windows[1])) == (basis.dim, want), \
+                total
+
+
+def loop_twists(cat, a):
+    """Reference: :func:`braidrep._twists` formed block by block, one
+    gather and matmul per (x, d)."""
+    tables = cat.tables
+    c_rows, c_cols = tables.rows[:, a, a], tables.cols[:, a, a]
+    r_missing = c_cols & tables.r_missing[a, a]
+    missing = tables.f_missing[:, a, a] | r_missing.any(-1)
+    twists = np.zeros((len(cat.labels),) * 4, dtype=complex)
+    for x, d in zip(*np.nonzero(c_rows.any(-1) & ~missing)):
+        fmat = tables.f[x, a, a, d][np.ix_(c_rows[x, d], c_cols[x, d])]
+        twist = tables.r[a, a, c_cols[x, d]]
+        twists[x, d][np.ix_(c_rows[x, d], c_rows[x, d])] = fmat.conj() @ (twist[:, None] * fmat.T)
+    return twists, missing, r_missing
+
+
+@pytest.mark.parametrize("name", ["su2_4", "so5_2"])
+def test_twist_blocks_equal_the_per_block_loop(name):
+    """The stacked twist products are the per-block ones bit for bit, on
+    every leaf label, and so are the masks of blocks and R-symbols that
+    need absent data."""
+    cat = builtin_category(name)
+    for a in range(len(cat.labels)):
+        got, want = braidrep._twists(cat, a), loop_twists(cat, a)
+        assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64)), cat.labels[a]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+
+@pytest.mark.parametrize("name, leaf", [("su2_4", "1"), ("su2_4", "2"), ("su2_4", "3"),
+                                        ("so5_2", "eps")])
+def test_comb_dimension_is_the_path_count(name, leaf):
+    """The comb dimension of the window path is e_unit . step^n, counted
+    here by exact object-array products, on 3-40 strands at every total;
+    where the windows run they report it."""
+    cat = builtin_category(name)
+    a = cat.labels.index(leaf)
+    step = cat.tables.fusion[:, a]
+    counts = (np.arange(len(cat.labels)) == 0).astype(object)
+    for n in range(1, 41):
+        counts = counts @ step.astype(object)
+        if n < 3:
+            continue
+        for total, want in zip(cat.labels, counts):
+            assert braidrep._path_count(step, n, cat.labels.index(total)) == want
+            windows = braidrep._comb_windows(cat, comb_tree(cat, [leaf] * n, total))
+            assert windows is None or windows[0] == want, (n, total)
+
+
+def loop_reach_and_far(step, has_block, n, total):
+    """Reference: the comb's reach sets as bool arrays, one matmul per
+    strand, and the far-commutation recursion run once per strand."""
+    size = len(step)
+    forward, backward = [np.arange(size) == 0], [np.arange(size) == total]
+    for _ in range(n):
+        forward.append(forward[-1] @ step)
+        backward.append(step @ backward[-1])
+    backward.reverse()
+    far = np.zeros((size,) * 4, dtype=bool)
+    later = np.zeros((size,) * 3, dtype=bool)
+    for i in range(n - 3, 0, -1):
+        later = (step.astype(int) @ later.reshape(size, -1) > 0).reshape(later.shape)
+        later |= np.eye(size, dtype=bool)[:, :, None] & (has_block & backward[i + 3])[None]
+        far |= (forward[i - 1][:, None] & has_block)[:, :, None, None] & later[None]
+    return forward, backward, far
+
+
+@pytest.mark.parametrize("name, leaf", [("su2_4", "1"), ("su2_4", "2"), ("su2_4", "3"),
+                                        ("so5_2", "eps")])
+def test_comb_reach_sets_and_far_blocks_equal_the_per_strand_loop(name, leaf):
+    """The memoised bitmask reach sets and the far-commutation recursion,
+    run once per distinct state, equal the per-strand loop on 3-40
+    strands at every total."""
+    cat = builtin_category(name)
+    a = cat.labels.index(leaf)
+    step, has_block = cat.tables.fusion[:, a], cat.tables.rows[:, a, a].any(-1)
+    size = len(cat.labels)
+    for n in range(3, 41):
+        for total in range(size):
+            forward = braidrep._charge_sets(1, braidrep._masks(step), n)
+            backward = braidrep._charge_sets(1 << total, braidrep._masks(step.T), n)[::-1]
+            bits = braidrep._unpacked(forward + backward, size)
+            want = loop_reach_and_far(step, has_block, n, total)
+            assert np.array_equal([bits[f] for f in forward], want[0]), (n, total)
+            assert np.array_equal([bits[b] for b in backward], want[1]), (n, total)
+            assert np.array_equal(braidrep._far_blocks(step, has_block, forward, backward, bits),
+                                  want[2]), (n, total)
 
 
 def test_comb_windows_defer_where_the_global_check_goes_dense(su24):
@@ -527,7 +618,7 @@ def test_comb_windows_defer_where_the_global_check_goes_dense(su24):
     products past dim^2 terms, which the global check forms by a dense
     matmul: the windows defer to it."""
     shape = comb_tree(su24, ["2"] * 3, "2")
-    assert braidrep._comb_windows(su24, shape, 3) is None
+    assert braidrep._comb_windows(su24, shape) is None
     assert shape_check(su24, shape) == (3, rep_check(general_generators(
         su24, enumerate_basis(su24, shape))))
 

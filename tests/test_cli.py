@@ -235,18 +235,25 @@ REP_CHECK_ERRORS = [
      "error: empty fusion space: nothing to check"),
     (["--category", "su2_4", "--leaves", "1 1 3", "--total", "1"], EXIT_USAGE,
      "error: general_generators requires identical leaf labels"),
+    (["--category", "so5_2", "--leaves", "eps eps eps eps", "--total", "1"], EXIT_MISSING_DATA,
+     "missing category data: so5_2: no stored F-matrix for ('y1', 'eps', 'eps', '1')"),
+]
+# the 1 GiB budget guards the label rows and generators of the global path,
+# which the window path does not form: these combs pass on windows
+GLOBAL_PATH_ERRORS = [
     (COMB28, EXIT_USAGE, "error: the dim-1594323 space on 28 leaves needs at least 1377495072 "
      "bytes (1.28 GiB) for its braid generators, over the 1 GiB budget"),
     (COMB40, EXIT_USAGE, "error: the dim-1162261467 space on 40 leaves needs at least "
      "725251155408 bytes (675.44 GiB) for its label rows, over the 1 GiB budget"),
-    (["--category", "so5_2", "--leaves", "eps eps eps eps", "--total", "1"], EXIT_MISSING_DATA,
-     "missing category data: so5_2: no stored F-matrix for ('y1', 'eps', 'eps', '1')"),
 ]
 
 
-@pytest.mark.parametrize("path", ["windows", "global"])
-@pytest.mark.parametrize("source, code, message", REP_CHECK_ERRORS,
-                         ids=["empty", "mixed", "comb28", "comb40", "so5_2-eps4"])
+@pytest.mark.parametrize("source, code, message, path", [
+    *(pytest.param(*error, path, id=f"{name}-{path}")
+      for error, name in zip(REP_CHECK_ERRORS, ["empty", "mixed", "so5_2-eps4"])
+      for path in ("windows", "global")),
+    *(pytest.param(*error, "global", id=f"{name}-global")
+      for error, name in zip(GLOBAL_PATH_ERRORS, ["comb28", "comb40"]))])
 def test_rep_check_errors_do_not_depend_on_the_path(source, code, message, path, capsys,
                                                     monkeypatch):
     if path == "global":
@@ -256,15 +263,46 @@ def test_rep_check_errors_do_not_depend_on_the_path(source, code, message, path,
     assert not out and err.splitlines() == [message]
 
 
-def test_a_comb_past_the_recursion_limit_exits_64():
-    """A 1200-leaf comb is refused by the 1 GiB budget, as comb-28 is: the
-    shape and the count pass are loops, so no RecursionError escapes."""
+def subprocess_cli(*argv):
+    """One ``python -m metaplectic`` run on this checkout's ``src``."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "metaplectic", "rep", "check", "--category",
-                           "su2_4", "--leaves", " ".join(["1"] * 1200), "--total", "2"],
-                          env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, "-m", "metaplectic", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+COMB_RESIDUALS = ["unitarity_max=1.554e-15", "braid_max=1.351e-15",
+                  "far_commutation_max=1.110e-16", "pass=1"]
+
+
+@pytest.mark.parametrize("n, dim", [(28, "1594323"), (40, "1162261467"),
+                                    (20000, "5.438e+4770")])
+def test_long_combs_pass_on_the_window_path(n, dim, capsys):
+    """Combs past the global path's 1 GiB budget pass on windows with the
+    residuals of combs 8-26; a dim past 30 digits prints in e-notation,
+    which no int-to-str limit refuses."""
+    source = ["--category", "su2_4", "--leaves", " ".join(["1"] * n), "--total", "2"]
+    assert main(["rep", "check", *source]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert not err and machine_section(out).splitlines() == [f"dim={dim}", *COMB_RESIDUALS]
+    assert f"su2_4: dim {dim} rep on {n} strands" in out
+
+
+def test_a_comb_past_the_recursion_limit_passes_rep_check():
+    """A 1200-leaf comb passes `rep check` in a fresh interpreter: the shape
+    and the window path are loops, so no RecursionError escapes."""
+    done = subprocess_cli("rep", "check", "--category", "su2_4",
+                          "--leaves", " ".join(["1"] * 1200), "--total", "2")
+    assert done.returncode == EXIT_OK and not done.stderr
+    assert machine_section(done.stdout).splitlines() == ["dim=6.246e+285", *COMB_RESIDUALS]
+
+
+def test_rep_show_past_the_recursion_limit_exits_64():
+    """`rep show` on the same 1200 leaves builds the generators, so the
+    count pass refuses it with the budget line, in loops: no Traceback."""
+    done = subprocess_cli("rep", "show", "--category", "su2_4",
+                          "--leaves", " ".join(["1"] * 1200), "--total", "2")
     assert done.returncode == EXIT_USAGE and not done.stdout and "Traceback" not in done.stderr
     assert done.stderr.splitlines() == [
         "error: the dim-6.246e+285 space on 1200 leaves needs at least 1.198e+290 bytes "
@@ -279,7 +317,7 @@ def test_a_comb_past_the_recursion_limit_exits_64():
 ], ids=["comb14", "comb10-shape", "comb9-2"])
 def test_rep_check_on_a_comb_builds_no_rows_or_generators(source, capsys, monkeypatch):
     """A left comb is checked on path windows: the same stdout as the global
-    check, with neither the row join nor the generators run."""
+    check, with neither the row count, the row join nor the generators run."""
     with monkeypatch.context() as forced:
         forced.setattr(braidrep, "_comb_windows", lambda *args: None)
         assert main(["rep", "check", *source]) == EXIT_OK
@@ -287,6 +325,7 @@ def test_rep_check_on_a_comb_builds_no_rows_or_generators(source, capsys, monkey
     for module in (cli, braidrep):
         monkeypatch.setattr(module, "general_generators",
                             lambda *args: pytest.fail("the generators were built"))
+    monkeypatch.setattr(trees, "_counted", lambda *args: pytest.fail("the rows were counted"))
     monkeypatch.setattr(trees, "_joined", lambda *args: pytest.fail("the rows were joined"))
     assert main(["rep", "check", *source]) == EXIT_OK
     assert capsys.readouterr().out == want
@@ -388,8 +427,9 @@ BAD_INPUTS = [
     (["protocol", "flip", "--trials", "10", "--rounds", "1000000000"], EXIT_USAGE),
     (["braid", "eval", *COMB20, "--word", "1 2"], EXIT_USAGE),  # a 6.2 GB result
     (["verify", "identity", *COMB14, "--word", "1 2", "--target", "H3"], EXIT_USAGE),
-    (["rep", "check", *COMB28], EXIT_USAGE),  # generators of at least 1.28 GiB
-    (["rep", "check", *COMB40], EXIT_USAGE),  # label rows of 675 GiB
+    # an empty comb: the windows defer and the global check finds no space
+    (["rep", "check", "--category", "su2_4", "--leaves", " ".join(["1"] * 28), "--total", "1"],
+     EXIT_USAGE),
 ]
 
 

@@ -543,6 +543,29 @@ def test_tree_walks_match_recursive_reference(su24, text):
     assert _is_comb(structure) == (structure == comb_tree(su24, ["1"] * len(slots), "0").structure)
 
 
+def random_structure(rng, first, n):
+    """A random full binary tree over the leaf slots first..first+n-1."""
+    if n == 1:
+        return first
+    k = int(rng.integers(1, n))
+    return random_structure(rng, first, k), random_structure(rng, first + k, n - k)
+
+
+def test_split_slots_match_the_leaf_slot_map(su24):
+    """One bottom-up pass gives each internal node the slot where its two
+    children meet, as the last leaf slot of its left child, plus one, does
+    on combs, block combs and random shapes."""
+    from metaplectic.trees import _internal_nodes, _leaf_slots, _split_slots
+    rng = np.random.default_rng(5)
+    shapes = ([comb_tree(su24, ["1"] * n, "0").structure for n in (2, 3, 7, 40)]
+              + [block_comb_tree(su24, "1", k, "0").structure for k in (1, 2, 5)]
+              + [random_structure(rng, 0, int(rng.integers(2, 40))) for _ in range(100)])
+    for structure in shapes:
+        nodes = _internal_nodes(structure)
+        assert {slot: k for k, slot in enumerate(_split_slots(structure))} == \
+            {_leaf_slots(node[0])[-1] + 1: k for k, node in enumerate(nodes)}
+
+
 def test_long_combs_need_no_recursion(su24):
     """Past the recursion limit a comb is built, counted and joined in loops:
     1500 unit leaves have one state, and 10 000 spin-1/2 leaves meet the
