@@ -38,27 +38,29 @@ return fresh dense copies for the small reps that need matrices.
 a left comb of one leaf type, sigma_i changes only the path charge
 p_{i-1}, reading p_{i-2} and p_i (the path model of the comb reps; Wenzl,
 "Hecke algebras of type A_n and subfactors", Invent. Math. 1988), so it
-checks local path windows and builds neither basis rows nor generators,
-for any number of strands; its residuals are :func:`rep_check`'s, float
-for float.  Every other shape, and a comb too small or short of data for
-windows, takes :func:`rep_check` on :func:`general_generators`, as the
-pair-tree models take it on :func:`pair_tree_generators`.
+checks local path windows, sized by the fusion-path pass that also sizes
+every basis (:func:`metaplectic.trees._paths`), and builds neither basis
+rows nor generators, for any number of strands; its residuals are
+:func:`rep_check`'s, float for float.  Every other shape, and a comb too
+small or short of data for windows, takes :func:`rep_check` on
+:func:`general_generators`, as the pair-tree models take it on
+:func:`pair_tree_generators`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
 
 import numpy as np
 
-from .trees import (_finder, _internal_nodes, _is_comb, _rotate, _split_slots, enumerate_basis,
-                    pair_tree)
+from .trees import (_finder, _internal_nodes, _is_comb, _paths, _rotate, _split_slots, _unpacked,
+                    enumerate_basis, pair_tree)
 from .triples import _dense, _keyed_product, _max_diff, _nonzeros, _product, _row_starts
 
 __all__ = ["BraidRep", "RepReport", "pair_tree_generators", "general_generators", "rep_check",
            "shape_check"]
+
+_EMPTY = "empty fusion space: nothing to check"  # rep_check's error, on either path
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,7 +331,7 @@ def rep_check(rep):
     """
     dim = rep.dim
     if dim == 0:
-        raise ValueError("empty fusion space: nothing to check")
+        raise ValueError(_EMPTY)
     gens, unit, braid = _unit_and_braid(dim, rep.nonzeros, dim)
     far = [_max_diff(_word(dim, a[0], b), _word(dim, b[0], a))
            for i, a in enumerate(gens) for b in gens[i + 2:]]
@@ -340,13 +342,11 @@ def shape_check(cat, shape):
     """``(dim, report)`` of the braid rep on ``shape``: the report is
     ``rep_check(general_generators(cat, enumerate_basis(cat, shape)))``,
     float for float, and every error is the one that call raises, save the
-    1 GiB refusal of :func:`metaplectic.trees.enumerate_basis`.
-
-    A left comb of one leaf type is checked on local path windows
-    (:func:`_comb_windows`), which count its paths instead of its basis
-    rows and form neither rows nor generators, so that budget does not
-    apply to it.  Every other shape, and a comb whose windows defer, takes
-    that call, budget and all.
+    1 GiB refusal of :func:`metaplectic.trees.enumerate_basis`: a left comb
+    of one leaf type is checked on local path windows (:func:`_comb_windows`),
+    which form neither rows nor generators, so an empty comb of any length
+    raises the empty-space error.  Every other shape, and a comb whose
+    windows defer, takes that call, budget and all.
     """
     leaves = {cat.resolve(leaf) for leaf in shape.leaves}
     if len(leaves) == 1 and _is_comb(shape.structure):
@@ -357,36 +357,21 @@ def shape_check(cat, shape):
     return basis.dim, rep_check(general_generators(cat, basis))
 
 
-def _path_count(step, n, total):
-    """The number of paths of n steps from the unit (label 0) to charge
-    ``total``, a step going from q to q' where ``step[q, q']``: the
-    dimension of the n-leaf comb whose leaf fuses by ``step``, as an exact
-    Python int."""
-    into = [[q for q, fused in enumerate(column) if fused] for column in step.T.tolist()]
-    counts = [1] + [0] * (len(into) - 1)
-    for _ in range(n):
-        counts = [sum([counts[q] for q in qs]) for qs in into]
-    return counts[total]
-
-
 def _comb_windows(cat, shape):
     """``(dim, rep_check report)`` of the left comb ``shape`` (one leaf type
-    a) from local path windows, or None where the global check must run
-    instead.
+    a) from local path windows, or None where the global check must run.
 
     Write p_0 = a, p_j for the charge of leaves 0..j (p_{n-1} the total)
-    and p_{-1} for the unit.  ``dim`` counts the paths p_{-1} .. p_{n-1}
-    under fusion with a (:func:`_path_count`).  sigma_i changes only
-    p_{i-1}, by the twist block (p_{i-2}, p_i) of :func:`_twists`, as in
-    :func:`general_generators`; the comb basis orders its states
-    lexicographically, the last charge first.  So every entry of a
-    relation's residual depends only on a window of charges, bit for bit:
-    its terms are the same values, multiplied in the same operand order and
-    summed in the same order, as the window's own states sort the same
-    way.  A window occurs when its first charge is reachable from p_{-1}
-    and its last reaches the total; these charge sets are memoised
-    bitmasks (:func:`_charge_sets`), so a long comb costs a count step and
-    a few dict lookups per strand, and numpy work only per distinct set.
+    and p_{-1} for the unit.  sigma_i changes only p_{i-1}, by the twist
+    block (p_{i-2}, p_i) of :func:`_twists`, as in :func:`general_generators`;
+    the comb basis orders its states lexicographically, the last charge
+    first.  So every entry of a relation's residual depends only on a window
+    of charges, bit for bit: its terms are the same values, multiplied and
+    summed in the same order, as the window's own states sort the same way.
+    A window occurs when its ends lie on one path.  ``dim`` and the charges
+    p_t carries on a path, at the comb's preorder subtree n-1-t, are those
+    of :func:`metaplectic.trees._paths` (memoised bitmasks), so a long comb
+    costs a few dict lookups per strand and numpy work per distinct set.
 
     * Unitarity and braid relations: sigma_A and sigma_B act on c and d of
       the states (x, c, d, e) with x -> c -> d -> e under fusion with a,
@@ -401,29 +386,26 @@ def _comb_windows(cat, shape):
       the pairs of twist entries whose blocks occur on one path
       (:func:`_far_blocks`).
 
-    Returns None for fewer than 3 strands, an empty space, dim < m^3, or a
-    window that needs absent data, so that the global check meets the
-    same rows and raises the same error.
+    An empty space raises :func:`rep_check`'s error.  Returns None for fewer
+    than 3 strands, dim < m^3, or a window that needs absent data, so that
+    the global check meets the same rows and raises the same error.
     """
-    n, tables, size = shape.n_leaves, cat.tables, len(cat.labels)
+    n, tables = shape.n_leaves, cat.tables
     a = cat.labels.index(cat.resolve(shape.leaves[0]))
-    total = cat.labels.index(cat.resolve(shape.total))
     step = tables.fusion[:, a]  # [q, q']: q x a -> q'
     blocks = tables.rows[:, a, a]  # [x, d, c]: x -> c -> d
     m = int(blocks.sum(-1).max())
-    dim = _path_count(step, n, total)
-    if n < 3 or dim == 0 or dim < m ** 3:
+    dim, _, marks = _paths(cat, shape)
+    if dim == 0:
+        raise ValueError(_EMPTY)
+    if n < 3 or dim < m ** 3:
         return None
     twists, missing, _ = _twists(cat, a)
-    # forward[t], backward[t]: the charges p_{t-1} can carry on a path from
-    # the unit, and on a path to the total
-    forward = _charge_sets(1, _masks(step), n)
-    backward = _charge_sets(1 << total, _masks(step.T), n)[::-1]
-    bits = _unpacked(forward + backward, size)
+    sets = [1] + marks[n - 1::-1]  # sets[t]: the charges p_{t-1} carries on a path
+    bits = _unpacked(sets, len(cat.labels))
     # braid windows (x, e) = (p_{i-2}, p_{i+1}), i = 1..n-2
     ends = np.any([np.outer(bits[f], bits[b])
-                   for f, b in {(forward[i - 1], backward[i + 2]) for i in range(1, n - 1)}],
-                  axis=0)
+                   for f, b in {(sets[i - 1], sets[i + 2]) for i in range(1, n - 1)}], axis=0)
     e, d, c, x = np.nonzero(ends.T[:, None, None, :] & step.T[:, :, None, None]
                             & step.T[None, :, :, None] & step.T[None, None, :, :])
     if missing[x, d].any() or missing[c, e].any():
@@ -433,7 +415,7 @@ def _comb_windows(cat, shape):
     sigma_a = _twisted(twists, labels, find, x, c, d, 2)
     sigma_b = _twisted(twists, labels, find, c, d, e, 1)
     _, unit, braid = _unit_and_braid(max(states, m ** 3), (sigma_a, sigma_b), states)
-    far = _far_blocks(step, blocks.any(-1), forward, backward, bits)
+    far = _far_blocks(step, blocks.any(-1), sets, bits)
     bx, bd, rows, cols = np.nonzero(twists)
     values = twists[bx, bd, rows, cols]
     first, second = np.nonzero(far[bx[:, None], bd[:, None], bx, bd])
@@ -442,47 +424,21 @@ def _comb_windows(cat, shape):
     return dim, _report(unit, braid, [commutation.max(initial=0.0)])
 
 
-def _masks(step):
-    """Row q of ``step`` as the bitmask of the charges it marks."""
-    return [sum(1 << q for q, fused in enumerate(row) if fused) for row in step.tolist()]
-
-
-def _unpacked(masks, size):
-    """Each distinct bitmask of ``masks`` as a bool array over ``size`` labels."""
-    return {mask: np.array([mask >> q & 1 for q in range(size)], dtype=bool)
-            for mask in set(masks)}
-
-
-def _charge_sets(start, moves, n):
-    """The charge sets, as bitmasks, of n + 1 successive path charges from
-    the set ``start``, ``moves[q]`` being the set one step from charge q.
-    A comb's sets soon repeat, so each step is looked up in a memo."""
-    sets, memo = [start], {}
-    for _ in range(n):
-        mask = sets[-1]
-        if mask not in memo:
-            memo[mask] = reduce(or_, (move for q, move in enumerate(moves) if mask >> q & 1), 0)
-        sets.append(memo[mask])
-    return sets
-
-
-def _far_blocks(step, has_block, forward, backward, bits):
+def _far_blocks(step, has_block, sets, bits):
     """far[x, d, y, f]: a block (x, d) of sigma_i and a block (y, f) of
-    sigma_j, j >= i + 2, occur on one path of the comb whose charge sets
-    are ``forward`` and ``backward`` (bitmasks, unpacked by ``bits``), as
-    in :func:`_comb_windows`.
+    sigma_j, j >= i + 2, occur on one path of the comb whose path charge
+    p_{t-1} carries the set ``sets[t]`` (bitmasks, unpacked by ``bits``).
 
     The recursion runs down i = n-3..1 on later[d, y, f]: from p_i = d a
     path reaches y at p_{j-2} and f at p_j through the block (y, f).  Each
-    later is formed once per distinct (later, backward set), and each
-    (forward set, later) pair joins far once, so a long comb costs two
-    dict lookups per strand."""
-    size, n = len(step), len(forward) - 1
+    later is formed once per distinct (later, set of p_{i+2}), and each
+    (set of p_{i-2}, later) pair joins far once: two dict lookups a strand."""
+    size, n = len(step), len(sets) - 1
     own_blocks = np.eye(size, dtype=bool)[:, :, None] & has_block  # [d, y, f]: y = d
     later = [np.zeros((size,) * 3, dtype=bool)]
     known, moves, met, at = {later[0].tobytes(): 0}, {}, set(), 0
     for i in range(n - 3, 0, -1):
-        key = at, backward[i + 3]
+        key = at, sets[i + 3]
         if key not in moves:
             new = (step @ later[at].reshape(size, -1)).reshape(later[at].shape)
             new |= own_blocks & bits[key[1]]
@@ -490,7 +446,7 @@ def _far_blocks(step, has_block, forward, backward, bits):
             if moves[key] == len(later):
                 later.append(new)
         at = moves[key]
-        met.add((forward[i - 1], at))
+        met.add((sets[i - 1], at))
     far = np.zeros((size,) * 4, dtype=bool)
     for f, at in met:
         far |= (bits[f][:, None] & has_block)[:, :, None, None] & later[at][None]

@@ -56,11 +56,11 @@ class TreeShape:
     total: str
 
     def __post_init__(self):
+        if len(self.leaves) < 2:
+            raise ValueError("a fusion tree needs at least 2 leaves")
         slots = _leaf_slots(self.structure)
         if slots != tuple(range(len(self.leaves))):
             raise ValueError(f"structure slots {slots} do not match {len(self.leaves)} leaves")
-        if len(self.leaves) < 2:
-            raise ValueError("a fusion tree needs at least 2 leaves")
 
     @property
     def n_leaves(self):
@@ -68,7 +68,15 @@ class TreeShape:
 
 
 def _leaf_slots(structure):
-    return tuple(node for node, children in _subtrees(structure) if not children)
+    """The leaf slots of ``structure`` in order, walked keeping no subtree."""
+    slots, stack = [], [structure]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, int):
+            slots.append(node)
+        else:
+            stack += node[1], node[0]
+    return tuple(slots)
 
 
 def _internal_nodes(structure):
@@ -183,24 +191,17 @@ def enumerate_basis(cat, shape):
     """All admissible labelings of ``shape`` (empty basis allowed).
 
     Leaves and total go through ``cat.resolve``.  Each node joins the rows
-    of its two subtrees on the fusion tensor ``cat.tables.fusion`` into
-    only the charges that can still reach the total: the root into the
-    total, a child into those that fuse with some charge its sibling can
-    carry into one its parent keeps.  States are sorted lexicographically
-    in the category's label order, except for the registered computational
-    bases, whose printed order and signs are kept.
-
-    The count pass (:func:`_counted`) refuses a space with ``ValueError``
-    before any row is formed when the label rows of one node, counted on
-    the fusion tensor, or the least storage of its braid generators (each
-    sigma_i is unitary: an intp row, intp column and complex value per
-    basis row) would pass the 1 GiB budget of :mod:`metaplectic.synthesis`.
-    The comb check of :func:`metaplectic.braidrep.shape_check` forms
-    neither rows nor generators and counts its paths instead, so the
-    budget does not apply to it; a comb whose windows defer comes here.
+    of its two subtrees on the fusion tensor ``cat.tables.fusion`` into the
+    charges :func:`_paths` marks for it, those of some basis row.  States
+    are sorted lexicographically in the category's label order, except for
+    the registered computational bases, whose printed order and signs are
+    kept.  Before any row is formed, :func:`_counted` refuses a space past
+    the 1 GiB budget of :mod:`metaplectic.synthesis`; the comb windows of
+    :func:`metaplectic.braidrep.shape_check` read the same :func:`_paths`
+    pass but form no rows, so the budget does not bind them.
     """
-    shape, _, possible = _counted(cat, shape)
-    labels = _joined(cat, shape, possible)
+    shape, marks = _counted(cat, shape)
+    labels = _joined(cat, shape, marks)
     labels = labels[np.lexsort(labels.T[::-1])]
     signs = (1,) * len(labels)
     key = (cat.name, shape.structure, shape.leaves, shape.total)
@@ -215,38 +216,25 @@ def enumerate_basis(cat, shape):
 
 
 def _counted(cat, shape):
-    """The count pass of :func:`enumerate_basis`: ``shape`` with its labels
-    resolved, the dimension of its space, and for each subtree, in the
-    order of :func:`_subtrees`, the root charges it has rows for.  Counts
-    are exact Python ints; a space past the budget raises ``ValueError``
-    here, before any row is formed."""
+    """The budget of :func:`enumerate_basis`: ``shape``, labels resolved,
+    and its :func:`_paths` marks; ``ValueError``, before any row is formed,
+    when the label rows of one node or the least storage of the braid
+    generators (each sigma_i unitary: an intp row and column and a complex
+    value per basis row), as that pass counts them, pass the budget."""
     from .synthesis import _CLOSURE_BYTES  # here, so importing trees loads no synthesis
 
     shape = TreeShape(shape.structure, tuple(map(cat.resolve, shape.leaves)),
                       cat.resolve(shape.total))
-    exact, node_bytes, intp = cat.tables.fusion.astype(object), [], np.dtype(np.intp).itemsize
-    subtrees = _subtrees(shape.structure)
-    # per subtree: the rows join forms per root charge, as Python ints, and their width
-    rows, widths = [None] * len(subtrees), [0] * len(subtrees)
-    for at in reversed(range(len(subtrees))):  # both children first
-        structure, children = subtrees[at]
-        if not children:
-            rows[at] = (np.array(cat.labels) == shape.leaves[structure]).astype(object)
-            continue
-        left, right = children
-        rows[at] = (rows[left][:, None, None] * rows[right][:, None] * exact).sum((0, 1))
-        widths[at] = 1 + widths[left] + widths[right]
-        node_bytes.append(int(rows[at].sum()) * widths[at] * intp)
-
-    dim = int(rows[0][cat.labels.index(shape.total)])
-    for what, need in (("label rows", max(node_bytes)),
+    dim, cells, marks = _paths(cat, shape)
+    intp = np.dtype(np.intp).itemsize
+    for what, need in (("label rows", cells * intp),
                        ("braid generators", dim * (shape.n_leaves - 1) * (2 * intp + 16))):
         if need > _CLOSURE_BYTES:
             gib = f"{need / 2 ** 30:.2f}" if need < 10 ** 30 else f"{Decimal(need) / 2 ** 30:.2e}"
             raise ValueError(f"the dim-{_amount(dim)} space on {shape.n_leaves} leaves needs at "
                              f"least {_amount(need)} bytes ({gib} GiB) for its {what}, over the "
                              f"{_CLOSURE_BYTES >> 30} GiB budget")
-    return shape, dim, [count > 0 for count in rows]
+    return shape, marks
 
 
 def _amount(n):
@@ -255,20 +243,74 @@ def _amount(n):
     return str(n) if n < 10 ** 30 else f"{Decimal(n):.3e}"
 
 
-def _joined(cat, shape, possible):
-    """The rows of ``shape``: the total, then the internal charges in
-    preorder (the row join of :func:`enumerate_basis`).  The allowed root
-    charges pass down the subtrees, then the rows of each subtree join
-    upwards, both in loops over :func:`_subtrees`."""
-    subtrees = _subtrees(shape.structure)
-    allowed, fuse = [None] * len(subtrees), [None] * len(subtrees)
-    allowed[0] = np.arange(len(cat.labels)) == cat.labels.index(shape.total)
+def _paths(cat, shape):
+    """The fusion paths of ``shape`` (labels resolved), any tree shape, in one
+    pass on Python ints: ``(dim, cells, marks)``, ``marks`` in the order of
+    :func:`_subtrees`.
+
+    Bottom up, a subtree has rows per root charge c: a leaf one, at its
+    label; a node the rows of its children at l and at r multiplied, summed
+    over l x r -> c.  ``dim`` is the root's rows at the total; ``cells`` the
+    most labels the row join forms at one node over every root charge, its
+    rows times 1 + its internal nodes below, exact at any size.  Top down,
+    ``marks[at]`` is the bitmask of the charges ``at`` carries in some basis
+    row: the root the total, if it has rows there; a child each charge with
+    rows that fuses, with one of its sibling's, into a parent mark.  A comb
+    repeats its charge sets, so the pairs that fuse for each (left, right)
+    and the marks for each (parent, left, right) are memoised."""
+    labels = {leaf: cat.labels.index(cat.resolve(leaf)) for leaf in {*shape.leaves, shape.total}}
+    size, fusion, subtrees = len(cat.labels), cat.tables.fusion.tolist(), _subtrees(shape.structure)
+    # per subtree: its rows per root charge (a leaf's shared) until its parent
+    # reads them, and the bitmask of the charges it has rows at
+    counts, has = [None] * len(subtrees), [0] * len(subtrees)
+    widths, cells, joins = [0] * len(subtrees), 0, {}
+    one_row = [[int(c == q) for c in range(size)] for q in range(size)]
+    for at in reversed(range(len(subtrees))):  # both children first
+        node, children = subtrees[at]
+        if not children:
+            leaf = labels[shape.leaves[node]]
+            counts[at], has[at] = one_row[leaf], 1 << leaf
+            continue
+        left, right = children
+        key = has[left], has[right]
+        if key not in joins:  # each (l, r, the charges of l x r) with rows on both sides
+            pairs = [(l, r, [c for c in range(size) if fusion[l][r][c]])
+                     for l in range(size) for r in range(size) if key[0] >> l & key[1] >> r & 1]
+            joins[key] = pairs, sum({1 << c for _, _, charges in pairs for c in charges})
+        pairs, has[at] = joins[key]
+        left_rows, right_rows, rows = counts[left], counts[right], [0] * size
+        counts[left] = counts[right] = None
+        for l, r, charges in pairs:
+            product = left_rows[l] * right_rows[r]
+            for c in charges:
+                rows[c] += product
+        counts[at], widths[at] = rows, 1 + widths[left] + widths[right]
+        cells = max(cells, sum(rows) * widths[at])
+    total, marks, memo = labels[shape.total], [0] * len(subtrees), {}
+    marks[0] = has[0] & 1 << total
     for at, (_, children) in enumerate(subtrees):  # each parent first
         if children:
-            left, right = children
-            fuse[at] = cat.tables.fusion & allowed[at]
-            reach = fuse[at] & possible[left][:, None, None] & possible[right][:, None]
-            allowed[left], allowed[right] = reach.any((1, 2)), reach.any((0, 2))
+            key = marks[at], has[children[0]], has[children[1]]
+            if key not in memo:
+                kept = [(l, r) for l, r, charges in joins[key[1:]][0]
+                        if any(key[0] >> c & 1 for c in charges)]
+                memo[key] = sum({1 << l for l, _ in kept}), sum({1 << r for _, r in kept})
+            marks[children[0]], marks[children[1]] = memo[key]
+    return counts[0][total], cells, marks
+
+
+def _unpacked(masks, size):
+    """Each distinct bitmask of ``masks`` as a bool array over ``size`` labels."""
+    return {mask: np.array([mask >> q & 1 for q in range(size)], dtype=bool)
+            for mask in set(masks)}
+
+
+def _joined(cat, shape, marks):
+    """The rows of ``shape``: the total, then the internal charges in
+    preorder (the row join of :func:`enumerate_basis`), each node joining
+    its subtrees' rows into the charges it ``marks`` (:func:`_paths`)."""
+    subtrees = _subtrees(shape.structure)
+    allowed = _unpacked(marks, len(cat.labels))
     rows = [None] * len(subtrees)
     for at in reversed(range(len(subtrees))):  # both children first
         structure, children = subtrees[at]
@@ -278,7 +320,8 @@ def _joined(cat, shape, possible):
         left, right = children
         left_rows, right_rows = rows[left], rows[right]
         rows[left] = rows[right] = None
-        i, j, charge = np.nonzero(fuse[at][left_rows[:, :1], right_rows[:, 0]])
+        fuse = cat.tables.fusion & allowed[marks[at]]
+        i, j, charge = np.nonzero(fuse[left_rows[:, :1], right_rows[:, 0]])
         rows[at] = np.column_stack([charge] + [part[picked] for part, picked, child in
                                                ((left_rows, i, left), (right_rows, j, right))
                                                if subtrees[child][1]])

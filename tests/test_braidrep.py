@@ -12,7 +12,7 @@ import pytest
 from metaplectic.categories import Category, MissingDataError, builtin_category
 from metaplectic import triples
 from metaplectic.triples import _nonzeros
-from metaplectic import braidrep
+from metaplectic import braidrep, trees
 from metaplectic.braidrep import (BraidRep, RepReport, general_generators,
                                   pair_tree_generators, rep_check, shape_check)
 from metaplectic.synthesis import BraidWord, eval_word
@@ -556,9 +556,10 @@ def test_twist_blocks_equal_the_per_block_loop(name):
 @pytest.mark.parametrize("name, leaf", [("su2_4", "1"), ("su2_4", "2"), ("su2_4", "3"),
                                         ("so5_2", "eps")])
 def test_comb_dimension_is_the_path_count(name, leaf):
-    """The comb dimension of the window path is e_unit . step^n, counted
-    here by exact object-array products, on 3-40 strands at every total;
-    where the windows run they report it."""
+    """The comb dimension of the fusion-path pass is e_unit . step^n,
+    counted here by exact object-array products, on 3-40 strands at every
+    total; where the windows run they report it, and on an empty comb they
+    raise the empty-space error of rep_check."""
     cat = builtin_category(name)
     a = cat.labels.index(leaf)
     step = cat.tables.fusion[:, a]
@@ -568,8 +569,13 @@ def test_comb_dimension_is_the_path_count(name, leaf):
         if n < 3:
             continue
         for total, want in zip(cat.labels, counts):
-            assert braidrep._path_count(step, n, cat.labels.index(total)) == want
-            windows = braidrep._comb_windows(cat, comb_tree(cat, [leaf] * n, total))
+            shape = comb_tree(cat, [leaf] * n, total)
+            assert trees._paths(cat, shape)[0] == want, (n, total)
+            if want == 0:
+                with pytest.raises(ValueError, match="^empty fusion space: nothing to check$"):
+                    braidrep._comb_windows(cat, shape)
+                continue
+            windows = braidrep._comb_windows(cat, shape)
             assert windows is None or windows[0] == want, (n, total)
 
 
@@ -594,23 +600,25 @@ def loop_reach_and_far(step, has_block, n, total):
 @pytest.mark.parametrize("name, leaf", [("su2_4", "1"), ("su2_4", "2"), ("su2_4", "3"),
                                         ("so5_2", "eps")])
 def test_comb_reach_sets_and_far_blocks_equal_the_per_strand_loop(name, leaf):
-    """The memoised bitmask reach sets and the far-commutation recursion,
-    run once per distinct state, equal the per-strand loop on 3-40
-    strands at every total."""
+    """The charge sets the fusion-path pass marks on a comb's path charges
+    p_0..p_{n-1} are the forward and backward reach sets of the per-strand
+    loop, intersected, and the far-commutation recursion on them, run once
+    per distinct state, gives the loop's far blocks, on 3-40 strands at
+    every total."""
     cat = builtin_category(name)
     a = cat.labels.index(leaf)
     step, has_block = cat.tables.fusion[:, a], cat.tables.rows[:, a, a].any(-1)
     size = len(cat.labels)
     for n in range(3, 41):
         for total in range(size):
-            forward = braidrep._charge_sets(1, braidrep._masks(step), n)
-            backward = braidrep._charge_sets(1 << total, braidrep._masks(step.T), n)[::-1]
-            bits = braidrep._unpacked(forward + backward, size)
-            want = loop_reach_and_far(step, has_block, n, total)
-            assert np.array_equal([bits[f] for f in forward], want[0]), (n, total)
-            assert np.array_equal([bits[b] for b in backward], want[1]), (n, total)
-            assert np.array_equal(braidrep._far_blocks(step, has_block, forward, backward, bits),
-                                  want[2]), (n, total)
+            marks = trees._paths(cat, comb_tree(cat, [leaf] * n, cat.labels[total]))[2]
+            sets = [1] + marks[n - 1::-1]  # as braidrep._comb_windows reads them
+            bits = trees._unpacked(sets, size)
+            forward, backward, far = loop_reach_and_far(step, has_block, n, total)
+            assert np.array_equal([bits[s] for s in sets[1:]],
+                                  np.logical_and(forward, backward)[1:]), (n, total)
+            assert np.array_equal(braidrep._far_blocks(step, has_block, sets, bits), far), \
+                (n, total)
 
 
 def test_comb_windows_defer_where_the_global_check_goes_dense(su24):

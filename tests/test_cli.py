@@ -227,6 +227,7 @@ COMB14 = ["--category", "su2_4", "--leaves", " ".join(["1"] * 14), "--total", "2
 COMB20 = ["--category", "su2_4", "--leaves", " ".join(["1"] * 20), "--total", "2"]  # dim 19683
 COMB28 = ["--category", "su2_4", "--leaves", " ".join(["1"] * 28), "--total", "2"]  # dim 3^13
 COMB40 = ["--category", "su2_4", "--leaves", " ".join(["1"] * 40), "--total", "2"]  # dim 3^19
+COMB41 = ["--category", "su2_4", "--leaves", " ".join(["1"] * 41), "--total", "2"]  # dim 0
 
 # rep check sources whose check stops with an error, the same on the window
 # path and on the global one: (source, exit code, the one line on stderr)
@@ -237,23 +238,33 @@ REP_CHECK_ERRORS = [
      "error: general_generators requires identical leaf labels"),
     (["--category", "so5_2", "--leaves", "eps eps eps eps", "--total", "1"], EXIT_MISSING_DATA,
      "missing category data: so5_2: no stored F-matrix for ('y1', 'eps', 'eps', '1')"),
+    (["--category", "su2_4", "--leaves", " ", "--total", "2"], EXIT_USAGE,
+     "error: a fusion tree needs at least 2 leaves"),
 ]
 # the 1 GiB budget guards the label rows and generators of the global path,
-# which the window path does not form: these combs pass on windows
+# which the window path does not form: these combs pass on windows, save the
+# empty one, which the windows find empty however long it is
 GLOBAL_PATH_ERRORS = [
     (COMB28, EXIT_USAGE, "error: the dim-1594323 space on 28 leaves needs at least 1377495072 "
      "bytes (1.28 GiB) for its braid generators, over the 1 GiB budget"),
     (COMB40, EXIT_USAGE, "error: the dim-1162261467 space on 40 leaves needs at least "
      "725251155408 bytes (675.44 GiB) for its label rows, over the 1 GiB budget"),
+    (COMB41, EXIT_USAGE, "error: the dim-0 space on 41 leaves needs at least 1115771008320 "
+     "bytes (1039.14 GiB) for its label rows, over the 1 GiB budget"),
+]
+WINDOW_PATH_ERRORS = [
+    (COMB41, EXIT_USAGE, "error: empty fusion space: nothing to check"),
 ]
 
 
 @pytest.mark.parametrize("source, code, message, path", [
     *(pytest.param(*error, path, id=f"{name}-{path}")
-      for error, name in zip(REP_CHECK_ERRORS, ["empty", "mixed", "so5_2-eps4"])
+      for error, name in zip(REP_CHECK_ERRORS, ["empty", "mixed", "so5_2-eps4", "no-leaves"])
       for path in ("windows", "global")),
     *(pytest.param(*error, "global", id=f"{name}-global")
-      for error, name in zip(GLOBAL_PATH_ERRORS, ["comb28", "comb40"]))])
+      for error, name in zip(GLOBAL_PATH_ERRORS, ["comb28", "comb40", "comb41"])),
+    *(pytest.param(*error, "windows", id=f"{name}-windows")
+      for error, name in zip(WINDOW_PATH_ERRORS, ["comb41"]))])
 def test_rep_check_errors_do_not_depend_on_the_path(source, code, message, path, capsys,
                                                     monkeypatch):
     if path == "global":
@@ -427,9 +438,10 @@ BAD_INPUTS = [
     (["protocol", "flip", "--trials", "10", "--rounds", "1000000000"], EXIT_USAGE),
     (["braid", "eval", *COMB20, "--word", "1 2"], EXIT_USAGE),  # a 6.2 GB result
     (["verify", "identity", *COMB14, "--word", "1 2", "--target", "H3"], EXIT_USAGE),
-    # an empty comb: the windows defer and the global check finds no space
+    # an empty comb: the windows find no space, as the global check would
     (["rep", "check", "--category", "su2_4", "--leaves", " ".join(["1"] * 28), "--total", "1"],
      EXIT_USAGE),
+    (["rep", "check", "--category", "su2_4", "--leaves", " ", "--total", "2"], EXIT_USAGE),
 ]
 
 

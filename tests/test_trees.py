@@ -566,6 +566,33 @@ def test_split_slots_match_the_leaf_slot_map(su24):
             {_leaf_slots(node[0])[-1] + 1: k for k, node in enumerate(nodes)}
 
 
+@pytest.mark.parametrize("name, leaf", [("su2_4", "1"), ("su2_4", "2"), ("su2_4", "3"),
+                                        ("so5_2", "eps")])
+def test_fusion_path_pass_counts_and_marks_the_basis_rows(name, leaf):
+    """On random shapes, at every total, empty spaces included, the one
+    fusion-path pass gives the basis dimension, each internal node marks
+    the charges in its column of the basis rows, and each leaf its label
+    when the space has rows."""
+    from metaplectic.trees import _paths, _subtrees
+    cat = builtin_category(name)
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        n = int(rng.integers(2, 10))
+        structure = random_structure(rng, 0, n)
+        subtrees = _subtrees(structure)
+        internal = [at for at, (_, children) in enumerate(subtrees) if children]
+        for total in cat.labels:
+            shape = TreeShape(structure, (leaf,) * n, total)
+            basis = enumerate_basis(cat, shape)
+            dim, _, marks = _paths(cat, shape)
+            assert dim == basis.dim, (structure, total)
+            for column, at in enumerate(internal):  # column k holds internal node k
+                assert marks[at] == sum(1 << q for q in set(basis.labels[:, column].tolist()))
+            leaf_mark = 1 << cat.labels.index(leaf) if dim else 0
+            assert all(marks[at] == leaf_mark for at, (_, children) in enumerate(subtrees)
+                       if not children)
+
+
 def test_long_combs_need_no_recursion(su24):
     """Past the recursion limit a comb is built, counted and joined in loops:
     1500 unit leaves have one state, and 10 000 spin-1/2 leaves meet the
