@@ -41,10 +41,10 @@ p_{i-1}, reading p_{i-2} and p_i (the path model of the comb reps; Wenzl,
 checks local path windows, sized by the fusion-path pass that also sizes
 every basis (:func:`metaplectic.trees._paths`), and builds neither basis
 rows nor generators, for any number of strands; its residuals are
-:func:`rep_check`'s, float for float.  Every other shape, and a comb too
-small or short of data for windows, takes :func:`rep_check` on
-:func:`general_generators`, as the pair-tree models take it on
-:func:`pair_tree_generators`.
+:func:`rep_check`'s, float for float, and so are its errors, the budget
+refusal aside.  Every other shape, and a comb too small for windows, takes
+:func:`rep_check` on :func:`general_generators`, as the pair-tree models
+take it on :func:`pair_tree_generators`.
 """
 
 from __future__ import annotations
@@ -189,6 +189,14 @@ def _twists(cat, a):
     return twists, missing, r_missing
 
 
+def _raise_block(cat, a, x, d, r_missing):
+    """Raise the ``MissingDataError`` of the twist block (x, d) of leaf
+    ``a`` (:func:`_twists`): its F-matrix if absent, else its first absent
+    R-symbol."""
+    cat._raise_missing(cat.f, cat.tables.f_missing[x, a, a, d], x, a, a, d)
+    cat._raise_missing(cat.r, r_missing[x, d], a, a, np.arange(len(cat.labels)))
+
+
 def _twisted(twists, labels, find, x, c, d, pc):
     """Row-major triples of the twist acting on column ``pc`` of ``labels``
     (charge ``c`` of each row, between ``x`` and ``d``): row j goes to the
@@ -226,8 +234,7 @@ def general_generators(cat, basis):
     n = shape.n_leaves  # at least 2, as TreeShape checks
     if len(set(shape.leaves)) != 1:
         raise ValueError("general_generators requires identical leaf labels")
-    names, tables = cat.labels, cat.tables
-    a = names.index(shape.leaves[0])
+    a = cat.labels.index(shape.leaves[0])
     twists, missing, r_missing = _twists(cat, a)
     dim = basis.dim
     signs = np.asarray(basis.signs, dtype=float)
@@ -254,9 +261,8 @@ def general_generators(cat, basis):
                   else (k + 1, -2 if isinstance(left[0], int) else k + 2))
         extended = np.column_stack([labels, tail])
         x, d = extended[:, px], extended[:, k]
-        for j in np.flatnonzero(missing[x, d])[:1]:  # raises MissingDataError
-            cat._raise_missing(cat.f, tables.f_missing[x[j], a, a, d[j]], x[j], a, a, d[j])
-            cat._raise_missing(cat.r, r_missing[x[j], d[j]], a, a, np.arange(len(names)))
+        for j in np.flatnonzero(missing[x, d])[:1]:
+            _raise_block(cat, a, x[j], d[j], r_missing)
         gen = _twisted(twists, extended, find_unrotated if move is identity else _finder(extended),
                        x, extended[:, pc], d, pc)
         if move is not identity:
@@ -342,11 +348,11 @@ def shape_check(cat, shape):
     """``(dim, report)`` of the braid rep on ``shape``: the report is
     ``rep_check(general_generators(cat, enumerate_basis(cat, shape)))``,
     float for float, and every error is the one that call raises, save the
-    1 GiB refusal of :func:`metaplectic.trees.enumerate_basis`: a left comb
-    of one leaf type is checked on local path windows (:func:`_comb_windows`),
-    which form neither rows nor generators, so an empty comb of any length
-    raises the empty-space error.  Every other shape, and a comb whose
-    windows defer, takes that call, budget and all.
+    1 GiB refusal of :func:`metaplectic.trees.enumerate_basis` on a nonempty
+    comb past the generator bound: a left comb of one leaf type is checked
+    on local path windows (:func:`_comb_windows`), which form neither rows
+    nor generators, for any number of strands.  Every other shape, and a
+    comb whose windows defer, takes that call, budget and all.
     """
     leaves = {cat.resolve(leaf) for leaf in shape.leaves}
     if len(leaves) == 1 and _is_comb(shape.structure):
@@ -386,21 +392,22 @@ def _comb_windows(cat, shape):
       the pairs of twist entries whose blocks occur on one path
       (:func:`_far_blocks`).
 
-    An empty space raises :func:`rep_check`'s error.  Returns None for fewer
-    than 3 strands, dim < m^3, or a window that needs absent data, so that
-    the global check meets the same rows and raises the same error.
+    An empty space raises :func:`rep_check`'s error, and a window that needs
+    absent data the ``MissingDataError`` :func:`general_generators` raises,
+    at the row :func:`_first_missing` finds.  Returns None for fewer than 3
+    strands or dim < m^3.
     """
     n, tables = shape.n_leaves, cat.tables
     a = cat.labels.index(cat.resolve(shape.leaves[0]))
     step = tables.fusion[:, a]  # [q, q']: q x a -> q'
     blocks = tables.rows[:, a, a]  # [x, d, c]: x -> c -> d
     m = int(blocks.sum(-1).max())
-    dim, _, marks = _paths(cat, shape)
+    dim, marks = _paths(cat, shape)
     if dim == 0:
         raise ValueError(_EMPTY)
     if n < 3 or dim < m ** 3:
         return None
-    twists, missing, _ = _twists(cat, a)
+    twists, missing, r_missing = _twists(cat, a)
     sets = [1] + marks[n - 1::-1]  # sets[t]: the charges p_{t-1} carries on a path
     bits = _unpacked(sets, len(cat.labels))
     # braid windows (x, e) = (p_{i-2}, p_{i+1}), i = 1..n-2
@@ -409,7 +416,7 @@ def _comb_windows(cat, shape):
     e, d, c, x = np.nonzero(ends.T[:, None, None, :] & step.T[:, :, None, None]
                             & step.T[None, :, :, None] & step.T[None, None, :, :])
     if missing[x, d].any() or missing[c, e].any():
-        return None
+        _raise_block(cat, a, *_first_missing(step, missing, sets, bits), r_missing)
     labels = np.column_stack([e, d, c, x])
     find, states = _finder(labels), len(labels)
     sigma_a = _twisted(twists, labels, find, x, c, d, 2)
@@ -422,6 +429,35 @@ def _comb_windows(cat, shape):
     u, v = values[first], values[second]
     commutation = np.abs((u * v + 0.0) - (v * u + 0.0))
     return dim, _report(unit, braid, [commutation.max(initial=0.0)])
+
+
+def _first_missing(step, missing, sets, bits):
+    """The twist block (x, d) at which :func:`general_generators` raises on
+    a comb whose path charge p_{t-1} carries the set ``sets[t]`` (bitmasks,
+    unpacked by ``bits``): (p_{i-2}, p_i) of the first sigma_i with a row
+    whose block is ``missing``, on its first such row in basis order, the
+    lexicographic order of (p_{n-2}, ..., p_1), found without forming rows.
+
+    A pair x -> c -> d with x and d on a path has c on one too, so sigma_i
+    meets the blocks ``ends`` allows between the sets of p_{i-2} and p_i.
+    ``below[t - i]`` holds the charges p_t has on a row that reaches such a
+    block below it; from the total down, each p_t is the least of them that
+    fuses into p_{t+1}, then c = p_{i-1} and x = p_{i-2} the least ones
+    that close a missing block under d = p_i."""
+    ends, n = missing & (step @ step), len(sets) - 1
+    for i in range(1, n):
+        hit = (bits[sets[i - 1]][:, None] & ends & bits[sets[i + 1]]).any(0)
+        if hit.any():
+            break
+    below = [hit]
+    for t in range(i + 1, n):
+        below.append((below[-1] @ step) & bits[sets[t + 1]])
+    d = int(np.argmax(below[-1]))  # the total
+    for t in range(n - 2, i - 1, -1):
+        d = int(np.argmax(below[t - i] & step[:, d]))
+    xs = bits[sets[i - 1]] & missing[:, d]
+    c = int(np.argmax(step[:, d] & (xs @ step)))
+    return int(np.argmax(xs & step[:, c])), d
 
 
 def _far_blocks(step, has_block, sets, bits):

@@ -673,15 +673,12 @@ def _certify(members, gens, same, central, named, inverses):
     is ``inverses[x]``); no element but slot 0 is the identity; every
     ``central`` element commutes with every generator, and every other
     element x fails to commute with gens[named[x]].  The elements are taken
-    in blocks of half a :func:`_chunk`; a block's products with all the
-    generators come from two matrix products, and all its pairs of
-    matrices go through one call of ``same``.  A disagreement raises
-    ``RuntimeError``."""
+    in blocks of half a :func:`_chunk`; the products x g and g x of the
+    (element, generator) pairs a block checks come from two stacked matrix
+    products, and all its pairs of matrices go through one call of
+    ``same``.  A disagreement raises ``RuntimeError``."""
     n_gens, dim = gens.shape[:2]
     eye = np.eye(dim, dtype=complex)
-    # the generators side by side, [g_0 g_1 ...], and their transposes
-    beside = gens.swapaxes(0, 1).reshape(dim, -1)
-    beside_t = gens.transpose(2, 0, 1).reshape(dim, -1)
     step = max(1, _chunk(dim) // 2)
     for lo in range(0, len(members), step):
         block, slots = members[lo:lo + step], np.arange(lo, min(lo + step, len(members)))
@@ -690,18 +687,16 @@ def _certify(members, gens, same, central, named, inverses):
         near = block[(abs(block - block * eye).max(axis=(-2, -1)) < 1e-8) & (slots > 0)]
         # (x, g) pairs: every generator for a central x, the named one otherwise
         pick = central[slots, None] | (named[slots, None] == np.arange(n_gens))
+        x, g = np.nonzero(pick)
         b, m = len(block), len(block) + len(near)
-        lhs = np.empty((m + np.count_nonzero(pick), dim, dim), dtype=complex)
+        lhs = np.empty((m + len(x), dim, dim), dtype=complex)
         rhs = np.empty_like(lhs)
         np.matmul(members[inverses[slots]], block, out=lhs[:b])
         lhs[b:m], rhs[:m] = near, eye
-        shape = (b, dim, n_gens, dim)
-        lhs[m:] = (block.reshape(-1, dim) @ beside).reshape(shape).swapaxes(1, 2)[pick]
-        # g x is (x^T g^T)^T
-        gx = (block.swapaxes(1, 2).reshape(-1, dim) @ beside_t).reshape(shape)
-        rhs[m:] = gx.swapaxes(1, 2)[pick].swapaxes(1, 2)
+        np.matmul(block[x], gens[g], out=lhs[m:])
+        np.matmul(gens[g], block[x], out=rhs[m:])
         want = np.zeros(len(lhs), dtype=bool)
-        want[:b], want[m:] = True, (pick & central[slots, None])[pick]
+        want[:b], want[m:] = True, central[slots[x]]
         wrong = np.flatnonzero(same(lhs, rhs) != want)
         if len(wrong):
             raise RuntimeError(

@@ -195,8 +195,9 @@ def enumerate_basis(cat, shape):
     charges :func:`_paths` marks for it, those of some basis row.  States
     are sorted lexicographically in the category's label order, except for
     the registered computational bases, whose printed order and signs are
-    kept.  Before any row is formed, :func:`_counted` refuses a space past
-    the 1 GiB budget of :mod:`metaplectic.synthesis`; the comb windows of
+    kept.  Before any row is formed, :func:`_counted` refuses a space whose
+    generators would pass the 1 GiB budget of :mod:`metaplectic.synthesis`
+    (an empty one never); the comb windows of
     :func:`metaplectic.braidrep.shape_check` read the same :func:`_paths`
     pass but form no rows, so the budget does not bind them.
     """
@@ -218,22 +219,22 @@ def enumerate_basis(cat, shape):
 def _counted(cat, shape):
     """The budget of :func:`enumerate_basis`: ``shape``, labels resolved,
     and its :func:`_paths` marks; ``ValueError``, before any row is formed,
-    when the label rows of one node or the least storage of the braid
-    generators (each sigma_i unitary: an intp row and column and a complex
-    value per basis row), as that pass counts them, pass the budget."""
+    when the least storage of the braid generators (each sigma_i unitary:
+    an intp row and column and a complex value per basis row) passes the
+    budget.  That bounds the row join too: each row a node joins at a
+    marked charge extends to its own basis row, so a node forms at most
+    ``dim`` rows of fewer than n intp labels."""
     from .synthesis import _CLOSURE_BYTES  # here, so importing trees loads no synthesis
 
     shape = TreeShape(shape.structure, tuple(map(cat.resolve, shape.leaves)),
                       cat.resolve(shape.total))
-    dim, cells, marks = _paths(cat, shape)
-    intp = np.dtype(np.intp).itemsize
-    for what, need in (("label rows", cells * intp),
-                       ("braid generators", dim * (shape.n_leaves - 1) * (2 * intp + 16))):
-        if need > _CLOSURE_BYTES:
-            gib = f"{need / 2 ** 30:.2f}" if need < 10 ** 30 else f"{Decimal(need) / 2 ** 30:.2e}"
-            raise ValueError(f"the dim-{_amount(dim)} space on {shape.n_leaves} leaves needs at "
-                             f"least {_amount(need)} bytes ({gib} GiB) for its {what}, over the "
-                             f"{_CLOSURE_BYTES >> 30} GiB budget")
+    dim, marks = _paths(cat, shape)
+    need = dim * (shape.n_leaves - 1) * (2 * np.dtype(np.intp).itemsize + 16)
+    if need > _CLOSURE_BYTES:
+        gib = f"{need / 2 ** 30:.2f}" if need < 10 ** 30 else f"{Decimal(need) / 2 ** 30:.2e}"
+        raise ValueError(f"the dim-{_amount(dim)} space on {shape.n_leaves} leaves needs at "
+                         f"least {_amount(need)} bytes ({gib} GiB) for its braid generators, "
+                         f"over the {_CLOSURE_BYTES >> 30} GiB budget")
     return shape, marks
 
 
@@ -245,25 +246,23 @@ def _amount(n):
 
 def _paths(cat, shape):
     """The fusion paths of ``shape`` (labels resolved), any tree shape, in one
-    pass on Python ints: ``(dim, cells, marks)``, ``marks`` in the order of
+    pass on Python ints: ``(dim, marks)``, ``marks`` in the order of
     :func:`_subtrees`.
 
     Bottom up, a subtree has rows per root charge c: a leaf one, at its
     label; a node the rows of its children at l and at r multiplied, summed
-    over l x r -> c.  ``dim`` is the root's rows at the total; ``cells`` the
-    most labels the row join forms at one node over every root charge, its
-    rows times 1 + its internal nodes below, exact at any size.  Top down,
-    ``marks[at]`` is the bitmask of the charges ``at`` carries in some basis
-    row: the root the total, if it has rows there; a child each charge with
-    rows that fuses, with one of its sibling's, into a parent mark.  A comb
-    repeats its charge sets, so the pairs that fuse for each (left, right)
-    and the marks for each (parent, left, right) are memoised."""
+    over l x r -> c.  ``dim``, exact at any size, is the root's rows at the
+    total.  Top down, ``marks[at]`` is the bitmask of the charges ``at``
+    carries in some basis row: the root the total, if it has rows there; a
+    child each charge with rows that fuses, with one of its sibling's, into
+    a parent mark.  A comb repeats its charge sets, so the pairs that fuse
+    for each (left, right) and the marks for each (parent, left, right) are
+    memoised."""
     labels = {leaf: cat.labels.index(cat.resolve(leaf)) for leaf in {*shape.leaves, shape.total}}
     size, fusion, subtrees = len(cat.labels), cat.tables.fusion.tolist(), _subtrees(shape.structure)
     # per subtree: its rows per root charge (a leaf's shared) until its parent
     # reads them, and the bitmask of the charges it has rows at
-    counts, has = [None] * len(subtrees), [0] * len(subtrees)
-    widths, cells, joins = [0] * len(subtrees), 0, {}
+    counts, has, joins = [None] * len(subtrees), [0] * len(subtrees), {}
     one_row = [[int(c == q) for c in range(size)] for q in range(size)]
     for at in reversed(range(len(subtrees))):  # both children first
         node, children = subtrees[at]
@@ -284,8 +283,7 @@ def _paths(cat, shape):
             product = left_rows[l] * right_rows[r]
             for c in charges:
                 rows[c] += product
-        counts[at], widths[at] = rows, 1 + widths[left] + widths[right]
-        cells = max(cells, sum(rows) * widths[at])
+        counts[at] = rows
     total, marks, memo = labels[shape.total], [0] * len(subtrees), {}
     marks[0] = has[0] & 1 << total
     for at, (_, children) in enumerate(subtrees):  # each parent first
@@ -296,7 +294,7 @@ def _paths(cat, shape):
                         if any(key[0] >> c & 1 for c in charges)]
                 memo[key] = sum({1 << l for l, _ in kept}), sum({1 << r for _, r in kept})
             marks[children[0]], marks[children[1]] = memo[key]
-    return counts[0][total], cells, marks
+    return counts[0][total], marks
 
 
 def _unpacked(masks, size):

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import time
 import tracemalloc
 from functools import cache, reduce
 
@@ -490,7 +491,11 @@ def test_rep_check_bit_identical_on_large_combs(su24, n):
 
 COMB_WINDOW_GRID = ([("su2_4", leaf, n) for leaf in ("1", "2", "3") for n in range(3, 17)]
                     + [("so5_2", "eps", n) for n in range(3, 9)]
-                    + [("su2_4", "1", n) for n in range(17, 21)])
+                    + [("su2_4", "1", n) for n in range(17, 21)]
+                    # so5_2 leaves whose combs lack data at some total
+                    + [("so5_2", leaf, n) for leaf in ("z", "y1", "y2", "eps'")
+                       for n in range(3, 15)]
+                    + [("so5_2", "eps", n) for n in range(9, 15)])
 # the totals checked past 18 strands, where the global check takes a second
 LONG_COMB_TOTALS = {19: ("1",), 20: ("2",)}
 
@@ -502,7 +507,7 @@ def test_comb_windows_equal_the_global_check(name, leaf, n):
     window check gives the global check's residuals float for float, and
     the error it raises where the generators need absent data.  Every
     twist block of these leaves has at most 3 rows, so from dim 27 on the
-    windows must not defer."""
+    windows must not defer: they raise that error themselves."""
     cat = builtin_category(name)
     for total in LONG_COMB_TOTALS.get(n, cat.labels):
         shape = comb_tree(cat, [leaf] * n, total)
@@ -512,9 +517,10 @@ def test_comb_windows_equal_the_global_check(name, leaf, n):
         try:
             want = _residuals(rep_check(general_generators(cat, basis)))
         except MissingDataError as exc:
-            with pytest.raises(MissingDataError) as raised:
-                shape_check(cat, shape)
-            assert str(raised.value) == str(exc)
+            for check in (shape_check, braidrep._comb_windows)[:1 + (basis.dim >= 27)]:
+                with pytest.raises(MissingDataError) as raised:
+                    check(cat, shape)
+                assert str(raised.value) == str(exc), total
             continue
         dim, report = shape_check(cat, shape)
         assert (dim, _residuals(report)) == (basis.dim, want), total
@@ -524,6 +530,57 @@ def test_comb_windows_equal_the_global_check(name, leaf, n):
         else:
             assert windows is None or (windows[0], _residuals(windows[1])) == (basis.dim, want), \
                 total
+
+
+def test_comb_windows_raise_missing_data_without_rows(so52, monkeypatch):
+    """20 `eps'` leaves at total 1 (dim (5^9 + 1)/2): the windows raise the
+    global check's first absent R-symbol without joining a basis row."""
+    shape = comb_tree(so52, ["eps'"] * 20, "1")
+    monkeypatch.setattr(trees, "_joined", lambda *args: pytest.fail("a row was joined"))
+    start = time.perf_counter()
+    with pytest.raises(MissingDataError, match=r"^so5_2: no stored R-symbol for \(eps',eps';1\)$"):
+        shape_check(so52, shape)
+    assert time.perf_counter() - start < 0.5
+
+
+def first_missing_row(cat, shape, missing):
+    """Reference: (p_{i-2}, p_i) of general_generators' first row whose
+    twist block is ``missing``, scanning sigma_1, sigma_2, ... on the basis."""
+    basis, n = enumerate_basis(cat, shape), shape.n_leaves
+    a = cat.labels.index(shape.leaves[0])
+    charges = [np.zeros(basis.dim, dtype=int), np.full(basis.dim, a),
+               *basis.labels[:, ::-1].T]  # p_{-1}, p_0, p_1, ..., p_{n-1}
+    for i in range(1, n):
+        x, d = charges[i - 1], charges[i + 1]
+        for j in np.flatnonzero(missing[x, d])[:1]:
+            return int(x[j]), int(d[j])
+    return None
+
+
+@pytest.mark.parametrize("name, leaf", [("su2_4", "1"), ("su2_4", "2"), ("so5_2", "eps"),
+                                        ("so5_2", "y1")])
+def test_first_missing_block_is_that_of_the_first_basis_row(name, leaf):
+    """On combs of 3-9 strands at every total, for random masks of missing
+    twist blocks, the search on charge sets finds the block of the first
+    row general_generators meets."""
+    cat = builtin_category(name)
+    a, size = cat.labels.index(leaf), len(cat.labels)
+    step = cat.tables.fusion[:, a]
+    rng, found = np.random.default_rng(3), 0
+    for n in range(3, 10):
+        for total in cat.labels:
+            shape = comb_tree(cat, [leaf] * n, total)
+            dim, marks = trees._paths(cat, shape)
+            sets = [1] + marks[n - 1::-1]
+            for density in (0.05, 0.1, 0.2, 0.35, 0.5) * bool(dim):
+                missing = rng.random((size, size)) < density
+                want = first_missing_row(cat, shape, missing)
+                if want is not None:
+                    found += 1
+                    assert braidrep._first_missing(step, missing, sets,
+                                                   trees._unpacked(sets, size)) == want, \
+                        (n, total, density)
+    assert found >= 60
 
 
 def loop_twists(cat, a):
@@ -575,7 +632,10 @@ def test_comb_dimension_is_the_path_count(name, leaf):
                 with pytest.raises(ValueError, match="^empty fusion space: nothing to check$"):
                     braidrep._comb_windows(cat, shape)
                 continue
-            windows = braidrep._comb_windows(cat, shape)
+            try:
+                windows = braidrep._comb_windows(cat, shape)
+            except MissingDataError:  # as the global check; its message is compared above
+                continue
             assert windows is None or windows[0] == want, (n, total)
 
 
@@ -611,7 +671,7 @@ def test_comb_reach_sets_and_far_blocks_equal_the_per_strand_loop(name, leaf):
     size = len(cat.labels)
     for n in range(3, 41):
         for total in range(size):
-            marks = trees._paths(cat, comb_tree(cat, [leaf] * n, cat.labels[total]))[2]
+            marks = trees._paths(cat, comb_tree(cat, [leaf] * n, cat.labels[total]))[1]
             sets = [1] + marks[n - 1::-1]  # as braidrep._comb_windows reads them
             bits = trees._unpacked(sets, size)
             forward, backward, far = loop_reach_and_far(step, has_block, n, total)

@@ -240,31 +240,26 @@ REP_CHECK_ERRORS = [
      "missing category data: so5_2: no stored F-matrix for ('y1', 'eps', 'eps', '1')"),
     (["--category", "su2_4", "--leaves", " ", "--total", "2"], EXIT_USAGE,
      "error: a fusion tree needs at least 2 leaves"),
+    # an empty space passes the budget however long the comb
+    (COMB41, EXIT_USAGE, "error: empty fusion space: nothing to check"),
 ]
-# the 1 GiB budget guards the label rows and generators of the global path,
-# which the window path does not form: these combs pass on windows, save the
-# empty one, which the windows find empty however long it is
+# the 1 GiB budget guards the generators of the global path, which the window
+# path does not form: these combs pass on windows
 GLOBAL_PATH_ERRORS = [
     (COMB28, EXIT_USAGE, "error: the dim-1594323 space on 28 leaves needs at least 1377495072 "
      "bytes (1.28 GiB) for its braid generators, over the 1 GiB budget"),
     (COMB40, EXIT_USAGE, "error: the dim-1162261467 space on 40 leaves needs at least "
-     "725251155408 bytes (675.44 GiB) for its label rows, over the 1 GiB budget"),
-    (COMB41, EXIT_USAGE, "error: the dim-0 space on 41 leaves needs at least 1115771008320 "
-     "bytes (1039.14 GiB) for its label rows, over the 1 GiB budget"),
-]
-WINDOW_PATH_ERRORS = [
-    (COMB41, EXIT_USAGE, "error: empty fusion space: nothing to check"),
+     "1450502310816 bytes (1350.89 GiB) for its braid generators, over the 1 GiB budget"),
 ]
 
 
 @pytest.mark.parametrize("source, code, message, path", [
     *(pytest.param(*error, path, id=f"{name}-{path}")
-      for error, name in zip(REP_CHECK_ERRORS, ["empty", "mixed", "so5_2-eps4", "no-leaves"])
+      for error, name in zip(REP_CHECK_ERRORS,
+                             ["empty", "mixed", "so5_2-eps4", "no-leaves", "comb41"])
       for path in ("windows", "global")),
     *(pytest.param(*error, "global", id=f"{name}-global")
-      for error, name in zip(GLOBAL_PATH_ERRORS, ["comb28", "comb40", "comb41"])),
-    *(pytest.param(*error, "windows", id=f"{name}-windows")
-      for error, name in zip(WINDOW_PATH_ERRORS, ["comb41"]))])
+      for error, name in zip(GLOBAL_PATH_ERRORS, ["comb28", "comb40"]))])
 def test_rep_check_errors_do_not_depend_on_the_path(source, code, message, path, capsys,
                                                     monkeypatch):
     if path == "global":
@@ -272,6 +267,21 @@ def test_rep_check_errors_do_not_depend_on_the_path(source, code, message, path,
     assert main(["rep", "check", *source]) == code
     out, err = capsys.readouterr()
     assert not out and err.splitlines() == [message]
+
+
+def test_a_comb_short_of_data_past_the_budget_reports_the_data(capsys, monkeypatch):
+    """20 `eps'` leaves at total y1 lack an R-symbol and pass the generator
+    bound: the windows report the absent data, which no budget would let
+    the check read, and the global path refuses the generators first."""
+    source = ["--category", "so5_2", "--leaves", " ".join(["epsp"] * 20), "--total", "y1"]
+    assert main(["rep", "check", *source]) == EXIT_MISSING_DATA
+    assert capsys.readouterr().err.splitlines() == [
+        "missing category data: so5_2: no stored R-symbol for (eps',eps';y1)"]
+    monkeypatch.setattr(braidrep, "_comb_windows", lambda *args: None)
+    assert main(["rep", "check", *source]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the dim-1953125 space on 20 leaves needs at least 1187500000 bytes (1.11 GiB) "
+        "for its braid generators, over the 1 GiB budget"]
 
 
 def subprocess_cli(*argv):
@@ -311,13 +321,22 @@ def test_a_comb_past_the_recursion_limit_passes_rep_check():
 
 def test_rep_show_past_the_recursion_limit_exits_64():
     """`rep show` on the same 1200 leaves builds the generators, so the
-    count pass refuses it with the budget line, in loops: no Traceback."""
+    path pass refuses it with the budget line, in loops: no Traceback."""
     done = subprocess_cli("rep", "show", "--category", "su2_4",
                           "--leaves", " ".join(["1"] * 1200), "--total", "2")
     assert done.returncode == EXIT_USAGE and not done.stdout and "Traceback" not in done.stderr
     assert done.stderr.splitlines() == [
-        "error: the dim-6.246e+285 space on 1200 leaves needs at least 1.198e+290 bytes "
-        "(1.12e+281 GiB) for its label rows, over the 1 GiB budget"]
+        "error: the dim-6.246e+285 space on 1200 leaves needs at least 2.397e+290 bytes "
+        "(2.23e+281 GiB) for its braid generators, over the 1 GiB budget"]
+
+
+def test_rep_show_on_a_long_empty_comb_prints_dim_0(capsys):
+    """An empty space passes the budget however many leaves it has: `rep
+    show` on 41 `1` leaves at total 2 prints its empty generators."""
+    assert main(["rep", "show", *COMB41]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert not err and machine_section(out).splitlines() == ["dim=0", "n_strands=41"]
+    assert out.startswith("su2_4: 41 strands, dim 0\nsigma_1 =\n")
 
 
 @pytest.mark.parametrize("source", [

@@ -500,15 +500,14 @@ def test_enumerate_basis_matches_join_then_filter_reference(su24, so52):
 @pytest.mark.parametrize("text, what, need", [
     # dim 81, 9 generators: one intp row, intp column and complex value per row each
     (COMB10 + "->2", "braid generators", 81 * 9 * 32),
-    # dim 40: the root's rows for all totals (41 + 81 + 40), 9 intp charges each
-    (COMB10 + "->4", "label rows", (41 + 81 + 40) * 9 * 8),
-    # dim 13: the root's rows for all totals (14 + 27 + 13), 7 intp charges each
-    ("(((1 1)(1 1))((1 1)(1 1)))->4", "label rows", (14 + 27 + 13) * 7 * 8),
+    # dim 40 and 9 generators; 13 and 7 on the block comb
+    (COMB10 + "->4", "braid generators", 40 * 9 * 32),
+    ("(((1 1)(1 1))((1 1)(1 1)))->4", "braid generators", 13 * 7 * 32),
 ])
 def test_enumerate_basis_budget(su24, text, what, need, monkeypatch):
-    """The label rows of every node and the least storage of generators on
-    the space must fit ``_CLOSURE_BYTES``; past it the space is refused
-    before any row is formed."""
+    """The least storage of generators on the space must fit
+    ``_CLOSURE_BYTES``; past it the space is refused before any row is
+    formed."""
     shape = parse_shape(su24, text)
     expected = enumerate_basis(su24, shape)
     monkeypatch.setattr(synthesis, "_CLOSURE_BYTES", need)
@@ -584,13 +583,40 @@ def test_fusion_path_pass_counts_and_marks_the_basis_rows(name, leaf):
         for total in cat.labels:
             shape = TreeShape(structure, (leaf,) * n, total)
             basis = enumerate_basis(cat, shape)
-            dim, _, marks = _paths(cat, shape)
+            dim, marks = _paths(cat, shape)
             assert dim == basis.dim, (structure, total)
             for column, at in enumerate(internal):  # column k holds internal node k
                 assert marks[at] == sum(1 << q for q in set(basis.labels[:, column].tolist()))
             leaf_mark = 1 << cat.labels.index(leaf) if dim else 0
             assert all(marks[at] == leaf_mark for at, (_, children) in enumerate(subtrees)
                        if not children)
+
+
+@pytest.mark.parametrize("name", ["su2_4", "so5_2"])
+def test_no_node_joins_more_rows_than_the_basis_has(name, monkeypatch):
+    """What lets one budget line cover the row join: on random shapes and
+    leaves, at every total, empty spaces included, each row a node joins
+    extends to its own basis row, so no node forms more than dim rows."""
+    cat = builtin_category(name)
+    formed, column_stack = [], np.column_stack
+
+    def counted(parts):
+        rows = column_stack(parts)
+        formed.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(np, "column_stack", counted)
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        n = int(rng.integers(2, 10))
+        structure = random_structure(rng, 0, n)
+        # one leaf label, as the braid reps need, or mixed ones
+        picks = rng.integers(0, len(cat.labels), n if rng.random() < 0.5 else 1)
+        leaves = tuple(cat.labels[q] for q in np.resize(picks, n))
+        for total in cat.labels:
+            formed.clear()
+            basis = enumerate_basis(cat, TreeShape(structure, leaves, total))
+            assert len(formed) == n - 1 and max(formed) <= basis.dim, (structure, leaves, total)
 
 
 def test_long_combs_need_no_recursion(su24):
@@ -601,7 +627,7 @@ def test_long_combs_need_no_recursion(su24):
     assert basis.dim == 1 and np.array_equal(basis.labels, np.zeros((1, 1499), dtype=int))
     with pytest.raises(ValueError, match=r"^the dim-6\.732e\+2384 space on 10000 leaves needs at "
                                          r"least 2\.154e\+2390 bytes \(2\.01e\+2381 GiB\) for its "
-                                         r"label rows, over the 1 GiB budget$"):
+                                         r"braid generators, over the 1 GiB budget$"):
         enumerate_basis(su24, comb_tree(su24, ["1"] * 10000, "0"))
 
 
