@@ -450,6 +450,13 @@ class ConsistencyReport:
     def skips(self):
         return self.pentagon_skipped + self.hexagon_skipped
 
+    def passed(self):
+        """Dimension, F-unitarity, pentagon and hexagon residuals below
+        1e-9 and R moduli within 1e-12 of 1; a NaN residual fails."""
+        return (all(res < 1e-9 for res in (self.dim_residual, self.unitarity_max,
+                                           self.pentagon_max, self.hexagon_max))
+                and self.r_modulus_max < 1e-12)
+
 
 @dataclass(frozen=True)
 class _LabelTables:

@@ -303,6 +303,37 @@ def test_consistency_propagates_nan(table, key, su24):
     assert report.skips == 0
 
 
+_RESIDUALS = ("dim_residual", "unitarity_max", "r_modulus_max", "pentagon_max", "hexagon_max")
+
+
+@pytest.fixture(scope="module")
+def clean_report(su24):
+    report = check_consistency(su24)
+    assert report.passed()
+    return report
+
+
+@pytest.mark.parametrize("name", _RESIDUALS)
+def test_consistency_verdict_fails_on_nan(clean_report, name):
+    # the NaN is not the first of the residuals, where max() would drop it
+    assert not dataclasses.replace(clean_report, **{name: math.nan}).passed()
+
+
+@pytest.mark.parametrize("name, bound", [(name, 1e-12 if name == "r_modulus_max" else 1e-9)
+                                         for name in _RESIDUALS])
+def test_consistency_verdict_bounds_are_strict(clean_report, name, bound):
+    assert not dataclasses.replace(clean_report, **{name: bound}).passed()
+    assert dataclasses.replace(clean_report, **{name: math.nextafter(bound, 0)}).passed()
+
+
+def test_consistency_verdict_bounds_r_moduli_alone(clean_report):
+    """5e-10 is within the 1e-9 bound of every other residual, but not
+    within the 1e-12 of the R moduli."""
+    assert dataclasses.replace(clean_report, **{name: 5e-10 for name in _RESIDUALS
+                                                if name != "r_modulus_max"}).passed()
+    assert not dataclasses.replace(clean_report, r_modulus_max=5e-10).passed()
+
+
 def test_consistency_reads_the_table_it_is_given(su24):
     key = ("1", "2", "1", "2")
     edited = _edited(su24, "f", key, su24.f_table[key][0, 1] + 0.1, (0, 1))

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import os
@@ -16,7 +17,7 @@ import pytest
 from metaplectic import braidrep, cli, synthesis, trees
 from metaplectic.braidrep import general_generators
 from metaplectic.categories import (BUILTIN_CATEGORIES, _su2_k, builtin_category,
-                                    serialize_category)
+                                    check_consistency, parse_category, serialize_category)
 from metaplectic.trees import comb_tree, enumerate_basis, format_shape
 from metaplectic.cli import (EXIT_CHECK_FAILED, EXIT_IO, EXIT_MISSING_DATA, EXIT_OK, EXIT_USAGE,
                              SENTINEL, build_parser, main)
@@ -426,6 +427,15 @@ BAD_INPUTS = [
       "--tol", "0"], EXIT_USAGE),
     (["verify", "suite", "--category", "su2_4", "--tol", "-1"], EXIT_USAGE),
     (["rep", "show", "--model", "su2_4-qutrit", "--tol", "5"], EXIT_USAGE),
+    # the pass bounds are fixed: --tol and --delta are refused even with a valid value
+    (["category", "check", "su2_4", "--tol", "1e-3"], EXIT_USAGE),
+    (["rep", "check", "--model", "su2_4-qutrit", "--tol", "1e-3"], EXIT_USAGE),
+    (["verify", "suite", "--category", "so5_2", "--tol", "1e-3"], EXIT_USAGE),
+    (["verify", "identity", "--model", "so5_2-qupit", "--named", "Z5", "--target", "Z5",
+      "--tol", "1e-3"], EXIT_USAGE),
+    (["witness", "infinite-order", "--gate", "H3", "--delta", "1e-3"], EXIT_USAGE),
+    (["witness", "so5-partial", "--delta", "1e-3"], EXIT_USAGE),
+    (["witness", "qupit-chain", "--p", "5", "--delta", "1e-3"], EXIT_USAGE),
     (["group", "order", "--gates", "H3[1]"], EXIT_USAGE),
     (["verify", "identity", "--model", "su2_4-qutrit", "--word", "1", "--target", "Q3"],
      EXIT_USAGE),
@@ -474,6 +484,17 @@ def test_bad_input_exit_codes(argv, code, capsys):
         assert "error" in err
     elif "--expect" in argv:
         assert machine_section(out).splitlines()[-1] == "pass=0"
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in BAD_INPUTS
+                                  if "--tol" in argv or "--delta" in argv], ids=" ".join)
+def test_tolerance_options_are_unrecognized(argv, capsys):
+    """No command takes a --tol or --delta: the parse fails on the option
+    itself, whatever its value, before anything runs."""
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
 
 
 @pytest.mark.parametrize("argv", [argv for argv, _ in BAD_INPUTS if "" in argv], ids=" ".join)
@@ -705,6 +726,43 @@ def test_category_file_check_independent_of_hash_seed(tmp_path):
         assert done.returncode == EXIT_OK, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
+
+
+def _su2_4_edited(f_entry=0.0, r_factor=1.0):
+    """su2_4 with f_entry added to F[1,1,1;1][0,0] and R[1,1;2] scaled by r_factor."""
+    cat = builtin_category("su2_4")
+    block = cat.f_table[("1", "1", "1", "1")].copy()
+    block[0, 0] += f_entry
+    return dataclasses.replace(
+        cat, f_table={**cat.f_table, ("1", "1", "1", "1"): block},
+        r_table={**cat.r_table, ("1", "1", "2"): cat.r_table[("1", "1", "2")] * r_factor})
+
+
+# category check by name, or by --file on these dumps
+_CHECKED_FILES = {
+    "su2_10": lambda: _su2_k(10),
+    "su2_4-F-off-1e-6": lambda: _su2_4_edited(f_entry=1e-6),
+    # R modulus 3.0e-12 and hexagon 6.0e-12: only the 1e-12 bound of the R moduli fails
+    "su2_4-R-off-3e-12": lambda: _su2_4_edited(r_factor=1 + 3e-12),
+}
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("su2_4", 1), ("so5_2", 1), ("su2_10", 1), ("su2_4-F-off-1e-6", 0), ("su2_4-R-off-3e-12", 0)])
+def test_category_check_verdict_is_the_reports(source, expected, tmp_path, capsys):
+    if source in BUILTIN_CATEGORIES:
+        argv, cat = [source], builtin_category(source)
+    else:
+        path = tmp_path / f"{source}.cat"
+        path.write_text(serialize_category(_CHECKED_FILES[source]()))
+        argv, cat = ["--file", str(path)], parse_category(path.read_text(), name=str(path))
+    report = check_consistency(cat)
+    assert int(report.passed()) == expected
+    if source.startswith("su2_4-R"):
+        assert dataclasses.replace(report, r_modulus_max=0.0).passed()
+    code = main(["category", "check", *argv])
+    assert code == (EXIT_OK if report.passed() else EXIT_CHECK_FAILED)
+    assert machine_section(capsys.readouterr().out).splitlines()[-1] == f"pass={expected}"
 
 
 def test_verify_all_runs_from_checkout(tmp_path):
