@@ -283,9 +283,9 @@ class RepReport:
     braid_max: float
     far_commutation_max: float
 
-    def ok(self, tol=1e-9):
-        """All residuals below ``tol``; a NaN residual fails."""
-        return all(res < tol for res in
+    def ok(self):
+        """All residuals below 1e-9; a NaN residual fails."""
+        return all(res < 1e-9 for res in
                    (self.unitarity_max, self.braid_max, self.far_commutation_max))
 
 

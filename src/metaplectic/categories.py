@@ -809,9 +809,10 @@ def _partial_category(name, labels, qdim, rules):
     return Category(name, tuple(labels), dict(qdim), fusion, {}, {})
 
 
-def categories_equal(cat1, cat2, tol=1e-12):
-    """Entrywise equality of two categories' data within ``tol``; a NaN
+def categories_equal(cat1, cat2):
+    """Entrywise equality of two categories' data within 1e-12; a NaN
     entry on either side is unequal."""
+    tol = 1e-12
     if cat1.labels != cat2.labels:
         return False
     if any(not abs(cat1.qdim[l] - cat2.qdim[l]) <= tol for l in cat1.labels):

@@ -12,10 +12,10 @@ call, and reused by every later call: building it costs milliseconds
 width for every help formatter), while one parse costs a tenth of one,
 and a process such as ``scripts/verify_all.py`` runs many commands.
 
-Each ``pass=`` line uses the fixed bound of the module that runs its
-check, and no flag moves it: ``category check`` 1e-9 (1e-12 for R
-moduli), ``rep check`` 1e-9, ``verify`` 1e-8, the ``witness``
-root-of-unity screens delta = 1e-6, ``protocol flip`` 3 sigma.
+Each ``pass=`` line uses a fixed bound that no flag or library argument
+moves: ``category check`` 1e-9 (1e-12 for R moduli), ``rep check`` 1e-9,
+``verify`` 1e-8 and the ``witness`` screens delta = 1e-6, each in the module
+that runs the check; ``protocol flip`` 3 sigma, in :func:`_cmd_protocol`.
 
 Exit codes: 0 all checks passed; 1 a check failed (residual above
 tolerance, wrong order, statistical rejection); 2 missing category data
@@ -85,7 +85,7 @@ def _load_category(name_or_none, path_or_none):
         try:
             with open(path_or_none, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"cannot read {path_or_none}: {exc}", file=sys.stderr)
             raise SystemExit(EXIT_IO)
         return parse_category(text, name=path_or_none)

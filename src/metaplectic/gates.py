@@ -221,7 +221,7 @@ def phase_distance(u, v):
     return np.abs(u - theta[..., None, None] * v).max(axis=(-2, -1)), theta[()]
 
 
-def equal_up_to_phase(u, v, tol=1e-8):
-    """True (with the matching phase) iff u = theta*v entrywise within tol."""
+def equal_up_to_phase(u, v):
+    """True (with the matching phase) iff u = theta*v entrywise to below 1e-8."""
     residual, theta = phase_distance(u, v)
-    return residual < tol, theta
+    return residual < 1e-8, theta

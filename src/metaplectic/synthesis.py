@@ -332,8 +332,9 @@ class VerifyResult:
     leakage: float
 
 
-def verify_identity(rep, word, target, subspace=None, tol=1e-8):
-    """Check a braid word against a target gate up to a global phase.
+def verify_identity(rep, word, target, subspace=None):
+    """Check a braid word against a target gate up to a global phase: it
+    passes when the residual (and the leakage) is below 1e-8.
 
     With ``subspace`` (an isometry E of shape dim x k) the comparison is
     E^dag U E against the k x k target, and the leakage norm
@@ -363,7 +364,7 @@ def verify_identity(rep, word, target, subspace=None, tol=1e-8):
         restricted = u
         leakage = 0.0
     residual, phase = phase_distance(restricted, target)
-    return VerifyResult(residual < tol and leakage < tol, phase, residual, leakage)
+    return VerifyResult(residual < 1e-8 and leakage < 1e-8, phase, residual, leakage)
 
 
 def _size(matrix):
@@ -402,12 +403,12 @@ class ClosureResult:
         return " ".join(f"{k}:{v}" for k, v in sorted(self.element_orders.items()))
 
 
-def _keys(stack, grid=1e-6):
+def _keys(stack):
     """One bytes key per matrix of an (n, d, d) stack: the real and
-    imaginary parts of its entries rounded to multiples of ``grid``.  The
+    imaginary parts of its entries rounded to multiples of 1e-6.  The
     entries of a unitary are at most 1 in modulus, so the multiples fit
     int32."""
-    q = np.round(stack.view(np.float64) / grid).astype(np.int32).reshape(len(stack), -1)
+    q = np.round(stack.view(np.float64) / 1e-6).astype(np.int32).reshape(len(stack), -1)
     return q.view(np.dtype((np.void, q.itemsize * q.shape[1]))).ravel()
 
 

@@ -43,6 +43,7 @@ __all__ = [
 _EXPECTED_PAIR = ((2 + 1j * np.sqrt(5)) / 3, (2 - 1j * np.sqrt(5)) / 3)
 
 _MAX_POWER = 10 ** 6  # the largest k_max: the domain of --k-max, 1..10^6
+_DELTA = 1e-6  # the root-of-unity screen's distance from 1
 
 
 def qutrit_fixed_vector(i):
@@ -67,10 +68,10 @@ class QutritCommutatorReport:
     fixed_vector_residual: float
     commutator_norm: float
 
-    def passed(self, tol=1e-9):
-        return (self.eigenvalue_residual < tol
-                and self.polynomial_residual < tol
-                and self.fixed_vector_residual < tol
+    def passed(self):
+        return (self.eigenvalue_residual < 1e-9
+                and self.polynomial_residual < 1e-9
+                and self.fixed_vector_residual < 1e-9
                 and self.commutator_norm > 1e-3)
 
 
@@ -118,16 +119,14 @@ class InfiniteOrderReport:
     min_power_gap: float
     eigenvalues: np.ndarray
     k_max: int
-    delta: float
 
 
-def infinite_order_witness(u, k_max=10000, delta=1e-6):
-    """Root-of-unity screen: every eigenvalue farther than ``delta`` from 1
-    must stay farther than ``delta`` from 1 under all powers up to
+def infinite_order_witness(u, k_max=10000):
+    """Root-of-unity screen: every eigenvalue farther than ``_DELTA`` = 1e-6
+    from 1 must stay farther than that from 1 under all powers up to
     ``k_max``, and at least one eigenvalue must be that far.  A pass is a
     finite witness for infinite order, not a proof.  ``k_max`` is an
-    integer in 1.._MAX_POWER (a bool is refused), and ``delta`` lies in
-    (0, 2): every unit eigenvalue is within 2 of 1.
+    integer in 1.._MAX_POWER (a bool is refused).
 
     The gap |lam^k - 1| = 2|sin(k theta / 2)| of lam = e^{i theta} is
     evaluated only at the powers of :func:`_screened_powers`.  Its minimum
@@ -141,19 +140,17 @@ def infinite_order_witness(u, k_max=10000, delta=1e-6):
     k_max = _integer(k_max)
     if not 1 <= k_max <= _MAX_POWER:
         raise ValueError(f"k_max must lie in 1..{_MAX_POWER}, got {k_max}")
-    if not 0 < delta < 2:
-        raise ValueError("delta must lie in (0, 2)")
     vals = np.linalg.eigvals(np.asarray(u, dtype=complex))
     min_gap = np.inf
     for lam in vals:
-        if abs(lam - 1.0) <= delta:
+        if abs(lam - 1.0) <= _DELTA:
             continue
         theta = np.angle(lam)
         ks = _screened_powers(theta, k_max)
         gaps = 2.0 * np.abs(np.sin(ks * theta / 2.0))
         min_gap = min(min_gap, float(gaps.min()))
-    passed = bool(np.isfinite(min_gap) and min_gap > delta)  # inf: nothing was screened
-    return InfiniteOrderReport(passed, float(min_gap), vals, k_max, delta)
+    passed = bool(np.isfinite(min_gap) and min_gap > _DELTA)  # inf: nothing was screened
+    return InfiniteOrderReport(passed, float(min_gap), vals, k_max)
 
 
 def _screened_powers(theta, k_max):
@@ -213,17 +210,17 @@ class SubspaceChainReport:
     chain_overlaps: list            # |<S_i, sum_{j<i} S_j>| witnesses, i >= 1
     total_rank: int
 
-    def passed(self, tol=1e-9):
+    def passed(self):
         # the commutator minimum falls roughly as p^-3, so it is held to the
         # round-off bound: "X[i] and Y[i] do not commute on S_i"
-        return (self.identity_residual < tol
-                and self.restricted_commutator_min > tol
+        return (self.identity_residual < 1e-9
+                and self.restricted_commutator_min > 1e-9
                 and self.infinite_order_passed
                 and min(self.chain_overlaps) > 1e-9
                 and self.total_rank == self.p)
 
 
-def qupit_subspace_chain(p, k_max=10000, delta=1e-6):
+def qupit_subspace_chain(p, k_max=10000):
     """Verify the S_i-plane structure of the commutators for prime p >= 5."""
     if not 5 <= p <= _MAX_DIM or any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"p must be an odd prime in 5..{_MAX_DIM}")
@@ -257,7 +254,7 @@ def qupit_subspace_chain(p, k_max=10000, delta=1e-6):
         yr = basis.conj().T @ y_mat @ basis
         comm_min = min(comm_min, abs(xr @ yr - yr @ xr).max())
         for mat in (xr, yr):
-            rep = infinite_order_witness(mat, k_max, delta)
+            rep = infinite_order_witness(mat, k_max)
             all_infinite = all_infinite and rep.passed
             min_gap = min(min_gap, rep.min_power_gap)
 
@@ -282,13 +279,13 @@ class PartialResultsReport:
     r_matrix_k1: np.ndarray
     x_matrices: list = field(repr=False, default_factory=list)
 
-    def passed(self, tol=1e-8):
-        return (self.fix_residual < tol
+    def passed(self):
+        return (self.fix_residual < 1e-8
                 and self.infinite_order_passed
                 and self.commutant_dim == 1)
 
 
-def so5_partial_results(k_max=10000, delta=1e-6):
+def so5_partial_results(k_max=10000):
     """The dimension-5 commutator facts behind the braid image analysis.
 
     Uses the two-level phase gates R_k = diag(w^k, w^-k, 1, 1, 1) (levels
@@ -311,7 +308,7 @@ def so5_partial_results(k_max=10000, delta=1e-6):
         x_k = h @ r_k @ hi @ r_k.conj().T
         x_mats.append(x_k)
         fix_res = max(fix_res, abs(x_k @ fixed - fixed).max())
-        rep = infinite_order_witness(x_k, k_max, delta)
+        rep = infinite_order_witness(x_k, k_max)
         all_infinite = all_infinite and rep.passed
         min_gap = min(min_gap, rep.min_power_gap)
 

@@ -874,7 +874,7 @@ def test_rep_check_sorts_and_sums_only_what_needs_it(su24, monkeypatch):
     monkeypatch.setattr(triples, "_summed", traced_summed)
     monkeypatch.setattr(np, "argsort", counted("argsort", argsort))
     monkeypatch.setattr(np, "bincount", counted("bincount", bincount))
-    assert rep_check(rep).ok(1e-12)
+    assert _all_below(rep_check(rep), 1e-12)
     paths = [(c["argsort"], c["bincount"]) for c in calls]
     assert len(paths) == 193
     assert (paths.count((0, 0)), paths.count((1, 0)), paths.count((1, 2))) == (103, 55, 35)
@@ -896,7 +896,7 @@ def test_rep_check_product_choice(su24, monkeypatch):
                                  (ZIGZAG12, True)]:
         rep = general_generators(su24, enumerate_basis(su24, parse_shape(su24, text)))
         dense_calls.clear()
-        assert rep_check(rep).ok(1e-12)
+        assert _all_below(rep_check(rep), 1e-12)
         assert bool(dense_calls) == dense_expected, text
     batched = sorted(dense_calls)
     dense_calls.clear()
@@ -904,7 +904,12 @@ def test_rep_check_product_choice(su24, monkeypatch):
     assert len(batched) == 19 and batched == sorted(dense_calls)
     rep = general_generators(su24, enumerate_basis(su24, comb_tree(su24, ["1"] * 10, "2")))
     dense_calls.clear()
-    assert rep_check(rep).ok(1e-12) and not dense_calls
+    assert _all_below(rep_check(rep), 1e-12) and not dense_calls
+
+
+def _all_below(report, bound):
+    """Every residual of a RepReport below ``bound``; a NaN is not."""
+    return all(res < bound for res in dataclasses.astuple(report))
 
 
 def test_rep_check_propagates_nan(qutrit_rep):
@@ -916,6 +921,15 @@ def test_rep_check_propagates_nan(qutrit_rep):
         assert math.isnan(report.unitarity_max) and math.isnan(report.braid_max)
         assert not report.ok()
     assert not RepReport(0.0, math.nan, 0.0).ok()
+
+
+@pytest.mark.parametrize("name", ["unitarity_max", "braid_max", "far_commutation_max"])
+def test_rep_report_verdict_bound_is_strict(name):
+    clean = RepReport(0.0, 0.0, 0.0)
+    assert clean.ok()
+    assert not dataclasses.replace(clean, **{name: 1e-9}).ok()
+    assert dataclasses.replace(clean, **{name: math.nextafter(1e-9, 0)}).ok()
+    assert not dataclasses.replace(clean, **{name: math.nan}).ok()
 
 
 def test_rep_check_rejects_empty_space(su24):

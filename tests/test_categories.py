@@ -452,7 +452,7 @@ def test_serialize_parse_round_trip(su24, so52):
     for cat in (su24, so52):
         text = serialize_category(cat)
         back = parse_category(text, name=cat.name)
-        assert categories_equal(cat, back, tol=1e-12)
+        assert categories_equal(cat, back)
 
 
 def test_parse_malformed_line_reports_lineno():

@@ -186,6 +186,17 @@ def test_io_error_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_category_file_not_utf8(tmp_path, capsys):
+    """A file that does not decode is a file error (66), like one that does
+    not open, and names its path."""
+    bad = tmp_path / "latin.cat"
+    bad.write_bytes(b"label 1 qdim 1\n\xff\n")
+    assert main(["category", "check", "--file", str(bad)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_malformed_category_file(tmp_path, capsys):
     bad = tmp_path / "bad.cat"
     bad.write_text("label a qdim 1.0\nfuse a a -> a\nF broken\n")

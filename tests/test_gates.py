@@ -140,8 +140,18 @@ def test_equal_up_to_phase_scalar_case():
 
 def test_equal_up_to_phase_rejects_nonproportional():
     h = hadamard(3)
-    ok, _ = equal_up_to_phase(h, h @ np.diag([1, 1, -1]), tol=1e-6)
-    assert not ok
+    assert not phase_distance(h, h @ np.diag([1, 1, -1]))[0] < 1e-6
+    assert not equal_up_to_phase(h, h @ np.diag([1, 1, -1]))[0]
+
+
+@pytest.mark.parametrize("entry, ok", [(1e-8, False), (math.nextafter(1e-8, 0), True)])
+def test_equal_up_to_phase_bound_is_strict(entry, ok):
+    """I against I with one off-diagonal entry: the phase is 1 and the
+    residual is that entry exactly, so 1e-8 itself fails."""
+    u = np.eye(3)
+    u[0, 2] = entry
+    assert phase_distance(u, np.eye(3)) == (entry, 1)
+    assert equal_up_to_phase(u, np.eye(3)) == (ok, 1)
 
 
 def test_one_anchor_rule_fixes_both_phases():
@@ -167,7 +177,7 @@ def test_equal_up_to_phase_recovers_phase(angle, seed):
     mat = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     u = np.linalg.qr(mat)[0]
     theta = cmath.exp(1j * angle)
-    ok, found = equal_up_to_phase(theta * u, u, tol=1e-8)
+    ok, found = equal_up_to_phase(theta * u, u)
     assert ok and abs(found - theta) < 1e-8
 
 

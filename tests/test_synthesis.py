@@ -317,8 +317,7 @@ def test_sum_gate_from_braiding(qutrit_rep):
 
 def test_controlled_z_leakage_free(two_qutrit):
     rep, embed = two_qutrit
-    result = verify_identity(rep, named_words("su2_4")["CZword"], cz_gate(3),
-                             subspace=embed, tol=1e-8)
+    result = verify_identity(rep, named_words("su2_4")["CZword"], cz_gate(3), subspace=embed)
     assert result.passed
     assert result.residual < 1e-8
     assert result.leakage < 1e-8
@@ -351,7 +350,7 @@ def test_so52_gate_words(qupit_rep):
         ("1 2 1 3 2 1", mult_gate(5, 4)),
     ]
     for text, target in cases:
-        result = verify_identity(qupit_rep, word_from_text(text, 4), target, tol=1e-8)
+        result = verify_identity(qupit_rep, word_from_text(text, 4), target)
         assert result.passed, text
 
 
@@ -467,7 +466,7 @@ def loop_group_closure(generators, projective=False, cap=100000, det_lift=True):
         frontier = next_frontier
 
     members = list(elements.values())
-    same = (lambda a, b: equal_up_to_phase(a, b, 1e-8)[0]) if projective \
+    same = (lambda a, b: equal_up_to_phase(a, b)[0]) if projective \
         else (lambda a, b: abs(a - b).max() < 1e-8)
     center = sum(1 for el in members if all(same(el @ g, g @ el) for g in gens))
     eye = np.eye(dim, dtype=complex)

@@ -1,5 +1,8 @@
 """Density witnesses: spectra, fixed vectors, Schmidt ranks, screens."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -57,30 +60,32 @@ def test_infinite_order_screen_on_commutator():
     h, p = hadamard(3), p_gate(3, 0)
     w_mat = h @ p @ h.conj().T @ p.conj().T
     restricted = basis.conj().T @ w_mat @ basis
-    assert infinite_order_witness(restricted, 10000, 1e-6).passed
+    assert infinite_order_witness(restricted, 10000).passed
 
 
 def test_infinite_order_rejects_roots_of_unity():
     w3 = omega(3)
-    assert not infinite_order_witness(w3 * np.eye(3), 10, 1e-6).passed
+    assert not infinite_order_witness(w3 * np.eye(3), 10).passed
 
 
 def test_infinite_order_fails_when_nothing_is_screened():
     # every eigenvalue within delta of 1: the screen examined nothing
-    assert not infinite_order_witness(np.eye(3), 10000, 1e-6).passed
-    assert not infinite_order_witness(relative_phase_gate(3, 0, 1, 3), 10000, 1e-6).passed
-    assert not infinite_order_witness(np.diag([1.0, np.exp(1e-9j)]), 10000, 1e-6).passed
-    assert infinite_order_witness(np.diag([1.0, np.exp(1j)]), 100, 1e-6).passed
+    assert not infinite_order_witness(np.eye(3), 10000).passed
+    assert not infinite_order_witness(relative_phase_gate(3, 0, 1, 3), 10000).passed
+    assert not infinite_order_witness(np.diag([1.0, np.exp(1e-9j)]), 10000).passed
+    assert infinite_order_witness(np.diag([1.0, np.exp(1j)]), 100).passed
 
 
-@pytest.mark.parametrize("delta", [0.0, -1e-6, 2.0, 5.0, float("nan")])
+@pytest.mark.parametrize("delta", [0.0, -1e-6, 1e-6, 2.0, 5.0, float("nan")])
 def test_infinite_order_rejects_bad_delta(delta):
-    with pytest.raises(ValueError):
-        infinite_order_witness(np.diag([1.0, np.exp(1j)]), 100, delta)
-    with pytest.raises(ValueError):
-        qupit_subspace_chain(5, 100, delta)
-    with pytest.raises(ValueError):
-        so5_partial_results(100, delta)
+    """The screen's distance from 1 is fixed: no witness takes a delta, not
+    even the 1e-6 it uses, by position or by name."""
+    for call in (lambda *a, **kw: infinite_order_witness(np.diag([1.0, np.exp(1j)]), *a, **kw),
+                 lambda *a, **kw: qupit_subspace_chain(5, *a, **kw), so5_partial_results):
+        with pytest.raises(TypeError):
+            call(100, delta)
+        with pytest.raises(TypeError):
+            call(100, delta=delta)
 
 
 def test_schmidt_rank_of_sum():
@@ -158,6 +163,32 @@ def test_so5_fixed_vector_value():
         assert abs(x_mat @ raw - raw).max() < 1e-8
 
 
+@pytest.fixture(scope="module")
+def clean_witness_reports():
+    return {"qutrit": qutrit_commutator_witness(0), "chain": qupit_subspace_chain(5),
+            "so5": so5_partial_results()}
+
+
+@pytest.mark.parametrize("report, name, bound, passing_side", [
+    ("qutrit", "eigenvalue_residual", 1e-9, 0.0),
+    ("qutrit", "polynomial_residual", 1e-9, 0.0),
+    ("qutrit", "fixed_vector_residual", 1e-9, 0.0),
+    ("qutrit", "commutator_norm", 1e-3, math.inf),
+    ("chain", "identity_residual", 1e-9, 0.0),
+    ("chain", "restricted_commutator_min", 1e-9, math.inf),
+    ("so5", "fix_residual", 1e-8, 0.0),
+])
+def test_witness_verdict_bounds_are_strict(clean_witness_reports, report, name, bound,
+                                           passing_side):
+    """The bound itself fails, the next float on its passing side passes,
+    and a NaN fails."""
+    clean = clean_witness_reports[report]
+    assert clean.passed()
+    assert not dataclasses.replace(clean, **{name: bound}).passed()
+    assert dataclasses.replace(clean, **{name: math.nextafter(bound, passing_side)}).passed()
+    assert not dataclasses.replace(clean, **{name: math.nan}).passed()
+
+
 def test_relative_phase_gate_matches_display():
     w5 = omega(5)
     mat = relative_phase_gate(5, 0, 1, 2)
@@ -178,21 +209,21 @@ def brute_force_screen(eigenvalues, k_max, delta):
     return bool(np.isfinite(min_gap) and min_gap > delta), min_gap
 
 
-def assert_screen_is_brute_force(u, k_max, delta=1e-6):
-    report = infinite_order_witness(u, k_max, delta)
+def assert_screen_is_brute_force(u, k_max):
+    report = infinite_order_witness(u, k_max)
     assert (report.passed, report.min_power_gap) == \
-        brute_force_screen(report.eigenvalues, k_max, delta), (k_max, report.eigenvalues)
+        brute_force_screen(report.eigenvalues, k_max, 1e-6), (k_max, report.eigenvalues)
     return report
 
 
 def screened_matrices(monkeypatch, run):
-    """The (matrix, k_max, delta) of every screen that ``run()`` makes."""
+    """The (matrix, k_max) of every screen that ``run()`` makes."""
     import metaplectic.witnesses as witnesses
     screens, screen = [], witnesses.infinite_order_witness
 
-    def recording(u, k_max=10000, delta=1e-6):
-        screens.append((u, k_max, delta))
-        return screen(u, k_max, delta)
+    def recording(u, k_max):
+        screens.append((u, k_max))
+        return screen(u, k_max)
 
     monkeypatch.setattr(witnesses, "infinite_order_witness", recording)
     run()
@@ -204,8 +235,8 @@ def screened_matrices(monkeypatch, run):
 def test_screen_equals_brute_force_on_the_witness_matrices(monkeypatch, run):
     screens = screened_matrices(monkeypatch, run)
     assert len(screens) in (4, 10, 14, 22, 26)
-    for u, k_max, delta in screens:
-        assert_screen_is_brute_force(u, k_max, delta)
+    for u, k_max in screens:
+        assert_screen_is_brute_force(u, k_max)
 
 
 @pytest.mark.parametrize("k_max, count", [(1, 300), (2, 300), (10, 300), (10 ** 4, 200),
